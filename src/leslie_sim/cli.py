@@ -24,20 +24,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _apply_thread_cap():
-    raw = os.environ.get("LESLIE_SIM_THREADS")
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"ignoring non-integer LESLIE_SIM_THREADS={raw!r}", file=sys.stderr)
-        return
-    if cap > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-
-
 def _load(args, allow_invalid=False):
     try:
         return load_config(args.config, allow_invalid=allow_invalid)
@@ -207,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -56,10 +56,7 @@ _KNOWN = {
         "lambda", "gamma", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6",
         "epsilon", "forcing", "elastic", "elastic_k", "elastic_entries",
     },
-    "stepper": {
-        "dt", "t_end", "poisson_tol", "poisson_max_iter", "output_every",
-        "theta", "scheme",
-    },
+    "stepper": {"dt", "t_end", "poisson_tol", "output_every", "theta", "scheme"},
     "initial": {"kind", "director", "seed", "amplitude", "v_amplitude"},
     "experiment": {"gronwall_c", "tol_energy", "tol_step", "delta", "seed"},
     "output": {"trace", "snapshots"},
@@ -170,7 +167,6 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
             dt=_get(sections, "stepper", "dt", 5e-4, float),
             t_end=_get(sections, "stepper", "t_end", 0.5, float),
             poisson_tol=_get(sections, "stepper", "poisson_tol", 1e-10, float),
-            poisson_max_iter=_get(sections, "stepper", "poisson_max_iter", 500, int),
             output_every=_get(sections, "stepper", "output_every", 1, int),
             theta=_get(sections, "stepper", "theta", 0.3, float),
             scheme=_get(sections, "stepper", "scheme", "semi_implicit_theta", str),

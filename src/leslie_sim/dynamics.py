@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class StepperConfig:
     dt: float = 5e-4
     t_end: float = 0.5
     poisson_tol: float = 1e-10
-    poisson_max_iter: int = 500
     output_every: int = 1
     theta: float = 0.3
     scheme: str = "semi_implicit_theta"
@@ -100,61 +98,86 @@ class StepperConfig:
 
 
 # ---------------------------------------------------------------------------
-# spectral machinery (periodic grids)
+# spectral operators (periodic grids)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _symbols(n: tuple, h: tuple):
-    """Fourier symbols of the central first derivative per axis.
+class SpectralOps:
+    """The Fourier-diagonal operators of one periodic grid.
 
-    D_a exp(2 pi i k x / L) has symbol i sigma_a with
-    sigma_a = sin(2 pi k_a / n_a) / h_a.  Returned broadcastable over the
-    frequency grid, together with sigma^2 summed (the wide-Laplacian symbol).
+    Fields are real, so they are transformed with ``rfftn`` onto the half
+    spectrum (the last spatial axis keeps modes 0 .. n // 2).  The central
+    first derivative along axis a has symbol i sigma_a with
+    sigma_a = sin(2 pi k_a / n_a) / h_a, and the composite (wide) Laplacian
+    the symbol -|sigma|^2.  The object holds the Helmholtz denominator
+    1 + helmholtz_coeff |sigma|^2 and the projection denominator -|sigma|^2.
+    Given an elasticity tensor it also holds the director stiffness
+    S_ik = sum_jl L_ijkl sigma_j sigma_l and the inverse of
+    I + director_alpha S per mode; S is real and symmetric, so the inverse is
+    real and is applied as a 3x3 product.  A Stepper builds one and keeps it.
     """
-    sigmas = []
-    for axis, (na, ha) in enumerate(zip(n, h)):
-        k = np.arange(na)
-        s = np.sin(2.0 * np.pi * k / na) / ha
-        # sin(pi) is not exactly zero in floating point; the k = 0 and
-        # Nyquist symbols must vanish exactly or the inversion blows up
-        s[(2 * k) % na == 0] = 0.0
-        shape = [1] * len(n)
-        shape[axis] = na
-        sigmas.append(s.reshape(shape))
-    sig_sq = sum(s**2 for s in sigmas)
-    return tuple(sigmas), np.broadcast_to(sig_sq, n).copy()
+
+    def __init__(
+        self,
+        grid: Grid,
+        tensor: ElasticTensor | None = None,
+        director_alpha: float = 0.0,
+        helmholtz_coeff: float = 0.0,
+    ):
+        if grid.bc != PERIODIC:
+            raise NotImplementedError("spectral solves require a periodic grid")
+        self.grid = grid
+        self.axes = tuple(range(grid.dim))
+        half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
+        sigmas = []
+        for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
+            k = np.arange(half[axis])
+            s = np.sin(2.0 * np.pi * k / na) / ha
+            # sin(pi) is not exactly zero in floating point; the k = 0 and
+            # Nyquist symbols must vanish exactly or the inversion blows up
+            s[(2 * k) % na == 0] = 0.0
+            shape = [1] * grid.dim
+            shape[axis] = half[axis]
+            sigmas.append(np.broadcast_to(s.reshape(shape), half))
+        self.sig_sq = sig_sq = sum(s**2 for s in sigmas)
+        self.helmholtz_denominator = (1.0 + helmholtz_coeff * sig_sq)[..., None]
+        # modes where every derivative symbol vanishes carry no divergence;
+        # dividing by inf leaves them at zero pressure
+        self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
+        self.stiffness = None
+        self.director_inverse = None
+        if tensor is not None:
+            sig = np.stack(sigmas + [np.zeros(half)] * (3 - grid.dim), axis=-1)
+            self.stiffness = np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
+            self.director_inverse = np.linalg.inv(np.eye(3) + director_alpha * self.stiffness)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values, axes=self.axes)
+
+    def backward(self, values_hat: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(values_hat, s=self.grid.n, axes=self.axes)
+
+    def check_grid(self, grid: Grid) -> None:
+        if grid != self.grid:
+            raise ValueError("field and spectral operators live on different grids")
 
 
-def _fftn(values: np.ndarray, dim: int) -> np.ndarray:
-    return np.fft.fftn(values, axes=tuple(range(dim)))
-
-
-def _ifftn(values: np.ndarray, dim: int) -> np.ndarray:
-    return np.fft.ifftn(values, axes=tuple(range(dim))).real
-
-
-def project_divfree(u: VectorField, tol: float = 1e-10, max_iter: int = 500):
+def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float = 1e-10):
     """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0.
 
-    Periodic grids solve div grad p = div u exactly in Fourier space (the
-    composite central-difference Laplacian is diagonal there); modes where
-    every derivative symbol vanishes carry no divergence and are left alone.
-    Dirichlet grids use a least-squares solve of the same composite operator.
-    The mean of p is fixed to zero.
+    Solves div grad p = div u exactly in Fourier space (the composite
+    central-difference Laplacian is diagonal there); modes where every
+    derivative symbol vanishes carry no divergence and are left alone.  The
+    mean of p is fixed to zero.  Without ``ops`` the operators of u's grid
+    are built for this call; non-periodic grids raise NotImplementedError.
     """
     grid = u.grid
+    if ops is None:
+        ops = SpectralOps(grid)
+    ops.check_grid(grid)
     div_u = g.divergence_vec(u)
-    if grid.bc == PERIODIC:
-        sigmas, sig_sq = _symbols(grid.n, grid.h)
-        rhs_hat = _fftn(div_u.values, grid.dim)
-        denom = -sig_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_hat = np.where(denom != 0.0, rhs_hat / np.where(denom != 0.0, denom, 1.0), 0.0)
-        p_values = _ifftn(p_hat, grid.dim)
-        p_values -= p_values.mean()
-        p = ScalarField(grid, p_values)
-    else:
-        p = _project_pressure_lsq(div_u, tol, max_iter)
+    p_values = ops.backward(ops.forward(div_u.values) / ops.projection_denominator)
+    p_values -= p_values.mean()
+    p = ScalarField(grid, p_values)
 
     grad_p = np.zeros(grid.shape + (3,))
     for a in range(grid.dim):
@@ -170,92 +193,38 @@ def project_divfree(u: VectorField, tol: float = 1e-10, max_iter: int = 500):
     return result, p
 
 
-def _project_pressure_lsq(div_u: ScalarField, tol: float, max_iter: int) -> ScalarField:
-    # Least squares on the composite div(grad .) operator built from the
-    # one-sided Dirichlet stencils.  The operator is assembled densely; this
-    # path targets the small desk-scale grids only.
-    grid = div_u.grid
-    count = grid.cell_count
-
-    def apply_lap(flat):
-        p = flat.reshape(grid.shape)
-        out = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            out += g._deriv(grid, g._deriv(grid, p, axis=a), axis=a)
-        return out.ravel()
-
-    dense = np.empty((count, count))
-    basis = np.zeros(count)
-    for j in range(count):
-        basis[:] = 0.0
-        basis[j] = 1.0
-        dense[:, j] = apply_lap(basis)
-    sol, *_ = np.linalg.lstsq(dense, div_u.values.ravel(), rcond=None)
-    p_values = sol.reshape(grid.shape)
-    p_values -= p_values.mean()
-    return ScalarField(grid, p_values)
-
-
-def solve_director_implicit(rhs: VectorField, tensor: ElasticTensor, alpha: float) -> VectorField:
-    """Solve (I + alpha * (-div(L : grad .))) x = rhs on a periodic grid.
+def solve_director_implicit(rhs: VectorField, ops: SpectralOps) -> VectorField:
+    """Solve (I + alpha * (-div(L : grad .))) x = rhs with the tensor and
+    alpha that ``ops`` was built with.
 
     The operator is block-diagonal in Fourier space: for each mode the 3x3
-    matrix I + alpha * S(k) with S_ik = sum_jl L_ijkl sigma_j sigma_l, which
-    strong ellipticity keeps positive definite.
+    matrix I + alpha * S(k), which strong ellipticity keeps positive
+    definite; ``ops`` holds its inverse.
     """
-    grid = rhs.grid
-    if grid.bc != PERIODIC:
-        raise NotImplementedError("implicit director solve requires a periodic grid")
-    mats = _director_matrices(grid, tensor, alpha)
-    rhs_hat = _fftn(rhs.values, grid.dim)
-    x_hat = np.linalg.solve(mats, rhs_hat[..., None])[..., 0]
-    return VectorField(grid, _ifftn(x_hat, grid.dim))
+    ops.check_grid(rhs.grid)
+    if ops.director_inverse is None:
+        raise ValueError("spectral operators were built without an elasticity tensor")
+    rhs_hat = ops.forward(rhs.values)
+    x_hat = np.matmul(ops.director_inverse, rhs_hat[..., None])[..., 0]
+    return VectorField(rhs.grid, ops.backward(x_hat))
 
 
-_DIRECTOR_CACHE: dict = {}
-
-
-def _director_matrices(grid: Grid, tensor: ElasticTensor, alpha: float) -> np.ndarray:
-    key = (grid.n, grid.h, id(tensor), alpha)
-    mats = _DIRECTOR_CACHE.get(key)
-    if mats is None:
-        sigmas, _ = _symbols(grid.n, grid.h)
-        full = [np.broadcast_to(s, grid.n) for s in sigmas]
-        while len(full) < 3:
-            full.append(np.zeros(grid.n))
-        sig = np.stack(full, axis=-1)  # (*n, 3)
-        s_mat = np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
-        mats = np.broadcast_to(np.eye(3), grid.n + (3, 3)) + alpha * s_mat
-        mats = np.ascontiguousarray(mats, dtype=np.complex128)
-        if len(_DIRECTOR_CACHE) > 64:
-            _DIRECTOR_CACHE.clear()
-        _DIRECTOR_CACHE[key] = mats
-    return mats
-
-
-def solve_helmholtz(rhs: VectorField, coeff: float) -> VectorField:
-    """Solve (I + coeff * (-Lap)) x = rhs componentwise on a periodic grid,
-    with the wide (composite central-difference) Laplacian."""
-    grid = rhs.grid
-    if grid.bc != PERIODIC:
-        raise NotImplementedError("Helmholtz solve requires a periodic grid")
-    _, sig_sq = _symbols(grid.n, grid.h)
-    rhs_hat = _fftn(rhs.values, grid.dim)
-    x_hat = rhs_hat / (1.0 + coeff * sig_sq)[..., None]
-    return VectorField(grid, _ifftn(x_hat, grid.dim))
+def solve_helmholtz(rhs: VectorField, ops: SpectralOps) -> VectorField:
+    """Solve (I + coeff * (-Lap)) x = rhs componentwise, with the wide
+    (composite central-difference) Laplacian and the coefficient that
+    ``ops`` was built with."""
+    ops.check_grid(rhs.grid)
+    x_hat = ops.forward(rhs.values) / ops.helmholtz_denominator
+    return VectorField(rhs.grid, ops.backward(x_hat))
 
 
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     """Largest eigenvalue of the stiff linear operators (director elasticity
     scaled by gamma, and half the viscosity)."""
-    sigmas, sig_sq = _symbols(grid.n, grid.h)
-    full = [np.broadcast_to(s, grid.n) for s in sigmas]
-    while len(full) < 3:
-        full.append(np.zeros(grid.n))
-    sig = np.stack(full, axis=-1)
-    s_mat = np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
+    ops = SpectralOps(grid, tensor)
+    s_mat = ops.stiffness
     eig_max = float(np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2)))))
-    return max(p.gamma * eig_max, 0.5 * p.mu4 * float(sig_sq.max()))
+    return max(p.gamma * eig_max, 0.5 * p.mu4 * float(ops.sig_sq.max()))
 
 
 def stable_dt_bound(grid: Grid, tensor: ElasticTensor, p: ParameterSet, theta: float) -> float:
@@ -347,7 +316,7 @@ class Trajectory:
 
 
 class Stepper:
-    """Precomputes the spectral solves for one (grid, material, config) tuple."""
+    """Steps one (grid, material, config) tuple; builds its SpectralOps once."""
 
     def __init__(
         self,
@@ -367,6 +336,12 @@ class Stepper:
         self.p = p
         self.tensor = tensor
         self.forcing = forcing
+        self.ops = SpectralOps(
+            grid,
+            tensor,
+            director_alpha=cfg.theta * cfg.dt * p.gamma,
+            helmholtz_coeff=cfg.theta * cfg.dt * 0.5 * p.mu4,
+        )
         self._cfl_warned = False
 
     def _forcing_values(self, t: float):
@@ -399,7 +374,7 @@ class Stepper:
             + (1.0 - theta) * p.gamma * g.laplacian_lambda(d, tensor).values
         )
         rhs_d = VectorField(self.grid, d.values + dt * explicit)
-        d_new = solve_director_implicit(rhs_d, tensor, theta * dt * p.gamma)
+        d_new = solve_director_implicit(rhs_d, self.ops)
 
         # 2. two-point variational derivative: the exact discrete gradient of
         # the free energy between d and d_new, so the coupling terms below
@@ -443,12 +418,10 @@ class Stepper:
         fvals = self._forcing_values(s.t)
         if fvals is not None:
             rhs_values = rhs_values + dt * fvals
-        v_star = solve_helmholtz(
-            VectorField(self.grid, rhs_values), theta * dt * 0.5 * p.mu4
-        )
+        v_star = solve_helmholtz(VectorField(self.grid, rhs_values), self.ops)
 
         # 4. projection
-        v_new, p_mult = project_divfree(v_star, cfg.poisson_tol, cfg.poisson_max_iter)
+        v_new, p_mult = project_divfree(v_star, self.ops, cfg.poisson_tol)
         pressure = ScalarField(self.grid, p_mult.values / dt)
         return State(t=s.t + dt, v=v_new, d=d_new, p=pressure)
 

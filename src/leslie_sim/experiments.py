@@ -370,6 +370,7 @@ def _gradient_flow_run(
     """Integrate dt d = -gamma q + source with the theta-implicit elastic solve."""
     d, _ = _manufactured(grid, 0.0, k_iso, eps, gamma)
     n_steps = int(round(t_end / dt))
+    ops = dynamics.SpectralOps(grid, tensor, director_alpha=theta * dt * gamma)
     t = 0.0
     for _ in range(n_steps):
         _, src = _manufactured(grid, t, k_iso, eps, gamma)
@@ -380,7 +381,7 @@ def _gradient_flow_run(
             + src.values
         )
         rhs = VectorField(grid, d.values + dt * explicit)
-        d = dynamics.solve_director_implicit(rhs, tensor, theta * dt * gamma)
+        d = dynamics.solve_director_implicit(rhs, ops)
         t += dt
     return d
 

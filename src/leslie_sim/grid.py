@@ -154,10 +154,6 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     layers.  Trailing component axes pass through untouched.
     """
     h = grid.h[axis]
-    if grid.bc == PERIODIC:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-
-    out = np.empty_like(values)
     n = grid.n[axis]
 
     def sl(idx):
@@ -165,9 +161,19 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
         s[axis] = idx
         return tuple(s)
 
-    out[sl(slice(1, n - 1))] = (
-        values[sl(slice(2, n))] - values[sl(slice(0, n - 2))]
-    ) / (2.0 * h)
+    out = np.empty_like(values)
+    np.subtract(
+        values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))]
+    )
+    if grid.bc == PERIODIC:
+        # the two wrap rows go into the same buffer, so the result equals
+        # (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled copies
+        np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])
+        np.subtract(values[sl(0)], values[sl(n - 2)], out=out[sl(n - 1)])
+        out /= 2.0 * h
+        return out
+
+    out[sl(slice(1, n - 1))] /= 2.0 * h
     out[sl(0)] = (-3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]) / (2.0 * h)
     out[sl(n - 1)] = (
         3.0 * values[sl(n - 1)] - 4.0 * values[sl(n - 2)] + values[sl(n - 3)]

@@ -88,12 +88,10 @@ class ElasticTensor:
         return cls(entries=arr, eta=eta)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Contraction (L : A)_ij = sum_kl L_ijkl A_kl over trailing axes."""
-        return np.einsum("ijkl,...kl->...ij", self.entries, a)
-
-
-def lambda_apply(tensor: ElasticTensor, a: np.ndarray) -> np.ndarray:
-    return tensor.apply(a)
+        """Contraction (L : A)_ij = sum_kl L_ijkl A_kl over trailing axes,
+        as one (..., 9) @ (9, 9)^T matrix product."""
+        flat = a.reshape(a.shape[:-2] + (9,))
+        return (flat @ self.entries.reshape(9, 9).T).reshape(a.shape)
 
 
 def _sphere_grid(n_theta: int = 13, n_phi: int = 24) -> np.ndarray:

@@ -77,6 +77,9 @@ def test_unknown_key_reports_line():
         parse_config("[grid]\nfoo = 1\n")
     assert exc_info.value.line == 2
     assert "foo" in str(exc_info.value)
+    # a removed option is an unknown key, not a silently ignored one
+    with pytest.raises(ConfigError, match="poisson_max_iter"):
+        parse_config("[stepper]\npoisson_max_iter = 500\n")
 
 
 def test_duplicate_key_rejected():

@@ -1,0 +1,232 @@
+"""The spectral operators of a periodic grid against the plain full-spectrum
+math they replace, and the periodic stencil against the rolled-copy formula.
+
+The references transform with full complex ``fftn`` and solve each Fourier
+mode with ``np.linalg.solve``; the operators under test use the real
+half spectrum and precomputed inverses, so results agree to rounding.
+"""
+
+import numpy as np
+import pytest
+
+import leslie_sim.grid as g
+from leslie_sim.dynamics import (
+    SpectralOps,
+    State,
+    StepperConfig,
+    max_stiff_rate,
+    project_divfree,
+    solve_director_implicit,
+    solve_helmholtz,
+    step,
+)
+from leslie_sim.grid import DIRICHLET, Grid, VectorField
+from leslie_sim.material import PARODI_DEMO
+from leslie_sim.tensor import ElasticTensor
+
+#: Relative tolerance, fixed from float64 rounding before the comparisons ran.
+RTOL = 1e-12
+
+_EYE = np.eye(3)
+#: The benchmark's anisotropic tensor L = d_ik d_jl + 0.5 d_ij d_kl + 0.25 d_il d_jk.
+ANISO = ElasticTensor(
+    entries=np.einsum("ik,jl->ijkl", _EYE, _EYE)
+    + 0.5 * np.einsum("ij,kl->ijkl", _EYE, _EYE)
+    + 0.25 * np.einsum("il,jk->ijkl", _EYE, _EYE),
+    eta=1.0,
+)
+TENSORS = {"isotropic": ElasticTensor.isotropic(1.7), "aniso": ANISO}
+
+GRIDS = {
+    "2d-even": Grid.unit_box(16),
+    "2d-odd": Grid.unit_box(15),
+    "2d-nonsquare": Grid(n=(12, 9), h=(0.1, 0.13)),
+    "3d-even": Grid.unit_box(8, dim=3),
+    "3d-mixed": Grid(n=(8, 6, 7), h=(0.125, 0.2, 0.15)),
+}
+
+
+def _random_field(grid, seed):
+    # white noise excites every mode, the k = 0 and Nyquist ones included
+    return VectorField(grid, np.random.default_rng(seed).normal(size=grid.shape + (3,)))
+
+
+def _assert_close(actual, expected):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= RTOL * scale
+
+
+# ---------------------------------------------------------------------------
+# full-spectrum references
+# ---------------------------------------------------------------------------
+
+def _ref_symbols(grid):
+    """(*n, 3) stack of the full-spectrum derivative symbols, zero-padded in 2D."""
+    sigmas = []
+    for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
+        k = np.arange(na)
+        s = np.sin(2.0 * np.pi * k / na) / ha
+        s[(2 * k) % na == 0] = 0.0
+        shape = [1] * grid.dim
+        shape[axis] = na
+        sigmas.append(np.broadcast_to(s.reshape(shape), grid.n))
+    while len(sigmas) < 3:
+        sigmas.append(np.zeros(grid.n))
+    return np.stack(sigmas, axis=-1)
+
+
+def _ref_stiffness(grid, tensor):
+    sig = _ref_symbols(grid)
+    return np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
+
+
+def _ref_director(rhs, tensor, alpha):
+    grid = rhs.grid
+    axes = tuple(range(grid.dim))
+    mats = np.eye(3) + alpha * _ref_stiffness(grid, tensor)
+    rhs_hat = np.fft.fftn(rhs.values, axes=axes)
+    x_hat = np.linalg.solve(mats.astype(np.complex128), rhs_hat[..., None])[..., 0]
+    return np.fft.ifftn(x_hat, axes=axes).real
+
+
+def _ref_helmholtz(rhs, coeff):
+    grid = rhs.grid
+    axes = tuple(range(grid.dim))
+    sig_sq = np.sum(_ref_symbols(grid) ** 2, axis=-1)
+    rhs_hat = np.fft.fftn(rhs.values, axes=axes)
+    return np.fft.ifftn(rhs_hat / (1.0 + coeff * sig_sq)[..., None], axes=axes).real
+
+
+def _ref_projection(u):
+    grid = u.grid
+    axes = tuple(range(grid.dim))
+    sig_sq = np.sum(_ref_symbols(grid) ** 2, axis=-1)
+    rhs_hat = np.fft.fftn(g.divergence_vec(u).values, axes=axes)
+    p_hat = np.zeros_like(rhs_hat)
+    live = sig_sq != 0.0
+    p_hat[live] = rhs_hat[live] / -sig_sq[live]
+    p = np.fft.ifftn(p_hat, axes=axes).real
+    p -= p.mean()
+    grad_p = np.zeros(grid.shape + (3,))
+    for a in range(grid.dim):
+        grad_p[..., a] = g._deriv(grid, p, axis=a)
+    return u.values - grad_p, p
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_director_solve_matches_per_mode_solve(grid_name, tensor_name):
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    rhs = _random_field(grid, 1)
+    alpha = 3e-3
+    ops = SpectralOps(grid, tensor, director_alpha=alpha)
+    _assert_close(solve_director_implicit(rhs, ops).values, _ref_director(rhs, tensor, alpha))
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_helmholtz_solve_matches_full_spectrum(grid_name):
+    grid = GRIDS[grid_name]
+    rhs = _random_field(grid, 2)
+    ops = SpectralOps(grid, helmholtz_coeff=2e-3)
+    _assert_close(solve_helmholtz(rhs, ops).values, _ref_helmholtz(rhs, 2e-3))
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_projection_matches_full_spectrum(grid_name):
+    grid = GRIDS[grid_name]
+    u = _random_field(grid, 3)
+    out, p = project_divfree(u, SpectralOps(grid))
+    ref_out, ref_p = _ref_projection(u)
+    _assert_close(out.values, ref_out)
+    _assert_close(p.values, ref_p)
+
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    s_mat = _ref_stiffness(grid, tensor)
+    sig_sq = np.sum(_ref_symbols(grid) ** 2, axis=-1)
+    eig = np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2))))
+    expected = max(PARODI_DEMO.gamma * eig, 0.5 * PARODI_DEMO.mu4 * sig_sq.max())
+    assert max_stiff_rate(grid, tensor, PARODI_DEMO) == pytest.approx(expected, rel=RTOL)
+
+
+def test_operators_reject_a_foreign_grid_or_a_missing_tensor():
+    ops = SpectralOps(Grid.unit_box(16), TENSORS["aniso"], director_alpha=1e-3)
+    other = _random_field(Grid(n=(16, 16), h=(0.1, 0.1)), 4)
+    with pytest.raises(ValueError):
+        solve_director_implicit(other, ops)
+    with pytest.raises(ValueError):
+        solve_helmholtz(other, ops)
+    with pytest.raises(ValueError):
+        project_divfree(other, ops)
+    with pytest.raises(ValueError):
+        solve_director_implicit(_random_field(ops.grid, 4), SpectralOps(ops.grid))
+
+
+def test_projection_on_dirichlet_grid_not_implemented():
+    grid = Grid(n=(8, 8), h=(1.0 / 8, 1.0 / 8), bc=DIRICHLET)
+    with pytest.raises(NotImplementedError):
+        project_divfree(VectorField.zeros(grid))
+
+
+# ---------------------------------------------------------------------------
+# object identity
+# ---------------------------------------------------------------------------
+
+def test_director_solve_does_not_reuse_a_freed_tensor():
+    # Steps with k = 1 tensors, the tensors dropped, then k = 5 tensors that
+    # CPython places at the freed addresses: every later step must use the
+    # k = 5 operator, never matrices left over from a freed tensor.
+    grid = Grid.unit_box(8)
+    rng = np.random.default_rng(5)
+    d = VectorField(grid, np.array([0.0, 0.0, 1.0]) + 0.2 * rng.normal(size=grid.shape + (3,)))
+    s = State.initial(VectorField.zeros(grid), d)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, theta=0.3)
+    p = PARODI_DEMO
+    k5 = ElasticTensor.isotropic(5.0)
+    dev = np.sum(d.values**2, axis=-1) - 1.0
+    explicit = (
+        -(p.gamma / p.epsilon) * dev[..., None] * d.values
+        + (1.0 - cfg.theta) * p.gamma * g.laplacian_lambda(d, k5).values
+    )
+    expected = _ref_director(
+        VectorField(grid, d.values + cfg.dt * explicit), k5, cfg.theta * cfg.dt * p.gamma
+    )
+    del k5
+
+    soft = [ElasticTensor.isotropic(1.0) for _ in range(20)]
+    for tensor in soft:
+        step(s, cfg, p, tensor)
+    del soft, tensor
+    stiff = [ElasticTensor.isotropic(5.0) for _ in range(20)]
+    for tensor in stiff:
+        _assert_close(step(s, cfg, p, tensor).d.values, expected)
+
+
+# ---------------------------------------------------------------------------
+# periodic stencil
+# ---------------------------------------------------------------------------
+
+def _rolled_deriv(grid, values, axis):
+    h = grid.h[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
+    grid = GRIDS[grid_name]
+    rng = np.random.default_rng(6)
+    tensor = rng.normal(size=grid.shape + (3, 3))
+    views = [rng.normal(size=grid.shape), rng.normal(size=grid.shape + (3,))]
+    views += [tensor[..., :, j] for j in range(3)] + [tensor[..., 1, :]]
+    for values in views:
+        for axis in range(grid.dim):
+            np.testing.assert_array_equal(
+                g._deriv(grid, values, axis), _rolled_deriv(grid, values, axis)
+            )
