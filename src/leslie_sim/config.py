@@ -56,7 +56,7 @@ _KNOWN = {
         "lambda", "gamma", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6",
         "epsilon", "forcing", "elastic", "elastic_k", "elastic_entries",
     },
-    "stepper": {"dt", "t_end", "poisson_tol", "output_every", "theta", "scheme"},
+    "stepper": {"dt", "t_end", "poisson_tol", "output_every", "theta"},
     "initial": {"kind", "director", "seed", "amplitude", "v_amplitude"},
     "experiment": {"gronwall_c", "tol_energy", "tol_step", "delta", "seed"},
     "output": {"trace", "snapshots"},
@@ -169,7 +169,6 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
             poisson_tol=_get(sections, "stepper", "poisson_tol", 1e-10, float),
             output_every=_get(sections, "stepper", "output_every", 1, int),
             theta=_get(sections, "stepper", "theta", 0.3, float),
-            scheme=_get(sections, "stepper", "scheme", "semi_implicit_theta", str),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -12,6 +12,13 @@ Scheme (one step, periodic grid):
    with the two-point q, plus forcing;
 4. exact FFT Leray projection onto discretely divergence-free fields.
 
+Each derivative is taken once per step: one grad v serves the director
+rotation, the Leslie stress and the split advection; each director's
+grad d and div(L : grad d) (:class:`DirectorTerms`) serve its step, the next
+step and the per-step energy; the two-point q uses the mean of the two
+directors' div(L : grad d), as the operator is linear; and the explicit
+momentum flux is summed in one buffer and differentiated once.
+
 Evaluating the coupling terms at matching time levels makes the energy
 exchange between the kinetic and free energies cancel identically in the
 discrete balance, and theta < 1/2 makes the dissipative terms over-dissipate
@@ -26,17 +33,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as g
-from .energetics import (
-    EnergyTrace,
-    dissipation_channels,
-    free_energy,
-    variational_derivative,
-)
+from .energetics import EnergyBreakdown, EnergyTrace, dissipation_channels, free_energy_from_flux
+from .energetics import free_energy  # noqa: F401  (importable from here, as before)
 from .grid import PERIODIC, Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
 from .tensor import ElasticTensor, outer, skw, sym
@@ -82,7 +85,6 @@ class StepperConfig:
     poisson_tol: float = 1e-10
     output_every: int = 1
     theta: float = 0.3
-    scheme: str = "semi_implicit_theta"
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -93,8 +95,6 @@ class StepperConfig:
             raise ValueError("output_every must be >= 1")
         if not (0.0 <= self.theta < 0.5):
             raise ValueError("theta must lie in [0, 0.5) for a one-sided energy law")
-        if self.scheme != "semi_implicit_theta":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +245,33 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
     T = mu1 (d . Dv d) d x d + mu4 Dv - gamma(mu2+mu3) (d x q)_sym
         + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym
     """
-    grid = v.grid
     dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    dq = outer(d.values, q.values)
-    values = (
-        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
-        + p.mu4 * dv
-        - p.gamma * p.mu23 * sym(dq)
-        # orientation: (T_skw : grad v) = (q, (grad v)_skw d) pointwise, the
-        # pairing that cancels the co-rotation term in the director equation
-        - skw(dq)
-        + p.directional_coeff * sym(outer(d.values, dvd))
-    )
-    return TensorField(grid, values)
+    out = p.mu4 * dv
+    _add_leslie_stress(out, d.values, np.einsum("...ij,...j->...i", dv, d.values), q.values, p)
+    return TensorField(v.grid, out)
+
+
+def _add_leslie_stress(out: np.ndarray, d, dvd, q, p: ParameterSet) -> None:
+    """Add every term of the Leslie stress except mu4 Dv to ``out`` in place,
+    given d, Dv d and q as arrays; the stepper passes its explicit viscous
+    and advective flux as ``out``."""
+    ddvd = np.einsum("...i,...i->...", d, dvd)
+    pair = outer(d, d)
+    pair *= (p.mu1 * ddvd)[..., None, None]
+    out += pair
+    outer(d, q, out=pair)
+    part = pair + np.swapaxes(pair, -1, -2)
+    part *= 0.5 * p.gamma * p.mu23
+    out -= part
+    # orientation: (T_skw : grad v) = (q, (grad v)_skw d) pointwise, the
+    # pairing that cancels the co-rotation term in the director equation
+    np.subtract(pair, np.swapaxes(pair, -1, -2), out=part)
+    part *= 0.5
+    out -= part
+    outer(d, dvd, out=pair)
+    np.add(pair, np.swapaxes(pair, -1, -2), out=part)
+    part *= 0.5 * p.directional_coeff
+    out += part
 
 
 def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
@@ -308,6 +320,24 @@ def momentum_rhs(
 # ---------------------------------------------------------------------------
 
 @dataclass
+class DirectorTerms:
+    """grad d, div(L : grad d) and the free energy of one director field,
+    computed once and shared by the two steps and the diagnostics that need
+    them."""
+
+    grad: np.ndarray  # grid.shape + (3, 3)
+    lap: np.ndarray  # grid.shape + (3,)
+    energy: EnergyBreakdown
+
+    @classmethod
+    def of(cls, d: VectorField, tensor: ElasticTensor, eps: float) -> "DirectorTerms":
+        grad = g.gradient_vec(d).values
+        flux = tensor.apply(grad)
+        energy = free_energy_from_flux(d, grad, flux, eps)
+        return cls(grad, g.divergence_tensor(TensorField(d.grid, flux)).values, energy)
+
+
+@dataclass
 class Trajectory:
     states: list  # sampled States (including the initial one)
     trace: EnergyTrace
@@ -349,94 +379,89 @@ class Stepper:
             return None
         return self.forcing(self.grid, t).values
 
-    def step(self, s: State) -> State:
-        cfg, p, tensor = self.cfg, self.p, self.tensor
+    def step(self, s: State, terms: DirectorTerms | None = None) -> State:
+        """Advance s by one step.  ``terms``, if given, must be those of s.d
+        (else they are computed); they are overwritten with those of the new
+        director, ready for the next step."""
+        cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta = cfg.dt, cfg.theta
-        v, d = s.v, s.d
+        v, d = s.v.values, s.d.values
+        if terms is None:
+            terms = DirectorTerms.of(s.d, self.tensor, p.epsilon)
+        grad_d, lap_d = terms.grad, terms.lap
 
-        vmax = float(np.max(np.abs(v.values)))
-        if not self._cfl_warned and dt * vmax / min(self.grid.h) > 0.5:
+        vmax = float(np.max(np.abs(v)))
+        if not self._cfl_warned and dt * vmax / min(grid.h) > 0.5:
             warnings.warn(
-                f"advective CFL number {dt * vmax / min(self.grid.h):.2f} exceeds 0.5",
+                f"advective CFL number {dt * vmax / min(grid.h):.2f} exceeds 0.5",
                 RuntimeWarning,
             )
             self._cfl_warned = True
 
-        # 1. director update: theta-implicit elasticity, rest explicit
-        grad_v = g.gradient_vec(v).values
-        wv, dv = skw(grad_v), sym(grad_v)
-        dev = np.sum(d.values**2, axis=-1) - 1.0
+        # 1. director update: theta-implicit elasticity, rest explicit;
+        # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
+        grad_v = g.gradient_vec(s.v).values
+        grad_v_d = np.einsum("...ij,...j->...i", grad_v, d)
+        dvd = 0.5 * (grad_v_d + np.einsum("...ji,...j->...i", grad_v, d))
+        d_sq = np.einsum("...i,...i->...", d, d)
+        dev = d_sq - 1.0
         explicit = (
-            -g.advect(v, d).values
-            + np.einsum("...ij,...j->...i", wv, d.values)
-            - p.lam * np.einsum("...ij,...j->...i", dv, d.values)
-            - (p.gamma / p.epsilon) * dev[..., None] * d.values
-            + (1.0 - theta) * p.gamma * g.laplacian_lambda(d, tensor).values
+            -np.einsum("...ij,...j->...i", grad_d, v)
+            + grad_v_d
+            - (1.0 + p.lam) * dvd
+            - (p.gamma / p.epsilon) * dev[..., None] * d
+            + (1.0 - theta) * p.gamma * lap_d
         )
-        rhs_d = VectorField(self.grid, d.values + dt * explicit)
-        d_new = solve_director_implicit(rhs_d, self.ops)
+        d_new = solve_director_implicit(VectorField(grid, d + dt * explicit), self.ops)
+        new = DirectorTerms.of(d_new, self.tensor, p.epsilon)
 
         # 2. two-point variational derivative: the exact discrete gradient of
         # the free energy between d and d_new, so the coupling terms below
         # cancel the director transport and rotation terms identically in the
-        # discrete energy balance
-        d_mid = VectorField(self.grid, 0.5 * (d_new.values + d.values))
-        s_mid = 0.5 * (
-            np.sum(d_new.values**2, axis=-1) + np.sum(d.values**2, axis=-1)
-        ) - 1.0
-        q_half = VectorField(
-            self.grid,
-            -g.laplacian_lambda(d_mid, tensor).values
-            + (s_mid[..., None] / p.epsilon) * d_mid.values,
+        # discrete energy balance; div(L : grad .) of the midpoint is the mean
+        s_mid = 0.5 * (np.einsum("...i,...i->...", d_new.values, d_new.values) + d_sq) - 1.0
+        q_half = -0.5 * (lap_d + new.lap) + (s_mid[..., None] / p.epsilon) * (
+            0.5 * (d_new.values + d)
         )
 
         # 3. tentative velocity: coupling terms at the old director with the
-        # two-point q; viscous part theta-implicit as (mu4/2) Lap v
-        stress = leslie_stress(v, d, q_half, p)
-        stress_expl = TensorField(self.grid, stress.values - p.mu4 * dv)
-        # skew-symmetric (split) advection: exactly energy-neutral under the
-        # skew-adjoint central stencil, so the kinetic balance stays one-sided
-        adv = 0.5 * (
-            g.advect(v, v).values
-            + g.divergence_tensor(
-                TensorField(self.grid, outer(v.values, v.values))
-            ).values
-        )
-        rhs_values = (
-            v.values
-            + dt
-            * (
-                -adv
-                + g.divergence_tensor(stress_expl).values
-                + ericksen_force(d, q_half).values
-                + (1.0 - theta)
-                * 0.5
-                * p.mu4
-                * _wide_laplacian(self.grid, v.values)
-            )
+        # two-point q; viscous part theta-implicit as (mu4/2) Lap v, whose
+        # explicit share is (1 - theta) mu4/2 div(grad v).  Skew-symmetric
+        # (split) advection 1/2 [(v . grad) v + div(v x v)] is exactly
+        # energy-neutral under the skew-adjoint central stencil.
+        flux = outer(v, v)
+        flux *= -0.5
+        flux += ((1.0 - theta) * 0.5 * p.mu4) * grad_v
+        _add_leslie_stress(flux, d, dvd, q_half, p)
+        rhs_values = v + dt * (
+            g.divergence_tensor(TensorField(grid, flux)).values
+            - 0.5 * np.einsum("...ij,...j->...i", grad_v, v)
+            # Ericksen force (grad d)^T q, as in ericksen_force
+            + np.einsum("...ia,...i->...a", grad_d, q_half)
         )
         fvals = self._forcing_values(s.t)
         if fvals is not None:
             rhs_values = rhs_values + dt * fvals
-        v_star = solve_helmholtz(VectorField(self.grid, rhs_values), self.ops)
+        v_star = solve_helmholtz(VectorField(grid, rhs_values), self.ops)
 
         # 4. projection
         v_new, p_mult = project_divfree(v_star, self.ops, cfg.poisson_tol)
-        pressure = ScalarField(self.grid, p_mult.values / dt)
-        return State(t=s.t + dt, v=v_new, d=d_new, p=pressure)
+        terms.grad, terms.lap, terms.energy = new.grad, new.lap, new.energy
+        return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
 
     def run(self, initial: State) -> Trajectory:
         cfg = self.cfg
         n_steps = max(0, int(round((cfg.t_end - initial.t) / cfg.dt)))
         state = initial.copy()
 
+        terms = DirectorTerms.of(state.d, self.tensor, self.p.epsilon)
         samples = [state.copy()]
-        rows = [self._diagnostics(state)]
+        rows = [self._diagnostics(state, terms)]
         step_times = [state.t]
         step_energy = [rows[0]["total"]]
 
         for k in range(1, n_steps + 1):
-            state = self.step(state)
+            state = self.step(state, terms)
             if not (
                 np.all(np.isfinite(state.v.values))
                 and np.all(np.isfinite(state.d.values))
@@ -445,27 +470,15 @@ class Stepper:
                     f"non-finite values at step {k} (t = {state.t:.6g})",
                     last_state=samples[-1],
                 )
-            fe = free_energy(state.d, self.tensor, self.p.epsilon)
+            fe = terms.energy
             total = 0.5 * g.l2_norm_sq(state.v) + fe.elastic + fe.penalty
             step_times.append(state.t)
             step_energy.append(total)
             if k % cfg.output_every == 0 or k == n_steps:
                 samples.append(state.copy())
-                rows.append(self._diagnostics(state))
+                rows.append(self._diagnostics(state, terms))
 
-        trace = EnergyTrace(
-            t=np.array([r["t"] for r in rows]),
-            kinetic=np.array([r["kinetic"] for r in rows]),
-            elastic=np.array([r["elastic"] for r in rows]),
-            penalty=np.array([r["penalty"] for r in rows]),
-            total=np.array([r["total"] for r in rows]),
-            diss_mu1=np.array([r["diss_mu1"] for r in rows]),
-            diss_mu4=np.array([r["diss_mu4"] for r in rows]),
-            diss_dir=np.array([r["diss_dir"] for r in rows]),
-            diss_q=np.array([r["diss_q"] for r in rows]),
-            cross_term=np.array([r["cross_term"] for r in rows]),
-            g_power=np.array([r["g_power"] for r in rows]),
-        )
+        trace = EnergyTrace(**{name: np.array([r[name] for r in rows]) for name in rows[0]})
         return Trajectory(
             states=samples,
             trace=trace,
@@ -473,12 +486,14 @@ class Stepper:
             step_total_energy=np.array(step_energy),
         )
 
-    def _diagnostics(self, s: State) -> dict:
-        p, tensor = self.p, self.tensor
+    def _diagnostics(self, s: State, terms: DirectorTerms) -> dict:
+        p = self.p
         cellvol = self.grid.cell_volume
-        q = variational_derivative(s.d, tensor, p.epsilon)
+        # variational_derivative(s.d), from the director's carried terms
+        dev = np.sum(s.d.values**2, axis=-1) - 1.0
+        q = VectorField(self.grid, -terms.lap + (dev[..., None] / p.epsilon) * s.d.values)
         dv, dvd, ddvd = dissipation_channels(s.v, s.d, q)
-        fe = free_energy(s.d, tensor, p.epsilon)
+        fe = terms.energy
         kinetic = 0.5 * g.l2_norm_sq(s.v)
         q_dvd = float(np.sum(q.values * dvd)) * cellvol
         fvals = self._forcing_values(s.t)
@@ -496,14 +511,6 @@ class Stepper:
             "cross_term": p.cross_coeff * q_dvd,
             "g_power": g_power,
         }
-
-
-def _wide_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """div(grad .) built from the central first-derivative stencil twice."""
-    out = np.zeros_like(values)
-    for a in range(grid.dim):
-        out += g._deriv(grid, g._deriv(grid, values, axis=a), axis=a)
-    return out
 
 
 def step(

@@ -284,7 +284,3 @@ def ibp_laplacian_residual(d: VectorField, phi: VectorField, tensor: ElasticTens
     """| (div(L : grad d), phi) + (L : grad d ; grad phi) |."""
     flux = TensorField(d.grid, tensor.apply(gradient_vec(d).values))
     return abs(inner(divergence_tensor(flux), phi) + inner(flux, gradient_vec(phi)))
-
-
-def ibp_pair(a: TensorField, phi: VectorField) -> float:
-    return ibp_divergence_residual(a, phi)

@@ -22,9 +22,9 @@ def skw(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outer product a b^T with entries a_i b_j."""
-    return a[..., :, None] * b[..., None, :]
+def outer(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Outer product a b^T with entries a_i b_j (into ``out`` if given)."""
+    return np.einsum("...i,...j->...ij", a, b, out=out)
 
 
 def frobenius(a: np.ndarray, b: np.ndarray):

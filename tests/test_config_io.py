@@ -80,6 +80,9 @@ def test_unknown_key_reports_line():
     # a removed option is an unknown key, not a silently ignored one
     with pytest.raises(ConfigError, match="poisson_max_iter"):
         parse_config("[stepper]\npoisson_max_iter = 500\n")
+    with pytest.raises(ConfigError, match="scheme") as exc_info:
+        parse_config("[stepper]\ndt = 1e-3\nscheme = semi_implicit_theta\n")
+    assert exc_info.value.line == 3
 
 
 def test_duplicate_key_rejected():

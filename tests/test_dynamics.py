@@ -393,5 +393,6 @@ def test_stepper_config_validation():
         StepperConfig(theta=0.5)
     with pytest.raises(ValueError):
         StepperConfig(output_every=0)
-    with pytest.raises(ValueError):
-        StepperConfig(scheme="crank_nicolson")
+    # the one-valued scheme option is gone, not silently accepted
+    with pytest.raises(TypeError):
+        StepperConfig(scheme="semi_implicit_theta")

@@ -182,7 +182,6 @@ def test_energy_residual_stationary_trace():
         total=zeros, diss_mu1=zeros, diss_mu4=zeros, diss_dir=zeros,
         diss_q=zeros, cross_term=zeros, g_power=zeros)
     np.testing.assert_array_equal(en.energy_inequality_residual(trace, PARODI_DEMO), 0.0)
-    np.testing.assert_array_equal(en.energy_equality_residual(trace, PARODI_DEMO), 0.0)
 
 
 def test_parodi_cross_term_exactly_zero():

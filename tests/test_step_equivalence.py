@@ -1,0 +1,256 @@
+"""The once-per-step dataflow of ``Stepper.step`` against the formulas it
+replaced, and the director terms that ``run`` carries from step to step.
+
+``_ref_step`` keeps the earlier step verbatim: it differentiates each field
+wherever a term needs it, takes q_half from the Laplacian of the midpoint
+director, and takes the divergences of the Leslie stress and of v x v and
+the wide Laplacian of v separately.  The stepper under test computes each
+derivative once and sums the explicit momentum flux before one divergence,
+so the two agree to rounding, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import leslie_sim.grid as g
+from leslie_sim.dynamics import (
+    State,
+    Stepper,
+    StepperConfig,
+    ericksen_force,
+    project_divfree,
+    solve_director_implicit,
+    solve_helmholtz,
+)
+from leslie_sim.energetics import dissipation_channels, free_energy, variational_derivative
+from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
+from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
+from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
+from leslie_sim.tensor import ElasticTensor, outer, skw, sym
+
+#: Relative tolerance of one step against the reference, fixed from float64
+#: rounding before the comparisons ran.
+RTOL = 1e-12
+
+_EYE = np.eye(3)
+#: The benchmark's anisotropic tensor L = d_ik d_jl + 0.5 d_ij d_kl + 0.25 d_il d_jk.
+ANISO = ElasticTensor(
+    entries=np.einsum("ik,jl->ijkl", _EYE, _EYE)
+    + 0.5 * np.einsum("ij,kl->ijkl", _EYE, _EYE)
+    + 0.25 * np.einsum("il,jk->ijkl", _EYE, _EYE),
+    eta=1.0,
+)
+TENSORS = {"isotropic": ElasticTensor.isotropic(1.0), "aniso": ANISO}
+GRIDS = {"2d": Grid.unit_box(16), "3d": Grid.unit_box(8, dim=3)}
+
+
+def _state(grid, seed, amplitude=0.3):
+    rng = np.random.default_rng(seed)
+    v = divfree_smooth_field(grid, rng)
+    d = VectorField(
+        grid,
+        VectorField.constant(grid, (0.0, 0.0, 1.0)).values
+        + amplitude * smooth_vector_field(grid, rng).values,
+    )
+    return State.initial(v, d)
+
+
+# ---------------------------------------------------------------------------
+# the step as it was before the once-per-step dataflow
+# ---------------------------------------------------------------------------
+
+def _ref_leslie_stress(v, d, q, p):
+    dv = sym(g.gradient_vec(v).values)
+    dvd = np.einsum("...ij,...j->...i", dv, d.values)
+    ddvd = np.einsum("...i,...i->...", d.values, dvd)
+    dq = outer(d.values, q.values)
+    return (
+        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
+        + p.mu4 * dv
+        - p.gamma * p.mu23 * sym(dq)
+        - skw(dq)
+        + p.directional_coeff * sym(outer(d.values, dvd))
+    )
+
+
+def _ref_wide_laplacian(grid, values):
+    out = np.zeros_like(values)
+    for a in range(grid.dim):
+        out += g._deriv(grid, g._deriv(grid, values, axis=a), axis=a)
+    return out
+
+
+def _ref_step(stepper, s):
+    grid, cfg, p, tensor = stepper.grid, stepper.cfg, stepper.p, stepper.tensor
+    dt, theta = cfg.dt, cfg.theta
+    v, d = s.v, s.d
+
+    grad_v = g.gradient_vec(v).values
+    wv, dv = skw(grad_v), sym(grad_v)
+    dev = np.sum(d.values**2, axis=-1) - 1.0
+    explicit = (
+        -g.advect(v, d).values
+        + np.einsum("...ij,...j->...i", wv, d.values)
+        - p.lam * np.einsum("...ij,...j->...i", dv, d.values)
+        - (p.gamma / p.epsilon) * dev[..., None] * d.values
+        + (1.0 - theta) * p.gamma * g.laplacian_lambda(d, tensor).values
+    )
+    d_new = solve_director_implicit(VectorField(grid, d.values + dt * explicit), stepper.ops)
+
+    d_mid = VectorField(grid, 0.5 * (d_new.values + d.values))
+    s_mid = 0.5 * (np.sum(d_new.values**2, axis=-1) + np.sum(d.values**2, axis=-1)) - 1.0
+    q_half = VectorField(
+        grid,
+        -g.laplacian_lambda(d_mid, tensor).values + (s_mid[..., None] / p.epsilon) * d_mid.values,
+    )
+
+    stress_expl = TensorField(grid, _ref_leslie_stress(v, d, q_half, p) - p.mu4 * dv)
+    adv = 0.5 * (
+        g.advect(v, v).values
+        + g.divergence_tensor(TensorField(grid, outer(v.values, v.values))).values
+    )
+    rhs_values = v.values + dt * (
+        -adv
+        + g.divergence_tensor(stress_expl).values
+        + ericksen_force(d, q_half).values
+        + (1.0 - theta) * 0.5 * p.mu4 * _ref_wide_laplacian(grid, v.values)
+    )
+    if stepper.forcing is not None:
+        rhs_values = rhs_values + dt * stepper.forcing(grid, s.t).values
+    v_star = solve_helmholtz(VectorField(grid, rhs_values), stepper.ops)
+    v_new, p_mult = project_divfree(v_star, stepper.ops, cfg.poisson_tol)
+    return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
+
+
+def _assert_close(actual, expected):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= RTOL * scale
+
+
+# ---------------------------------------------------------------------------
+# one step against the reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("forcing", [None, "sinusoidal:0.5"])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_step_matches_reference(grid_name, tensor_name, theta, forcing):
+    grid = GRIDS[grid_name]
+    params = NON_PARODI_DEMO if theta > 0.0 else PARODI_DEMO
+    stepper = Stepper(
+        grid,
+        StepperConfig(dt=1e-3, t_end=1e-3, theta=theta),
+        params,
+        TENSORS[tensor_name],
+        forcing=None if forcing is None else make_forcing(forcing),
+    )
+    s = _state(grid, seed=len(grid_name) + 10 * len(tensor_name))
+    out = stepper.step(s)
+    ref = _ref_step(stepper, s)
+    assert out.t == ref.t
+    _assert_close(out.v.values, ref.v.values)
+    _assert_close(out.d.values, ref.d.values)
+    _assert_close(out.p.values, ref.p.values)
+    # the step moved every field, so the comparison is not of two copies of s
+    assert np.max(np.abs(out.d.values - s.d.values)) > 1e-6
+    assert np.max(np.abs(out.v.values - s.v.values)) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# energies and diagnostics read from the carried terms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+def test_step_energy_and_trace_match_recomputed(tensor_name):
+    grid, tensor, p = GRIDS["2d"], TENSORS[tensor_name], NON_PARODI_DEMO
+    forcing = make_forcing("sinusoidal:0.5")
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, theta=0.3, output_every=1)
+    traj = Stepper(grid, cfg, p, tensor, forcing=forcing).run(_state(grid, seed=3))
+    assert len(traj.states) == 21
+
+    for k, s in enumerate(traj.states):
+        fe = free_energy(s.d, tensor, p.epsilon)
+        kinetic = 0.5 * g.l2_norm_sq(s.v)
+        expected_total = kinetic + fe.elastic + fe.penalty
+        assert traj.step_times[k] == s.t
+        assert traj.step_total_energy[k] == pytest.approx(expected_total, rel=1e-13, abs=0.0)
+
+        q = variational_derivative(s.d, tensor, p.epsilon)
+        dv, dvd, ddvd = dissipation_channels(s.v, s.d, q)
+        cellvol = grid.cell_volume
+        row = {
+            "t": s.t,
+            "kinetic": kinetic,
+            "elastic": fe.elastic,
+            "penalty": fe.penalty,
+            "total": expected_total,
+            "diss_mu1": p.mu1 * float(np.sum(ddvd**2)) * cellvol,
+            "diss_mu4": p.mu4 * float(np.sum(dv**2)) * cellvol,
+            "diss_dir": p.directional_coeff * float(np.sum(dvd**2)) * cellvol,
+            "diss_q": p.gamma * g.l2_norm_sq(q),
+            "cross_term": p.cross_coeff * float(np.sum(q.values * dvd)) * cellvol,
+            "g_power": float(np.sum(forcing(grid, s.t).values * s.v.values)) * cellvol,
+        }
+        for name, value in row.items():
+            assert getattr(traj.trace, name)[k] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+# ---------------------------------------------------------------------------
+# no stale carry: the carried terms always describe the director at hand
+# ---------------------------------------------------------------------------
+
+def _stepper(t_end=5e-3):
+    return Stepper(GRIDS["2d"], StepperConfig(dt=1e-3, t_end=t_end, output_every=1),
+                   NON_PARODI_DEMO, ANISO)
+
+
+def _assert_same_state(a, b):
+    assert a.t == b.t
+    for name in ("v", "d", "p"):
+        np.testing.assert_array_equal(getattr(a, name).values, getattr(b, name).values)
+
+
+def test_lone_step_equals_first_run_sample():
+    s = _state(GRIDS["2d"], seed=40)
+    traj = _stepper(t_end=1e-3).run(s)
+    _assert_same_state(_stepper().step(s), traj.states[1])
+
+
+def test_run_equals_repeated_lone_steps():
+    # every carried step gives bit for bit what a step that recomputes the
+    # director terms from its own state gives
+    stepper = _stepper()
+    s = _state(GRIDS["2d"], seed=41)
+    traj = stepper.run(s)
+    for k in range(1, len(traj.states)):
+        s = stepper.step(s)
+        _assert_same_state(s, traj.states[k])
+
+
+def test_step_after_in_place_director_change_matches_fresh_stepper():
+    stepper = _stepper()
+    s = _state(GRIDS["2d"], seed=42)
+    stepper.step(s)
+    s.d.values[..., 0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
+    _assert_same_state(stepper.step(s), _stepper().step(s))
+
+
+def test_alternating_states_match_separate_steppers():
+    shared = _stepper()
+    a, b = _state(GRIDS["2d"], seed=43), _state(GRIDS["2d"], seed=44, amplitude=0.5)
+    shared_runs = [shared.run(a), shared.run(b), shared.run(a)]
+    alone_a, alone_b = _stepper().run(a), _stepper().run(b)
+    for traj, alone in zip(shared_runs, (alone_a, alone_b, alone_a)):
+        np.testing.assert_array_equal(traj.step_total_energy, alone.step_total_energy)
+        for x, y in zip(traj.states, alone.states):
+            _assert_same_state(x, y)
+
+    stepper_a, stepper_b = _stepper(), _stepper()
+    sa, sb, ra, rb = a, b, a, b
+    for _ in range(3):
+        sa, sb = shared.step(sa), shared.step(sb)
+        ra, rb = stepper_a.step(ra), stepper_b.step(rb)
+        _assert_same_state(sa, ra)
+        _assert_same_state(sb, rb)
+
