@@ -17,7 +17,20 @@ rotation, the Leslie stress and the split advection; each director's
 grad d and div(L : grad d) (:class:`DirectorTerms`) serve its step, the next
 step and the per-step energy; the two-point q uses the mean of the two
 directors' div(L : grad d), as the operator is linear; and the explicit
-momentum flux is summed in one buffer and differentiated once.
+momentum flux is built one column at a time, each column differentiated as
+soon as it is built.
+
+Layout: the stepper computes on component-major arrays -- vectors
+``(3,) + grid.shape``, gradients ``(3, dim) + grid.shape`` with entry (i, j)
+= d f_i / d x_j -- so every contraction over components is a multiply-add of
+contiguous arrays.  A gradient holds only the grid's dim columns: on a 2D
+grid it has no always-zero third column, and L : grad d is one
+(3 dim) x (3 dim) matrix product with L_ijkl restricted to j, l < dim
+(:meth:`ElasticTensor.contraction`).  The states it returns keep the public
+node-major shape ``grid.shape + (3,)``: their fields are zero-copy
+``np.moveaxis`` views of the stepper's arrays, which a later step reads back
+without copying; a state in any other layout is copied to component-major
+once when stepped.  ``State.copy()`` gives C-contiguous node-major arrays.
 
 Evaluating the coupling terms at matching time levels makes the energy
 exchange between the kinetic and free energies cancel identically in the
@@ -38,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .energetics import EnergyBreakdown, EnergyTrace, dissipation_channels, free_energy_from_flux
+from .energetics import EnergyBreakdown, EnergyTrace
 from .energetics import free_energy  # noqa: F401  (importable from here, as before)
 from .grid import PERIODIC, Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
-from .tensor import ElasticTensor, outer, skw, sym
+from .tensor import ElasticTensor, skw, sym
 
 
 class ProjectionError(RuntimeError):
@@ -61,7 +74,9 @@ class SimulationError(RuntimeError):
 class State:
     """One trajectory sample: time, velocity, director, projection pressure.
 
-    The pressure is the discrete Leray multiplier divided by dt; it is an
+    Fields have the node-major shape ``grid.shape + (3,)``; in states made by
+    a :class:`Stepper` they are views of component-major arrays.  The
+    pressure is the discrete Leray multiplier divided by dt; it is an
     artifact of the projection, not a statement about the analytic pressure.
     """
 
@@ -104,16 +119,17 @@ class StepperConfig:
 class SpectralOps:
     """The Fourier-diagonal operators of one periodic grid.
 
-    Fields are real, so they are transformed with ``rfftn`` onto the half
-    spectrum (the last spatial axis keeps modes 0 .. n // 2).  The central
-    first derivative along axis a has symbol i sigma_a with
-    sigma_a = sin(2 pi k_a / n_a) / h_a, and the composite (wide) Laplacian
-    the symbol -|sigma|^2.  The object holds the Helmholtz denominator
-    1 + helmholtz_coeff |sigma|^2 and the projection denominator -|sigma|^2.
-    Given an elasticity tensor it also holds the director stiffness
-    S_ik = sum_jl L_ijkl sigma_j sigma_l and the inverse of
-    I + director_alpha S per mode; S is real and symmetric, so the inverse is
-    real and is applied as a 3x3 product.  A Stepper builds one and keeps it.
+    Fields are real, so they are transformed with ``rfftn`` over their
+    trailing spatial axes onto the half spectrum (the last spatial axis keeps
+    modes 0 .. n // 2); component axes lead.  The central first derivative
+    along axis a has symbol i sigma_a with sigma_a = sin(2 pi k_a / n_a) / h_a,
+    and the composite (wide) Laplacian the symbol -|sigma|^2.  The object
+    holds the Helmholtz denominator 1 + helmholtz_coeff |sigma|^2 and the
+    projection denominator -|sigma|^2.  Given an elasticity tensor it also
+    holds the director stiffness S_ik = sum_jl L_ijkl sigma_j sigma_l (per
+    mode, trailing 3x3) and the inverse of I + director_alpha S; S is real and
+    symmetric, so the inverse is real and is stored component-major as
+    (3, 3) + half-spectrum shape.  A Stepper builds one and keeps it.
     """
 
     def __init__(
@@ -126,7 +142,7 @@ class SpectralOps:
         if grid.bc != PERIODIC:
             raise NotImplementedError("spectral solves require a periodic grid")
         self.grid = grid
-        self.axes = tuple(range(grid.dim))
+        self.axes = tuple(range(-grid.dim, 0))
         half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
         sigmas = []
         for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
@@ -139,7 +155,7 @@ class SpectralOps:
             shape[axis] = half[axis]
             sigmas.append(np.broadcast_to(s.reshape(shape), half))
         self.sig_sq = sig_sq = sum(s**2 for s in sigmas)
-        self.helmholtz_denominator = (1.0 + helmholtz_coeff * sig_sq)[..., None]
+        self.helmholtz_denominator = 1.0 + helmholtz_coeff * sig_sq
         # modes where every derivative symbol vanishes carry no divergence;
         # dividing by inf leaves them at zero pressure
         self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
@@ -148,7 +164,8 @@ class SpectralOps:
         if tensor is not None:
             sig = np.stack(sigmas + [np.zeros(half)] * (3 - grid.dim), axis=-1)
             self.stiffness = np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
-            self.director_inverse = np.linalg.inv(np.eye(3) + director_alpha * self.stiffness)
+            inverse = np.linalg.inv(np.eye(3) + director_alpha * self.stiffness)
+            self.director_inverse = np.ascontiguousarray(np.moveaxis(inverse, (-2, -1), (0, 1)))
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values, axes=self.axes)
@@ -177,12 +194,11 @@ def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float =
     div_u = g.divergence_vec(u)
     p_values = ops.backward(ops.forward(div_u.values) / ops.projection_denominator)
     p_values -= p_values.mean()
-    p = ScalarField(grid, p_values)
 
-    grad_p = np.zeros(grid.shape + (3,))
+    out = g.components(u.values).copy()
     for a in range(grid.dim):
-        grad_p[..., a] = g._deriv(grid, p.values, axis=a)
-    result = VectorField(grid, u.values - grad_p)
+        out[a] -= g._deriv(grid, p_values, axis=a)
+    result = VectorField(grid, g.nodal(out))
 
     res = math.sqrt(g.l2_norm_sq(g.divergence_vec(result)))
     target = tol * math.sqrt(g.l2_norm_sq(div_u)) + 1e-14 * (1.0 + math.sqrt(g.l2_norm_sq(u)))
@@ -190,7 +206,7 @@ def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float =
         raise ProjectionError(
             f"projection residual {res:.3e} exceeds target {target:.3e}"
         )
-    return result, p
+    return result, ScalarField(grid, p_values)
 
 
 def solve_director_implicit(rhs: VectorField, ops: SpectralOps) -> VectorField:
@@ -199,14 +215,18 @@ def solve_director_implicit(rhs: VectorField, ops: SpectralOps) -> VectorField:
 
     The operator is block-diagonal in Fourier space: for each mode the 3x3
     matrix I + alpha * S(k), which strong ellipticity keeps positive
-    definite; ``ops`` holds its inverse.
+    definite; ``ops`` holds its real inverse, applied to the complex
+    component-major spectrum as three real-by-complex multiply-adds.
     """
     ops.check_grid(rhs.grid)
     if ops.director_inverse is None:
         raise ValueError("spectral operators were built without an elasticity tensor")
-    rhs_hat = ops.forward(rhs.values)
-    x_hat = np.matmul(ops.director_inverse, rhs_hat[..., None])[..., 0]
-    return VectorField(rhs.grid, ops.backward(x_hat))
+    rhs_hat = ops.forward(g.components(rhs.values))
+    inverse = ops.director_inverse
+    x_hat = inverse[:, 0] * rhs_hat[0]
+    x_hat += inverse[:, 1] * rhs_hat[1]
+    x_hat += inverse[:, 2] * rhs_hat[2]
+    return VectorField(rhs.grid, g.nodal(ops.backward(x_hat)))
 
 
 def solve_helmholtz(rhs: VectorField, ops: SpectralOps) -> VectorField:
@@ -214,8 +234,9 @@ def solve_helmholtz(rhs: VectorField, ops: SpectralOps) -> VectorField:
     (composite central-difference) Laplacian and the coefficient that
     ``ops`` was built with."""
     ops.check_grid(rhs.grid)
-    x_hat = ops.forward(rhs.values) / ops.helmholtz_denominator
-    return VectorField(rhs.grid, ops.backward(x_hat))
+    x_hat = ops.forward(g.components(rhs.values))
+    x_hat /= ops.helmholtz_denominator
+    return VectorField(rhs.grid, g.nodal(ops.backward(x_hat)))
 
 
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
@@ -244,34 +265,60 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
 
     T = mu1 (d . Dv d) d x d + mu4 Dv - gamma(mu2+mu3) (d x q)_sym
         + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym
+
+    mu4 Dv plus, column by column, the stepper's kernel
+    :func:`_add_stress_column` on component-major views of the fields.
     """
     dv = sym(g.gradient_vec(v).values)
+    dvd = np.einsum("...ij,...j->...i", dv, d.values)
     out = p.mu4 * dv
-    _add_leslie_stress(out, d.values, np.einsum("...ij,...j->...i", dv, d.values), q.values, p)
+    out_c = np.moveaxis(out, (-2, -1), (0, 1))
+    mu1_ddvd = p.mu1 * np.einsum("...i,...i->...", d.values, dvd)
+    d_c, q_c, dvd_c = (g.components(x) for x in (d.values, q.values, dvd))
+    scratch = [np.empty_like(d_c) for _ in range(3)]
+    for j in range(3):
+        _add_stress_column(out_c[:, j], j, d_c, q_c, dvd_c, mu1_ddvd, p, scratch)
     return TensorField(v.grid, out)
 
 
-def _add_leslie_stress(out: np.ndarray, d, dvd, q, p: ParameterSet) -> None:
-    """Add every term of the Leslie stress except mu4 Dv to ``out`` in place,
-    given d, Dv d and q as arrays; the stepper passes its explicit viscous
-    and advective flux as ``out``."""
-    ddvd = np.einsum("...i,...i->...", d, dvd)
-    pair = outer(d, d)
-    pair *= (p.mu1 * ddvd)[..., None, None]
-    out += pair
-    outer(d, q, out=pair)
-    part = pair + np.swapaxes(pair, -1, -2)
-    part *= 0.5 * p.gamma * p.mu23
-    out -= part
+def _director_strain(grad_v: np.ndarray, d: np.ndarray):
+    """(grad v) d and Dv d = ((grad v) d + (grad v)^T d) / 2 from a
+    component-major grad v (3, dim, ...) and d (3, ...); (grad v)^T d has no
+    components along the axes a dim-dimensional grid lacks."""
+    dim = grad_v.shape[1]
+    gvd = np.einsum("ij...,j...->i...", grad_v, d[:dim])
+    dvd = 0.5 * gvd
+    dvd[:dim] += 0.5 * np.einsum("ji...,j...->i...", grad_v, d)
+    return gvd, dvd
+
+
+def _add_stress_column(out, j: int, d, q, dvd, mu1_ddvd, p: ParameterSet, scratch) -> None:
+    """Add column j of the Leslie stress without mu4 Dv, (T - mu4 Dv)_ij for
+    i = 0, 1, 2, to the component-major ``out`` (3, ...) in place, given the
+    component-major d, q and Dv d, and mu1 (d . Dv d); ``scratch`` holds three
+    buffers shaped like ``out``.  The terms are formed and summed in the order
+    of the formula in :func:`leslie_stress`, so that an entry where they
+    nearly cancel rounds as that formula does.
+    """
+    t, u, w = scratch
+    np.multiply(d, d[j], out=t)
+    t *= mu1_ddvd
+    out += t
+    np.multiply(d, q[j], out=t)
+    np.multiply(q, d[j], out=u)
+    np.add(t, u, out=w)
+    w *= 0.5 * p.gamma * p.mu23
+    out -= w
     # orientation: (T_skw : grad v) = (q, (grad v)_skw d) pointwise, the
     # pairing that cancels the co-rotation term in the director equation
-    np.subtract(pair, np.swapaxes(pair, -1, -2), out=part)
-    part *= 0.5
-    out -= part
-    outer(d, dvd, out=pair)
-    np.add(pair, np.swapaxes(pair, -1, -2), out=part)
-    part *= 0.5 * p.directional_coeff
-    out += part
+    t -= u
+    t *= 0.5
+    out -= t
+    np.multiply(d, dvd[j], out=t)
+    np.multiply(dvd, d[j], out=u)
+    t += u
+    t *= 0.5 * p.directional_coeff
+    out += t
 
 
 def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
@@ -321,20 +368,14 @@ def momentum_rhs(
 
 @dataclass
 class DirectorTerms:
-    """grad d, div(L : grad d) and the free energy of one director field,
-    computed once and shared by the two steps and the diagnostics that need
-    them."""
+    """grad d, div(L : grad d), |d|^2 - 1 and the free energy of one director
+    field, component-major, computed once and shared by the two steps and the
+    diagnostics that need them."""
 
-    grad: np.ndarray  # grid.shape + (3, 3)
-    lap: np.ndarray  # grid.shape + (3,)
+    grad: np.ndarray  # (3, dim) + grid.shape
+    lap: np.ndarray  # (3,) + grid.shape
+    dev: np.ndarray  # grid.shape
     energy: EnergyBreakdown
-
-    @classmethod
-    def of(cls, d: VectorField, tensor: ElasticTensor, eps: float) -> "DirectorTerms":
-        grad = g.gradient_vec(d).values
-        flux = tensor.apply(grad)
-        energy = free_energy_from_flux(d, grad, flux, eps)
-        return cls(grad, g.divergence_tensor(TensorField(d.grid, flux)).values, energy)
 
 
 @dataclass
@@ -372,6 +413,7 @@ class Stepper:
             director_alpha=cfg.theta * cfg.dt * p.gamma,
             helmholtz_coeff=cfg.theta * cfg.dt * 0.5 * p.mu4,
         )
+        self._contraction = tensor.contraction(grid.dim)
         self._cfl_warned = False
 
     def _forcing_values(self, t: float):
@@ -379,16 +421,43 @@ class Stepper:
             return None
         return self.forcing(self.grid, t).values
 
+    def _kinetic(self, v: np.ndarray) -> float:
+        return 0.5 * float(np.vdot(v, v)) * self.grid.cell_volume
+
+    def _director_terms(self, d: np.ndarray) -> DirectorTerms:
+        """The :class:`DirectorTerms` of a component-major director."""
+        grid, dim = self.grid, self.grid.dim
+        grad = g.gradient_components(grid, d)
+        # L : grad d as one (3 dim) x (3 dim) matrix product per node, in
+        # einsum's loops: the first BLAS call of this shape would map some
+        # 0.4 MiB of work buffers, which shows in the peak memory of small runs
+        flux = np.einsum("ab,b...->a...", self._contraction, grad.reshape((3 * dim,) + grid.shape))
+        flux = flux.reshape(grad.shape)
+        lap = g._deriv(grid, flux[:, 0], -dim)
+        for j in range(1, dim):
+            lap += g._deriv(grid, flux[:, j], j - dim)
+        dev = np.einsum("i...,i...->...", d, d)
+        dev -= 1.0
+        cellvol = grid.cell_volume
+        energy = EnergyBreakdown(
+            kinetic=0.0,
+            elastic=0.5 * float(np.vdot(grad, flux)) * cellvol,
+            penalty=float(np.vdot(dev, dev)) * cellvol / (4.0 * self.p.epsilon),
+        )
+        return DirectorTerms(grad, lap, dev, energy)
+
     def step(self, s: State, terms: DirectorTerms | None = None) -> State:
         """Advance s by one step.  ``terms``, if given, must be those of s.d
         (else they are computed); they are overwritten with those of the new
         director, ready for the next step."""
         cfg, p, grid = self.cfg, self.p, self.grid
-        dt, theta = cfg.dt, cfg.theta
-        v, d = s.v.values, s.d.values
+        dt, theta, dim = cfg.dt, cfg.theta, grid.dim
+        # no copy for the views this stepper hands out, one otherwise
+        v = np.ascontiguousarray(g.components(s.v.values))
+        d = np.ascontiguousarray(g.components(s.d.values))
         if terms is None:
-            terms = DirectorTerms.of(s.d, self.tensor, p.epsilon)
-        grad_d, lap_d = terms.grad, terms.lap
+            terms = self._director_terms(d)
+        grad_d = terms.grad
 
         vmax = float(np.max(np.abs(v)))
         if not self._cfl_warned and dt * vmax / min(grid.h) > 0.5:
@@ -400,61 +469,75 @@ class Stepper:
 
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        grad_v = g.gradient_vec(s.v).values
-        grad_v_d = np.einsum("...ij,...j->...i", grad_v, d)
-        dvd = 0.5 * (grad_v_d + np.einsum("...ji,...j->...i", grad_v, d))
-        d_sq = np.einsum("...i,...i->...", d, d)
-        dev = d_sq - 1.0
-        explicit = (
-            -np.einsum("...ij,...j->...i", grad_d, v)
-            + grad_v_d
-            - (1.0 + p.lam) * dvd
-            - (p.gamma / p.epsilon) * dev[..., None] * d
-            + (1.0 - theta) * p.gamma * lap_d
-        )
-        d_new = solve_director_implicit(VectorField(grid, d + dt * explicit), self.ops)
-        new = DirectorTerms.of(d_new, self.tensor, p.epsilon)
+        grad_v = g.gradient_components(grid, v)
+        grad_v_d, dvd = _director_strain(grad_v, d)
+        rhs = grad_v_d - np.einsum("ij...,j...->i...", grad_d, v[:dim])
+        del grad_v_d
+        rhs -= (1.0 + p.lam) * dvd
+        rhs -= ((p.gamma / p.epsilon) * terms.dev) * d
+        rhs += ((1.0 - theta) * p.gamma) * terms.lap
+        rhs *= dt
+        rhs += d
+        d_new = g.components(solve_director_implicit(VectorField(grid, g.nodal(rhs)), self.ops).values)
+        new = self._director_terms(d_new)
 
         # 2. two-point variational derivative: the exact discrete gradient of
         # the free energy between d and d_new, so the coupling terms below
         # cancel the director transport and rotation terms identically in the
         # discrete energy balance; div(L : grad .) of the midpoint is the mean
-        s_mid = 0.5 * (np.einsum("...i,...i->...", d_new.values, d_new.values) + d_sq) - 1.0
-        q_half = -0.5 * (lap_d + new.lap) + (s_mid[..., None] / p.epsilon) * (
-            0.5 * (d_new.values + d)
-        )
+        q_half = d + d_new
+        q_half *= (0.5 / p.epsilon) * (0.5 * (terms.dev + new.dev))
+        # the solve has consumed the director right-hand side: reuse its buffer
+        np.add(terms.lap, new.lap, out=rhs)
+        rhs *= 0.5
+        q_half -= rhs
 
         # 3. tentative velocity: coupling terms at the old director with the
         # two-point q; viscous part theta-implicit as (mu4/2) Lap v, whose
         # explicit share is (1 - theta) mu4/2 div(grad v).  Skew-symmetric
         # (split) advection 1/2 [(v . grad) v + div(v x v)] is exactly
-        # energy-neutral under the skew-adjoint central stencil.
-        flux = outer(v, v)
-        flux *= -0.5
-        flux += ((1.0 - theta) * 0.5 * p.mu4) * grad_v
-        _add_leslie_stress(flux, d, dvd, q_half, p)
-        rhs_values = v + dt * (
-            g.divergence_tensor(TensorField(grid, flux)).values
-            - 0.5 * np.einsum("...ij,...j->...i", grad_v, v)
-            # Ericksen force (grad d)^T q, as in ericksen_force
-            + np.einsum("...ia,...i->...a", grad_d, q_half)
-        )
+        # energy-neutral under the skew-adjoint central stencil.  Column j of
+        # the explicit flux -v x v / 2 + (1 - theta) mu4/2 grad v + T - mu4 Dv
+        # is built in ``col`` and differentiated along axis j at once.
+        mu1_ddvd = p.mu1 * np.einsum("i...,i...->...", d, dvd)
+        viscous = (1.0 - theta) * 0.5 * p.mu4
+        col = np.empty_like(v)
+        scratch = [np.empty_like(v) for _ in range(3)]
+        for j in range(dim):
+            np.multiply(v, -0.5 * v[j], out=col)
+            np.multiply(grad_v[:, j], viscous, out=scratch[0])
+            col += scratch[0]
+            _add_stress_column(col, j, d, q_half, dvd, mu1_ddvd, p, scratch)
+            if j == 0:
+                g._deriv(grid, col, -dim, out=rhs)
+            else:
+                rhs += g._deriv(grid, col, j - dim, out=scratch[0])
+        del col, scratch, dvd
+        rhs -= 0.5 * np.einsum("ij...,j...->i...", grad_v, v[:dim])
+        # Ericksen force (grad d)^T q, as in ericksen_force
+        rhs[:dim] += np.einsum("ia...,i...->a...", grad_d, q_half)
+        rhs *= dt
+        rhs += v
         fvals = self._forcing_values(s.t)
         if fvals is not None:
-            rhs_values = rhs_values + dt * fvals
-        v_star = solve_helmholtz(VectorField(grid, rhs_values), self.ops)
+            rhs += dt * g.components(fvals)
+        v_star = solve_helmholtz(VectorField(grid, g.nodal(rhs)), self.ops)
 
         # 4. projection
         v_new, p_mult = project_divfree(v_star, self.ops, cfg.poisson_tol)
-        terms.grad, terms.lap, terms.energy = new.grad, new.lap, new.energy
-        return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
+        terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
+        p_mult.values /= dt
+        return State(t=s.t + dt, v=v_new, d=VectorField(grid, g.nodal(d_new)), p=p_mult)
 
     def run(self, initial: State) -> Trajectory:
         cfg = self.cfg
         n_steps = max(0, int(round((cfg.t_end - initial.t) / cfg.dt)))
-        state = initial.copy()
+        # a copy in the layout that step() reads without copying
+        v, d = (VectorField(self.grid, g.nodal(g.components(f.values).copy()))
+                for f in (initial.v, initial.d))
+        state = State(initial.t, v, d, initial.p.copy())
 
-        terms = DirectorTerms.of(state.d, self.tensor, self.p.epsilon)
+        terms = self._director_terms(g.components(state.d.values))
         samples = [state.copy()]
         rows = [self._diagnostics(state, terms)]
         step_times = [state.t]
@@ -462,16 +545,14 @@ class Stepper:
 
         for k in range(1, n_steps + 1):
             state = self.step(state, terms)
-            if not (
-                np.all(np.isfinite(state.v.values))
-                and np.all(np.isfinite(state.d.values))
-            ):
+            v, d = g.components(state.v.values), g.components(state.d.values)
+            if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
                 raise SimulationError(
                     f"non-finite values at step {k} (t = {state.t:.6g})",
                     last_state=samples[-1],
                 )
             fe = terms.energy
-            total = 0.5 * g.l2_norm_sq(state.v) + fe.elastic + fe.penalty
+            total = self._kinetic(v) + fe.elastic + fe.penalty
             step_times.append(state.t)
             step_energy.append(total)
             if k % cfg.output_every == 0 or k == n_steps:
@@ -487,15 +568,24 @@ class Stepper:
         )
 
     def _diagnostics(self, s: State, terms: DirectorTerms) -> dict:
-        p = self.p
-        cellvol = self.grid.cell_volume
-        # variational_derivative(s.d), from the director's carried terms
-        dev = np.sum(s.d.values**2, axis=-1) - 1.0
-        q = VectorField(self.grid, -terms.lap + (dev[..., None] / p.epsilon) * s.d.values)
-        dv, dvd, ddvd = dissipation_channels(s.v, s.d, q)
+        """Energies and dissipation channels of a state of this stepper's
+        layout, from the director's carried terms."""
+        p, grid = self.p, self.grid
+        dim, cellvol = grid.dim, grid.cell_volume
+        v, d = g.components(s.v.values), g.components(s.d.values)
+        # variational_derivative(s.d)
+        q = (terms.dev / p.epsilon) * d
+        q -= terms.lap
+        # dissipation_channels(s.v, s.d, q): Dv d, d . Dv d and |Dv|^2, where
+        # the rows of grad v beyond dim enter Dv twice, halved
+        grad_v = g.gradient_components(grid, v)
+        _, dvd = _director_strain(grad_v, d)
+        ddvd = np.einsum("i...,i...->...", d, dvd)
+        block = grad_v[:dim] + np.swapaxes(grad_v[:dim], 0, 1)
+        rest = grad_v[dim:]
+        dv_sq = 0.25 * float(np.vdot(block, block)) + 0.5 * float(np.vdot(rest, rest))
         fe = terms.energy
-        kinetic = 0.5 * g.l2_norm_sq(s.v)
-        q_dvd = float(np.sum(q.values * dvd)) * cellvol
+        kinetic = self._kinetic(v)
         fvals = self._forcing_values(s.t)
         g_power = 0.0 if fvals is None else float(np.sum(fvals * s.v.values)) * cellvol
         return {
@@ -504,11 +594,11 @@ class Stepper:
             "elastic": fe.elastic,
             "penalty": fe.penalty,
             "total": kinetic + fe.elastic + fe.penalty,
-            "diss_mu1": p.mu1 * float(np.sum(ddvd**2)) * cellvol,
-            "diss_mu4": p.mu4 * float(np.sum(dv**2)) * cellvol,
-            "diss_dir": p.directional_coeff * float(np.sum(dvd**2)) * cellvol,
-            "diss_q": p.gamma * g.l2_norm_sq(q),
-            "cross_term": p.cross_coeff * q_dvd,
+            "diss_mu1": p.mu1 * float(np.vdot(ddvd, ddvd)) * cellvol,
+            "diss_mu4": p.mu4 * dv_sq * cellvol,
+            "diss_dir": p.directional_coeff * float(np.vdot(dvd, dvd)) * cellvol,
+            "diss_q": p.gamma * float(np.vdot(q, q)) * cellvol,
+            "cross_term": p.cross_coeff * float(np.vdot(q, dvd)) * cellvol,
             "g_power": g_power,
         }
 

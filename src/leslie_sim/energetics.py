@@ -37,15 +37,10 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     elastic = 1/2 int grad d : L : grad d,
     penalty = 1/(4 eps) int (|d|^2 - 1)^2.
     """
-    grad = g.gradient_vec(d).values
-    return free_energy_from_flux(d, grad, tensor.apply(grad), eps)
-
-
-def free_energy_from_flux(d: VectorField, grad, flux, eps: float) -> EnergyBreakdown:
-    """:func:`free_energy` of d given its gradient and the flux L : grad d."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    elastic = 0.5 * g.integrate(ScalarField(d.grid, frobenius(grad, flux)))
+    grad = g.gradient_vec(d).values
+    elastic = 0.5 * g.integrate(ScalarField(d.grid, frobenius(grad, tensor.apply(grad))))
     dev = np.sum(d.values**2, axis=-1) - 1.0
     penalty = g.integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
     return EnergyBreakdown(kinetic=0.0, elastic=elastic, penalty=penalty)

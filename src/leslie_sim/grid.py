@@ -5,6 +5,10 @@ On periodic grids the discrete gradient and divergence are exactly adjoint
 (summation by parts), which the energy and relative-energy diagnostics rely
 on.  On a 2D domain, vector fields keep all three components and derivatives
 in the absent direction are zero.
+
+Field values are node-major (``grid.shape + (3,)``); :func:`components` and
+:func:`nodal` switch to and from the component-major layout
+(``(3,) + grid.shape``) that the stepper computes in, without copying.
 """
 
 from __future__ import annotations
@@ -143,25 +147,45 @@ class TensorField:
 
 
 # ---------------------------------------------------------------------------
+# layouts
+# ---------------------------------------------------------------------------
+
+def components(values: np.ndarray) -> np.ndarray:
+    """Component-major view (3, ...) of node-major (..., 3) values: the
+    ``np.moveaxis(values, -1, 0)`` view, without its argument checks."""
+    last = values.ndim - 1
+    return values.transpose((last,) + tuple(range(last)))
+
+
+def nodal(values: np.ndarray) -> np.ndarray:
+    """Node-major view (..., 3) of component-major (3, ...) values: the
+    ``np.moveaxis(values, 0, -1)`` view, without its argument checks."""
+    return values.transpose(tuple(range(1, values.ndim)) + (0,))
+
+
+# ---------------------------------------------------------------------------
 # derivative stencils
 # ---------------------------------------------------------------------------
 
-def _deriv(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """Second-order first derivative along a spatial axis.
+def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order first derivative along spatial axis ``axis``.
 
-    Periodic: central differences with index wrap-around.  Dirichlet:
-    central in the interior, one-sided second-order at the two boundary
-    layers.  Trailing component axes pass through untouched.
+    One stencil serves both layouts: ``axis`` in 0 .. dim - 1 differentiates
+    leading spatial axes (component axes trailing, node-major), ``axis`` in
+    -dim .. -1 trailing ones (component axes leading, component-major), so
+    spatial axis a is ``a - dim`` there.  Periodic: central differences with
+    index wrap-around.  Dirichlet: central in the interior, one-sided
+    second-order at the two boundary layers.  Writes into ``out`` if given.
     """
     h = grid.h[axis]
     n = grid.n[axis]
+    lead = (slice(None),) * (axis % values.ndim)
 
     def sl(idx):
-        s = [slice(None)] * values.ndim
-        s[axis] = idx
-        return tuple(s)
+        return lead + (idx,)
 
-    out = np.empty_like(values)
+    if out is None:
+        out = np.empty_like(values)
     np.subtract(
         values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))]
     )
@@ -178,6 +202,16 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     out[sl(n - 1)] = (
         3.0 * values[sl(n - 1)] - 4.0 * values[sl(n - 2)] + values[sl(n - 3)]
     ) / (2.0 * h)
+    return out
+
+
+def gradient_components(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Component-major Jacobian (3, dim, ...) of component-major values
+    (3, ...): entry (i, j) = d f_i / d x_j for the grid's dim axes only, so
+    a 2D gradient has no zero column."""
+    out = np.empty((3, grid.dim) + grid.shape)
+    for j in range(grid.dim):
+        _deriv(grid, values, j - grid.dim, out=out[:, j])
     return out
 
 

@@ -22,7 +22,7 @@ MAGIC = b"ELSNAP1\n"
 #: CSV column order for trace files.
 TRACE_COLUMNS = (
     "t", "kinetic", "elastic", "penalty", "total",
-    "diss_mu1", "diss_mu4", "diss_dir", "diss_q", "cross_term",
+    "diss_mu1", "diss_mu4", "diss_dir", "diss_q", "cross_term", "g_power",
     "E", "W", "K", "bound", "residual_energy",
 )
 
@@ -135,7 +135,7 @@ def write_trace_csv(
             penalty=energy.penalty, total=energy.total,
             diss_mu1=energy.diss_mu1, diss_mu4=energy.diss_mu4,
             diss_dir=energy.diss_dir, diss_q=energy.diss_q,
-            cross_term=energy.cross_term,
+            cross_term=energy.cross_term, g_power=energy.g_power,
         )
     if relative is not None:
         cols.update(t=relative.t, E=relative.E, W=relative.W,

@@ -22,9 +22,9 @@ def skw(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
-def outer(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Outer product a b^T with entries a_i b_j (into ``out`` if given)."""
-    return np.einsum("...i,...j->...ij", a, b, out=out)
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer product a b^T with entries a_i b_j."""
+    return np.einsum("...i,...j->...ij", a, b)
 
 
 def frobenius(a: np.ndarray, b: np.ndarray):
@@ -92,6 +92,15 @@ class ElasticTensor:
         as one (..., 9) @ (9, 9)^T matrix product."""
         flat = a.reshape(a.shape[:-2] + (9,))
         return (flat @ self.entries.reshape(9, 9).T).reshape(a.shape)
+
+    def contraction(self, dim: int) -> np.ndarray:
+        """L_ijkl with j, l < dim as a (3 dim, 3 dim) matrix, rows (i, j) and
+        columns (k, l).  For a gradient A without derivatives along the axes
+        from dim on, (L : A)_ij = sum_kl L_ijkl A_kl for j < dim is this
+        matrix times A[:, :dim] flattened, so a component-major (3, dim, ...)
+        gradient is contracted by one matrix product; the columns j >= dim
+        of L : A have no divergence on a dim-dimensional grid."""
+        return np.ascontiguousarray(self.entries[:, :dim, :, :dim]).reshape(3 * dim, 3 * dim)
 
 
 def _sphere_grid(n_theta: int = 13, n_phi: int = 24) -> np.ndarray:

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from leslie_sim.config import ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
-from leslie_sim.energetics import EnergyTrace
+from leslie_sim.energetics import EnergyTrace, energy_inequality_residual
 from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import make_initial_state
 from leslie_sim.material import PARODI_DEMO
@@ -196,8 +198,29 @@ def test_trace_csv_round_trip_full_precision(tmp_path):
     np.testing.assert_array_equal(back["t"], trace.t)
     np.testing.assert_array_equal(back["kinetic"], trace.kinetic)
     np.testing.assert_array_equal(back["cross_term"], trace.cross_term)
+    np.testing.assert_array_equal(back["g_power"], trace.g_power)
     np.testing.assert_array_equal(back["residual_energy"], residual)
     np.testing.assert_array_equal(back["E"], np.zeros(n))
+
+
+def test_forced_run_residual_recomputes_from_trace_csv(tmp_path):
+    # the CSV holds every term of energy_inequality_residual, the forcing
+    # power (g, v) included, so the residual column can be checked from it
+    cfg = parse_config(
+        "[grid]\nn = 16\n[material]\nforcing = sinusoidal:0.5\n"
+        "[stepper]\ndt = 1e-3\nt_end = 0.02\noutput_every = 2\n[initial]\nseed = 5\n"
+    )
+    traj = run(make_initial_state(cfg.grid, cfg.initial), cfg.stepper, cfg.params,
+               cfg.elastic, forcing=cfg.forcing())
+    residual = energy_inequality_residual(traj.trace, cfg.params)
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, energy=traj.trace, residual=residual)
+    back = read_trace_csv(path)
+    assert np.max(np.abs(back["g_power"])) > 1e-3
+    again = EnergyTrace(**{f.name: back[f.name] for f in dataclasses.fields(EnergyTrace)})
+    np.testing.assert_array_equal(
+        energy_inequality_residual(again, cfg.params), back["residual_energy"]
+    )
 
 
 def test_trace_csv_rejects_bad_header(tmp_path):

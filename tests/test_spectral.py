@@ -230,3 +230,13 @@ def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
             np.testing.assert_array_equal(
                 g._deriv(grid, values, axis), _rolled_deriv(grid, values, axis)
             )
+    # component-major arrays: spatial axis a is axis a - dim, and the result
+    # may go into a strided column of a gradient
+    grad = rng.normal(size=(3, grid.dim) + grid.shape)
+    for values in [rng.normal(size=(3,) + grid.shape)] + [grad[:, j] for j in range(grid.dim)]:
+        for axis in range(-grid.dim, 0):
+            expected = _rolled_deriv(grid, values, axis)
+            np.testing.assert_array_equal(g._deriv(grid, values, axis), expected)
+            out = np.empty((3, grid.dim) + grid.shape)[:, -1]
+            g._deriv(grid, values, axis, out=out)
+            np.testing.assert_array_equal(out, expected)

@@ -6,7 +6,10 @@ wherever a term needs it, takes q_half from the Laplacian of the midpoint
 director, and takes the divergences of the Leslie stress and of v x v and
 the wide Laplacian of v separately.  The stepper under test computes each
 derivative once and sums the explicit momentum flux before one divergence,
-so the two agree to rounding, not bit for bit.
+so the two agree to rounding, not bit for bit.  The stepper computes on
+component-major arrays and keeps only the grid's dim gradient columns; the
+"coupled" tensor has entries on the absent axis of a 2D grid, which that
+restriction drops.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from leslie_sim.energetics import dissipation_channels, free_energy, variational
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
+from leslie_sim.snapshot import read_snapshot, write_snapshot
 from leslie_sim.tensor import ElasticTensor, outer, skw, sym
 
 #: Relative tolerance of one step against the reference, fixed from float64
@@ -40,7 +44,19 @@ ANISO = ElasticTensor(
     + 0.25 * np.einsum("il,jk->ijkl", _EYE, _EYE),
     eta=1.0,
 )
-TENSORS = {"isotropic": ElasticTensor.isotropic(1.0), "aniso": ANISO}
+
+
+def _coupled_tensor(seed=7):
+    """A random tensor with major symmetry that is positive definite as a
+    9 x 9 matrix, hence strongly elliptic, with generic nonzero entries
+    L_i2kl and L_ijk2 on the axis a 2D grid lacks."""
+    r = np.random.default_rng(seed).normal(size=(9, 9))
+    m = np.eye(9) + 0.1 * (r @ r.T)
+    return ElasticTensor.from_entries(0.5 * (m + m.T))
+
+
+COUPLED = _coupled_tensor()
+TENSORS = {"isotropic": ElasticTensor.isotropic(1.0), "aniso": ANISO, "coupled": COUPLED}
 GRIDS = {"2d": Grid.unit_box(16), "3d": Grid.unit_box(8, dim=3)}
 
 
@@ -157,6 +173,18 @@ def test_step_matches_reference(grid_name, tensor_name, theta, forcing):
     assert np.max(np.abs(out.v.values - s.v.values)) > 1e-6
 
 
+def test_coupled_tensor_couples_the_absent_axis():
+    entries = COUPLED.entries
+    assert COUPLED.eta > 0.0
+    np.testing.assert_array_equal(entries, entries.transpose(2, 3, 0, 1))
+    assert np.min(np.abs(entries[:, 2])) > 1e-4  # L_i2kl
+    assert np.min(np.abs(entries[:, :, :, 2])) > 1e-4  # L_ijk2
+    # the 2D contraction is L_ijkl over j, l < 2 only
+    np.testing.assert_array_equal(
+        COUPLED.contraction(2).reshape(3, 2, 3, 2), entries[:, :2, :, :2]
+    )
+
+
 # ---------------------------------------------------------------------------
 # energies and diagnostics read from the carried terms
 # ---------------------------------------------------------------------------
@@ -254,3 +282,40 @@ def test_alternating_states_match_separate_steppers():
         _assert_same_state(sa, ra)
         _assert_same_state(sb, rb)
 
+
+
+# ---------------------------------------------------------------------------
+# layout: node-major states in, component-major views out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_lone_step_is_layout_independent(grid_name, tmp_path):
+    grid = GRIDS[grid_name]
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=1e-3), NON_PARODI_DEMO, ANISO)
+    s = _state(grid, seed=45).copy()
+    assert s.v.values.flags.c_contiguous and s.d.values.flags.c_contiguous
+    # the same values as node-major views of component-major arrays, the
+    # layout of the states the stepper hands out
+    views = State(
+        s.t,
+        *(VectorField(grid, np.moveaxis(np.moveaxis(f.values, -1, 0).copy(), 0, -1))
+          for f in (s.v, s.d)),
+        s.p.copy(),
+    )
+    assert not views.v.values.flags.c_contiguous
+    assert np.moveaxis(views.d.values, -1, 0).flags.c_contiguous
+
+    out = stepper.step(s)
+    _assert_same_state(out, stepper.step(views))
+    assert out.v.values.shape == out.d.values.shape == grid.shape + (3,)
+
+    copied = out.copy()
+    assert all(f.values.flags.c_contiguous for f in (copied.v, copied.d, copied.p))
+    _assert_same_state(copied, out)
+    for state, name in ((out, "views.snap"), (copied, "copy.snap")):
+        path = str(tmp_path / name)
+        write_snapshot(state, path)
+        back = read_snapshot(path)
+        assert back.t == out.t
+        for field in ("v", "d", "p"):
+            assert getattr(back, field).values.tobytes() == getattr(out, field).values.tobytes()
