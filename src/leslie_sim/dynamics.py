@@ -13,24 +13,28 @@ Scheme (one step, periodic grid):
 4. exact FFT Leray projection onto discretely divergence-free fields.
 
 Each derivative is taken once per step: one grad v serves the director
-rotation, the Leslie stress and the split advection; each director's
+rotation, the Leslie stress and the split advection (for a sampled state,
+the grad v its diagnostics took serves the next step); each director's
 grad d and div(L : grad d) (:class:`DirectorTerms`) serve its step, the next
 step and the per-step energy; the two-point q uses the mean of the two
 directors' div(L : grad d), as the operator is linear; and the explicit
 momentum flux is built one column at a time, each column differentiated as
 soon as it is built.
 
-Layout: the stepper computes on component-major arrays -- vectors
-``(3,) + grid.shape``, gradients ``(3, dim) + grid.shape`` with entry (i, j)
-= d f_i / d x_j -- so every contraction over components is a multiply-add of
-contiguous arrays.  A gradient holds only the grid's dim columns: on a 2D
-grid it has no always-zero third column, and L : grad d is one
-(3 dim) x (3 dim) matrix product with L_ijkl restricted to j, l < dim
-(:meth:`ElasticTensor.contraction`).  The states it returns keep the public
-node-major shape ``grid.shape + (3,)``: their fields are zero-copy
-``np.moveaxis`` views of the stepper's arrays, which a later step reads back
-without copying; a state in any other layout is copied to component-major
-once when stepped.  ``State.copy()`` gives C-contiguous node-major arrays.
+Layout: the stepper computes on component-major arrays with a leading
+member axis -- vectors ``(m, 3) + grid.shape``, gradients
+``(m, 3, dim) + grid.shape`` with entry (i, j) = d f_i / d x_j -- so every
+contraction over components is a multiply-add of contiguous arrays and one
+step advances the m members of an :class:`Ensemble` at once; a lone state is
+the one-member case.  The checks (CFL warning, finiteness, projection
+residual) and every energy are taken per member on that member's slice, so
+each member evolves bit for bit as it does alone.  A gradient holds only the
+grid's dim columns: on a 2D grid it has no always-zero third column, and
+L : grad d is one (3 dim) x (3 dim) matrix product with L_ijkl restricted to
+j, l < dim (:meth:`ElasticTensor.contraction`).  The states it returns keep
+the public node-major shape ``grid.shape + (3,)``: their fields are
+zero-copy ``np.moveaxis`` views of one member of the stepper's arrays.
+``State.copy()`` gives C-contiguous node-major arrays.
 
 Evaluating the coupling terms at matching time levels makes the energy
 exchange between the kinetic and free energies cancel identically in the
@@ -178,65 +182,97 @@ class SpectralOps:
             raise ValueError("field and spectral operators live on different grids")
 
 
-def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float = 1e-10):
+def _members(u, ops: SpectralOps) -> np.ndarray:
+    """Component-major member values (m, 3) + grid.shape: those of a
+    VectorField on the grid of ``ops`` as one member, or the ensemble values
+    given."""
+    if isinstance(u, VectorField):
+        ops.check_grid(u.grid)
+        return g.components(u.values)[None]
+    if u.ndim != ops.grid.dim + 2 or u.shape[1:] != (3,) + ops.grid.shape:
+        raise ValueError(f"member values shape {u.shape}, expected (m, 3) + {ops.grid.shape}")
+    return u
+
+
+def _as_given(u, values: np.ndarray):
+    """Member values in the kind of the input ``u``."""
+    return VectorField(u.grid, g.nodal(values[0])) if isinstance(u, VectorField) else values
+
+
+def _member_label(i: int, m: int) -> str:
+    return f" of member {i}" if m > 1 else ""
+
+
+def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
     """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0.
 
     Solves div grad p = div u exactly in Fourier space (the composite
     central-difference Laplacian is diagonal there); modes where every
     derivative symbol vanishes carry no divergence and are left alone.  The
-    mean of p is fixed to zero.  Without ``ops`` the operators of u's grid
-    are built for this call; non-periodic grids raise NotImplementedError.
+    mean of p is fixed to zero.  ``u`` is a VectorField, or the
+    component-major values (m, 3) + grid.shape of an ensemble's members
+    (then p is (m,) + grid.shape); each member is held to its own residual
+    target.  Without ``ops`` the operators of u's grid are built for this
+    call; non-periodic grids raise NotImplementedError.
     """
-    grid = u.grid
     if ops is None:
-        ops = SpectralOps(grid)
-    ops.check_grid(grid)
-    div_u = g.divergence_vec(u)
-    p_values = ops.backward(ops.forward(div_u.values) / ops.projection_denominator)
-    p_values -= p_values.mean()
+        ops = SpectralOps(u.grid)
+    values = _members(u, ops)
+    grid, cellvol = ops.grid, ops.grid.cell_volume
+    div_u = g.divergence_components(grid, values)
+    p_values = ops.backward(ops.forward(div_u) / ops.projection_denominator)
+    p_values -= p_values.mean(axis=ops.axes, keepdims=True)
 
-    out = g.components(u.values).copy()
+    out = values.copy()
     for a in range(grid.dim):
-        out[a] -= g._deriv(grid, p_values, axis=a)
-    result = VectorField(grid, g.nodal(out))
+        out[:, a] -= g._deriv(grid, p_values, a - grid.dim)
+    div_out = g.divergence_components(grid, out)
 
-    res = math.sqrt(g.l2_norm_sq(g.divergence_vec(result)))
-    target = tol * math.sqrt(g.l2_norm_sq(div_u)) + 1e-14 * (1.0 + math.sqrt(g.l2_norm_sq(u)))
-    if res > target:
-        raise ProjectionError(
-            f"projection residual {res:.3e} exceeds target {target:.3e}"
+    for i in range(len(values)):
+        res = math.sqrt(float(np.vdot(div_out[i], div_out[i])) * cellvol)
+        target = tol * math.sqrt(float(np.vdot(div_u[i], div_u[i])) * cellvol) + 1e-14 * (
+            1.0 + math.sqrt(float(np.vdot(values[i], values[i])) * cellvol)
         )
-    return result, ScalarField(grid, p_values)
+        if res > target:
+            raise ProjectionError(
+                f"projection residual {res:.3e}{_member_label(i, len(values))} "
+                f"exceeds target {target:.3e}"
+            )
+    if isinstance(u, VectorField):
+        return _as_given(u, out), ScalarField(grid, p_values[0])
+    return out, p_values
 
 
-def solve_director_implicit(rhs: VectorField, ops: SpectralOps) -> VectorField:
+def solve_director_implicit(rhs, ops: SpectralOps):
     """Solve (I + alpha * (-div(L : grad .))) x = rhs with the tensor and
-    alpha that ``ops`` was built with.
+    alpha that ``ops`` was built with; ``rhs`` is a VectorField or an
+    ensemble's member values (m, 3) + grid.shape, and x comes back in that
+    kind.
 
     The operator is block-diagonal in Fourier space: for each mode the 3x3
     matrix I + alpha * S(k), which strong ellipticity keeps positive
     definite; ``ops`` holds its real inverse, applied to the complex
     component-major spectrum as three real-by-complex multiply-adds.
     """
-    ops.check_grid(rhs.grid)
+    values = _members(rhs, ops)
     if ops.director_inverse is None:
         raise ValueError("spectral operators were built without an elasticity tensor")
-    rhs_hat = ops.forward(g.components(rhs.values))
+    rhs_hat = ops.forward(values)
     inverse = ops.director_inverse
-    x_hat = inverse[:, 0] * rhs_hat[0]
-    x_hat += inverse[:, 1] * rhs_hat[1]
-    x_hat += inverse[:, 2] * rhs_hat[2]
-    return VectorField(rhs.grid, g.nodal(ops.backward(x_hat)))
+    x_hat = inverse[:, 0] * rhs_hat[:, 0:1]
+    x_hat += inverse[:, 1] * rhs_hat[:, 1:2]
+    x_hat += inverse[:, 2] * rhs_hat[:, 2:3]
+    return _as_given(rhs, ops.backward(x_hat))
 
 
-def solve_helmholtz(rhs: VectorField, ops: SpectralOps) -> VectorField:
+def solve_helmholtz(rhs, ops: SpectralOps):
     """Solve (I + coeff * (-Lap)) x = rhs componentwise, with the wide
     (composite central-difference) Laplacian and the coefficient that
-    ``ops`` was built with."""
-    ops.check_grid(rhs.grid)
-    x_hat = ops.forward(g.components(rhs.values))
+    ``ops`` was built with; ``rhs`` is a VectorField or an ensemble's member
+    values (m, 3) + grid.shape, and x comes back in that kind."""
+    x_hat = ops.forward(_members(rhs, ops))
     x_hat /= ops.helmholtz_denominator
-    return VectorField(rhs.grid, g.nodal(ops.backward(x_hat)))
+    return _as_given(rhs, ops.backward(x_hat))
 
 
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
@@ -267,45 +303,49 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
         + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym
 
     mu4 Dv plus, column by column, the stepper's kernel
-    :func:`_add_stress_column` on component-major views of the fields.
+    :func:`_add_stress_column` on component-major views of the fields, as
+    the one member of an ensemble.
     """
     dv = sym(g.gradient_vec(v).values)
     dvd = np.einsum("...ij,...j->...i", dv, d.values)
     out = p.mu4 * dv
-    out_c = np.moveaxis(out, (-2, -1), (0, 1))
-    mu1_ddvd = p.mu1 * np.einsum("...i,...i->...", d.values, dvd)
-    d_c, q_c, dvd_c = (g.components(x) for x in (d.values, q.values, dvd))
+    out_c = np.moveaxis(out, (-2, -1), (0, 1))[None]
+    mu1_ddvd = p.mu1 * np.einsum("...i,...i->...", d.values, dvd)[None]
+    d_c, q_c, dvd_c = (g.components(x)[None] for x in (d.values, q.values, dvd))
     scratch = [np.empty_like(d_c) for _ in range(3)]
     for j in range(3):
-        _add_stress_column(out_c[:, j], j, d_c, q_c, dvd_c, mu1_ddvd, p, scratch)
+        _add_stress_column(out_c[:, :, j], j, d_c, q_c, dvd_c, mu1_ddvd, p, scratch)
     return TensorField(v.grid, out)
 
 
 def _director_strain(grad_v: np.ndarray, d: np.ndarray):
-    """(grad v) d and Dv d = ((grad v) d + (grad v)^T d) / 2 from a
-    component-major grad v (3, dim, ...) and d (3, ...); (grad v)^T d has no
-    components along the axes a dim-dimensional grid lacks."""
-    dim = grad_v.shape[1]
-    gvd = np.einsum("ij...,j...->i...", grad_v, d[:dim])
+    """(grad v) d and Dv d = ((grad v) d + (grad v)^T d) / 2 from the
+    members' component-major grad v (m, 3, dim, ...) and d (m, 3, ...);
+    (grad v)^T d has no components along the axes a dim-dimensional grid
+    lacks."""
+    dim = grad_v.shape[2]
+    gvd = np.einsum("mij...,mj...->mi...", grad_v, d[:, :dim])
     dvd = 0.5 * gvd
-    dvd[:dim] += 0.5 * np.einsum("ji...,j...->i...", grad_v, d)
+    dvd[:, :dim] += 0.5 * np.einsum("mji...,mj...->mi...", grad_v, d)
     return gvd, dvd
 
 
 def _add_stress_column(out, j: int, d, q, dvd, mu1_ddvd, p: ParameterSet, scratch) -> None:
     """Add column j of the Leslie stress without mu4 Dv, (T - mu4 Dv)_ij for
-    i = 0, 1, 2, to the component-major ``out`` (3, ...) in place, given the
-    component-major d, q and Dv d, and mu1 (d . Dv d); ``scratch`` holds three
-    buffers shaped like ``out``.  The terms are formed and summed in the order
-    of the formula in :func:`leslie_stress`, so that an entry where they
-    nearly cancel rounds as that formula does.
+    i = 0, 1, 2, to the members' component-major ``out`` (m, 3, ...) in
+    place, given their component-major d, q and Dv d, and mu1 (d . Dv d)
+    (m, ...); ``scratch`` holds three buffers shaped like ``out``.  The terms
+    are formed and summed in the order of the formula in
+    :func:`leslie_stress`, so that an entry where they nearly cancel rounds
+    as that formula does.
     """
     t, u, w = scratch
-    np.multiply(d, d[j], out=t)
-    t *= mu1_ddvd
+    dj = d[:, j : j + 1]
+    np.multiply(d, dj, out=t)
+    t *= mu1_ddvd[:, None]
     out += t
-    np.multiply(d, q[j], out=t)
-    np.multiply(q, d[j], out=u)
+    np.multiply(d, q[:, j : j + 1], out=t)
+    np.multiply(q, dj, out=u)
     np.add(t, u, out=w)
     w *= 0.5 * p.gamma * p.mu23
     out -= w
@@ -314,8 +354,8 @@ def _add_stress_column(out, j: int, d, q, dvd, mu1_ddvd, p: ParameterSet, scratc
     t -= u
     t *= 0.5
     out -= t
-    np.multiply(d, dvd[j], out=t)
-    np.multiply(dvd, d[j], out=u)
+    np.multiply(d, dvd[:, j : j + 1], out=t)
+    np.multiply(dvd, dj, out=u)
     t += u
     t *= 0.5 * p.directional_coeff
     out += t
@@ -367,15 +407,43 @@ def momentum_rhs(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DirectorTerms:
-    """grad d, div(L : grad d), |d|^2 - 1 and the free energy of one director
-    field, component-major, computed once and shared by the two steps and the
-    diagnostics that need them."""
+class Ensemble:
+    """The members of an ensemble at one time t: component-major velocities
+    and directors (m, 3) + grid.shape and pressures (m,) + grid.shape."""
 
-    grad: np.ndarray  # (3, dim) + grid.shape
-    lap: np.ndarray  # (3,) + grid.shape
-    dev: np.ndarray  # grid.shape
-    energy: EnergyBreakdown
+    grid: Grid
+    t: float
+    v: np.ndarray
+    d: np.ndarray
+    p: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> "Ensemble":
+        """C-contiguous copies of the fields of states at one common time."""
+        if len({s.t for s in states}) != 1:
+            raise ValueError("an ensemble needs one or more members at one time")
+        v, d = (np.array([g.components(getattr(s, f).values) for s in states]) for f in "vd")
+        return cls(states[0].v.grid, states[0].t, v, d, np.array([s.p.values for s in states]))
+
+    def member(self, i: int) -> State:
+        """Member i as a State of node-major views."""
+        grid = self.grid
+        return State(self.t, VectorField(grid, g.nodal(self.v[i])),
+                     VectorField(grid, g.nodal(self.d[i])), ScalarField(grid, self.p[i]))
+
+
+@dataclass
+class DirectorTerms:
+    """grad d, div(L : grad d), |d|^2 - 1 and the free energy of each
+    member's director, component-major with the member axis leading,
+    computed once and shared by the two steps and the diagnostics that need
+    them; and grad v of the same state once the diagnostics have taken it."""
+
+    grad: np.ndarray  # (m, 3, dim) + grid.shape
+    lap: np.ndarray  # (m, 3) + grid.shape
+    dev: np.ndarray  # (m,) + grid.shape
+    energy: list  # one EnergyBreakdown per member
+    grad_v: np.ndarray | None = None  # (m, 3, dim) + grid.shape
 
 
 @dataclass
@@ -387,7 +455,13 @@ class Trajectory:
 
 
 class Stepper:
-    """Steps one (grid, material, config) tuple; builds its SpectralOps once."""
+    """Steps one (grid, material, config) tuple; builds its SpectralOps once.
+
+    The step acts on an :class:`Ensemble`: every member at once, with the
+    member axis leading, and with the checks and energies taken per member,
+    so that each member evolves bit for bit as it does alone.  A lone state
+    is the one-member case.
+    """
 
     def __init__(
         self,
@@ -425,60 +499,64 @@ class Stepper:
         return 0.5 * float(np.vdot(v, v)) * self.grid.cell_volume
 
     def _director_terms(self, d: np.ndarray) -> DirectorTerms:
-        """The :class:`DirectorTerms` of a component-major director."""
-        grid, dim = self.grid, self.grid.dim
+        """The :class:`DirectorTerms` of the members' component-major
+        directors."""
+        grid = self.grid
         grad = g.gradient_components(grid, d)
-        # L : grad d as one (3 dim) x (3 dim) matrix product per node, in
-        # einsum's loops: the first BLAS call of this shape would map some
-        # 0.4 MiB of work buffers, which shows in the peak memory of small runs
-        flux = np.einsum("ab,b...->a...", self._contraction, grad.reshape((3 * dim,) + grid.shape))
-        flux = flux.reshape(grad.shape)
-        lap = g._deriv(grid, flux[:, 0], -dim)
-        for j in range(1, dim):
-            lap += g._deriv(grid, flux[:, j], j - dim)
-        dev = np.einsum("i...,i...->...", d, d)
+        flux = g.elastic_flux(grid, self._contraction, grad)
+        lap = g.divergence_components(grid, flux)
+        dev = np.einsum("mi...,mi...->m...", d, d)
         dev -= 1.0
         cellvol = grid.cell_volume
-        energy = EnergyBreakdown(
-            kinetic=0.0,
-            elastic=0.5 * float(np.vdot(grad, flux)) * cellvol,
-            penalty=float(np.vdot(dev, dev)) * cellvol / (4.0 * self.p.epsilon),
-        )
+        energy = [
+            EnergyBreakdown(
+                kinetic=0.0,
+                elastic=0.5 * float(np.vdot(grad_i, flux_i)) * cellvol,
+                penalty=float(np.vdot(dev_i, dev_i)) * cellvol / (4.0 * self.p.epsilon),
+            )
+            for grad_i, flux_i, dev_i in zip(grad, flux, dev)
+        ]
         return DirectorTerms(grad, lap, dev, energy)
 
-    def step(self, s: State, terms: DirectorTerms | None = None) -> State:
-        """Advance s by one step.  ``terms``, if given, must be those of s.d
-        (else they are computed); they are overwritten with those of the new
-        director, ready for the next step."""
-        cfg, p, grid = self.cfg, self.p, self.grid
-        dt, theta, dim = cfg.dt, cfg.theta, grid.dim
-        # no copy for the views this stepper hands out, one otherwise
-        v = np.ascontiguousarray(g.components(s.v.values))
-        d = np.ascontiguousarray(g.components(s.d.values))
-        if terms is None:
-            terms = self._director_terms(d)
-        grad_d = terms.grad
-
-        vmax = float(np.max(np.abs(v)))
-        if not self._cfl_warned and dt * vmax / min(grid.h) > 0.5:
+    def _check_cfl(self, v: np.ndarray) -> None:
+        """Warn once per stepper when a member's advective CFL number
+        exceeds 0.5."""
+        cfl = self.cfg.dt * np.abs(v).reshape(len(v), -1).max(axis=1) / min(self.grid.h)
+        worst = int(np.argmax(cfl))
+        if cfl[worst] > 0.5:
             warnings.warn(
-                f"advective CFL number {dt * vmax / min(grid.h):.2f} exceeds 0.5",
+                f"advective CFL number {cfl[worst]:.2f}{_member_label(worst, len(v))} exceeds 0.5",
                 RuntimeWarning,
             )
             self._cfl_warned = True
 
+    def step(self, s, terms: DirectorTerms | None = None):
+        """Advance a State, or every member of an Ensemble, by one step, and
+        return the same kind.  ``terms``, if given, must be those of s (else
+        they are computed from s); they are overwritten with those of the
+        result, ready for the next step."""
+        cfg, p, grid = self.cfg, self.p, self.grid
+        dt, theta, dim = cfg.dt, cfg.theta, grid.dim
+        e = Ensemble.of([s]) if isinstance(s, State) else s
+        v, d = e.v, e.d
+        if terms is None:
+            terms = self._director_terms(d)
+        grad_d = terms.grad
+        if not self._cfl_warned:
+            self._check_cfl(v)
+
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        grad_v = g.gradient_components(grid, v)
+        grad_v = terms.grad_v if terms.grad_v is not None else g.gradient_components(grid, v)
         grad_v_d, dvd = _director_strain(grad_v, d)
-        rhs = grad_v_d - np.einsum("ij...,j...->i...", grad_d, v[:dim])
+        rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
         del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
-        rhs -= ((p.gamma / p.epsilon) * terms.dev) * d
+        rhs -= ((p.gamma / p.epsilon) * terms.dev[:, None]) * d
         rhs += ((1.0 - theta) * p.gamma) * terms.lap
         rhs *= dt
         rhs += d
-        d_new = g.components(solve_director_implicit(VectorField(grid, g.nodal(rhs)), self.ops).values)
+        d_new = solve_director_implicit(rhs, self.ops)
         new = self._director_terms(d_new)
 
         # 2. two-point variational derivative: the exact discrete gradient of
@@ -486,7 +564,7 @@ class Stepper:
         # cancel the director transport and rotation terms identically in the
         # discrete energy balance; div(L : grad .) of the midpoint is the mean
         q_half = d + d_new
-        q_half *= (0.5 / p.epsilon) * (0.5 * (terms.dev + new.dev))
+        q_half *= ((0.5 / p.epsilon) * (0.5 * (terms.dev + new.dev)))[:, None]
         # the solve has consumed the director right-hand side: reuse its buffer
         np.add(terms.lap, new.lap, out=rhs)
         rhs *= 0.5
@@ -499,13 +577,13 @@ class Stepper:
         # energy-neutral under the skew-adjoint central stencil.  Column j of
         # the explicit flux -v x v / 2 + (1 - theta) mu4/2 grad v + T - mu4 Dv
         # is built in ``col`` and differentiated along axis j at once.
-        mu1_ddvd = p.mu1 * np.einsum("i...,i...->...", d, dvd)
+        mu1_ddvd = p.mu1 * np.einsum("mi...,mi...->m...", d, dvd)
         viscous = (1.0 - theta) * 0.5 * p.mu4
         col = np.empty_like(v)
         scratch = [np.empty_like(v) for _ in range(3)]
         for j in range(dim):
-            np.multiply(v, -0.5 * v[j], out=col)
-            np.multiply(grad_v[:, j], viscous, out=scratch[0])
+            np.multiply(v, -0.5 * v[:, j : j + 1], out=col)
+            np.multiply(grad_v[:, :, j], viscous, out=scratch[0])
             col += scratch[0]
             _add_stress_column(col, j, d, q_half, dvd, mu1_ddvd, p, scratch)
             if j == 0:
@@ -513,94 +591,109 @@ class Stepper:
             else:
                 rhs += g._deriv(grid, col, j - dim, out=scratch[0])
         del col, scratch, dvd
-        rhs -= 0.5 * np.einsum("ij...,j...->i...", grad_v, v[:dim])
+        rhs -= 0.5 * np.einsum("mij...,mj...->mi...", grad_v, v[:, :dim])
         # Ericksen force (grad d)^T q, as in ericksen_force
-        rhs[:dim] += np.einsum("ia...,i...->a...", grad_d, q_half)
+        rhs[:, :dim] += np.einsum("mia...,mi...->ma...", grad_d, q_half)
         rhs *= dt
         rhs += v
-        fvals = self._forcing_values(s.t)
+        fvals = self._forcing_values(e.t)
         if fvals is not None:
             rhs += dt * g.components(fvals)
-        v_star = solve_helmholtz(VectorField(grid, g.nodal(rhs)), self.ops)
+        v_star = solve_helmholtz(rhs, self.ops)
 
         # 4. projection
         v_new, p_mult = project_divfree(v_star, self.ops, cfg.poisson_tol)
         terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
-        p_mult.values /= dt
-        return State(t=s.t + dt, v=v_new, d=VectorField(grid, g.nodal(d_new)), p=p_mult)
+        terms.grad_v = None
+        p_mult /= dt
+        out = Ensemble(grid, e.t + dt, v_new, d_new, p_mult)
+        return out.member(0) if isinstance(s, State) else out
 
     def run(self, initial: State) -> Trajectory:
-        cfg = self.cfg
-        n_steps = max(0, int(round((cfg.t_end - initial.t) / cfg.dt)))
-        # a copy in the layout that step() reads without copying
-        v, d = (VectorField(self.grid, g.nodal(g.components(f.values).copy()))
-                for f in (initial.v, initial.d))
-        state = State(initial.t, v, d, initial.p.copy())
+        return self.run_ensemble([initial])[0]
 
-        terms = self._director_terms(g.components(state.d.values))
-        samples = [state.copy()]
-        rows = [self._diagnostics(state, terms)]
+    def run_ensemble(self, initials) -> list:
+        """Run the states ``initials``, all at one time, as one ensemble: one
+        step call per step advances every member.  Returns one Trajectory
+        per member, bit for bit that of the member's lone run.  A member
+        that turns non-finite raises SimulationError naming it, with its
+        last sample."""
+        cfg = self.cfg
+        state = Ensemble.of(initials)
+        m = len(initials)
+        n_steps = max(0, int(round((cfg.t_end - state.t) / cfg.dt)))
+
+        terms = self._director_terms(state.d)
+        samples = [[state.member(i).copy()] for i in range(m)]
+        rows = [[row] for row in self._diagnostics(state, terms)]
         step_times = [state.t]
-        step_energy = [rows[0]["total"]]
+        step_energy = [[r[0]["total"]] for r in rows]
 
         for k in range(1, n_steps + 1):
             state = self.step(state, terms)
-            v, d = g.components(state.v.values), g.components(state.d.values)
-            if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
+            finite = np.isfinite(state.v).reshape(m, -1).all(axis=1)
+            finite &= np.isfinite(state.d).reshape(m, -1).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
                 raise SimulationError(
-                    f"non-finite values at step {k} (t = {state.t:.6g})",
-                    last_state=samples[-1],
+                    f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
+                    last_state=samples[i][-1],
                 )
-            fe = terms.energy
-            total = self._kinetic(v) + fe.elastic + fe.penalty
             step_times.append(state.t)
-            step_energy.append(total)
+            for i, fe in enumerate(terms.energy):
+                step_energy[i].append(self._kinetic(state.v[i]) + fe.elastic + fe.penalty)
             if k % cfg.output_every == 0 or k == n_steps:
-                samples.append(state.copy())
-                rows.append(self._diagnostics(state, terms))
+                for i, row in enumerate(self._diagnostics(state, terms)):
+                    samples[i].append(state.member(i).copy())
+                    rows[i].append(row)
 
-        trace = EnergyTrace(**{name: np.array([r[name] for r in rows]) for name in rows[0]})
-        return Trajectory(
-            states=samples,
-            trace=trace,
-            step_times=np.array(step_times),
-            step_total_energy=np.array(step_energy),
-        )
+        return [
+            Trajectory(
+                states=samples[i],
+                trace=EnergyTrace(**{name: np.array([r[name] for r in rows[i]]) for name in rows[i][0]}),
+                step_times=np.array(step_times),
+                step_total_energy=np.array(step_energy[i]),
+            )
+            for i in range(m)
+        ]
 
-    def _diagnostics(self, s: State, terms: DirectorTerms) -> dict:
-        """Energies and dissipation channels of a state of this stepper's
-        layout, from the director's carried terms."""
+    def _diagnostics(self, e: Ensemble, terms: DirectorTerms) -> list:
+        """Energies and dissipation channels of each member, from the
+        carried director terms; leaves grad v in ``terms`` for the next
+        step."""
         p, grid = self.p, self.grid
         dim, cellvol = grid.dim, grid.cell_volume
-        v, d = g.components(s.v.values), g.components(s.d.values)
-        # variational_derivative(s.d)
-        q = (terms.dev / p.epsilon) * d
+        v, d = e.v, e.d
+        # variational_derivative(d)
+        q = (terms.dev[:, None] / p.epsilon) * d
         q -= terms.lap
-        # dissipation_channels(s.v, s.d, q): Dv d, d . Dv d and |Dv|^2, where
+        # dissipation_channels(v, d, q): Dv d, d . Dv d and |Dv|^2, where
         # the rows of grad v beyond dim enter Dv twice, halved
-        grad_v = g.gradient_components(grid, v)
+        grad_v = terms.grad_v = g.gradient_components(grid, v)
         _, dvd = _director_strain(grad_v, d)
-        ddvd = np.einsum("i...,i...->...", d, dvd)
-        block = grad_v[:dim] + np.swapaxes(grad_v[:dim], 0, 1)
-        rest = grad_v[dim:]
-        dv_sq = 0.25 * float(np.vdot(block, block)) + 0.5 * float(np.vdot(rest, rest))
-        fe = terms.energy
-        kinetic = self._kinetic(v)
-        fvals = self._forcing_values(s.t)
-        g_power = 0.0 if fvals is None else float(np.sum(fvals * s.v.values)) * cellvol
-        return {
-            "t": s.t,
-            "kinetic": kinetic,
-            "elastic": fe.elastic,
-            "penalty": fe.penalty,
-            "total": kinetic + fe.elastic + fe.penalty,
-            "diss_mu1": p.mu1 * float(np.vdot(ddvd, ddvd)) * cellvol,
-            "diss_mu4": p.mu4 * dv_sq * cellvol,
-            "diss_dir": p.directional_coeff * float(np.vdot(dvd, dvd)) * cellvol,
-            "diss_q": p.gamma * float(np.vdot(q, q)) * cellvol,
-            "cross_term": p.cross_coeff * float(np.vdot(q, dvd)) * cellvol,
-            "g_power": g_power,
-        }
+        ddvd = np.einsum("mi...,mi...->m...", d, dvd)
+        block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
+        rest = grad_v[:, dim:]
+        fvals = self._forcing_values(e.t)
+        rows = []
+        for i, fe in enumerate(terms.energy):
+            dv_sq = 0.25 * float(np.vdot(block[i], block[i])) + 0.5 * float(np.vdot(rest[i], rest[i]))
+            kinetic = self._kinetic(v[i])
+            g_power = 0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * cellvol
+            rows.append({
+                "t": e.t,
+                "kinetic": kinetic,
+                "elastic": fe.elastic,
+                "penalty": fe.penalty,
+                "total": kinetic + fe.elastic + fe.penalty,
+                "diss_mu1": p.mu1 * float(np.vdot(ddvd[i], ddvd[i])) * cellvol,
+                "diss_mu4": p.mu4 * dv_sq * cellvol,
+                "diss_dir": p.directional_coeff * float(np.vdot(dvd[i], dvd[i])) * cellvol,
+                "diss_q": p.gamma * float(np.vdot(q[i], q[i])) * cellvol,
+                "cross_term": p.cross_coeff * float(np.vdot(q[i], dvd[i])) * cellvol,
+                "g_power": g_power,
+            })
+        return rows
 
 
 def step(
@@ -623,3 +716,14 @@ def run(
     allow_invalid: bool = False,
 ) -> Trajectory:
     return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run(initial)
+
+
+def run_ensemble(
+    initials,
+    cfg: StepperConfig,
+    p: ParameterSet,
+    tensor: ElasticTensor,
+    forcing=None,
+    allow_invalid: bool = False,
+) -> list:
+    return Stepper(initials[0].v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(initials)

@@ -37,93 +37,144 @@ class ComparisonReport:
     absorb_rhs: np.ndarray  # zeta * (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2)
 
 
-def _sampled_q(states, tensor, eps):
-    return [en.variational_derivative(s.d, tensor, eps) for s in states]
+def _integral(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Midpoint integral of each member's values; x is (m, ...)."""
+    return x.reshape(len(x), -1).sum(axis=1) * grid.cell_volume
 
 
-def _time_derivatives(states):
-    """Centered differences of the director samples; one-sided at the ends."""
-    ts = np.array([s.t for s in states])
-    out = []
-    for i, s in enumerate(states):
-        if len(states) == 1:
-            out.append(VectorField.zeros(s.d.grid))
-            continue
-        if i == 0:
-            num = states[1].d.values - states[0].d.values
-            den = ts[1] - ts[0]
-        elif i == len(states) - 1:
-            num = states[-1].d.values - states[-2].d.values
-            den = ts[-1] - ts[-2]
-        else:
-            num = states[i + 1].d.values - states[i - 1].d.values
-            den = ts[i + 1] - ts[i - 1]
-        out.append(VectorField(s.d.grid, num / den))
+def _lp_sq(grid: Grid, sq: np.ndarray, power: float) -> np.ndarray:
+    """Squared L^p norm of each member, from its squared magnitudes."""
+    return _integral(grid, np.sqrt(sq) ** power) ** (2.0 / power)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise contraction over the axis after the member axis."""
+    return np.einsum("mi...,mi...->m...", x, y)
+
+
+def _relative_series(grid: Grid, p: ParameterSet, tensor: ElasticTensor, runs) -> np.ndarray:
+    """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
+    absorption bound of each run in ``runs[1:]`` against the reference
+    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples)."""
+    ref = runs[0]
+    n = len(ref)
+    ts = np.array([s.t for s in ref])
+    contraction = tensor.contraction(grid.dim)
+    out = np.empty((5, len(runs) - 1, n))
+    for i in range(n):
+        # dt dr by centred differences of the samples, one-sided at the ends
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        dt_d = np.zeros_like(ref[i].d.values) if n == 1 else (
+            (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo])
+        )
+        out[:, :, i] = _relative_sample(grid, p, contraction, [r[i] for r in runs], dt_d)
     return out
 
 
-def weak_strong_experiment(
+def _relative_sample(grid: Grid, p: ParameterSet, contraction, states, dt_d) -> np.ndarray:
+    """The five relative terms of ``states[1:]`` against the reference
+    ``states[0]`` at one sample, shape (5, len(states) - 1).
+
+    The component-major fields of all states are stacked on a leading member
+    axis and every per-member sum is taken over that member's own slice, so
+    a run's terms do not depend on the other runs.  q is built here; the
+    gradient in E is taken of d - dr.  The formulas are those of
+    :func:`energetics.relative_energy`, :func:`energetics.relative_dissipation`
+    and :func:`energetics.gronwall_K`.  Each large array is dropped once used.
+    """
+    eps, dim = p.epsilon, grid.dim
+    v, d = (np.array([g.components(getattr(s, f).values) for s in states]) for f in "vd")
+    d_sq = _dot(d, d)
+    dev = d_sq - 1.0
+    grad_d = g.gradient_components(grid, d)
+    q = (dev[:, None] / eps) * d
+    q -= g.divergence_components(grid, g.elastic_flux(grid, contraction, grad_d))
+    gdr = grad_d[:1].reshape((1, -1) + grid.shape)
+    gdr_sq = _integral(grid, _dot(gdr, gdr))
+    del grad_d, gdr
+
+    grad_v = g.gradient_components(grid, v)
+    dvd = dynamics._director_strain(grad_v, d)[1]
+    ddvd = _dot(d, dvd)
+    gvr = grad_v[:1].reshape((1, -1) + grid.shape)
+    gvr_l6 = _lp_sq(grid, _dot(gvr, gvr), 6)
+    # |Dv - Dvr|^2: the rows of grad v beyond dim enter Dv twice, halved
+    gv = grad_v[1:] - grad_v[0]
+    del grad_v, gvr
+    block = gv[:, :dim] + np.swapaxes(gv[:, :dim], 1, 2)
+    dv_sq = 0.25 * _integral(grid, block**2) + 0.5 * _integral(grid, gv[:, dim:] ** 2)
+    del gv, block
+
+    grad_e = g.gradient_components(grid, d[1:] - d[0])
+    E = (
+        0.5 * _integral(grid, (v[1:] - v[0]) ** 2)
+        + 0.5 * _integral(grid, grad_e * g.elastic_flux(grid, contraction, grad_e))
+        + _integral(grid, (d_sq[1:] - d_sq[0]) ** 2) / (4.0 * eps)
+    )
+    del grad_e
+
+    dq, dvd_diff = q[1:] - q[0], dvd[1:] - dvd[0]
+    q_sq = p.gamma * _integral(grid, dq**2)
+    dvd_sq = p.directional_coeff * _integral(grid, dvd_diff**2)
+    W = p.mu1 * _integral(grid, (ddvd[1:] - ddvd[0]) ** 2) + p.mu4 * dv_sq + dvd_sq + q_sq
+    cross = np.abs(p.cross_coeff * _integral(grid, dq * dvd_diff))
+
+    # Gronwall factor: every norm on the reference except |v|, |d| of the run
+    v_l6, d_l6 = _lp_sq(grid, _dot(v, v), 6), _lp_sq(grid, d_sq, 6)
+    ref_terms = (
+        (v_l6[0] ** 3 + gvr_l6**3) ** (1.0 / 3.0)  # |vr|_W16^2
+        + _lp_sq(grid, _dot(q[:1], q[:1]), 3)
+        + _lp_sq(grid, ddvd[:1] ** 2, 6)
+        + np.sqrt(_lp_sq(grid, np.sum(dt_d**2, axis=-1)[None], 3))
+        + _lp_sq(grid, dev[:1] ** 2, 6)
+        + gdr_sq
+    )
+    K = (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
+    return np.array([E, W, K, cross, zeta(p) * (q_sq + dvd_sq)])
+
+
+def weak_strong_campaign(
     grid: Grid,
     p: ParameterSet,
     tensor: ElasticTensor,
     cfg: dynamics.StepperConfig,
     initial: dynamics.State,
     seed: int = 7,
-    delta: float = 1e-3,
+    deltas=(1e-3,),
     c: float = 1.0,
     forcing=None,
-) -> ComparisonReport:
-    """Run a reference trajectory and a delta-perturbed one; compare them.
+) -> list:
+    """Run a reference trajectory and one delta-perturbed trajectory per
+    entry of ``deltas`` as one ensemble; compare each with the reference.
 
     The reference trajectory plays the role of the well-resolved smooth run;
     the perturbed trajectory starts from (v0 + delta xi_v, d0 + delta xi_d)
-    with xi_v discretely divergence-free and xi_d mean-zero smooth.  Returns
-    the relative-energy trace, the Gronwall bound at the supplied constant c,
-    and the minimal empirical constant making the bound hold.
+    with xi_v discretely divergence-free and xi_d mean-zero smooth, drawn
+    once from ``seed``.  Returns one report per delta: the relative-energy
+    trace, the Gronwall bound at the supplied constant c, and the minimal
+    empirical constant making the bound hold.  Each member of the ensemble
+    evolves as it does alone, so a report equals that of a campaign with
+    its delta alone.
     """
     require_valid(p)
-    ref = dynamics.run(initial, cfg, p, tensor, forcing=forcing)
-
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
     xi_v = divfree_smooth_field(grid, rng)
-    v0 = VectorField(grid, initial.v.values + delta * xi_v.values)
-    d0 = VectorField(grid, initial.d.values + delta * xi_d.values)
-    pert = dynamics.run(dynamics.State.initial(v0, d0), cfg, p, tensor, forcing=forcing)
-
-    ref_states, pert_states = ref.states, pert.states
-    assert len(ref_states) == len(pert_states)
-    eps = p.epsilon
-    q_ref = _sampled_q(ref_states, tensor, eps)
-    q_pert = _sampled_q(pert_states, tensor, eps)
-    dt_d_ref = _time_derivatives(ref_states)
-
-    ts = np.array([s.t for s in ref_states])
-    n = len(ts)
-    E = np.empty(n)
-    W = np.empty(n)
-    K = np.empty(n)
-    cross_abs = np.empty(n)
-    absorb_rhs = np.empty(n)
-    zeta_val = zeta(p)
-    cellvol = grid.cell_volume
-
-    for i in range(n):
-        s, r = pert_states[i], ref_states[i]
-        E[i] = en.relative_energy(s.v, s.d, r.v, r.d, tensor, eps)
-        W[i] = en.relative_dissipation(s.v, s.d, q_pert[i], r.v, r.d, q_ref[i], p)
-        K[i] = en.gronwall_K(s.v, s.d, r.v, r.d, q_ref[i], dt_d_ref[i], c=1.0)
-
-        _, dvd, _ = en.dissipation_channels(s.v, s.d, q_pert[i])
-        _, dvd_r, _ = en.dissipation_channels(r.v, r.d, q_ref[i])
-        dq = q_pert[i].values - q_ref[i].values
-        ddvd = dvd - dvd_r
-        cross_abs[i] = abs(p.cross_coeff * float(np.sum(dq * ddvd)) * cellvol)
-        absorb_rhs[i] = zeta_val * (
-            p.gamma * float(np.sum(dq**2)) * cellvol
-            + p.directional_coeff * float(np.sum(ddvd**2)) * cellvol
+    members = [initial] + [
+        dynamics.State.initial(
+            VectorField(grid, initial.v.values + delta * xi_v.values),
+            VectorField(grid, initial.d.values + delta * xi_d.values),
+            t=initial.t,
         )
+        for delta in deltas
+    ]
+    runs = [traj.states for traj in dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing)]
+    series = _relative_series(grid, p, tensor, runs)
+    ts = np.array([s.t for s in runs[0]])
+    return [_comparison(delta, ts, *series[:, k], c) for k, delta in enumerate(deltas)]
 
+
+def _comparison(delta, ts, E, W, K, cross_abs, absorb_rhs, c) -> ComparisonReport:
     int_K = en._cumtrapz(ts, K)
     E0 = E[0]
     bound = E0 * np.exp(c * int_K)
@@ -153,6 +204,21 @@ def weak_strong_experiment(
         cross_abs=cross_abs,
         absorb_rhs=absorb_rhs,
     )
+
+
+def weak_strong_experiment(
+    grid: Grid,
+    p: ParameterSet,
+    tensor: ElasticTensor,
+    cfg: dynamics.StepperConfig,
+    initial: dynamics.State,
+    seed: int = 7,
+    delta: float = 1e-3,
+    c: float = 1.0,
+    forcing=None,
+) -> ComparisonReport:
+    """The campaign of :func:`weak_strong_campaign` with the one ``delta``."""
+    return weak_strong_campaign(grid, p, tensor, cfg, initial, seed, (delta,), c, forcing)[0]
 
 
 # ---------------------------------------------------------------------------

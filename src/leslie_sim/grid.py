@@ -31,6 +31,7 @@ class Grid:
     n: tuple
     h: tuple
     bc: str = PERIODIC
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -47,6 +48,7 @@ class Grid:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "cell_volume", math.prod(h))
 
     @classmethod
     def unit_box(cls, n, dim: int = 2, bc: str = PERIODIC) -> "Grid":
@@ -65,10 +67,6 @@ class Grid:
     @property
     def cell_count(self) -> int:
         return int(np.prod(self.n))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
 
     @property
     def lengths(self) -> tuple:
@@ -206,13 +204,37 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
 
 
 def gradient_components(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Component-major Jacobian (3, dim, ...) of component-major values
-    (3, ...): entry (i, j) = d f_i / d x_j for the grid's dim axes only, so
-    a 2D gradient has no zero column."""
-    out = np.empty((3, grid.dim) + grid.shape)
+    """Component-major Jacobian (..., 3, dim) + grid.shape of component-major
+    values (..., 3) + grid.shape: entry (i, j) = d f_i / d x_j for the grid's
+    dim axes only, so a 2D gradient has no zero column.  Leading axes (the
+    members of an ensemble) are kept."""
+    rest = (slice(None),) * grid.dim
+    out = np.empty(values.shape[: -grid.dim] + (grid.dim,) + grid.shape)
     for j in range(grid.dim):
-        _deriv(grid, values, j - grid.dim, out=out[:, j])
+        _deriv(grid, values, j - grid.dim, out=out[(Ellipsis, j) + rest])
     return out
+
+
+def divergence_components(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """sum_j d values[..., j, :] / d x_j over the grid's dim axes, for
+    component-major values (..., k) + grid.shape with k >= dim: the
+    divergence of a vector (k = 3), or row by row that of a gradient-shaped
+    flux (k = dim)."""
+    rest = (slice(None),) * grid.dim
+    out = _deriv(grid, values[(Ellipsis, 0) + rest], -grid.dim)
+    for j in range(1, grid.dim):
+        out += _deriv(grid, values[(Ellipsis, j) + rest], j - grid.dim)
+    return out
+
+
+def elastic_flux(grid: Grid, contraction: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """L : grad d of component-major gradients (..., 3, dim) + grid.shape,
+    given ``contraction = tensor.contraction(grid.dim)``: one (3 dim) x
+    (3 dim) matrix product per node, in einsum's loops (the first BLAS call
+    of this shape would map some 0.4 MiB of work buffers, which shows in the
+    peak memory of small runs)."""
+    flat = grad.reshape((-1, contraction.shape[1]) + grid.shape)
+    return np.einsum("ab,mb...->ma...", contraction, flat).reshape(grad.shape)
 
 
 def gradient_vec(f: VectorField) -> TensorField:

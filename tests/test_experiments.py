@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from leslie_sim.dynamics import SimulationError, State, StepperConfig
+from leslie_sim import energetics as en
+from leslie_sim.dynamics import SimulationError, State, StepperConfig, run
 from leslie_sim.experiments import (
     convergence_study,
     energy_monitor,
     ibp_suite,
+    weak_strong_campaign,
     weak_strong_experiment,
 )
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
-from leslie_sim.material import PARODI_DEMO
+from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, zeta
 from leslie_sim.tensor import ElasticTensor
 
 TENSOR = ElasticTensor.isotropic(1.0)
@@ -89,6 +91,56 @@ def test_weak_strong_zero_delta():
     assert report.max_E <= 1e-12
     assert report.minimal_c == 0.0
     assert report.bound_satisfied
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weak_strong_series_match_the_energetics_functions(dim):
+    # the campaign's one-pass relative energy, dissipation, Gronwall factor
+    # and absorption terms against the node-major functions, per sample
+    grid = Grid.unit_box(16 if dim == 2 else 8, dim=dim)
+    p, tensor = NON_PARODI_DEMO, ElasticTensor.from_entries(
+        np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
+        + 0.5 * np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3))
+    )
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, output_every=5)
+    initial = _initial(grid)
+    # at delta = 1e-6 the differences of separately rounded q, Dv d and Dv of
+    # the two runs lose about 1e-10 relative, so there only E and K are compared
+    deltas = (1e-2, 3e-3, 1e-6)
+    reports = weak_strong_campaign(grid, p, tensor, cfg, initial, seed=5, deltas=deltas, c=2.0)
+
+    rng = np.random.default_rng(5)
+    xi_d, xi_v = smooth_vector_field(grid, rng), divfree_smooth_field(grid, rng)
+    ref = run(initial, cfg, p, tensor).states
+    ts = np.array([s.t for s in ref])
+    cellvol = grid.cell_volume
+    for delta, rep in zip(deltas, reports):
+        pert = run(State.initial(VectorField(grid, initial.v.values + delta * xi_v.values),
+                                 VectorField(grid, initial.d.values + delta * xi_d.values)),
+                   cfg, p, tensor).states
+        for i, (s, r) in enumerate(zip(pert, ref)):
+            q = en.variational_derivative(s.d, tensor, p.epsilon)
+            qr = en.variational_derivative(r.d, tensor, p.epsilon)
+            lo, hi = max(i - 1, 0), min(i + 1, len(ref) - 1)
+            dt_dr = VectorField(grid, (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo]))
+            _, dvd, _ = en.dissipation_channels(s.v, s.d, q)
+            _, dvd_r, _ = en.dissipation_channels(r.v, r.d, qr)
+            dq, ddvd = q.values - qr.values, dvd - dvd_r
+            expected = {
+                "E": en.relative_energy(s.v, s.d, r.v, r.d, tensor, p.epsilon),
+                "W": en.relative_dissipation(s.v, s.d, q, r.v, r.d, qr, p),
+                "K": 2.0 * en.gronwall_K(s.v, s.d, r.v, r.d, qr, dt_dr),
+                "cross": abs(p.cross_coeff * float(np.sum(dq * ddvd)) * cellvol),
+                "absorb": zeta(p) * (p.gamma * float(np.sum(dq**2))
+                                     + p.directional_coeff * float(np.sum(ddvd**2))) * cellvol,
+            }
+            actual = {"E": rep.trace.E[i], "W": rep.trace.W[i], "K": rep.trace.K[i],
+                      "cross": rep.cross_abs[i], "absorb": rep.absorb_rhs[i]}
+            for name, value in expected.items():
+                if delta < 1e-3 and name in ("W", "cross", "absorb"):
+                    continue
+                assert actual[name] == pytest.approx(value, rel=1e-12, abs=0.0), (name, i)
+        assert rep.trace.E[0] > 0.0 and rep.cross_abs.max() > 0.0
 
 
 def test_convergence_study_bad_mode():

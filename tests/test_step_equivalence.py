@@ -10,6 +10,9 @@ so the two agree to rounding, not bit for bit.  The stepper computes on
 component-major arrays and keeps only the grid's dim gradient columns; the
 "coupled" tensor has entries on the absent axis of a 2D grid, which that
 restriction drops.
+
+An ensemble steps its members together on a leading member axis; each
+member must equal its lone run bit for bit.
 """
 
 import numpy as np
@@ -17,7 +20,9 @@ import pytest
 
 import leslie_sim.grid as g
 from leslie_sim.dynamics import (
+    SimulationError,
     State,
+    Ensemble,
     Stepper,
     StepperConfig,
     ericksen_force,
@@ -26,6 +31,7 @@ from leslie_sim.dynamics import (
     solve_helmholtz,
 )
 from leslie_sim.energetics import dissipation_channels, free_energy, variational_derivative
+from leslie_sim.experiments import weak_strong_campaign, weak_strong_experiment
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
@@ -256,6 +262,19 @@ def test_run_equals_repeated_lone_steps():
         _assert_same_state(s, traj.states[k])
 
 
+def test_run_with_unsampled_steps_equals_repeated_lone_steps():
+    # the grad v a sample's diagnostics took serves only the step after it
+    stepper = Stepper(GRIDS["2d"], StepperConfig(dt=1e-3, t_end=6e-3, output_every=3),
+                      NON_PARODI_DEMO, ANISO)
+    s = _state(GRIDS["2d"], seed=39)
+    traj = stepper.run(s)
+    assert len(traj.states) == 3
+    for k in range(1, 7):
+        s = stepper.step(s)
+        if k % 3 == 0:
+            _assert_same_state(s, traj.states[k // 3])
+
+
 def test_step_after_in_place_director_change_matches_fresh_stepper():
     stepper = _stepper()
     s = _state(GRIDS["2d"], seed=42)
@@ -319,3 +338,119 @@ def test_lone_step_is_layout_independent(grid_name, tmp_path):
         assert back.t == out.t
         for field in ("v", "d", "p"):
             assert getattr(back, field).values.tobytes() == getattr(out, field).values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ensembles: every member is its lone run
+# ---------------------------------------------------------------------------
+
+def _assert_same_trajectory(a, b):
+    assert len(a.states) == len(b.states)
+    for x, y in zip(a.states, b.states):
+        _assert_same_state(x, y)
+    for name in vars(a.trace):
+        assert getattr(a.trace, name).tobytes() == getattr(b.trace, name).tobytes(), name
+    assert a.step_times.tobytes() == b.step_times.tobytes()
+    assert a.step_total_energy.tobytes() == b.step_total_energy.tobytes()
+
+
+@pytest.mark.parametrize("forcing", [None, "sinusoidal:0.5"])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_ensemble_members_equal_lone_runs(grid_name, tensor_name, theta, forcing):
+    grid = GRIDS[grid_name]
+    params = NON_PARODI_DEMO if theta > 0.0 else PARODI_DEMO
+    cfg = StepperConfig(dt=1e-3, t_end=4e-3, theta=theta, output_every=2)
+
+    def stepper():
+        return Stepper(grid, cfg, params, TENSORS[tensor_name],
+                       forcing=None if forcing is None else make_forcing(forcing))
+
+    states = [_state(grid, seed=50 + i, amplitude=0.2 + 0.1 * i) for i in range(3)]
+    alone = [stepper().run(s) for s in states]
+    for m in (1, 2, 3):
+        members = stepper().run_ensemble(states[:m])
+        assert len(members) == m
+        for traj, lone in zip(members, alone):
+            _assert_same_trajectory(traj, lone)
+    # the members are distinct runs
+    assert not np.array_equal(alone[0].states[-1].d.values, alone[1].states[-1].d.values)
+
+
+def test_ensemble_step_returns_an_ensemble_of_lone_steps():
+    stepper = _stepper()
+    states = [_state(GRIDS["2d"], seed=46), _state(GRIDS["2d"], seed=47, amplitude=0.5)]
+    out = stepper.step(Ensemble.of(states))
+    assert isinstance(out, Ensemble) and out.v.shape == (2, 3) + GRIDS["2d"].shape
+    for i, s in enumerate(states):
+        _assert_same_state(out.member(i), _stepper().step(s))
+    with pytest.raises(ValueError):
+        Ensemble.of([states[0], State(1e-3, states[1].v, states[1].d, states[1].p)])
+
+
+def test_nonfinite_member_raises_naming_it_with_its_last_sample():
+    grid = GRIDS["2d"]
+    rng = np.random.default_rng(27)
+    still = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    wild = State.initial(
+        VectorField.zeros(grid),
+        VectorField(grid, VectorField.constant(grid, (0.0, 0.0, 1.0)).values
+                    + 2.0 * smooth_vector_field(grid, rng).values),
+    )
+    cfg = StepperConfig(dt=0.4, t_end=40.0, output_every=3)
+
+    def stepper():
+        return Stepper(grid, cfg, PARODI_DEMO, ElasticTensor.isotropic(1.0))
+
+    with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
+        with pytest.raises(SimulationError) as lone:
+            stepper().run(wild)
+        with pytest.raises(SimulationError) as ensemble:
+            stepper().run_ensemble([still, wild])
+    assert "member 1" in str(ensemble.value)
+    assert str(ensemble.value) == str(lone.value).replace(" at step", " of member 1 at step")
+    last = ensemble.value.last_state
+    assert last.t > 0.0 and np.all(np.isfinite(last.d.values))
+    _assert_same_state(last, lone.value.last_state)
+
+
+def test_weak_strong_campaign_equals_separate_experiments():
+    grid = GRIDS["2d"]
+    cfg = StepperConfig(dt=1e-3, t_end=0.03, output_every=5)
+    initial = _state(grid, seed=48)
+    deltas = (0.0, 1e-2, 1e-3)
+    campaign = weak_strong_campaign(grid, NON_PARODI_DEMO, ANISO, cfg, initial,
+                                    seed=5, deltas=deltas)
+    assert len(campaign) == len(deltas)
+    for delta, rep in zip(deltas, campaign):
+        alone = weak_strong_experiment(grid, NON_PARODI_DEMO, ANISO, cfg, initial,
+                                       seed=5, delta=delta)
+        assert rep.delta0 == alone.delta0 == delta
+        for name in ("minimal_c", "bound_satisfied", "max_E_over_E0", "E0", "max_E"):
+            assert getattr(rep, name) == getattr(alone, name), name
+        for name in ("t", "E", "W", "K", "bound"):
+            assert getattr(rep.trace, name).tobytes() == getattr(alone.trace, name).tobytes()
+        assert rep.cross_abs.tobytes() == alone.cross_abs.tobytes()
+        assert rep.absorb_rhs.tobytes() == alone.absorb_rhs.tobytes()
+    assert campaign[0].max_E == 0.0 < campaign[2].max_E < campaign[1].max_E
+
+
+# ---------------------------------------------------------------------------
+# grad v of a sampled state serves the next step
+# ---------------------------------------------------------------------------
+
+def test_sampled_velocity_gradient_is_carried(monkeypatch):
+    calls = []
+    original = g.gradient_components
+
+    def counted(grid, values):
+        calls.append(values.shape)
+        return original(grid, values)
+
+    monkeypatch.setattr(g, "gradient_components", counted)
+    traj = _stepper(t_end=5e-3).run(_state(GRIDS["2d"], seed=49))
+    assert len(traj.states) == 6
+    # initial director and velocity, then per step the new director and the
+    # sampled velocity; the step reuses the sampled velocity's gradient
+    assert len(calls) == 2 + 2 * 5
