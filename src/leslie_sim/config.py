@@ -7,9 +7,7 @@ key has a documented default, so the empty config is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .dynamics import StepperConfig
 from .grid import Grid
@@ -110,6 +108,12 @@ def _ints(value: str):
     return [int(v) for v in value.replace(",", " ").split()]
 
 
+def _periodic(value: str):
+    if value != "periodic":
+        raise ValueError(f"only periodic grids are supported, got {value!r}")
+    return value
+
+
 def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     sections = _parse_sections(text)
 
@@ -124,9 +128,9 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         length = length * dim
     if len(n) != dim or len(length) != dim:
         raise ConfigError("grid.n / grid.length must match grid.dim")
-    bc = _get(sections, "grid", "bc", "periodic", str)
+    _get(sections, "grid", "bc", "periodic", _periodic)  # checked only: every grid is periodic
     try:
-        grid = Grid(n=tuple(n), h=tuple(length[i] / n[i] for i in range(dim)), bc=bc)
+        grid = Grid(n=tuple(n), h=tuple(length[i] / n[i] for i in range(dim)))
     except ValueError as exc:
         raise ConfigError(str(exc))
 

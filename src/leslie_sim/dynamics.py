@@ -1,7 +1,7 @@
 """Constitutive stress, right-hand sides, incompressibility projection, and
 the semi-implicit time stepper.
 
-Scheme (one step, periodic grid):
+Scheme (one step):
 
 1. director update: stiff elastic operator treated theta-implicitly,
    transport / rotation / penalty explicit;
@@ -54,12 +54,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import energetics as en
 from . import grid as g
-from .energetics import EnergyBreakdown, EnergyTrace
+from .energetics import EnergyTrace
 from .energetics import free_energy  # noqa: F401  (importable from here, as before)
-from .grid import PERIODIC, Grid, ScalarField, TensorField, VectorField
+from .grid import Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
-from .tensor import ElasticTensor, skw, sym
+from .tensor import ElasticTensor, sym
 
 
 class ProjectionError(RuntimeError):
@@ -117,11 +118,11 @@ class StepperConfig:
 
 
 # ---------------------------------------------------------------------------
-# spectral operators (periodic grids)
+# spectral operators
 # ---------------------------------------------------------------------------
 
 class SpectralOps:
-    """The Fourier-diagonal operators of one periodic grid.
+    """The Fourier-diagonal operators of one grid.
 
     Fields are real, so they are transformed with ``rfftn`` over their
     trailing spatial axes onto the half spectrum (the last spatial axis keeps
@@ -143,8 +144,6 @@ class SpectralOps:
         director_alpha: float = 0.0,
         helmholtz_coeff: float = 0.0,
     ):
-        if grid.bc != PERIODIC:
-            raise NotImplementedError("spectral solves require a periodic grid")
         self.grid = grid
         self.axes = tuple(range(-grid.dim, 0))
         half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
@@ -213,7 +212,7 @@ def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
     component-major values (m, 3) + grid.shape of an ensemble's members
     (then p is (m,) + grid.shape); each member is held to its own residual
     target.  Without ``ops`` the operators of u's grid are built for this
-    call; non-periodic grids raise NotImplementedError.
+    call.
     """
     if ops is None:
         ops = SpectralOps(u.grid)
@@ -318,18 +317,6 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
     return TensorField(v.grid, out)
 
 
-def _director_strain(grad_v: np.ndarray, d: np.ndarray):
-    """(grad v) d and Dv d = ((grad v) d + (grad v)^T d) / 2 from the
-    members' component-major grad v (m, 3, dim, ...) and d (m, 3, ...);
-    (grad v)^T d has no components along the axes a dim-dimensional grid
-    lacks."""
-    dim = grad_v.shape[2]
-    gvd = np.einsum("mij...,mj...->mi...", grad_v, d[:, :dim])
-    dvd = 0.5 * gvd
-    dvd[:, :dim] += 0.5 * np.einsum("mji...,mj...->mi...", grad_v, d)
-    return gvd, dvd
-
-
 def _add_stress_column(out, j: int, d, q, dvd, mu1_ddvd, p: ParameterSet, scratch) -> None:
     """Add column j of the Leslie stress without mu4 Dv, (T - mu4 Dv)_ij for
     i = 0, 1, 2, to the members' component-major ``out`` (m, 3, ...) in
@@ -370,38 +357,6 @@ def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
     return VectorField(d.grid, np.einsum("...ia,...i->...a", grad.values, q.values))
 
 
-def director_rhs(v: VectorField, d: VectorField, q: VectorField, p: ParameterSet) -> VectorField:
-    """-(v . grad) d + (grad v)_skw d - lambda (grad v)_sym d - gamma q."""
-    grad_v = g.gradient_vec(v).values
-    wv = skw(grad_v)
-    dv = sym(grad_v)
-    values = (
-        -g.advect(v, d).values
-        + np.einsum("...ij,...j->...i", wv, d.values)
-        - p.lam * np.einsum("...ij,...j->...i", dv, d.values)
-        - p.gamma * q.values
-    )
-    return VectorField(v.grid, values)
-
-
-def momentum_rhs(
-    v: VectorField,
-    d: VectorField,
-    q: VectorField,
-    forcing_values,
-    p: ParameterSet,
-) -> VectorField:
-    """-(v . grad) v + div(T_leslie) + ericksen force + g (pre-projection)."""
-    values = (
-        -g.advect(v, v).values
-        + g.divergence_tensor(leslie_stress(v, d, q, p)).values
-        + ericksen_force(d, q).values
-    )
-    if forcing_values is not None:
-        values = values + forcing_values
-    return VectorField(v.grid, values)
-
-
 # ---------------------------------------------------------------------------
 # the stepper
 # ---------------------------------------------------------------------------
@@ -422,7 +377,7 @@ class Ensemble:
         """C-contiguous copies of the fields of states at one common time."""
         if len({s.t for s in states}) != 1:
             raise ValueError("an ensemble needs one or more members at one time")
-        v, d = (np.array([g.components(getattr(s, f).values) for s in states]) for f in "vd")
+        v, d = (g.members([getattr(s, f) for s in states]) for f in "vd")
         return cls(states[0].v.grid, states[0].t, v, d, np.array([s.p.values for s in states]))
 
     def member(self, i: int) -> State:
@@ -442,7 +397,7 @@ class DirectorTerms:
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
     dev: np.ndarray  # (m,) + grid.shape
-    energy: list  # one EnergyBreakdown per member
+    energy: list  # one energetics.EnergyBreakdown per member
     grad_v: np.ndarray | None = None  # (m, 3, dim) + grid.shape
 
 
@@ -472,8 +427,6 @@ class Stepper:
         forcing=None,
         allow_invalid: bool = False,
     ):
-        if grid.bc != PERIODIC:
-            raise NotImplementedError("time stepping is implemented for periodic grids")
         if not allow_invalid:
             require_valid(p)
         self.grid = grid
@@ -501,22 +454,8 @@ class Stepper:
     def _director_terms(self, d: np.ndarray) -> DirectorTerms:
         """The :class:`DirectorTerms` of the members' component-major
         directors."""
-        grid = self.grid
-        grad = g.gradient_components(grid, d)
-        flux = g.elastic_flux(grid, self._contraction, grad)
-        lap = g.divergence_components(grid, flux)
-        dev = np.einsum("mi...,mi...->m...", d, d)
-        dev -= 1.0
-        cellvol = grid.cell_volume
-        energy = [
-            EnergyBreakdown(
-                kinetic=0.0,
-                elastic=0.5 * float(np.vdot(grad_i, flux_i)) * cellvol,
-                penalty=float(np.vdot(dev_i, dev_i)) * cellvol / (4.0 * self.p.epsilon),
-            )
-            for grad_i, flux_i, dev_i in zip(grad, flux, dev)
-        ]
-        return DirectorTerms(grad, lap, dev, energy)
+        grad, flux, lap, _, dev = en.director_terms(self.grid, self._contraction, d)
+        return DirectorTerms(grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev))
 
     def _check_cfl(self, v: np.ndarray) -> None:
         """Warn once per stepper when a member's advective CFL number
@@ -548,7 +487,7 @@ class Stepper:
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
         grad_v = terms.grad_v if terms.grad_v is not None else g.gradient_components(grid, v)
-        grad_v_d, dvd = _director_strain(grad_v, d)
+        grad_v_d, dvd, ddvd = en.director_strain(grad_v, d)
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
         del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
@@ -577,7 +516,7 @@ class Stepper:
         # energy-neutral under the skew-adjoint central stencil.  Column j of
         # the explicit flux -v x v / 2 + (1 - theta) mu4/2 grad v + T - mu4 Dv
         # is built in ``col`` and differentiated along axis j at once.
-        mu1_ddvd = p.mu1 * np.einsum("mi...,mi...->m...", d, dvd)
+        ddvd *= p.mu1  # now mu1 (d . Dv d), the stress's first channel
         viscous = (1.0 - theta) * 0.5 * p.mu4
         col = np.empty_like(v)
         scratch = [np.empty_like(v) for _ in range(3)]
@@ -585,12 +524,12 @@ class Stepper:
             np.multiply(v, -0.5 * v[:, j : j + 1], out=col)
             np.multiply(grad_v[:, :, j], viscous, out=scratch[0])
             col += scratch[0]
-            _add_stress_column(col, j, d, q_half, dvd, mu1_ddvd, p, scratch)
+            _add_stress_column(col, j, d, q_half, dvd, ddvd, p, scratch)
             if j == 0:
                 g._deriv(grid, col, -dim, out=rhs)
             else:
                 rhs += g._deriv(grid, col, j - dim, out=scratch[0])
-        del col, scratch, dvd
+        del col, scratch, dvd, ddvd
         rhs -= 0.5 * np.einsum("mij...,mj...->mi...", grad_v, v[:, :dim])
         # Ericksen force (grad d)^T q, as in ericksen_force
         rhs[:, :dim] += np.einsum("mia...,mi...->ma...", grad_d, q_half)
@@ -664,14 +603,11 @@ class Stepper:
         p, grid = self.p, self.grid
         dim, cellvol = grid.dim, grid.cell_volume
         v, d = e.v, e.d
-        # variational_derivative(d)
-        q = (terms.dev[:, None] / p.epsilon) * d
-        q -= terms.lap
-        # dissipation_channels(v, d, q): Dv d, d . Dv d and |Dv|^2, where
-        # the rows of grad v beyond dim enter Dv twice, halved
+        q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
+        # Dv d, d . Dv d and |Dv|^2, where the rows of grad v beyond dim
+        # enter Dv twice, halved
         grad_v = terms.grad_v = g.gradient_components(grid, v)
-        _, dvd = _director_strain(grad_v, d)
-        ddvd = np.einsum("mi...,mi...->m...", d, dvd)
+        dvd, ddvd = en.director_strain(grad_v, d)[1:]
         block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
         rest = grad_v[:, dim:]
         fvals = self._forcing_values(e.t)

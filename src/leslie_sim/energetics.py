@@ -1,166 +1,260 @@
 """Scalar functionals of the flow: free energy, its variational derivative,
 relative energy / dissipation for pairs of trajectories, the Gronwall factor,
 and discrete energy-law residuals over recorded traces.
+
+Each formula has one implementation, a kernel on the component-major member
+arrays of an ensemble (vectors ``(m, 3) + grid.shape``, gradients
+``(m, 3, dim) + grid.shape``) that sums per member over the member's own
+slice; the stepper, the weak-strong campaign and the public functions all
+call it.  The public functions run the kernels on :func:`grid.members` of
+their fields, the contiguous copy ``dynamics.Ensemble.of`` makes, so that
+:func:`free_energy` of a sampled state equals its trace row bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as g
-from .grid import ScalarField, TensorField, VectorField
-from .material import ParameterSet, require_valid
-from .tensor import ElasticTensor, frobenius, sym
+from .grid import VectorField
+from .material import ParameterSet, require_valid, zeta
+from .tensor import ElasticTensor, sym
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    kinetic: float
+    """The free energy of a director field."""
+
     elastic: float
     penalty: float
 
     @property
     def total(self) -> float:
-        return self.kinetic + self.elastic + self.penalty
+        return self.elastic + self.penalty
 
 
-def kinetic_energy(v: VectorField) -> float:
-    return 0.5 * g.l2_norm_sq(v)
+# ---------------------------------------------------------------------------
+# member-axis kernels
+# ---------------------------------------------------------------------------
+
+def _integral(grid: g.Grid, x: np.ndarray) -> np.ndarray:
+    """Midpoint integral of each member's values; x is (m, ...)."""
+    return x.reshape(len(x), -1).sum(axis=1) * grid.cell_volume
 
 
-def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBreakdown:
-    """Elastic + penalty energy of the director field (kinetic part zero).
+def _lp_sq(grid: g.Grid, sq: np.ndarray, power: float) -> np.ndarray:
+    """Squared L^p norm of each member, from its squared magnitudes."""
+    return _integral(grid, np.sqrt(sq) ** power) ** (2.0 / power)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise contraction over the axis after the member axis."""
+    return np.einsum("mi...,mi...->m...", x, y)
+
+
+def director_terms(grid: g.Grid, contraction: np.ndarray, d: np.ndarray):
+    """grad d, L : grad d, div(L : grad d), |d|^2 and |d|^2 - 1 of the
+    members' directors d, given ``contraction = tensor.contraction(grid.dim)``."""
+    grad = g.gradient_components(grid, d)
+    flux = g.elastic_flux(grid, contraction, grad)
+    d_sq = _dot(d, d)
+    return grad, flux, g.divergence_components(grid, flux), d_sq, d_sq - 1.0
+
+
+def free_energies(grid: g.Grid, eps: float, grad, flux, dev) -> list:
+    """The free energy of each member's director, from its
+    :func:`director_terms`:
 
     elastic = 1/2 int grad d : L : grad d,
     penalty = 1/(4 eps) int (|d|^2 - 1)^2.
     """
+    cellvol = grid.cell_volume
+    return [
+        EnergyBreakdown(
+            elastic=0.5 * float(np.vdot(grad_i, flux_i)) * cellvol,
+            penalty=float(np.vdot(dev_i, dev_i)) * cellvol / (4.0 * eps),
+        )
+        for grad_i, flux_i, dev_i in zip(grad, flux, dev)
+    ]
+
+
+def variational_q(d: np.ndarray, dev: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarray:
+    """q = -div(L : grad d) + (1/eps)(|d|^2 - 1) d of the members, from
+    their :func:`director_terms`."""
+    q = (dev[:, None] / eps) * d
+    q -= lap
+    return q
+
+
+def director_strain(grad_v: np.ndarray, d: np.ndarray):
+    """(grad v) d, Dv d = ((grad v) d + (grad v)^T d) / 2 and d . Dv d of
+    the members, from their grad v (m, 3, dim, ...) and d (m, 3, ...);
+    (grad v)^T d has no components along the axes a dim-dimensional grid
+    lacks."""
+    dim = grad_v.shape[2]
+    gvd = np.einsum("mij...,mj...->mi...", grad_v, d[:, :dim])
+    dvd = 0.5 * gvd
+    dvd[:, :dim] += 0.5 * np.einsum("mji...,mj...->mi...", grad_v, d)
+    return gvd, dvd, _dot(d, dvd)
+
+
+def relative_energies(grid: g.Grid, contraction: np.ndarray, eps: float, v, d, d_sq) -> np.ndarray:
+    """E of each member after the first against member 0:
+
+    1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
+    """
+    grad_e = g.gradient_components(grid, d[1:] - d[0])
+    return (
+        0.5 * _integral(grid, (v[1:] - v[0]) ** 2)
+        + 0.5 * _integral(grid, grad_e * g.elastic_flux(grid, contraction, grad_e))
+        + _integral(grid, (d_sq[1:] - d_sq[0]) ** 2) / (4.0 * eps)
+    )
+
+
+def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
+    """W, |cross_coeff (q - qr, Dv d - Dvr dr)| and the absorption bound
+    zeta (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2) of each member after the
+    first against member 0.  W is the sum of the four squared
+    dissipation-channel differences."""
+    dim = grid.dim
+    # |Dv - Dvr|^2: the rows of grad v beyond dim enter Dv twice, halved
+    gv = grad_v[1:] - grad_v[0]
+    block = gv[:, :dim] + np.swapaxes(gv[:, :dim], 1, 2)
+    dv_sq = 0.25 * _integral(grid, block**2) + 0.5 * _integral(grid, gv[:, dim:] ** 2)
+    del gv, block
+    dq, dvd_diff = q[1:] - q[0], dvd[1:] - dvd[0]
+    q_sq = p.gamma * _integral(grid, dq**2)
+    dvd_sq = p.directional_coeff * _integral(grid, dvd_diff**2)
+    W = p.mu1 * _integral(grid, (ddvd[1:] - ddvd[0]) ** 2) + p.mu4 * dv_sq + dvd_sq + q_sq
+    cross = np.abs(p.cross_coeff * _integral(grid, dq * dvd_diff))
+    return W, cross, zeta(p) * (q_sq + dvd_sq)
+
+
+def ref_grad_sq(grid: g.Grid, grad: np.ndarray) -> np.ndarray:
+    """|grad f|^2 of member 0 at each node, shape (1,) + grid.shape, from
+    the members' gradients (m, 3, dim) + grid.shape."""
+    gr = grad[:1].reshape((1, -1) + grid.shape)
+    return _dot(gr, gr)
+
+
+def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq, dt_d) -> np.ndarray:
+    """Gronwall integrand (c = 1) of each member after the first against
+    member 0:
+
+    K = (1 + |d|_L6^2 + |dr|_L6^2) (|vr|_W16^2 + |qr|_L3^2
+        + |dr . Dvr dr|_L6^2 + |dt dr|_L3 + ||dr|^2 - 1|_L6^2
+        + |grad dr|_L2^2 + |v|_L6^2)
+
+    Only |v|_L6 and |d|_L6 come from the perturbed member; of ``dev``, ``q``
+    and ``ddvd`` only member 0 is read, and the reference's gradients enter
+    as :func:`ref_grad_sq`.  dt dr is node-major, grid.shape + (3,).  Note
+    |dt dr|_L3 enters to the first power while the others are squared; this
+    asymmetry is deliberate.  The W^{1,6} norm is
+    (|f|_L6^6 + |grad f|_L6^6)^{1/6}.
+    """
+    v_l6, d_l6 = _lp_sq(grid, _dot(v, v), 6), _lp_sq(grid, d_sq, 6)
+    ref_terms = (
+        (v_l6[0] ** 3 + _lp_sq(grid, grad_vr_sq, 6) ** 3) ** (1.0 / 3.0)  # |vr|_W16^2
+        + _lp_sq(grid, _dot(q[:1], q[:1]), 3)
+        + _lp_sq(grid, ddvd[:1] ** 2, 6)
+        + np.sqrt(_lp_sq(grid, np.sum(dt_d**2, axis=-1)[None], 3))
+        + _lp_sq(grid, dev[:1] ** 2, 6)
+        + _integral(grid, grad_dr_sq)
+    )
+    return (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
+
+
+def relative_terms(grid: g.Grid, p: ParameterSet, contraction: np.ndarray, v, d, dt_d) -> np.ndarray:
+    """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
+    absorption bound of each member after the first against the reference,
+    member 0, at one sample: shape (5, m - 1).  q is built here; dt dr is
+    node-major.  Each gradient is dropped as soon as it is used."""
+    grad_d, flux, lap, d_sq, dev = director_terms(grid, contraction, d)
+    del flux
+    q = variational_q(d, dev, lap, p.epsilon)
+    del lap
+    grad_dr_sq = ref_grad_sq(grid, grad_d)
+    del grad_d
+    grad_v = g.gradient_components(grid, v)
+    dvd, ddvd = director_strain(grad_v, d)[1:]
+    grad_vr_sq = ref_grad_sq(grid, grad_v)
+    W, cross, absorb = relative_dissipations(grid, p, grad_v, q, dvd, ddvd)
+    del grad_v
+    E = relative_energies(grid, contraction, p.epsilon, v, d, d_sq)
+    K = gronwall_factors(grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq, dt_d)
+    return np.array([E, W, K, cross, absorb])
+
+
+# ---------------------------------------------------------------------------
+# the kernels on fields
+# ---------------------------------------------------------------------------
+
+def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBreakdown:
+    """Elastic and penalty energy of the director field (:func:`free_energies`)."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    grad = g.gradient_vec(d).values
-    elastic = 0.5 * g.integrate(ScalarField(d.grid, frobenius(grad, tensor.apply(grad))))
-    dev = np.sum(d.values**2, axis=-1) - 1.0
-    penalty = g.integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
-    return EnergyBreakdown(kinetic=0.0, elastic=elastic, penalty=penalty)
-
-
-def total_energy(v: VectorField, d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBreakdown:
-    fe = free_energy(d, tensor, eps)
-    return EnergyBreakdown(kinetic=kinetic_energy(v), elastic=fe.elastic, penalty=fe.penalty)
+    grad, flux, _, _, dev = director_terms(d.grid, tensor.contraction(d.grid.dim), g.members([d]))
+    return free_energies(d.grid, eps, grad, flux, dev)[0]
 
 
 def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) -> VectorField:
     """q = -div(L : grad d) + (1/eps)(|d|^2 - 1) d.
 
-    This is the exact gradient of the discrete free energy: on periodic grids
-    the directional derivative of :func:`free_energy` along any perturbation
-    psi equals (q, psi) to rounding.
+    This is the exact gradient of the discrete free energy: the directional
+    derivative of :func:`free_energy` along any perturbation psi equals
+    (q, psi) to rounding.
     """
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    lap = g.laplacian_lambda(d, tensor)
-    dev = np.sum(d.values**2, axis=-1) - 1.0
-    values = -lap.values + (dev[..., None] / eps) * d.values
-    return VectorField(d.grid, values)
+    dm = g.members([d])
+    _, _, lap, _, dev = director_terms(d.grid, tensor.contraction(d.grid.dim), dm)
+    return VectorField(d.grid, g.nodal(variational_q(dm, dev, lap, eps)[0]))
 
 
-# ---------------------------------------------------------------------------
-# relative energy / dissipation / Gronwall factor
-# ---------------------------------------------------------------------------
-
-def relative_energy(
-    v: VectorField,
-    d: VectorField,
-    v_ref: VectorField,
-    d_ref: VectorField,
-    tensor: ElasticTensor,
-    eps: float,
-) -> float:
-    """Squared-distance functional between two states:
-
-    1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
-    """
-    dv = VectorField(v.grid, v.values - v_ref.values)
-    grad = g.gradient_vec(VectorField(d.grid, d.values - d_ref.values))
-    elastic = 0.5 * g.integrate(
-        ScalarField(d.grid, frobenius(grad.values, tensor.apply(grad.values)))
-    )
-    dev = np.sum(d.values**2, axis=-1) - np.sum(d_ref.values**2, axis=-1)
-    penalty = g.integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
-    return 0.5 * g.l2_norm_sq(dv) + elastic + penalty
+def relative_energy(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: VectorField,
+                    tensor: ElasticTensor, eps: float) -> float:
+    """Squared-distance functional between two states
+    (:func:`relative_energies`)."""
+    dm = g.members([d_ref, d])
+    contraction = tensor.contraction(v.grid.dim)
+    return float(relative_energies(v.grid, contraction, eps, g.members([v_ref, v]), dm, _dot(dm, dm))[0])
 
 
 def dissipation_channels(v: VectorField, d: VectorField, q: VectorField):
-    """The three velocity-dependent dissipation integrands as fields.
+    """The three velocity-dependent dissipation integrands as node-major
+    arrays: (Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient."""
+    grid = v.grid
+    grad_v = g.gradient_components(grid, g.members([v]))
+    _, dvd, ddvd = director_strain(grad_v, g.members([d]))
+    full = np.zeros((3, 3) + grid.shape)
+    full[:, : grid.dim] = grad_v[0]
+    return sym(np.moveaxis(full, (0, 1), (-2, -1))), g.nodal(dvd[0]), ddvd[0]
 
-    Returns (Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient.
-    """
-    dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    return dv, dvd, ddvd
 
-
-def relative_dissipation(
-    v: VectorField,
-    d: VectorField,
-    q: VectorField,
-    v_ref: VectorField,
-    d_ref: VectorField,
-    q_ref: VectorField,
-    p: ParameterSet,
-) -> float:
-    """Sum of the four squared dissipation-channel differences."""
+def relative_dissipation(v: VectorField, d: VectorField, q: VectorField, v_ref: VectorField,
+                         d_ref: VectorField, q_ref: VectorField, p: ParameterSet) -> float:
+    """Sum of the four squared dissipation-channel differences
+    (:func:`relative_dissipations`)."""
     require_valid(p)
+    grad_v = g.gradient_components(v.grid, g.members([v_ref, v]))
+    _, dvd, ddvd = director_strain(grad_v, g.members([d_ref, d]))
+    return float(relative_dissipations(v.grid, p, grad_v, g.members([q_ref, q]), dvd, ddvd)[0][0])
+
+
+def gronwall_K(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: VectorField,
+               q_ref: VectorField, dt_d_ref: VectorField, c: float = 1.0) -> float:
+    """Gronwall integrand controlling exponential growth of the relative
+    energy: c times :func:`gronwall_factors`."""
     grid = v.grid
-    dv, dvd, ddvd = dissipation_channels(v, d, q)
-    dv_r, dvd_r, ddvd_r = dissipation_channels(v_ref, d_ref, q_ref)
-    cellvol = grid.cell_volume
-    term1 = p.mu1 * float(np.sum((ddvd - ddvd_r) ** 2)) * cellvol
-    term4 = p.mu4 * float(np.sum((dv - dv_r) ** 2)) * cellvol
-    term_dir = p.directional_coeff * float(np.sum((dvd - dvd_r) ** 2)) * cellvol
-    term_q = p.gamma * float(np.sum((q.values - q_ref.values) ** 2)) * cellvol
-    return term1 + term4 + term_dir + term_q
-
-
-def gronwall_K(
-    v: VectorField,
-    d: VectorField,
-    v_ref: VectorField,
-    d_ref: VectorField,
-    q_ref: VectorField,
-    dt_d_ref: VectorField,
-    c: float = 1.0,
-) -> float:
-    """Gronwall integrand controlling exponential growth of the relative energy.
-
-    K = c (1 + |d|_L6^2 + |dr|_L6^2) (|vr|_W16^2 + |qr|_L3^2
-        + |dr . Dvr dr|_L6^2 + |dt dr|_L3 + ||dr|^2 - 1|_L6^2
-        + |v|_L6^2 + |grad dr|_L2^2)
-
-    Only |v|_L6 and |d|_L6 come from the first (perturbed) trajectory; every
-    other norm is evaluated on the reference.  Note |dt dr|_L3 enters to the
-    first power while the others are squared; this asymmetry is deliberate.
-    The W^{1,6} norm is (|f|_L6^6 + |grad f|_L6^6)^{1/6}.
-    """
-    grid = v.grid
-    first = 1.0 + g.lp_norm(d, 6) ** 2 + g.lp_norm(d_ref, 6) ** 2
-
-    w16 = (g.lp_norm(v_ref, 6) ** 6 + g.w1p_seminorm(v_ref, 6) ** 6) ** (1.0 / 6.0)
-    _, _, ddvd_r = dissipation_channels(v_ref, d_ref, q_ref)
-    dev_r = np.sum(d_ref.values**2, axis=-1) - 1.0
-    second = (
-        w16**2
-        + g.lp_norm(q_ref, 3) ** 2
-        + g.lp_norm(ScalarField(grid, ddvd_r), 6) ** 2
-        + g.lp_norm(dt_d_ref, 3)
-        + g.lp_norm(ScalarField(grid, dev_r), 6) ** 2
-        + g.lp_norm(v, 6) ** 2
-        + g.w1p_seminorm(d_ref, 2) ** 2
-    )
-    return c * first * second
+    vm, dm = g.members([v_ref, v]), g.members([d_ref, d])
+    d_sq = _dot(dm, dm)
+    grad_v = g.gradient_components(grid, vm)
+    K = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, g.members([q_ref]), director_strain(grad_v, dm)[2],
+                         ref_grad_sq(grid, grad_v), ref_grad_sq(grid, g.gradient_components(grid, dm)),
+                         dt_d_ref.values)
+    return c * float(K[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ convergence studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from . import energetics as en
 from . import grid as g
 from .grid import Grid, ScalarField, TensorField, VectorField
 from .initial import divfree_smooth_field, smooth_vector_field
-from .material import ParameterSet, require_valid, zeta
+from .material import ParameterSet, require_valid
 from .tensor import ElasticTensor
 
 
@@ -37,25 +37,11 @@ class ComparisonReport:
     absorb_rhs: np.ndarray  # zeta * (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2)
 
 
-def _integral(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """Midpoint integral of each member's values; x is (m, ...)."""
-    return x.reshape(len(x), -1).sum(axis=1) * grid.cell_volume
-
-
-def _lp_sq(grid: Grid, sq: np.ndarray, power: float) -> np.ndarray:
-    """Squared L^p norm of each member, from its squared magnitudes."""
-    return _integral(grid, np.sqrt(sq) ** power) ** (2.0 / power)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise contraction over the axis after the member axis."""
-    return np.einsum("mi...,mi...->m...", x, y)
-
-
 def _relative_series(grid: Grid, p: ParameterSet, tensor: ElasticTensor, runs) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each run in ``runs[1:]`` against the reference
-    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples)."""
+    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples), from
+    :func:`energetics.relative_terms` of the runs stacked as members."""
     ref = runs[0]
     n = len(ref)
     ts = np.array([s.t for s in ref])
@@ -67,70 +53,9 @@ def _relative_series(grid: Grid, p: ParameterSet, tensor: ElasticTensor, runs) -
         dt_d = np.zeros_like(ref[i].d.values) if n == 1 else (
             (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo])
         )
-        out[:, :, i] = _relative_sample(grid, p, contraction, [r[i] for r in runs], dt_d)
+        v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
+        out[:, :, i] = en.relative_terms(grid, p, contraction, v, d, dt_d)
     return out
-
-
-def _relative_sample(grid: Grid, p: ParameterSet, contraction, states, dt_d) -> np.ndarray:
-    """The five relative terms of ``states[1:]`` against the reference
-    ``states[0]`` at one sample, shape (5, len(states) - 1).
-
-    The component-major fields of all states are stacked on a leading member
-    axis and every per-member sum is taken over that member's own slice, so
-    a run's terms do not depend on the other runs.  q is built here; the
-    gradient in E is taken of d - dr.  The formulas are those of
-    :func:`energetics.relative_energy`, :func:`energetics.relative_dissipation`
-    and :func:`energetics.gronwall_K`.  Each large array is dropped once used.
-    """
-    eps, dim = p.epsilon, grid.dim
-    v, d = (np.array([g.components(getattr(s, f).values) for s in states]) for f in "vd")
-    d_sq = _dot(d, d)
-    dev = d_sq - 1.0
-    grad_d = g.gradient_components(grid, d)
-    q = (dev[:, None] / eps) * d
-    q -= g.divergence_components(grid, g.elastic_flux(grid, contraction, grad_d))
-    gdr = grad_d[:1].reshape((1, -1) + grid.shape)
-    gdr_sq = _integral(grid, _dot(gdr, gdr))
-    del grad_d, gdr
-
-    grad_v = g.gradient_components(grid, v)
-    dvd = dynamics._director_strain(grad_v, d)[1]
-    ddvd = _dot(d, dvd)
-    gvr = grad_v[:1].reshape((1, -1) + grid.shape)
-    gvr_l6 = _lp_sq(grid, _dot(gvr, gvr), 6)
-    # |Dv - Dvr|^2: the rows of grad v beyond dim enter Dv twice, halved
-    gv = grad_v[1:] - grad_v[0]
-    del grad_v, gvr
-    block = gv[:, :dim] + np.swapaxes(gv[:, :dim], 1, 2)
-    dv_sq = 0.25 * _integral(grid, block**2) + 0.5 * _integral(grid, gv[:, dim:] ** 2)
-    del gv, block
-
-    grad_e = g.gradient_components(grid, d[1:] - d[0])
-    E = (
-        0.5 * _integral(grid, (v[1:] - v[0]) ** 2)
-        + 0.5 * _integral(grid, grad_e * g.elastic_flux(grid, contraction, grad_e))
-        + _integral(grid, (d_sq[1:] - d_sq[0]) ** 2) / (4.0 * eps)
-    )
-    del grad_e
-
-    dq, dvd_diff = q[1:] - q[0], dvd[1:] - dvd[0]
-    q_sq = p.gamma * _integral(grid, dq**2)
-    dvd_sq = p.directional_coeff * _integral(grid, dvd_diff**2)
-    W = p.mu1 * _integral(grid, (ddvd[1:] - ddvd[0]) ** 2) + p.mu4 * dv_sq + dvd_sq + q_sq
-    cross = np.abs(p.cross_coeff * _integral(grid, dq * dvd_diff))
-
-    # Gronwall factor: every norm on the reference except |v|, |d| of the run
-    v_l6, d_l6 = _lp_sq(grid, _dot(v, v), 6), _lp_sq(grid, d_sq, 6)
-    ref_terms = (
-        (v_l6[0] ** 3 + gvr_l6**3) ** (1.0 / 3.0)  # |vr|_W16^2
-        + _lp_sq(grid, _dot(q[:1], q[:1]), 3)
-        + _lp_sq(grid, ddvd[:1] ** 2, 6)
-        + np.sqrt(_lp_sq(grid, np.sum(dt_d**2, axis=-1)[None], 3))
-        + _lp_sq(grid, dev[:1] ** 2, 6)
-        + gdr_sq
-    )
-    K = (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
-    return np.array([E, W, K, cross, zeta(p) * (q_sq + dvd_sq)])
 
 
 def weak_strong_campaign(

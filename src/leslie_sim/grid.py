@@ -1,10 +1,10 @@
 """Uniform collocated Cartesian grids (2D or 3D domains, 3-component vectors)
 with second-order central difference operators and midpoint quadrature.
 
-On periodic grids the discrete gradient and divergence are exactly adjoint
-(summation by parts), which the energy and relative-energy diagnostics rely
-on.  On a 2D domain, vector fields keep all three components and derivatives
-in the absent direction are zero.
+Every grid is periodic; the discrete gradient and divergence are exactly
+adjoint (summation by parts), which the energy and relative-energy
+diagnostics rely on.  On a 2D domain, vector fields keep all three
+components and derivatives in the absent direction are zero.
 
 Field values are node-major (``grid.shape + (3,)``); :func:`components` and
 :func:`nodal` switch to and from the component-major layout
@@ -20,17 +20,14 @@ import numpy as np
 
 from .tensor import ElasticTensor
 
-PERIODIC = "periodic"
-DIRICHLET = "dirichlet"
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered uniform grid; ``n`` cells and spacing ``h`` per axis."""
+    """Cell-centered uniform periodic grid; ``n`` cells and spacing ``h`` per
+    axis."""
 
     n: tuple
     h: tuple
-    bc: str = PERIODIC
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,17 +41,15 @@ class Grid:
             raise ValueError("need at least 4 cells per axis")
         if any(v <= 0.0 for v in h):
             raise ValueError("grid spacing must be positive")
-        if self.bc not in (PERIODIC, DIRICHLET):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "cell_volume", math.prod(h))
 
     @classmethod
-    def unit_box(cls, n, dim: int = 2, bc: str = PERIODIC) -> "Grid":
+    def unit_box(cls, n, dim: int = 2) -> "Grid":
         ns = tuple([int(n)] * dim)
         hs = tuple(1.0 / v for v in ns)
-        return cls(n=ns, h=hs, bc=bc)
+        return cls(n=ns, h=hs)
 
     @property
     def dim(self) -> int:
@@ -161,6 +156,12 @@ def nodal(values: np.ndarray) -> np.ndarray:
     return values.transpose(tuple(range(1, values.ndim)) + (0,))
 
 
+def members(fields) -> np.ndarray:
+    """The values of vector fields as the members of an ensemble: a
+    C-contiguous component-major copy (m, 3) + grid.shape."""
+    return np.array([components(f.values) for f in fields])
+
+
 # ---------------------------------------------------------------------------
 # derivative stencils
 # ---------------------------------------------------------------------------
@@ -171,9 +172,10 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
     One stencil serves both layouts: ``axis`` in 0 .. dim - 1 differentiates
     leading spatial axes (component axes trailing, node-major), ``axis`` in
     -dim .. -1 trailing ones (component axes leading, component-major), so
-    spatial axis a is ``a - dim`` there.  Periodic: central differences with
-    index wrap-around.  Dirichlet: central in the interior, one-sided
-    second-order at the two boundary layers.  Writes into ``out`` if given.
+    spatial axis a is ``a - dim`` there.  Central differences with index
+    wrap-around; the two wrap rows go into the same buffer, so the result
+    equals (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled
+    copies.  Writes into ``out`` if given.
     """
     h = grid.h[axis]
     n = grid.n[axis]
@@ -187,19 +189,9 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
     np.subtract(
         values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))]
     )
-    if grid.bc == PERIODIC:
-        # the two wrap rows go into the same buffer, so the result equals
-        # (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled copies
-        np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])
-        np.subtract(values[sl(0)], values[sl(n - 2)], out=out[sl(n - 1)])
-        out /= 2.0 * h
-        return out
-
-    out[sl(slice(1, n - 1))] /= 2.0 * h
-    out[sl(0)] = (-3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]) / (2.0 * h)
-    out[sl(n - 1)] = (
-        3.0 * values[sl(n - 1)] - 4.0 * values[sl(n - 2)] + values[sl(n - 3)]
-    ) / (2.0 * h)
+    np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])
+    np.subtract(values[sl(0)], values[sl(n - 2)], out=out[sl(n - 1)])
+    out /= 2.0 * h
     return out
 
 
@@ -264,9 +256,12 @@ def divergence_tensor(a: TensorField) -> VectorField:
 
 
 def laplacian_lambda(d: VectorField, tensor: ElasticTensor) -> VectorField:
-    """div(L : grad d); with isotropic L this is k times the componentwise Laplacian."""
-    grad = gradient_vec(d)
-    return divergence_tensor(TensorField(d.grid, tensor.apply(grad.values)))
+    """div(L : grad d); with isotropic L this is k times the componentwise
+    Laplacian.  The stepper's kernels on d as a one-member ensemble."""
+    grid = d.grid
+    grad = gradient_components(grid, members([d]))
+    lap = divergence_components(grid, elastic_flux(grid, tensor.contraction(grid.dim), grad))
+    return VectorField(grid, nodal(lap[0]))
 
 
 def advect(v: VectorField, f: VectorField) -> VectorField:
@@ -307,11 +302,6 @@ def lp_norm(f, p) -> float:
     return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def w1p_seminorm(f: VectorField, p) -> float:
-    """L^p norm of the pointwise Frobenius norm of grad f."""
-    return lp_norm(gradient_vec(f), p)
-
-
 def inner(a, b) -> float:
     """L^2 inner product; contracts all component axes."""
     if type(a) is not type(b):
@@ -334,9 +324,3 @@ def l2_norm_sq(a) -> float:
 def ibp_divergence_residual(a: TensorField, phi: VectorField) -> float:
     """| (div A, phi) + (A : grad phi) |; zero to rounding on periodic grids."""
     return abs(inner(divergence_tensor(a), phi) + inner(a, gradient_vec(phi)))
-
-
-def ibp_laplacian_residual(d: VectorField, phi: VectorField, tensor: ElasticTensor) -> float:
-    """| (div(L : grad d), phi) + (L : grad d ; grad phi) |."""
-    flux = TensorField(d.grid, tensor.apply(gradient_vec(d).values))
-    return abs(inner(divergence_tensor(flux), phi) + inner(flux, gradient_vec(phi)))

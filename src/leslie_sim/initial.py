@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, VectorField
 
 
 @dataclass(frozen=True)

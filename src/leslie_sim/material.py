@@ -5,7 +5,7 @@ conditions, the absorption constant zeta, and the body-force catalog.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,9 +1,10 @@
 """Binary state snapshots and CSV trace persistence.
 
 Snapshot layout: magic ``ELSNAP1\\n``, an ASCII header (dim, cells and
-spacing per axis, boundary condition, time), a ``data`` marker, then
-little-endian 8-byte floats in row-major order: v (3 components), d
-(3 components), p (1 component).  Round trips are bit-exact.
+spacing per axis, the boundary condition, always ``periodic``, time), a
+``data`` marker, then little-endian 8-byte floats in row-major order:
+v (3 components), d (3 components), p (1 component).  Round trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def write_snapshot(state: State, path: str):
         f"dim {grid.dim}\n"
         f"n {' '.join(str(v) for v in grid.n)}\n"
         f"h {' '.join(repr(v) for v in grid.h)}\n"
-        f"bc {grid.bc}\n"
+        "bc periodic\n"
         f"time {state.t!r}\n"
         "data\n"
     ).encode("ascii")
@@ -89,9 +90,11 @@ def read_snapshot(path: str) -> State:
         t = float(fields["time"])
     except (KeyError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed header ({exc})")
+    if bc != "periodic":
+        raise SnapshotError(f"{path}: unsupported boundary condition {bc!r}")
     if len(n) != dim or len(h) != dim:
         raise SnapshotError(f"{path}: header axis counts disagree with dim")
-    grid = Grid(n=n, h=h, bc=bc)
+    grid = Grid(n=n, h=h)
 
     count = grid.cell_count
     expected = (3 * count + 3 * count + count) * 8

@@ -7,7 +7,7 @@ routines serve both pointwise values and whole grid fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from leslie_sim.cli import main
 from leslie_sim.snapshot import read_snapshot, read_trace_csv
@@ -43,6 +44,13 @@ def test_missing_config_is_usage_error(tmp_path):
 def test_malformed_config_is_usage_error(tmp_path):
     path = _write(tmp_path, "broken.cfg", "[grid]\nfoo = 1\n")
     assert main(["simulate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_periodic_grid_is_config_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "dirichlet.cfg", "[grid]\nbc = dirichlet\n")
+    assert main([command, "--config", path]) == 2
+    assert "config error: line 2: " in capsys.readouterr().err
 
 
 def test_bad_usage_exit_code(capsys):

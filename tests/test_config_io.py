@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ TENSOR = ElasticTensor.isotropic(1.0)
 def test_empty_config_is_valid_with_defaults():
     cfg = parse_config("")
     assert cfg.grid.n == (32, 32)
-    assert cfg.grid.bc == "periodic"
     assert cfg.params.lam == 1.0
     assert cfg.stepper.dt == 5e-4
     assert cfg.initial.kind == "perturbed"
@@ -72,6 +72,22 @@ def test_unknown_section_reports_line():
         parse_config("[grid]\nn = 16\n[nonsense]\n")
     assert exc_info.value.line == 3
     assert "nonsense" in str(exc_info.value)
+
+
+def test_only_periodic_grids_are_accepted():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config("[grid]\nbc = dirichlet\n")
+    assert exc_info.value.line == 2
+    assert "dirichlet" in str(exc_info.value)
+
+
+def test_readme_configuration_example_parses():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "\nbc = periodic" in example
+    cfg = parse_config(example)
+    assert cfg.grid.n == (32, 32)
+    assert cfg.trace_path == "trace.csv"
 
 
 def test_unknown_key_reports_line():
@@ -158,6 +174,16 @@ def test_snapshot_wrong_magic(tmp_path):
     path = tmp_path / "bad.snap"
     path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
     with pytest.raises(SnapshotError):
+        read_snapshot(str(path))
+
+
+def test_snapshot_rejects_non_periodic_grid(tmp_path):
+    path = tmp_path / "s.snap"
+    write_snapshot(_make_state(), str(path))
+    data = path.read_bytes()
+    assert data.count(b"\nbc periodic\n") == 1
+    path.write_bytes(data.replace(b"\nbc periodic\n", b"\nbc dirichlet\n"))
+    with pytest.raises(SnapshotError, match="dirichlet"):
         read_snapshot(str(path))
 
 

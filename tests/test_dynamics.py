@@ -10,11 +10,9 @@ from leslie_sim.dynamics import (
     State,
     Stepper,
     StepperConfig,
-    director_rhs,
     ericksen_force,
     leslie_stress,
     max_stiff_rate,
-    momentum_rhs,
     project_divfree,
     run,
     stable_dt_bound,
@@ -127,64 +125,6 @@ def test_ericksen_force_matches_stress_divergence_at_order_two():
         residuals.append(math.sqrt(g.l2_norm_sq(VectorField(grid, lhs.values - rhs.values))))
     assert residuals[0] / residuals[1] > 3.0
     assert residuals[1] / residuals[2] > 3.0
-
-
-def test_director_rhs_stationary():
-    grid = Grid.unit_box(16)
-    d = VectorField.constant(grid, (0.0, 1.0, 0.0))
-    q = variational_derivative(d, TENSOR, PARODI_DEMO.epsilon)
-    rhs = director_rhs(VectorField.zeros(grid), d, q, PARODI_DEMO)
-    np.testing.assert_array_equal(rhs.values, 0.0)
-
-
-def test_director_rhs_gradient_flow():
-    grid, _, d, q = _random_fields(seed=7)
-    rhs = director_rhs(VectorField.zeros(grid), d, q, PARODI_DEMO)
-    np.testing.assert_allclose(rhs.values, -PARODI_DEMO.gamma * q.values, atol=1e-15)
-
-
-def test_director_rhs_recomposition():
-    grid, v, d, q = _random_fields(seed=8)
-    p = NON_PARODI_DEMO
-    grad_v = g.gradient_vec(v).values
-    expected = (
-        -g.advect(v, d).values
-        + np.einsum("...ij,...j->...i", skw(grad_v), d.values)
-        - p.lam * np.einsum("...ij,...j->...i", sym(grad_v), d.values)
-        - p.gamma * q.values
-    )
-    np.testing.assert_allclose(director_rhs(v, d, q, p).values, expected, rtol=1e-13)
-
-
-def test_momentum_rhs_all_zero():
-    grid = Grid.unit_box(16)
-    z = VectorField.zeros(grid)
-    rhs = momentum_rhs(z, z, z, None, PARODI_DEMO)
-    np.testing.assert_array_equal(rhs.values, 0.0)
-
-
-def test_momentum_rhs_pure_forcing():
-    grid = Grid.unit_box(16)
-    x = grid.coords()[0]
-    fvals = np.zeros(grid.shape + (3,))
-    fvals[..., 1] = np.sin(2.0 * np.pi * x)
-    rhs = momentum_rhs(VectorField.zeros(grid),
-                       VectorField.constant(grid, (1.0, 0.0, 0.0)),
-                       VectorField.zeros(grid), fvals, PARODI_DEMO)
-    np.testing.assert_array_equal(rhs.values, fvals)
-
-
-def test_momentum_rhs_recomposition():
-    grid, v, d, q = _random_fields(seed=9)
-    p = NON_PARODI_DEMO
-    fvals = 0.1 * np.ones(grid.shape + (3,))
-    expected = (
-        -g.advect(v, v).values
-        + g.divergence_tensor(leslie_stress(v, d, q, p)).values
-        + ericksen_force(d, q).values
-        + fvals
-    )
-    np.testing.assert_allclose(momentum_rhs(v, d, q, fvals, p).values, expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +277,6 @@ def test_invalid_parameters_rejected():
         Stepper(grid, StepperConfig(), ParameterSet(mu1=-1.0), TENSOR)
 
 
-def test_dirichlet_stepping_not_implemented():
-    grid = Grid(n=(16, 16), h=(1.0 / 16, 1.0 / 16), bc="dirichlet")
-    with pytest.raises(NotImplementedError):
-        Stepper(grid, StepperConfig(), PARODI_DEMO, TENSOR)
-
-
 def test_blowup_raises_simulation_error():
     grid = Grid.unit_box(16)
     rng = np.random.default_rng(27)
@@ -354,6 +288,29 @@ def test_blowup_raises_simulation_error():
     last = exc_info.value.last_state
     assert last is not None
     assert np.all(np.isfinite(last.d.values))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "checkerboard null modes of the collocated central stencil: the first "
+    "difference of a (-1)^i mode is zero, so a grid-scale shear v_y = 0.1 (-1)^i "
+    "has Dv = 0 and keeps its kinetic energy 5e-3 (no viscous dissipation), and "
+    "a (-1)^(i+j) director tilt has zero elastic energy; fixing it needs a "
+    "compact Laplacian or a staggered stencil"))
+def test_checkerboard_modes_are_dissipated_and_cost_elastic_energy():
+    grid = Grid.unit_box(32)
+    i, j = np.indices(grid.shape)
+    v = np.zeros(grid.shape + (3,))
+    v[..., 1] = 0.1 * (-1.0) ** i
+    e3 = VectorField.constant(grid, (0.0, 0.0, 1.0))
+    cfg = StepperConfig(dt=5e-4, t_end=0.05, output_every=100)
+    trace = run(State.initial(VectorField(grid, v), e3), cfg, PARODI_DEMO, TENSOR).trace
+    tilt = e3.values.copy()
+    tilt[..., 0] = 0.1 * (-1.0) ** (i + j)
+    elastic = free_energy(VectorField(grid, tilt), TENSOR, PARODI_DEMO.epsilon).elastic
+    assert trace.kinetic[0] == pytest.approx(5e-3, rel=1e-12)
+    assert trace.diss_mu4[0] > 0.0
+    assert trace.kinetic[-1] < 0.99 * trace.kinetic[0]
+    assert elastic > 0.0
 
 
 def test_gradient_flow_free_energy_decreases():

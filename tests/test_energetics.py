@@ -5,6 +5,7 @@ import pytest
 
 import leslie_sim.energetics as en
 import leslie_sim.grid as g
+import oracles
 from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO
@@ -157,8 +158,8 @@ def test_gronwall_factor_recomposition():
     dtr = smooth_vector_field(grid, rng)
 
     first = 1.0 + g.lp_norm(d, 6) ** 2 + g.lp_norm(dr, 6) ** 2
-    w16 = (g.lp_norm(vr, 6) ** 6 + g.w1p_seminorm(vr, 6) ** 6) ** (1.0 / 6.0)
-    _, _, ddvd = en.dissipation_channels(vr, dr, qr)
+    w16 = (g.lp_norm(vr, 6) ** 6 + oracles.w1p_seminorm(vr, 6) ** 6) ** (1.0 / 6.0)
+    _, _, ddvd = oracles.dissipation_channels(vr, dr, qr)
     dev = np.sum(dr.values**2, axis=-1) - 1.0
     second = (
         w16**2
@@ -167,7 +168,7 @@ def test_gronwall_factor_recomposition():
         + g.lp_norm(dtr, 3)
         + g.lp_norm(ScalarField(grid, dev), 6) ** 2
         + g.lp_norm(v, 6) ** 2
-        + g.w1p_seminorm(dr, 2) ** 2
+        + oracles.w1p_seminorm(dr, 2) ** 2
     )
     assert en.gronwall_K(v, d, vr, dr, qr, dtr, c=1.5) == pytest.approx(
         1.5 * first * second, rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leslie_sim import energetics as en
+import oracles
 from leslie_sim.dynamics import SimulationError, State, StepperConfig, run
 from leslie_sim.experiments import (
     convergence_study,
@@ -96,7 +96,7 @@ def test_weak_strong_zero_delta():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_weak_strong_series_match_the_energetics_functions(dim):
     # the campaign's one-pass relative energy, dissipation, Gronwall factor
-    # and absorption terms against the node-major functions, per sample
+    # and absorption terms against the node-major oracles, per sample
     grid = Grid.unit_box(16 if dim == 2 else 8, dim=dim)
     p, tensor = NON_PARODI_DEMO, ElasticTensor.from_entries(
         np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
@@ -119,17 +119,17 @@ def test_weak_strong_series_match_the_energetics_functions(dim):
                                  VectorField(grid, initial.d.values + delta * xi_d.values)),
                    cfg, p, tensor).states
         for i, (s, r) in enumerate(zip(pert, ref)):
-            q = en.variational_derivative(s.d, tensor, p.epsilon)
-            qr = en.variational_derivative(r.d, tensor, p.epsilon)
+            q = oracles.variational_derivative(s.d, tensor, p.epsilon)
+            qr = oracles.variational_derivative(r.d, tensor, p.epsilon)
             lo, hi = max(i - 1, 0), min(i + 1, len(ref) - 1)
             dt_dr = VectorField(grid, (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo]))
-            _, dvd, _ = en.dissipation_channels(s.v, s.d, q)
-            _, dvd_r, _ = en.dissipation_channels(r.v, r.d, qr)
+            _, dvd, _ = oracles.dissipation_channels(s.v, s.d, q)
+            _, dvd_r, _ = oracles.dissipation_channels(r.v, r.d, qr)
             dq, ddvd = q.values - qr.values, dvd - dvd_r
             expected = {
-                "E": en.relative_energy(s.v, s.d, r.v, r.d, tensor, p.epsilon),
-                "W": en.relative_dissipation(s.v, s.d, q, r.v, r.d, qr, p),
-                "K": 2.0 * en.gronwall_K(s.v, s.d, r.v, r.d, qr, dt_dr),
+                "E": oracles.relative_energy(s.v, s.d, r.v, r.d, tensor, p.epsilon),
+                "W": oracles.relative_dissipation(s.v, s.d, q, r.v, r.d, qr, p),
+                "K": 2.0 * oracles.gronwall_K(s.v, s.d, r.v, r.d, qr, dt_dr),
                 "cross": abs(p.cross_coeff * float(np.sum(dq * ddvd)) * cellvol),
                 "absorb": zeta(p) * (p.gamma * float(np.sum(dq**2))
                                      + p.directional_coeff * float(np.sum(ddvd**2))) * cellvol,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import leslie_sim.grid as g
+import oracles
 from leslie_sim.dynamics import (
     SpectralOps,
     State,
@@ -20,7 +21,7 @@ from leslie_sim.dynamics import (
     solve_helmholtz,
     step,
 )
-from leslie_sim.grid import DIRICHLET, Grid, VectorField
+from leslie_sim.grid import Grid, VectorField
 from leslie_sim.material import PARODI_DEMO
 from leslie_sim.tensor import ElasticTensor
 
@@ -169,12 +170,6 @@ def test_operators_reject_a_foreign_grid_or_a_missing_tensor():
         solve_director_implicit(_random_field(ops.grid, 4), SpectralOps(ops.grid))
 
 
-def test_projection_on_dirichlet_grid_not_implemented():
-    grid = Grid(n=(8, 8), h=(1.0 / 8, 1.0 / 8), bc=DIRICHLET)
-    with pytest.raises(NotImplementedError):
-        project_divfree(VectorField.zeros(grid))
-
-
 # ---------------------------------------------------------------------------
 # object identity
 # ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ def test_director_solve_does_not_reuse_a_freed_tensor():
     dev = np.sum(d.values**2, axis=-1) - 1.0
     explicit = (
         -(p.gamma / p.epsilon) * dev[..., None] * d.values
-        + (1.0 - cfg.theta) * p.gamma * g.laplacian_lambda(d, k5).values
+        + (1.0 - cfg.theta) * p.gamma * oracles.laplacian_lambda(d, k5).values
     )
     expected = _ref_director(
         VectorField(grid, d.values + cfg.dt * explicit), k5, cfg.theta * cfg.dt * p.gamma

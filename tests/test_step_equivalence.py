@@ -1,5 +1,6 @@
 """The once-per-step dataflow of ``Stepper.step`` against the formulas it
-replaced, and the director terms that ``run`` carries from step to step.
+replaced, the director terms that ``run`` carries from step to step, and the
+public energy functions against the node-major formulas of ``oracles``.
 
 ``_ref_step`` keeps the earlier step verbatim: it differentiates each field
 wherever a term needs it, takes q_half from the Laplacian of the midpoint
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import leslie_sim.grid as g
+import oracles
 from leslie_sim.dynamics import (
     SimulationError,
     State,
@@ -30,7 +32,14 @@ from leslie_sim.dynamics import (
     solve_director_implicit,
     solve_helmholtz,
 )
-from leslie_sim.energetics import dissipation_channels, free_energy, variational_derivative
+from leslie_sim.energetics import (
+    dissipation_channels,
+    free_energy,
+    gronwall_K,
+    relative_dissipation,
+    relative_energy,
+    variational_derivative,
+)
 from leslie_sim.experiments import weak_strong_campaign, weak_strong_experiment
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
@@ -115,7 +124,7 @@ def _ref_step(stepper, s):
         + np.einsum("...ij,...j->...i", wv, d.values)
         - p.lam * np.einsum("...ij,...j->...i", dv, d.values)
         - (p.gamma / p.epsilon) * dev[..., None] * d.values
-        + (1.0 - theta) * p.gamma * g.laplacian_lambda(d, tensor).values
+        + (1.0 - theta) * p.gamma * oracles.laplacian_lambda(d, tensor).values
     )
     d_new = solve_director_implicit(VectorField(grid, d.values + dt * explicit), stepper.ops)
 
@@ -123,7 +132,7 @@ def _ref_step(stepper, s):
     s_mid = 0.5 * (np.sum(d_new.values**2, axis=-1) + np.sum(d.values**2, axis=-1)) - 1.0
     q_half = VectorField(
         grid,
-        -g.laplacian_lambda(d_mid, tensor).values + (s_mid[..., None] / p.epsilon) * d_mid.values,
+        -oracles.laplacian_lambda(d_mid, tensor).values + (s_mid[..., None] / p.epsilon) * d_mid.values,
     )
 
     stress_expl = TensorField(grid, _ref_leslie_stress(v, d, q_half, p) - p.mu4 * dv)
@@ -204,14 +213,14 @@ def test_step_energy_and_trace_match_recomputed(tensor_name):
     assert len(traj.states) == 21
 
     for k, s in enumerate(traj.states):
-        fe = free_energy(s.d, tensor, p.epsilon)
+        fe = oracles.free_energy(s.d, tensor, p.epsilon)
         kinetic = 0.5 * g.l2_norm_sq(s.v)
         expected_total = kinetic + fe.elastic + fe.penalty
         assert traj.step_times[k] == s.t
         assert traj.step_total_energy[k] == pytest.approx(expected_total, rel=1e-13, abs=0.0)
 
-        q = variational_derivative(s.d, tensor, p.epsilon)
-        dv, dvd, ddvd = dissipation_channels(s.v, s.d, q)
+        q = oracles.variational_derivative(s.d, tensor, p.epsilon)
+        dv, dvd, ddvd = oracles.dissipation_channels(s.v, s.d, q)
         cellvol = grid.cell_volume
         row = {
             "t": s.t,
@@ -228,6 +237,50 @@ def test_step_energy_and_trace_match_recomputed(tensor_name):
         }
         for name, value in row.items():
             assert getattr(traj.trace, name)[k] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("grid_name, tensor_name", [("2d", "isotropic"), ("3d", "aniso")])
+def test_free_energy_equals_trace_rows_bit_for_bit(grid_name, tensor_name):
+    # the stepper and free_energy call one kernel on the same contiguous values
+    grid, tensor, p = GRIDS[grid_name], TENSORS[tensor_name], NON_PARODI_DEMO
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, output_every=1)
+    traj = Stepper(grid, cfg, p, tensor).run(_state(grid, seed=4))
+    assert len(traj.states) == 11
+    for k, s in enumerate(traj.states):
+        fe = free_energy(s.d, tensor, p.epsilon)
+        assert fe.elastic == traj.trace.elastic[k], k
+        assert fe.penalty == traj.trace.penalty[k], k
+
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_public_functions_equal_their_oracles(grid_name, tensor_name):
+    grid, tensor, p = GRIDS[grid_name], TENSORS[tensor_name], NON_PARODI_DEMO
+    eps = p.epsilon
+    s, r = _state(grid, seed=60), _state(grid, seed=61, amplitude=0.5)
+    dt_dr = smooth_vector_field(grid, np.random.default_rng(62))
+
+    fe, fe_ref = free_energy(s.d, tensor, eps), oracles.free_energy(s.d, tensor, eps)
+    assert fe.elastic == pytest.approx(fe_ref.elastic, rel=RTOL, abs=0.0)
+    assert fe.penalty == pytest.approx(fe_ref.penalty, rel=RTOL, abs=0.0)
+    _assert_close(g.laplacian_lambda(s.d, tensor).values,
+                  oracles.laplacian_lambda(s.d, tensor).values)
+    q, qr = (variational_derivative(x.d, tensor, eps) for x in (s, r))
+    _assert_close(q.values, oracles.variational_derivative(s.d, tensor, eps).values)
+    _assert_close(qr.values, oracles.variational_derivative(r.d, tensor, eps).values)
+    for actual, expected in zip(dissipation_channels(s.v, s.d, q),
+                                oracles.dissipation_channels(s.v, s.d, q)):
+        _assert_close(actual, expected)
+
+    scalars = {
+        "relative_energy": (relative_energy, (s.v, s.d, r.v, r.d, tensor, eps)),
+        "relative_dissipation": (relative_dissipation, (s.v, s.d, q, r.v, r.d, qr, p)),
+        "gronwall_K": (gronwall_K, (s.v, s.d, r.v, r.d, qr, dt_dr, 1.5)),
+    }
+    for name, (func, args) in scalars.items():
+        expected = getattr(oracles, name)(*args)
+        assert expected > 0.0
+        assert func(*args) == pytest.approx(expected, rel=RTOL, abs=0.0), name
 
 
 # ---------------------------------------------------------------------------
