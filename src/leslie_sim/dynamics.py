@@ -10,7 +10,9 @@ Scheme (one step):
 3. tentative velocity: theta-implicit viscous Helmholtz solve, explicit
    advection, Leslie stress and director force evaluated at the old director
    with the two-point q, plus forcing;
-4. exact FFT Leray projection onto discretely divergence-free fields.
+4. exact FFT Leray projection onto discretely divergence-free fields on
+   the Helmholtz solve's spectrum, with one inverse transform of velocity
+   and pressure stacked (:func:`_velocity_update`): four FFTs a step.
 
 Each derivative is taken once per step: one grad v serves the director
 rotation, the Leslie stress and the split advection (for a sampled state,
@@ -19,7 +21,8 @@ grad d and div(L : grad d) (:class:`DirectorTerms`) serve its step, the next
 step and the per-step energy; the two-point q uses the mean of the two
 directors' div(L : grad d), as the operator is linear; and the explicit
 momentum flux is built one column at a time, each column differentiated as
-soon as it is built.
+soon as it is built, the stress's as d alpha_j + w d_j from the factors
+alpha, w formed once per step (:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -60,7 +63,7 @@ from .energetics import EnergyTrace
 from .energetics import free_energy  # noqa: F401  (importable from here, as before)
 from .grid import Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
-from .tensor import ElasticTensor, sym
+from .tensor import ElasticTensor, outer, skw, sym
 
 
 class ProjectionError(RuntimeError):
@@ -157,6 +160,7 @@ class SpectralOps:
             shape = [1] * grid.dim
             shape[axis] = half[axis]
             sigmas.append(np.broadcast_to(s.reshape(shape), half))
+        self.sigmas = sigmas
         self.sig_sq = sig_sq = sum(s**2 for s in sigmas)
         self.helmholtz_denominator = 1.0 + helmholtz_coeff * sig_sq
         # modes where every derivative symbol vanishes carry no divergence;
@@ -170,8 +174,8 @@ class SpectralOps:
             inverse = np.linalg.inv(np.eye(3) + director_alpha * self.stiffness)
             self.director_inverse = np.ascontiguousarray(np.moveaxis(inverse, (-2, -1), (0, 1)))
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes)
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def backward(self, values_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(values_hat, s=self.grid.n, axes=self.axes)
@@ -206,40 +210,69 @@ def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
     """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0.
 
     Solves div grad p = div u exactly in Fourier space (the composite
-    central-difference Laplacian is diagonal there); modes where every
-    derivative symbol vanishes carry no divergence and are left alone.  The
-    mean of p is fixed to zero.  ``u`` is a VectorField, or the
-    component-major values (m, 3) + grid.shape of an ensemble's members
-    (then p is (m,) + grid.shape); each member is held to its own residual
-    target.  Without ``ops`` the operators of u's grid are built for this
-    call.
+    central-difference Laplacian is diagonal there) with
+    :func:`_velocity_update`; modes where every derivative symbol vanishes
+    carry no divergence and are left alone, so p has zero mean.  ``u`` is a
+    VectorField, or the component-major values (m, 3) + grid.shape of an
+    ensemble's members (then p is (m,) + grid.shape); each member is held to
+    its own residual target.  Without ``ops`` the operators of u's grid are
+    built for this call.
     """
     if ops is None:
         ops = SpectralOps(u.grid)
-    values = _members(u, ops)
-    grid, cellvol = ops.grid, ops.grid.cell_volume
-    div_u = g.divergence_components(grid, values)
-    p_values = ops.backward(ops.forward(div_u) / ops.projection_denominator)
-    p_values -= p_values.mean(axis=ops.axes, keepdims=True)
+    vp = _velocity_update(ops, _members(u, ops), tol)
+    if isinstance(u, VectorField):
+        return _as_given(u, vp[:, :3]), ScalarField(ops.grid, vp[0, 3])
+    return vp[:, :3], vp[:, 3]
 
-    out = values.copy()
+
+def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False):
+    """The members' vectors ``values`` (m, 3) + grid.shape, Helmholtz-solved
+    if ``helmholtz``, then projected, and their pressures: velocity [:, :3]
+    and pressure [:, 3] of one (m, 4) + grid.shape inverse transform.  With
+    s = sigma . u_hat (the stencil divergence has symbol i s), p_hat =
+    i s / (-|sigma|^2) and u_hat += sigma s / (-|sigma|^2).  Raises
+    ProjectionError when the stencil divergence of a member's result
+    exceeds its :func:`_projection_targets`."""
+    grid = ops.grid
+    vp_hat = np.empty((len(values), 4) + ops.sig_sq.shape, dtype=complex)
+    u_hat = ops.forward(values, out=vp_hat[:, :3])
+    if helmholtz:
+        u_hat /= ops.helmholtz_denominator
+    s = ops.sigmas[0] * u_hat[:, 0]
+    for a in range(1, grid.dim):
+        s += ops.sigmas[a] * u_hat[:, a]
+    targets = _projection_targets(ops, u_hat, s, tol)
+    s /= ops.projection_denominator
     for a in range(grid.dim):
-        out[:, a] -= g._deriv(grid, p_values, a - grid.dim)
-    div_out = g.divergence_components(grid, out)
-
-    for i in range(len(values)):
-        res = math.sqrt(float(np.vdot(div_out[i], div_out[i])) * cellvol)
-        target = tol * math.sqrt(float(np.vdot(div_u[i], div_u[i])) * cellvol) + 1e-14 * (
-            1.0 + math.sqrt(float(np.vdot(values[i], values[i])) * cellvol)
-        )
+        u_hat[:, a] += ops.sigmas[a] * s
+    np.multiply(s, 1j, out=vp_hat[:, 3])
+    vp = ops.backward(vp_hat)
+    div_out = g.divergence_components(grid, vp[:, :3])
+    for i, target in enumerate(targets):
+        res = math.sqrt(float(np.vdot(div_out[i], div_out[i])) * grid.cell_volume)
         if res > target:
             raise ProjectionError(
-                f"projection residual {res:.3e}{_member_label(i, len(values))} "
+                f"projection residual {res:.3e}{_member_label(i, len(targets))} "
                 f"exceeds target {target:.3e}"
             )
-    if isinstance(u, VectorField):
-        return _as_given(u, out), ScalarField(grid, p_values[0])
-    return out, p_values
+    return vp
+
+
+def _projection_targets(ops: SpectralOps, u_hat: np.ndarray, div_hat: np.ndarray, tol: float) -> list:
+    """Each member's projection residual target, tol |div u| + 1e-14 (1 +
+    |u|) in the L2 norm, from the half spectra of its u and of sigma . u,
+    whose norm is that of the stencil divergence.  By Parseval, where a mode
+    of the last axis other than 0 and the Nyquist mode stands for its
+    conjugate too."""
+    n, grid = ops.grid.n[-1], ops.grid
+
+    def norm(x_hat):
+        edges = x_hat[..., :: n // 2] if n % 2 == 0 else x_hat[..., :1]
+        sq = 2.0 * np.vdot(x_hat, x_hat).real - np.vdot(edges, edges).real
+        return math.sqrt(float(sq) / grid.cell_count * grid.cell_volume)
+
+    return [tol * norm(s) + 1e-14 * (1.0 + norm(u)) for u, s in zip(u_hat, div_hat)]
 
 
 def solve_director_implicit(rhs, ops: SpectralOps):
@@ -301,51 +334,43 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
     T = mu1 (d . Dv d) d x d + mu4 Dv - gamma(mu2+mu3) (d x q)_sym
         + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym
 
-    mu4 Dv plus, column by column, the stepper's kernel
-    :func:`_add_stress_column` on component-major views of the fields, as
-    the one member of an ensemble.
+    evaluated term by term in this order, so that an entry where the terms
+    nearly cancel rounds as the formula does; the stepper regroups the same
+    terms into :func:`_stress_factors`.
     """
     dv = sym(g.gradient_vec(v).values)
     dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    out = p.mu4 * dv
-    out_c = np.moveaxis(out, (-2, -1), (0, 1))[None]
-    mu1_ddvd = p.mu1 * np.einsum("...i,...i->...", d.values, dvd)[None]
-    d_c, q_c, dvd_c = (g.components(x)[None] for x in (d.values, q.values, dvd))
-    scratch = [np.empty_like(d_c) for _ in range(3)]
-    for j in range(3):
-        _add_stress_column(out_c[:, :, j], j, d_c, q_c, dvd_c, mu1_ddvd, p, scratch)
-    return TensorField(v.grid, out)
+    ddvd = np.einsum("...i,...i->...", d.values, dvd)
+    dq = outer(d.values, q.values)
+    return TensorField(v.grid, (
+        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
+        + p.mu4 * dv
+        - p.gamma * p.mu23 * sym(dq)
+        - skw(dq)
+        + p.directional_coeff * sym(outer(d.values, dvd))
+    ))
 
 
-def _add_stress_column(out, j: int, d, q, dvd, mu1_ddvd, p: ParameterSet, scratch) -> None:
-    """Add column j of the Leslie stress without mu4 Dv, (T - mu4 Dv)_ij for
-    i = 0, 1, 2, to the members' component-major ``out`` (m, 3, ...) in
-    place, given their component-major d, q and Dv d, and mu1 (d . Dv d)
-    (m, ...); ``scratch`` holds three buffers shaped like ``out``.  The terms
-    are formed and summed in the order of the formula in
-    :func:`leslie_stress`, so that an entry where they nearly cancel rounds
-    as that formula does.
-    """
-    t, u, w = scratch
-    dj = d[:, j : j + 1]
-    np.multiply(d, dj, out=t)
-    t *= mu1_ddvd[:, None]
-    out += t
-    np.multiply(d, q[:, j : j + 1], out=t)
-    np.multiply(q, dj, out=u)
-    np.add(t, u, out=w)
-    w *= 0.5 * p.gamma * p.mu23
-    out -= w
-    # orientation: (T_skw : grad v) = (q, (grad v)_skw d) pointwise, the
-    # pairing that cancels the co-rotation term in the director equation
-    t -= u
-    t *= 0.5
-    out -= t
-    np.multiply(d, dvd[:, j : j + 1], out=t)
-    np.multiply(dvd, dj, out=u)
-    t += u
-    t *= 0.5 * p.directional_coeff
-    out += t
+def _stress_factors(d, q, dvd, mu1_ddvd, p: ParameterSet):
+    """alpha = mu1 (d . Dv d) d - (gamma(mu2+mu3) + 1)/2 q + c/2 Dv d and
+    w = (1 - gamma(mu2+mu3))/2 q + c/2 Dv d, c the directional coefficient:
+    column j of the Leslie stress without mu4 Dv is d alpha_j + w d_j.  From
+    the members' component-major d, q, Dv d (m, 3, ...) and mu1 (d . Dv d)."""
+    half_dvd = (0.5 * p.directional_coeff) * dvd
+    w = (0.5 * (1.0 - p.gamma * p.mu23)) * q
+    w += half_dvd
+    alpha = (-0.5 * (p.gamma * p.mu23 + 1.0)) * q
+    alpha += half_dvd
+    alpha += np.multiply(mu1_ddvd[:, None], d, out=half_dvd)
+    return alpha, w
+
+
+def _stress_column(out, j: int, d, alpha, w, scratch) -> None:
+    """Column j of the Leslie stress without mu4 Dv, d alpha_j + w d_j,
+    into ``out`` (m, 3, ...), from the :func:`_stress_factors`; ``scratch``
+    is shaped like ``out``."""
+    np.multiply(d, alpha[:, j : j + 1], out=out)
+    out += np.multiply(w, d[:, j : j + 1], out=scratch)
 
 
 def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
@@ -440,7 +465,7 @@ class Stepper:
             director_alpha=cfg.theta * cfg.dt * p.gamma,
             helmholtz_coeff=cfg.theta * cfg.dt * 0.5 * p.mu4,
         )
-        self._contraction = tensor.contraction(grid.dim)
+        self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False
 
     def _forcing_values(self, t: float):
@@ -514,22 +539,22 @@ class Stepper:
         # explicit share is (1 - theta) mu4/2 div(grad v).  Skew-symmetric
         # (split) advection 1/2 [(v . grad) v + div(v x v)] is exactly
         # energy-neutral under the skew-adjoint central stencil.  Column j of
-        # the explicit flux -v x v / 2 + (1 - theta) mu4/2 grad v + T - mu4 Dv
+        # the explicit flux T - mu4 Dv - v x v / 2 + (1 - theta) mu4/2 grad v
         # is built in ``col`` and differentiated along axis j at once.
         ddvd *= p.mu1  # now mu1 (d . Dv d), the stress's first channel
+        alpha, w = _stress_factors(d, q_half, dvd, ddvd, p)
+        del dvd, ddvd
         viscous = (1.0 - theta) * 0.5 * p.mu4
-        col = np.empty_like(v)
-        scratch = [np.empty_like(v) for _ in range(3)]
+        col, scratch = np.empty_like(v), np.empty_like(v)
         for j in range(dim):
-            np.multiply(v, -0.5 * v[:, j : j + 1], out=col)
-            np.multiply(grad_v[:, :, j], viscous, out=scratch[0])
-            col += scratch[0]
-            _add_stress_column(col, j, d, q_half, dvd, ddvd, p, scratch)
+            _stress_column(col, j, d, alpha, w, scratch)
+            col -= np.multiply(v, 0.5 * v[:, j : j + 1], out=scratch)
+            col += np.multiply(grad_v[:, :, j], viscous, out=scratch)
             if j == 0:
                 g._deriv(grid, col, -dim, out=rhs)
             else:
-                rhs += g._deriv(grid, col, j - dim, out=scratch[0])
-        del col, scratch, dvd, ddvd
+                rhs += g._deriv(grid, col, j - dim, out=scratch)
+        del col, scratch, alpha, w
         rhs -= 0.5 * np.einsum("mij...,mj...->mi...", grad_v, v[:, :dim])
         # Ericksen force (grad d)^T q, as in ericksen_force
         rhs[:, :dim] += np.einsum("mia...,mi...->ma...", grad_d, q_half)
@@ -538,14 +563,13 @@ class Stepper:
         fvals = self._forcing_values(e.t)
         if fvals is not None:
             rhs += dt * g.components(fvals)
-        v_star = solve_helmholtz(rhs, self.ops)
 
-        # 4. projection
-        v_new, p_mult = project_divfree(v_star, self.ops, cfg.poisson_tol)
+        # 4. the Helmholtz solve and the projection on one spectrum
+        vp = _velocity_update(self.ops, rhs, cfg.poisson_tol, helmholtz=True)
         terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
         terms.grad_v = None
-        p_mult /= dt
-        out = Ensemble(grid, e.t + dt, v_new, d_new, p_mult)
+        vp[:, 3] /= dt
+        out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3])
         return out.member(0) if isinstance(s, State) else out
 
     def run(self, initial: State) -> Trajectory:

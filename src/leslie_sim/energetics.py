@@ -54,9 +54,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("mi...,mi...->m...", x, y)
 
 
-def director_terms(grid: g.Grid, contraction: np.ndarray, d: np.ndarray):
+def director_terms(grid: g.Grid, contraction: tuple, d: np.ndarray):
     """grad d, L : grad d, div(L : grad d), |d|^2 and |d|^2 - 1 of the
-    members' directors d, given ``contraction = tensor.contraction(grid.dim)``."""
+    members' directors d, given ``contraction = tensor.sparse_contraction(grid.dim)``."""
     grad = g.gradient_components(grid, d)
     flux = g.elastic_flux(grid, contraction, grad)
     d_sq = _dot(d, d)
@@ -100,7 +100,7 @@ def director_strain(grad_v: np.ndarray, d: np.ndarray):
     return gvd, dvd, _dot(d, dvd)
 
 
-def relative_energies(grid: g.Grid, contraction: np.ndarray, eps: float, v, d, d_sq) -> np.ndarray:
+def relative_energies(grid: g.Grid, contraction: tuple, eps: float, v, d, d_sq) -> np.ndarray:
     """E of each member after the first against member 0:
 
     1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
@@ -166,7 +166,7 @@ def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq
     return (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
 
 
-def relative_terms(grid: g.Grid, p: ParameterSet, contraction: np.ndarray, v, d, dt_d) -> np.ndarray:
+def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, dt_d) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each member after the first against the reference,
     member 0, at one sample: shape (5, m - 1).  q is built here; dt dr is
@@ -195,7 +195,7 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     """Elastic and penalty energy of the director field (:func:`free_energies`)."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    grad, flux, _, _, dev = director_terms(d.grid, tensor.contraction(d.grid.dim), g.members([d]))
+    grad, flux, _, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), g.members([d]))
     return free_energies(d.grid, eps, grad, flux, dev)[0]
 
 
@@ -209,7 +209,7 @@ def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) ->
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
     dm = g.members([d])
-    _, _, lap, _, dev = director_terms(d.grid, tensor.contraction(d.grid.dim), dm)
+    _, _, lap, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), dm)
     return VectorField(d.grid, g.nodal(variational_q(dm, dev, lap, eps)[0]))
 
 
@@ -218,7 +218,7 @@ def relative_energy(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: V
     """Squared-distance functional between two states
     (:func:`relative_energies`)."""
     dm = g.members([d_ref, d])
-    contraction = tensor.contraction(v.grid.dim)
+    contraction = tensor.sparse_contraction(v.grid.dim)
     return float(relative_energies(v.grid, contraction, eps, g.members([v_ref, v]), dm, _dot(dm, dm))[0])
 
 

@@ -45,7 +45,7 @@ def _relative_series(grid: Grid, p: ParameterSet, tensor: ElasticTensor, runs) -
     ref = runs[0]
     n = len(ref)
     ts = np.array([s.t for s in ref])
-    contraction = tensor.contraction(grid.dim)
+    contraction = tensor.sparse_contraction(grid.dim)
     out = np.empty((5, len(runs) - 1, n))
     for i in range(n):
         # dt dr by centred differences of the samples, one-sided at the ends

@@ -175,7 +175,9 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
     spatial axis a is ``a - dim`` there.  Central differences with index
     wrap-around; the two wrap rows go into the same buffer, so the result
     equals (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled
-    copies.  Writes into ``out`` if given.
+    copies.  Along the last axis of C-contiguous arrays the interior is one
+    flat subtract, wrong only at line ends, which the wrap rows overwrite.
+    Writes into ``out`` if given.
     """
     h = grid.h[axis]
     n = grid.n[axis]
@@ -186,9 +188,11 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
 
     if out is None:
         out = np.empty_like(values)
-    np.subtract(
-        values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))]
-    )
+    if len(lead) == values.ndim - 1 and values.flags.c_contiguous and out.flags.c_contiguous:
+        flat, flat_out = values.reshape(-1), out.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    else:
+        np.subtract(values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))])
     np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])
     np.subtract(values[sl(0)], values[sl(n - 2)], out=out[sl(n - 1)])
     out /= 2.0 * h
@@ -219,14 +223,19 @@ def divergence_components(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def elastic_flux(grid: Grid, contraction: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def elastic_flux(grid: Grid, contraction: tuple, grad: np.ndarray) -> np.ndarray:
     """L : grad d of component-major gradients (..., 3, dim) + grid.shape,
-    given ``contraction = tensor.contraction(grid.dim)``: one (3 dim) x
-    (3 dim) matrix product per node, in einsum's loops (the first BLAS call
-    of this shape would map some 0.4 MiB of work buffers, which shows in the
-    peak memory of small runs)."""
-    flat = grad.reshape((-1, contraction.shape[1]) + grid.shape)
-    return np.einsum("ab,mb...->ma...", contraction, flat).reshape(grad.shape)
+    given ``contraction = tensor.sparse_contraction(grid.dim)``: each row of
+    the (3 dim) x (3 dim) product summed over its nonzero entries only, in
+    column order, which equals the dense product bit for bit."""
+    flat = grad.reshape((-1, 3 * grid.dim) + grid.shape)
+    out = np.empty_like(flat)
+    term = np.empty_like(flat[:, 0])
+    for a, ((b, c), *rest) in enumerate(contraction):
+        np.multiply(flat[:, b], c, out=out[:, a])
+        for b, c in rest:
+            out[:, a] += np.multiply(flat[:, b], c, out=term)
+    return out.reshape(grad.shape)
 
 
 def gradient_vec(f: VectorField) -> TensorField:
@@ -260,7 +269,7 @@ def laplacian_lambda(d: VectorField, tensor: ElasticTensor) -> VectorField:
     Laplacian.  The stepper's kernels on d as a one-member ensemble."""
     grid = d.grid
     grad = gradient_components(grid, members([d]))
-    lap = divergence_components(grid, elastic_flux(grid, tensor.contraction(grid.dim), grad))
+    lap = divergence_components(grid, elastic_flux(grid, tensor.sparse_contraction(grid.dim), grad))
     return VectorField(grid, nodal(lap[0]))
 
 

@@ -102,6 +102,12 @@ class ElasticTensor:
         of L : A have no divergence on a dim-dimensional grid."""
         return np.ascontiguousarray(self.entries[:, :dim, :, :dim]).reshape(3 * dim, 3 * dim)
 
+    def sparse_contraction(self, dim: int) -> tuple:
+        """:meth:`contraction` as the (column, value) pairs of each row's
+        nonzero entries, or one zero entry, for :func:`grid.elastic_flux`."""
+        rows = self.contraction(dim)
+        return tuple(tuple((b, float(c)) for b, c in enumerate(r) if c != 0.0) or ((0, 0.0),) for r in rows)
+
 
 def _sphere_grid(n_theta: int = 13, n_phi: int = 24) -> np.ndarray:
     theta = np.linspace(0.0, np.pi, n_theta)

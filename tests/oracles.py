@@ -1,10 +1,16 @@
-"""Node-major reference formulas for the energy functionals.
+"""Reference formulas for the tests to compare the library's kernels against.
 
-The library evaluates each functional with one member-axis, component-major
-kernel in ``leslie_sim.energetics``.  These are the same formulas written
-out on node-major fields (``grid.shape + (3,)``) with the full 3 x 3
-gradient, independently of those kernels, for the tests to compare against.
+The library evaluates each energy functional with one member-axis,
+component-major kernel in ``leslie_sim.energetics``, and the step builds the
+Leslie stress from factored columns, takes L : grad d from the nonzero
+entries of the contraction and gauges its projection by Parseval.  These are
+the same formulas written out plainly -- the functionals and the stress on
+node-major fields (``grid.shape + (3,)``) with the full 3 x 3 gradient, the
+contraction as a dense product, the projection target in real space --
+independently of those kernels.
 """
+
+import math
 
 import numpy as np
 
@@ -12,7 +18,7 @@ import leslie_sim.grid as g
 from leslie_sim.energetics import EnergyBreakdown
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
-from leslie_sim.tensor import frobenius, sym
+from leslie_sim.tensor import frobenius, outer, skw, sym
 
 
 def laplacian_lambda(d, tensor):
@@ -30,6 +36,36 @@ def ibp_laplacian_residual(d, phi, tensor):
     """| (div(L : grad d), phi) + (L : grad d ; grad phi) |."""
     flux = TensorField(d.grid, tensor.apply(g.gradient_vec(d).values))
     return abs(g.inner(g.divergence_tensor(flux), phi) + g.inner(flux, g.gradient_vec(phi)))
+
+
+def elastic_flux(contraction, grad):
+    """L : grad d of component-major gradients (m, 3, dim) + grid.shape as
+    the dense product with the matrix ``tensor.contraction(dim)``."""
+    flat = grad.reshape(grad.shape[:1] + (contraction.shape[1],) + grad.shape[3:])
+    return np.einsum("ab,mb...->ma...", contraction, flat).reshape(grad.shape)
+
+
+def leslie_stress(v, d, q, p):
+    """T = mu1 (d . Dv d) d x d + mu4 Dv - gamma(mu2+mu3) (d x q)_sym
+    + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym."""
+    dv = sym(g.gradient_vec(v).values)
+    dvd = np.einsum("...ij,...j->...i", dv, d.values)
+    ddvd = np.einsum("...i,...i->...", d.values, dvd)
+    dq = outer(d.values, q.values)
+    return (
+        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
+        + p.mu4 * dv
+        - p.gamma * p.mu23 * sym(dq)
+        - skw(dq)
+        + p.directional_coeff * sym(outer(d.values, dvd))
+    )
+
+
+def projection_target(u, tol):
+    """tol |div u| + 1e-14 (1 + |u|) in the L2 norm, the residual the
+    projection of u must reach, with div the stencil divergence."""
+    div_norm = math.sqrt(g.l2_norm_sq(g.divergence_vec(u)))
+    return tol * div_norm + 1e-14 * (1.0 + math.sqrt(g.l2_norm_sq(u)))
 
 
 def free_energy(d, tensor, eps):

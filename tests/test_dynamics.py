@@ -6,7 +6,10 @@ import pytest
 import leslie_sim.dynamics as dyn
 import leslie_sim.grid as g
 from leslie_sim.dynamics import (
+    Ensemble,
+    ProjectionError,
     SimulationError,
+    SpectralOps,
     State,
     Stepper,
     StepperConfig,
@@ -159,6 +162,32 @@ def test_projection_idempotent():
     twice, _ = project_divfree(once)
     np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
     assert math.sqrt(g.l2_norm_sq(g.divergence_vec(once))) < 1e-11
+
+
+def test_projection_gate_fires_and_names_the_member():
+    # an inexact pressure solve leaves a divergence far above the target
+    grid = Grid.unit_box(16)
+    ops = SpectralOps(grid)
+    ops.projection_denominator *= 1.01
+    u = smooth_vector_field(grid, np.random.default_rng(22))
+    with pytest.raises(ProjectionError, match="exceeds target"):
+        project_divfree(u, ops)
+    members = np.stack([np.zeros((3,) + grid.shape), g.components(u.values)])
+    with pytest.raises(ProjectionError, match="of member 1 exceeds"):
+        project_divfree(members, ops)
+
+    # in the step, after a member at rest, which has nothing to project
+    still = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    _, v, d, _ = _random_fields(seed=23)
+    moving = State.initial(v, d)
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=1e-3), NON_PARODI_DEMO, TENSOR)
+    stepper.step(Ensemble.of([still, moving]))
+    stepper.ops.projection_denominator *= 1.01
+    with pytest.raises(ProjectionError, match="exceeds target") as lone:
+        stepper.step(moving)
+    assert "member" not in str(lone.value)
+    with pytest.raises(ProjectionError, match="of member 1 exceeds"):
+        stepper.step(Ensemble.of([still, moving]))
 
 
 # ---------------------------------------------------------------------------

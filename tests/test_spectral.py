@@ -15,6 +15,7 @@ from leslie_sim.dynamics import (
     SpectralOps,
     State,
     StepperConfig,
+    _projection_targets,
     max_stiff_rate,
     project_divfree,
     solve_director_implicit,
@@ -146,6 +147,20 @@ def test_projection_matches_full_spectrum(grid_name):
     _assert_close(p.values, ref_p)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_projection_target_by_parseval_matches_real_space(grid_name, tol):
+    # odd and even last axes: the half spectrum's Nyquist column exists only
+    # for even n
+    grid = GRIDS[grid_name]
+    ops = SpectralOps(grid)
+    u = _random_field(grid, 8)
+    u_hat = ops.forward(g.components(u.values)[None])
+    div_hat = sum(sig * u_hat[:, a] for a, sig in enumerate(ops.sigmas))
+    (target,) = _projection_targets(ops, u_hat, div_hat, tol)
+    assert target == pytest.approx(oracles.projection_target(u, tol), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
@@ -235,3 +250,21 @@ def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
             out = np.empty((3, grid.dim) + grid.shape)[:, -1]
             g._deriv(grid, values, axis, out=out)
             np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_deriv_of_member_arrays_and_strided_views(grid_name):
+    # the last axis of C-contiguous values and output takes one flat
+    # subtract, every other case the per-axis slices; both equal the rolled
+    # copies bit for bit
+    grid = GRIDS[grid_name]
+    rng = np.random.default_rng(9)
+    members = rng.normal(size=(2, 3) + grid.shape)
+    stacked = rng.normal(size=(2, 4) + grid.shape)
+    for values in (members, stacked[:, :3], members[..., ::-1], np.swapaxes(members, 0, 1)):
+        for axis in range(-grid.dim, 0):
+            expected = _rolled_deriv(grid, values, axis)
+            np.testing.assert_array_equal(g._deriv(grid, values, axis), expected)
+            for out in (np.empty(values.shape), np.empty(values.shape + (2,))[..., 0]):
+                g._deriv(grid, values, axis, out=out)
+                np.testing.assert_array_equal(out, expected)

@@ -27,12 +27,16 @@ from leslie_sim.dynamics import (
     Ensemble,
     Stepper,
     StepperConfig,
+    _stress_column,
+    _stress_factors,
     ericksen_force,
+    leslie_stress,
     project_divfree,
     solve_director_implicit,
     solve_helmholtz,
 )
 from leslie_sim.energetics import (
+    director_strain,
     dissipation_channels,
     free_energy,
     gronwall_K,
@@ -90,20 +94,6 @@ def _state(grid, seed, amplitude=0.3):
 # the step as it was before the once-per-step dataflow
 # ---------------------------------------------------------------------------
 
-def _ref_leslie_stress(v, d, q, p):
-    dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    dq = outer(d.values, q.values)
-    return (
-        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
-        + p.mu4 * dv
-        - p.gamma * p.mu23 * sym(dq)
-        - skw(dq)
-        + p.directional_coeff * sym(outer(d.values, dvd))
-    )
-
-
 def _ref_wide_laplacian(grid, values):
     out = np.zeros_like(values)
     for a in range(grid.dim):
@@ -135,7 +125,7 @@ def _ref_step(stepper, s):
         -oracles.laplacian_lambda(d_mid, tensor).values + (s_mid[..., None] / p.epsilon) * d_mid.values,
     )
 
-    stress_expl = TensorField(grid, _ref_leslie_stress(v, d, q_half, p) - p.mu4 * dv)
+    stress_expl = TensorField(grid, oracles.leslie_stress(v, d, q_half, p) - p.mu4 * dv)
     adv = 0.5 * (
         g.advect(v, v).values
         + g.divergence_tensor(TensorField(grid, outer(v.values, v.values))).values
@@ -153,9 +143,9 @@ def _ref_step(stepper, s):
     return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
 
 
-def _assert_close(actual, expected):
+def _assert_close(actual, expected, rtol=RTOL):
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= RTOL * scale
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +188,44 @@ def test_coupled_tensor_couples_the_absent_axis():
     np.testing.assert_array_equal(
         COUPLED.contraction(2).reshape(3, 2, 3, 2), entries[:, :2, :, :2]
     )
+
+
+# ---------------------------------------------------------------------------
+# the step's kernels against the plain formulas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_stress_kernels_match_the_formula(grid_name, tensor_name):
+    grid, p = GRIDS[grid_name], NON_PARODI_DEMO
+    s = _state(grid, seed=63, amplitude=0.5)
+    # |d| != 1, so the mu1 channel and the penalty part of q are not degenerate
+    assert np.max(np.abs(np.linalg.norm(s.d.values, axis=-1) - 1.0)) > 0.1
+    q = variational_derivative(s.d, TENSORS[tensor_name], p.epsilon)
+    expected = oracles.leslie_stress(s.v, s.d, q, p)
+    _assert_close(leslie_stress(s.v, s.d, q, p).values, expected, rtol=1e-13)
+
+    # the step's column kernel: T - mu4 Dv column by column on members
+    d = g.members([s.d])
+    _, dvd, ddvd = director_strain(g.gradient_components(grid, g.members([s.v])), d)
+    alpha, w = _stress_factors(d, g.members([q]), dvd, p.mu1 * ddvd, p)
+    cols = np.empty((3, 3) + grid.shape)
+    for j in range(3):
+        _stress_column(cols[:, j][None], j, d, alpha, w, np.empty_like(d))
+    viscous = p.mu4 * sym(g.gradient_vec(s.v).values)
+    _assert_close(np.moveaxis(cols, (0, 1), (-2, -1)), expected - viscous, rtol=1e-13)
+
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_sparse_elastic_flux_equals_the_dense_product(grid_name, tensor_name):
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    dense = tensor.contraction(grid.dim)
+    sparse = tensor.sparse_contraction(grid.dim)
+    assert sum(len(row) for row in sparse) == np.count_nonzero(dense)
+    grad = np.random.default_rng(64).normal(size=(2, 3, grid.dim) + grid.shape)
+    np.testing.assert_array_equal(g.elastic_flux(grid, sparse, grad),
+                                  oracles.elastic_flux(dense, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +535,44 @@ def test_sampled_velocity_gradient_is_carried(monkeypatch):
     # initial director and velocity, then per step the new director and the
     # sampled velocity; the step reuses the sampled velocity's gradient
     assert len(calls) == 2 + 2 * 5
+
+
+# ---------------------------------------------------------------------------
+# full-field passes of one step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("output_every", [1, 3])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_step_pass_budget(monkeypatch, grid_name, output_every):
+    calls = {"fft": 0, "deriv": 0}
+
+    def counted(func, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+                 "fft2", "ifft2", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+    monkeypatch.setattr(g, "_deriv", counted(g._deriv, "deriv"))
+    per_step = []
+    original_step = Stepper.step
+
+    def step(self, s, terms=None):
+        before = dict(calls)
+        out = original_step(self, s, terms)
+        per_step.append((calls["fft"] - before["fft"], calls["deriv"] - before["deriv"]))
+        return out
+
+    monkeypatch.setattr(Stepper, "step", step)
+    grid = GRIDS[grid_name]
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
+    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=65))
+    dim = grid.dim
+    # per step: the director solve and the velocity update, each one forward
+    # and one inverse transform; the new director's grad d and div(L : grad d),
+    # the dim momentum-flux columns and the divergence of the projected
+    # velocity, and grad v unless the sample before the step took it
+    expected = [(4, 4 * dim + (0 if (k - 1) % output_every == 0 else dim)) for k in range(1, 7)]
+    assert per_step == expected
