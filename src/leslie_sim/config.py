@@ -114,6 +114,22 @@ def _periodic(value: str):
     return value
 
 
+def _forcing(value: str) -> str:
+    make_forcing(value)  # built here only to check it
+    return value
+
+
+def _isotropic(value: str) -> ElasticTensor:
+    return ElasticTensor.isotropic(float(value))
+
+
+def _explicit(value: str) -> ElasticTensor:
+    entries = _floats(value)
+    if len(entries) != 81:
+        raise ValueError(f"elastic_entries needs 81 values, got {len(entries)}")
+    return ElasticTensor.from_entries(entries)
+
+
 def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     sections = _parse_sections(text)
 
@@ -144,7 +160,7 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         mu5=_get(sections, "material", "mu5", 1.0, float),
         mu6=_get(sections, "material", "mu6", 1.0, float),
         epsilon=_get(sections, "material", "epsilon", 0.1, float),
-        forcing=_get(sections, "material", "forcing", "zero", str),
+        forcing=_get(sections, "material", "forcing", "zero", _forcing),
     )
     violations = validate(params)
     if violations and not allow_invalid:
@@ -152,17 +168,15 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
             "material parameters violate: " + "; ".join(violations)
         )
 
+    # the tensor is built as the value's conversion, so that a bad stiffness
+    # or entry list is reported with its line
     elastic_kind = _get(sections, "material", "elastic", "isotropic", str)
     if elastic_kind == "isotropic":
-        elastic = ElasticTensor.isotropic(_get(sections, "material", "elastic_k", 1.0, float))
+        elastic = _get(sections, "material", "elastic_k", ElasticTensor.isotropic(1.0), _isotropic)
     elif elastic_kind == "explicit":
-        entries = _get(sections, "material", "elastic_entries", None, _floats)
-        if entries is None or len(entries) != 81:
+        elastic = _get(sections, "material", "elastic_entries", None, _explicit)
+        if elastic is None:
             raise ConfigError("elastic = explicit needs elastic_entries with 81 values")
-        try:
-            elastic = ElasticTensor.from_entries(entries)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
     else:
         raise ConfigError(f"material.elastic must be isotropic or explicit, got {elastic_kind!r}")
 

@@ -134,10 +134,14 @@ class SpectralOps:
     and the composite (wide) Laplacian the symbol -|sigma|^2.  The object
     holds the Helmholtz denominator 1 + helmholtz_coeff |sigma|^2 and the
     projection denominator -|sigma|^2.  Given an elasticity tensor it also
-    holds the director stiffness S_ik = sum_jl L_ijkl sigma_j sigma_l (per
-    mode, trailing 3x3) and the inverse of I + director_alpha S; S is real and
-    symmetric, so the inverse is real and is stored component-major as
-    (3, 3) + half-spectrum shape.  A Stepper builds one and keeps it.
+    holds the director stiffness S_ik = sum_jl L_ijkl sigma_j sigma_l, a sum
+    over the nonzero entries with j, l < dim (:func:`_stiffness`), and the
+    inverse of I + director_alpha S in closed form, adjugate over
+    determinant (:func:`_inverse_3x3`; no LAPACK call); both are real and
+    component-major, (3, 3) + half-spectrum shape.  ``director_blocks[i]``
+    lists the k whose block inverse[i, k] is not identically zero -- for an
+    isotropic tensor only k = i -- and :func:`solve_director_implicit`
+    multiplies only those.  A Stepper builds one and keeps it.
     """
 
     def __init__(
@@ -168,11 +172,16 @@ class SpectralOps:
         self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
         self.stiffness = None
         self.director_inverse = None
+        self.director_blocks = None
         if tensor is not None:
-            sig = np.stack(sigmas + [np.zeros(half)] * (3 - grid.dim), axis=-1)
-            self.stiffness = np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
-            inverse = np.linalg.inv(np.eye(3) + director_alpha * self.stiffness)
-            self.director_inverse = np.ascontiguousarray(np.moveaxis(inverse, (-2, -1), (0, 1)))
+            self.stiffness = _stiffness(tensor, sigmas)
+            matrix = director_alpha * self.stiffness
+            for i in range(3):
+                matrix[i, i] += 1.0
+            self.director_inverse = inverse = _inverse_3x3(matrix)
+            self.director_blocks = tuple(
+                tuple(k for k in range(3) if inverse[i, k].any()) for i in range(3)
+            )
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.rfftn(values, axes=self.axes, out=out)
@@ -183,6 +192,49 @@ class SpectralOps:
     def check_grid(self, grid: Grid) -> None:
         if grid != self.grid:
             raise ValueError("field and spectral operators live on different grids")
+
+
+def _stiffness(tensor: ElasticTensor, sigmas: list) -> np.ndarray:
+    """S_ik = sum_jl L_ijkl sigma_j sigma_l on the half spectrum of the dim
+    symbols ``sigmas``, component-major (3, 3) + half-spectrum shape: each
+    nonzero L_ijkl with j, l < dim adds L_ijkl sigma_j sigma_l to S_ik, the
+    products sigma_j sigma_l formed once each (the symbols of the axes from
+    dim on vanish)."""
+    dim = len(sigmas)
+    stiffness = np.zeros((3, 3) + sigmas[0].shape)
+    products, term = {}, np.empty(sigmas[0].shape)
+    for row, entries in enumerate(tensor.sparse_contraction(dim)):
+        i, j = divmod(row, dim)
+        for col, c in entries:
+            if c == 0.0:
+                continue
+            k, l = divmod(col, dim)
+            pair = (min(j, l), max(j, l))
+            if pair not in products:
+                products[pair] = sigmas[j] * sigmas[l]
+            stiffness[i, k] += np.multiply(products[pair], c, out=term)
+    return stiffness
+
+
+def _inverse_3x3(m: np.ndarray) -> np.ndarray:
+    """Inverse of each 3x3 matrix of component-major ``m`` (3, 3) + shape,
+    adjugate over determinant: inverse[i, k] is the cofactor of m[k, i],
+    m[k+1, i+1] m[k+2, i+2] - m[k+1, i+2] m[k+2, i+1] with indices mod 3,
+    divided by det m.  A cofactor whose two products vanish entrywise is
+    exactly zero."""
+    inverse = np.empty_like(m)
+    term = np.empty(m.shape[2:])
+    for i in range(3):
+        c1, c2 = (i + 1) % 3, (i + 2) % 3
+        for k in range(3):
+            r1, r2 = (k + 1) % 3, (k + 2) % 3
+            np.multiply(m[r1, c1], m[r2, c2], out=inverse[i, k])
+            inverse[i, k] -= np.multiply(m[r1, c2], m[r2, c1], out=term)
+    det = m[0, 0] * inverse[0, 0]
+    det += np.multiply(m[0, 1], inverse[1, 0], out=term)
+    det += np.multiply(m[0, 2], inverse[2, 0], out=term)
+    inverse /= det
+    return inverse
 
 
 def _members(u, ops: SpectralOps) -> np.ndarray:
@@ -284,16 +336,23 @@ def solve_director_implicit(rhs, ops: SpectralOps):
     The operator is block-diagonal in Fourier space: for each mode the 3x3
     matrix I + alpha * S(k), which strong ellipticity keeps positive
     definite; ``ops`` holds its real inverse, applied to the complex
-    component-major spectrum as three real-by-complex multiply-adds.
+    component-major spectrum as real-by-complex multiply-adds over the
+    blocks that are not identically zero (``ops.director_blocks``).
     """
     values = _members(rhs, ops)
     if ops.director_inverse is None:
         raise ValueError("spectral operators were built without an elasticity tensor")
     rhs_hat = ops.forward(values)
     inverse = ops.director_inverse
-    x_hat = inverse[:, 0] * rhs_hat[:, 0:1]
-    x_hat += inverse[:, 1] * rhs_hat[:, 1:2]
-    x_hat += inverse[:, 2] * rhs_hat[:, 2:3]
+    x_hat = np.empty_like(rhs_hat)
+    term = None
+    for i, blocks in enumerate(ops.director_blocks):
+        out = x_hat[:, i]
+        np.multiply(inverse[i, blocks[0]], rhs_hat[:, blocks[0]], out=out)
+        for k in blocks[1:]:
+            if term is None:
+                term = np.empty_like(out)
+            out += np.multiply(inverse[i, k], rhs_hat[:, k], out=term)
     return _as_given(rhs, ops.backward(x_hat))
 
 
@@ -311,7 +370,7 @@ def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     """Largest eigenvalue of the stiff linear operators (director elasticity
     scaled by gamma, and half the viscosity)."""
     ops = SpectralOps(grid, tensor)
-    s_mat = ops.stiffness
+    s_mat = np.moveaxis(ops.stiffness, (0, 1), (-2, -1))
     eig_max = float(np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2)))))
     return max(p.gamma * eig_max, 0.5 * p.mu4 * float(ops.sig_sq.max()))
 
@@ -399,11 +458,15 @@ class Ensemble:
 
     @classmethod
     def of(cls, states) -> "Ensemble":
-        """C-contiguous copies of the fields of states at one common time."""
+        """C-contiguous copies of the fields of states at one common time,
+        all on one grid."""
         if len({s.t for s in states}) != 1:
             raise ValueError("an ensemble needs one or more members at one time")
+        grid = states[0].v.grid
+        if any(s.v.grid != grid or s.d.grid != grid for s in states):
+            raise ValueError("the members of an ensemble must live on one grid")
         v, d = (g.members([getattr(s, f) for s in states]) for f in "vd")
-        return cls(states[0].v.grid, states[0].t, v, d, np.array([s.p.values for s in states]))
+        return cls(grid, states[0].t, v, d, np.array([s.p.values for s in states]))
 
     def member(self, i: int) -> State:
         """Member i as a State of node-major views."""
@@ -495,13 +558,14 @@ class Stepper:
             self._cfl_warned = True
 
     def step(self, s, terms: DirectorTerms | None = None):
-        """Advance a State, or every member of an Ensemble, by one step, and
-        return the same kind.  ``terms``, if given, must be those of s (else
-        they are computed from s); they are overwritten with those of the
-        result, ready for the next step."""
+        """Advance a State, or every member of an Ensemble, on the stepper's
+        grid by one step, and return the same kind.  ``terms``, if given,
+        must be those of s (else they are computed from s); they are
+        overwritten with those of the result, ready for the next step."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
         e = Ensemble.of([s]) if isinstance(s, State) else s
+        self.ops.check_grid(e.grid)
         v, d = e.v, e.d
         if terms is None:
             terms = self._director_terms(d)

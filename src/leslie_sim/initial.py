@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
+from . import grid as g
 from .grid import Grid, VectorField
 
 
@@ -25,28 +26,42 @@ class InitialSpec:
             raise ValueError(f"unknown initial-data kind {self.kind!r}")
         if len(self.director) != 3:
             raise ValueError("director must have 3 components")
+        for name in ("director", "amplitude", "v_amplitude"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"initial {name} must be finite, got {getattr(self, name)}")
 
 
 def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2) -> VectorField:
     """Mean-zero smooth random field from a few low-wavenumber Fourier modes.
 
-    Amplitudes decay like 1/(1 + |k|^2) so refinements of the same seed stay
-    smooth; the k = 0 mode is excluded.
+    The field is sum_k amp_k cos(2 pi k . x / L + phi_k) at the cell
+    centres x, over the integer vectors k in [-max_mode, max_mode]^dim other
+    than 0, with amp_k = N(0, 1)^3 / (1 + |k|^2) and phi_k uniform in
+    [0, 2 pi), drawn for each k in turn; the decay keeps refinements of the
+    same seed smooth.  It is synthesised as one inverse real FFT: each term
+    puts (N/2) amp_k exp(i(phi_k + pi sum_a k_a / n_a)) at index k mod n of
+    the half spectrum and its conjugate at -k mod n (N the cell count, the
+    pi term the shift to cell centres), keeping whichever of the two lies in
+    the half spectrum -- both in its zero and Nyquist columns.  Modes that
+    alias on a coarse grid add up at one index, as their cosines do.
     """
-    xs = grid.coords()
-    lengths = grid.lengths
-    values = np.zeros(grid.shape + (3,))
+    n = np.array(grid.n)
     ranges = [range(-max_mode, max_mode + 1)] * grid.dim
-    for k_vec in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim):
-        if not np.any(k_vec):
-            continue
-        amp = rng.normal(size=3) / (1.0 + float(np.sum(k_vec**2)))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(
-            2.0 * np.pi * k_vec[a] * xs[a] / lengths[a] for a in range(grid.dim)
-        )
-        values += np.cos(arg + phase)[..., None] * amp
-    return VectorField(grid, values)
+    ks = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    ks = ks[np.any(ks != 0, axis=1)]
+    amps, phases = np.empty((len(ks), 3)), np.empty(len(ks))
+    for t in range(len(ks)):
+        amps[t] = rng.normal(size=3)
+        phases[t] = rng.uniform(0.0, 2.0 * np.pi)
+    amps *= (0.5 * grid.cell_count / (1.0 + np.sum(ks**2, axis=1)))[:, None]
+    coeffs = amps * np.exp(1j * (phases + np.pi * np.sum(ks / n, axis=1)))[:, None]
+    spectrum = np.zeros((3,) + grid.n[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
+    for sign, values in ((1, coeffs), (-1, coeffs.conj())):
+        idx = (sign * ks) % n
+        kept = idx[:, -1] <= n[-1] // 2
+        np.add.at(spectrum, (slice(None),) + tuple(idx[kept].T), values[kept].T)
+    field = np.fft.irfftn(spectrum, s=grid.n, axes=tuple(range(1, grid.dim + 1)))
+    return VectorField(grid, g.nodal(field).copy())
 
 
 def divfree_smooth_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2) -> VectorField:

@@ -118,8 +118,8 @@ def make_forcing(spec: str):
         return None
     if spec.startswith("constant:"):
         parts = [float(v) for v in spec[len("constant:"):].split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"constant forcing needs 3 components, got {spec!r}")
+        if len(parts) != 3 or not all(math.isfinite(x) for x in parts):
+            raise ValueError(f"constant forcing needs 3 finite components, got {spec!r}")
         vec = np.asarray(parts)
 
         def constant_forcing(grid: Grid, t: float) -> VectorField:
@@ -128,6 +128,8 @@ def make_forcing(spec: str):
         return constant_forcing
     if spec.startswith("sinusoidal:"):
         amp = float(spec[len("sinusoidal:"):])
+        if not math.isfinite(amp):
+            raise ValueError(f"sinusoidal forcing needs a finite amplitude, got {spec!r}")
 
         def sinusoidal_forcing(grid: Grid, t: float) -> VectorField:
             xs = grid.coords()

@@ -7,6 +7,7 @@ routines serve both pointwise values and whole grid fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ class ElasticTensor:
     @classmethod
     def isotropic(cls, k: float = 1.0) -> "ElasticTensor":
         """L_ijkl = k delta_ik delta_jl, so L : A = k A and eta = k."""
-        if k <= 0.0:
-            raise ValueError("isotropic stiffness k must be positive")
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"isotropic stiffness k must be positive and finite, got {k}")
         eye = np.eye(3)
         entries = k * np.einsum("ik,jl->ijkl", eye, eye)
         return cls(entries=entries, eta=float(k))
@@ -123,8 +124,10 @@ def ellipticity_check(tensor: ElasticTensor, n_samples: int = 1000, seed: int = 
     """Estimate the strong-ellipticity constant of ``tensor``.
 
     Returns min over sampled unit pairs (a, b) of (a x b) : L : (a x b),
-    combining a deterministic coarse sphere grid with ``n_samples`` seeded
-    random unit pairs.  Deterministic for a given seed.
+    combining every pair of a deterministic coarse sphere grid with
+    ``n_samples`` seeded random unit pairs.  Deterministic for a given seed.
+    The sample is (a x a)_ik L_ijkl (b x b)_jl, each of its contractions a
+    two-operand ``np.einsum`` (no BLAS call).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -134,7 +137,10 @@ def ellipticity_check(tensor: ElasticTensor, n_samples: int = 1000, seed: int = 
     rnd /= np.linalg.norm(rnd, axis=-1, keepdims=True)
     a_rnd, b_rnd = rnd[:n_samples], rnd[n_samples:]
 
-    # (a x b) : L : (a x b) = L_ijkl a_i b_j a_k b_l
-    grid_vals = np.einsum("ijkl,pi,qj,pk,ql->pq", tensor.entries, grid, grid, grid, grid)
-    rnd_vals = np.einsum("ijkl,pi,pj,pk,pl->p", tensor.entries, a_rnd, b_rnd, a_rnd, b_rnd)
+    def a_side(a):
+        # (a x a)_ik L_ijkl, rows p of a
+        return np.einsum("pik,ijkl->pjl", outer(a, a), tensor.entries)
+
+    grid_vals = np.einsum("pjl,qjl->pq", a_side(grid), outer(grid, grid))
+    rnd_vals = np.einsum("pjl,pjl->p", a_side(a_rnd), outer(b_rnd, b_rnd))
     return float(min(grid_vals.min(), rnd_vals.min()))

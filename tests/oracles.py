@@ -3,11 +3,15 @@
 The library evaluates each energy functional with one member-axis,
 component-major kernel in ``leslie_sim.energetics``, and the step builds the
 Leslie stress from factored columns, takes L : grad d from the nonzero
-entries of the contraction and gauges its projection by Parseval.  These are
-the same formulas written out plainly -- the functionals and the stress on
-node-major fields (``grid.shape + (3,)``) with the full 3 x 3 gradient, the
-contraction as a dense product, the projection target in real space --
-independently of those kernels.
+entries of the contraction and gauges its projection by Parseval.  Its
+set-up synthesises smooth random fields with one inverse real FFT, samples
+the ellipticity with two-operand contractions and inverts the director
+matrices in closed form.  These are the same formulas written out plainly --
+the functionals and the stress on node-major fields (``grid.shape + (3,)``)
+with the full 3 x 3 gradient, the contraction as a dense product, the
+projection target in real space, the smooth field as a sum of cosines, the
+ellipticity sample as one einsum and the director inverse by
+``np.linalg.inv`` -- independently of those kernels.
 """
 
 import math
@@ -18,7 +22,7 @@ import leslie_sim.grid as g
 from leslie_sim.energetics import EnergyBreakdown
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
-from leslie_sim.tensor import frobenius, outer, skw, sym
+from leslie_sim.tensor import _sphere_grid, frobenius, outer, skw, sym
 
 
 def laplacian_lambda(d, tensor):
@@ -135,3 +139,48 @@ def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
         + w1p_seminorm(d_ref, 2) ** 2
     )
     return c * first * second
+
+
+def smooth_vector_field(grid, rng, max_mode=2):
+    """sum_k amp_k cos(2 pi k . x / L + phi_k) at the cell centres x, over k
+    in [-max_mode, max_mode]^dim other than 0, drawing amp_k = N(0, 1)^3 /
+    (1 + |k|^2) and then phi_k uniform in [0, 2 pi) for each k in turn."""
+    xs = grid.coords()
+    values = np.zeros(grid.shape + (3,))
+    ranges = [range(-max_mode, max_mode + 1)] * grid.dim
+    for k_vec in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim):
+        if not np.any(k_vec):
+            continue
+        amp = rng.normal(size=3) / (1.0 + float(np.sum(k_vec**2)))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        arg = sum(2.0 * np.pi * k_vec[a] * xs[a] / grid.lengths[a] for a in range(grid.dim))
+        values += np.cos(arg + phase)[..., None] * amp
+    return VectorField(grid, values)
+
+
+def ellipticity_check(tensor, n_samples=1000, seed=0):
+    """min of L_ijkl a_i b_j a_k b_l over every pair of sphere-grid directions
+    and over n_samples seeded random unit pairs."""
+    grid = _sphere_grid()
+    rng = np.random.default_rng(seed)
+    rnd = rng.normal(size=(2 * n_samples, 3))
+    rnd /= np.linalg.norm(rnd, axis=-1, keepdims=True)
+    a, b = rnd[:n_samples], rnd[n_samples:]
+    grid_vals = np.einsum("ijkl,pi,qj,pk,ql->pq", tensor.entries, grid, grid, grid, grid)
+    rnd_vals = np.einsum("ijkl,pi,pj,pk,pl->p", tensor.entries, a, b, a, b)
+    return float(min(grid_vals.min(), rnd_vals.min()))
+
+
+def director_stiffness(sigmas, tensor):
+    """S_ik = sum_jl L_ijkl sigma_j sigma_l, trailing (3, 3), from the dim
+    derivative symbols ``sigmas`` (those of the axes from dim on are 0)."""
+    shape = sigmas[0].shape
+    sig = np.stack(list(sigmas) + [np.zeros(shape)] * (3 - len(sigmas)), axis=-1)
+    return np.einsum("ijkl,...j,...l->...ik", tensor.entries, sig, sig)
+
+
+def director_inverse(sigmas, tensor, alpha):
+    """(I + alpha S)^-1 per mode by ``np.linalg.inv``, component-major
+    (3, 3) + the symbols' shape."""
+    inverse = np.linalg.inv(np.eye(3) + alpha * director_stiffness(sigmas, tensor))
+    return np.moveaxis(inverse, (-2, -1), (0, 1))

@@ -53,6 +53,20 @@ def test_non_periodic_grid_is_config_error(tmp_path, capsys, command):
     assert "config error: line 2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("text", [
+    "[material]\nelastic_k = 0\n",
+    "[material]\nelastic_k = nan\n",
+    "[material]\nforcing = bogus\n",
+    "[initial]\namplitude = nan\n",
+])
+def test_bad_material_or_initial_value_is_config_error(tmp_path, capsys, command, text):
+    path = _write(tmp_path, "bad-value.cfg", text)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "config error: " in out.err and "OK" not in out.out
+
+
 def test_bad_usage_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 

@@ -140,6 +140,36 @@ def test_explicit_elastic_entries():
         parse_config("[material]\nelastic = explicit\nelastic_entries = 1 2 3\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
+def test_bad_isotropic_stiffness_reports_line(value):
+    with pytest.raises(ConfigError, match="positive and finite") as exc_info:
+        parse_config(f"[material]\nmu1 = 1.0\nelastic_k = {value}\n")
+    assert exc_info.value.line == 3
+
+
+def test_bad_explicit_entries_report_line():
+    entries = " ".join(["nan"] + ["0"] * 80)
+    for text in (f"elastic_entries = {entries}", "elastic_entries = 1 2 3"):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(f"[material]\nelastic = explicit\n{text}\n")
+        assert exc_info.value.line == 3
+
+
+@pytest.mark.parametrize("spec", ["bogus", "constant:1,2", "constant:nan,0,0", "sinusoidal:inf"])
+def test_bad_forcing_reports_line(spec):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(f"[material]\nforcing = {spec}\n")
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("line", [
+    "amplitude = nan", "v_amplitude = inf", "director = 0 nan 1", "director = 0 0 -inf",
+])
+def test_nonfinite_initial_values_rejected(line):
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(f"[initial]\n{line}\n")
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[grid]\nn = 16\n")

@@ -1,0 +1,46 @@
+"""The smooth random fields of the initial-data catalog against the sum of
+cosines they are synthesised from (``oracles.smooth_vector_field``)."""
+
+import numpy as np
+import pytest
+
+import oracles
+from leslie_sim.grid import Grid
+from leslie_sim.initial import smooth_vector_field
+
+#: Tolerance relative to the field's largest value, fixed from float64
+#: rounding before the comparisons ran.
+TOL = 1e-13
+
+
+def _grid(dim, n, spacing):
+    if spacing == "unit":
+        return Grid.unit_box(n, dim)
+    # unequal spacing per axis, and for "mixed" unequal cell counts too
+    ns = (n, n + 1, n + 2)[:dim] if spacing == "mixed" else (n,) * dim
+    return Grid(n=ns, h=(0.1, 0.13, 0.07)[:dim])
+
+
+@pytest.mark.parametrize("spacing", ["unit", "unequal", "mixed"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_smooth_field_equals_the_cosine_sum(dim, n, spacing):
+    # at n = 4 the modes +-2 are the Nyquist mode, at n = 4 and 5 they alias
+    grid = _grid(dim, n, spacing)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    field = smooth_vector_field(grid, rng)
+    expected = oracles.smooth_vector_field(grid, ref_rng).values
+    assert np.max(np.abs(field.values - expected)) <= TOL * np.max(np.abs(expected))
+    assert field.values.flags.c_contiguous
+    # the random stream is consumed as the cosine sum consumes it
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("max_mode", [1, 3])
+def test_smooth_field_of_other_bandwidths(max_mode):
+    grid = _grid(3, 5, "mixed")
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    field = smooth_vector_field(grid, rng, max_mode=max_mode)
+    expected = oracles.smooth_vector_field(grid, ref_rng, max_mode=max_mode).values
+    assert np.max(np.abs(field.values - expected)) <= TOL * np.max(np.abs(expected))
+    assert rng.random() == ref_rng.random()

@@ -3,7 +3,9 @@ math they replace, and the periodic stencil against the rolled-copy formula.
 
 The references transform with full complex ``fftn`` and solve each Fourier
 mode with ``np.linalg.solve``; the operators under test use the real
-half spectrum and precomputed inverses, so results agree to rounding.
+half spectrum and precomputed inverses, so results agree to rounding.  The
+director stiffness and its closed-form inverse are held to the einsum and
+``np.linalg.inv`` of ``oracles``.
 """
 
 import numpy as np
@@ -28,6 +30,9 @@ from leslie_sim.tensor import ElasticTensor
 
 #: Relative tolerance, fixed from float64 rounding before the comparisons ran.
 RTOL = 1e-12
+#: Tolerance of the set-up kernels against their oracles, relative to the
+#: largest expected entry, fixed from float64 rounding before they ran.
+SETUP_TOL = 1e-13
 
 _EYE = np.eye(3)
 #: The benchmark's anisotropic tensor L = d_ik d_jl + 0.5 d_ij d_kl + 0.25 d_il d_jk.
@@ -37,7 +42,11 @@ ANISO = ElasticTensor(
     + 0.25 * np.einsum("il,jk->ijkl", _EYE, _EYE),
     eta=1.0,
 )
-TENSORS = {"isotropic": ElasticTensor.isotropic(1.7), "aniso": ANISO}
+#: A random tensor with major symmetry, positive definite as a 9 x 9 matrix:
+#: every block of its director matrices is nonzero.
+_R = np.random.default_rng(11).normal(size=(9, 9))
+COUPLED = ElasticTensor(entries=(np.eye(9) + 0.1 * (_R @ _R.T)).reshape(3, 3, 3, 3), eta=1.0)
+TENSORS = {"isotropic": ElasticTensor.isotropic(1.7), "aniso": ANISO, "coupled": COUPLED}
 
 GRIDS = {
     "2d-even": Grid.unit_box(16),
@@ -53,9 +62,9 @@ def _random_field(grid, seed):
     return VectorField(grid, np.random.default_rng(seed).normal(size=grid.shape + (3,)))
 
 
-def _assert_close(actual, expected):
+def _assert_close(actual, expected, rtol=RTOL):
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= RTOL * scale
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +179,44 @@ def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
     eig = np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2))))
     expected = max(PARODI_DEMO.gamma * eig, 0.5 * PARODI_DEMO.mu4 * sig_sq.max())
     assert max_stiff_rate(grid, tensor, PARODI_DEMO) == pytest.approx(expected, rel=RTOL)
+
+
+@pytest.mark.parametrize("alpha", [3e-3, 0.1])
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_director_inverse_in_closed_form(grid_name, tensor_name, alpha):
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    ops = SpectralOps(grid, tensor, director_alpha=alpha)
+    stiffness = oracles.director_stiffness(ops.sigmas, tensor)
+    _assert_close(np.moveaxis(ops.stiffness, (0, 1), (-2, -1)), stiffness, SETUP_TOL)
+    inverse = ops.director_inverse
+    _assert_close(inverse, oracles.director_inverse(ops.sigmas, tensor, alpha), SETUP_TOL)
+    product = np.einsum("ij...,...jk->...ik", inverse, np.eye(3) + alpha * stiffness)
+    assert np.max(np.abs(product - np.eye(3))) <= SETUP_TOL
+    # the blocks the director solve skips are exactly zero
+    for i, blocks in enumerate(ops.director_blocks):
+        assert all(not inverse[i, k].any() for k in set(range(3)) - set(blocks))
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_isotropic_director_inverse_has_zero_off_diagonal_blocks(grid_name):
+    ops = SpectralOps(GRIDS[grid_name], TENSORS["isotropic"], director_alpha=0.1)
+    assert ops.director_blocks == ((0,), (1,), (2,))
+    for i in range(3):
+        for k in range(3):
+            if k != i:
+                assert np.all(ops.director_inverse[i, k] == 0.0)
+
+
+def test_building_operators_calls_nothing_in_linalg(monkeypatch):
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    for grid in GRIDS.values():
+        for tensor in TENSORS.values():
+            SpectralOps(grid, tensor, director_alpha=3e-3, helmholtz_coeff=2e-3)
 
 
 def test_operators_reject_a_foreign_grid_or_a_missing_tensor():

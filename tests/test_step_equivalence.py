@@ -32,6 +32,7 @@ from leslie_sim.dynamics import (
     ericksen_force,
     leslie_stress,
     project_divfree,
+    run_ensemble,
     solve_director_implicit,
     solve_helmholtz,
 )
@@ -468,6 +469,22 @@ def test_ensemble_step_returns_an_ensemble_of_lone_steps():
         _assert_same_state(out.member(i), _stepper().step(s))
     with pytest.raises(ValueError):
         Ensemble.of([states[0], State(1e-3, states[1].v, states[1].d, states[1].p)])
+
+
+def test_members_on_different_grids_are_rejected():
+    # the same shape at another spacing: stepping member 1 on member 0's grid
+    # would give it another run than its lone one, and the result member 0's grid
+    fine, coarse = GRIDS["2d"], Grid(n=(16, 16), h=(1.0 / 8, 1.0 / 8))
+    a, b = _state(fine, seed=48), _state(coarse, seed=49)
+    with pytest.raises(ValueError, match="one grid"):
+        Ensemble.of([a, b])
+    with pytest.raises(ValueError, match="one grid"):
+        Ensemble.of([State.initial(b.v, a.d)])
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3)
+    with pytest.raises(ValueError, match="one grid"):
+        run_ensemble([a, b], cfg, NON_PARODI_DEMO, ANISO)
+    with pytest.raises(ValueError, match="different grids"):
+        _stepper().step(b)
 
 
 def test_nonfinite_member_raises_naming_it_with_its_last_sample():

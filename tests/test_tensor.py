@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from leslie_sim.tensor import (
     ElasticTensor,
     EllipticityError,
@@ -46,10 +48,9 @@ def test_isotropic_apply_scales():
 
 
 def test_isotropic_rejects_nonpositive_stiffness():
-    with pytest.raises(ValueError):
-        ElasticTensor.isotropic(0.0)
-    with pytest.raises(ValueError):
-        ElasticTensor.isotropic(-1.0)
+    for k in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ElasticTensor.isotropic(k)
 
 
 def test_major_symmetry_enforced():
@@ -64,6 +65,30 @@ def test_ellipticity_check_isotropic():
     tensor = ElasticTensor.isotropic(2.0)
     eta = ellipticity_check(tensor, n_samples=500, seed=3)
     assert eta == pytest.approx(2.0, rel=1e-12)
+
+
+_EYE = np.eye(3)
+_R = np.random.default_rng(12).normal(size=(9, 9))
+ELLIPTIC = {
+    "isotropic": ElasticTensor.isotropic(2.0),
+    "aniso": ElasticTensor(
+        entries=np.einsum("ik,jl->ijkl", _EYE, _EYE)
+        + 0.5 * np.einsum("ij,kl->ijkl", _EYE, _EYE)
+        + 0.25 * np.einsum("il,jk->ijkl", _EYE, _EYE),
+        eta=1.0,
+    ),
+    # major symmetry and positive definite as a 9 x 9 matrix
+    "random-spd": ElasticTensor(entries=(np.eye(9) + 0.3 * (_R @ _R.T)).reshape(3, 3, 3, 3), eta=1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(ELLIPTIC))
+def test_ellipticity_check_matches_the_einsum_sample(name, seed):
+    tensor = ELLIPTIC[name]
+    expected = oracles.ellipticity_check(tensor, n_samples=700, seed=seed)
+    got = ellipticity_check(tensor, n_samples=700, seed=seed)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_from_entries_accepts_isotropic():
