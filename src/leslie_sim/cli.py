@@ -7,6 +7,7 @@ converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -51,16 +52,26 @@ def _cmd_simulate(args) -> int:
         print("refusing to simulate with invalid parameters", file=sys.stderr)
         return EXIT_USAGE
     state = make_initial_state(cfg.grid, cfg.initial)
+    snap_dir = args.snapshots or cfg.snapshot_dir
+    if snap_dir:
+        os.makedirs(snap_dir, exist_ok=True)
+    written = itertools.count()
+
+    def observe(sample):
+        # each snapshot is written as it is sampled; no state is kept
+        if snap_dir:
+            path = os.path.join(snap_dir, f"state_{next(written):05d}.snap")
+            write_snapshot(sample.member(0), path)
+
     try:
         traj = dynamics.run(
             state, cfg.stepper, cfg.params, cfg.elastic,
-            forcing=cfg.forcing(), allow_invalid=args.allow_invalid,
+            forcing=cfg.forcing(), allow_invalid=args.allow_invalid, observer=observe,
         )
     except dynamics.SimulationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
-        if args.snapshots and exc.last_state is not None:
-            os.makedirs(args.snapshots, exist_ok=True)
-            path = os.path.join(args.snapshots, "last_valid.snap")
+        if snap_dir and exc.last_state is not None:
+            path = os.path.join(snap_dir, "last_valid.snap")
             write_snapshot(exc.last_state, path)
             print(f"last valid state saved to {path}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -69,14 +80,8 @@ def _cmd_simulate(args) -> int:
     trace_path = args.trace or cfg.trace_path
     if trace_path:
         write_trace_csv(trace_path, energy=traj.trace, residual=residual)
-    snap_dir = args.snapshots or cfg.snapshot_dir
-    if snap_dir:
-        os.makedirs(snap_dir, exist_ok=True)
-        for i, s in enumerate(traj.states):
-            write_snapshot(s, os.path.join(snap_dir, f"state_{i:05d}.snap"))
-    final = traj.states[-1]
     print(
-        f"PASS: simulated to t = {final.t:.6g}, "
+        f"PASS: simulated to t = {traj.trace.t[-1]:.6g}, "
         f"total energy {traj.trace.total[-1]:.6g} "
         f"(initial {traj.trace.total[0]:.6g})"
     )

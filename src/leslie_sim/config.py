@@ -7,6 +7,7 @@ key has a documented default, so the empty config is valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import StepperConfig
@@ -100,8 +101,15 @@ def _get(sections, section, key, default, convert):
         raise ConfigError(f"bad value for {section}.{key}: {exc}", lineno)
 
 
-def _floats(value: str):
-    return [float(v) for v in value.replace(",", " ").split()]
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def _finite_floats(value: str) -> list:
+    return [_finite(v) for v in value.replace(",", " ").split()]
 
 
 def _ints(value: str):
@@ -124,7 +132,7 @@ def _isotropic(value: str) -> ElasticTensor:
 
 
 def _explicit(value: str) -> ElasticTensor:
-    entries = _floats(value)
+    entries = _finite_floats(value)
     if len(entries) != 81:
         raise ValueError(f"elastic_entries needs 81 values, got {len(entries)}")
     return ElasticTensor.from_entries(entries)
@@ -139,7 +147,7 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     n = _get(sections, "grid", "n", [32] * dim, _ints)
     if len(n) == 1:
         n = n * dim
-    length = _get(sections, "grid", "length", [1.0] * dim, _floats)
+    length = _get(sections, "grid", "length", [1.0] * dim, _finite_floats)
     if len(length) == 1:
         length = length * dim
     if len(n) != dim or len(length) != dim:
@@ -151,15 +159,15 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         raise ConfigError(str(exc))
 
     params = ParameterSet(
-        lam=_get(sections, "material", "lambda", 1.0, float),
-        gamma=_get(sections, "material", "gamma", 1.0, float),
-        mu1=_get(sections, "material", "mu1", 1.0, float),
-        mu2=_get(sections, "material", "mu2", 0.5, float),
-        mu3=_get(sections, "material", "mu3", 0.5, float),
-        mu4=_get(sections, "material", "mu4", 1.0, float),
-        mu5=_get(sections, "material", "mu5", 1.0, float),
-        mu6=_get(sections, "material", "mu6", 1.0, float),
-        epsilon=_get(sections, "material", "epsilon", 0.1, float),
+        lam=_get(sections, "material", "lambda", 1.0, _finite),
+        gamma=_get(sections, "material", "gamma", 1.0, _finite),
+        mu1=_get(sections, "material", "mu1", 1.0, _finite),
+        mu2=_get(sections, "material", "mu2", 0.5, _finite),
+        mu3=_get(sections, "material", "mu3", 0.5, _finite),
+        mu4=_get(sections, "material", "mu4", 1.0, _finite),
+        mu5=_get(sections, "material", "mu5", 1.0, _finite),
+        mu6=_get(sections, "material", "mu6", 1.0, _finite),
+        epsilon=_get(sections, "material", "epsilon", 0.1, _finite),
         forcing=_get(sections, "material", "forcing", "zero", _forcing),
     )
     violations = validate(params)
@@ -182,31 +190,35 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
 
     try:
         stepper = StepperConfig(
-            dt=_get(sections, "stepper", "dt", 5e-4, float),
-            t_end=_get(sections, "stepper", "t_end", 0.5, float),
-            poisson_tol=_get(sections, "stepper", "poisson_tol", 1e-10, float),
+            dt=_get(sections, "stepper", "dt", 5e-4, _finite),
+            t_end=_get(sections, "stepper", "t_end", 0.5, _finite),
+            poisson_tol=_get(sections, "stepper", "poisson_tol", 1e-10, _finite),
             output_every=_get(sections, "stepper", "output_every", 1, int),
-            theta=_get(sections, "stepper", "theta", 0.3, float),
+            theta=_get(sections, "stepper", "theta", 0.3, _finite),
         )
+    except ConfigError:  # a bad value, already reported with its line
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc))
 
     try:
         initial = InitialSpec(
             kind=_get(sections, "initial", "kind", "perturbed", str),
-            director=tuple(_get(sections, "initial", "director", [0.0, 0.0, 1.0], _floats)),
+            director=tuple(_get(sections, "initial", "director", [0.0, 0.0, 1.0], _finite_floats)),
             seed=_get(sections, "initial", "seed", 0, int),
-            amplitude=_get(sections, "initial", "amplitude", 0.1, float),
-            v_amplitude=_get(sections, "initial", "v_amplitude", 0.1, float),
+            amplitude=_get(sections, "initial", "amplitude", 0.1, _finite),
+            v_amplitude=_get(sections, "initial", "v_amplitude", 0.1, _finite),
         )
+    except ConfigError:  # a bad value, already reported with its line
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc))
 
     experiment = ExperimentConfig(
-        gronwall_c=_get(sections, "experiment", "gronwall_c", 1.0, float),
-        tol_energy=_get(sections, "experiment", "tol_energy", 1e-6, float),
-        tol_step=_get(sections, "experiment", "tol_step", 1e-10, float),
-        delta=_get(sections, "experiment", "delta", 1e-3, float),
+        gronwall_c=_get(sections, "experiment", "gronwall_c", 1.0, _finite),
+        tol_energy=_get(sections, "experiment", "tol_energy", 1e-6, _finite),
+        tol_step=_get(sections, "experiment", "tol_step", 1e-10, _finite),
+        delta=_get(sections, "experiment", "delta", 1e-3, _finite),
         seed=_get(sections, "experiment", "seed", 7, int),
     )
 

@@ -12,17 +12,20 @@ Scheme (one step):
    with the two-point q, plus forcing;
 4. exact FFT Leray projection onto discretely divergence-free fields on
    the Helmholtz solve's spectrum, with one inverse transform of velocity
-   and pressure stacked (:func:`_velocity_update`): four FFTs a step.
+   and pressure stacked (:func:`_velocity_update`): four FFTs a step, two
+   at theta = 0, where both implicit operators are the identity and the
+   step makes no director solve and no Helmholtz divide.
 
 Each derivative is taken once per step: one grad v serves the director
 rotation, the Leslie stress and the split advection (for a sampled state,
-the grad v its diagnostics took serves the next step); each director's
-grad d and div(L : grad d) (:class:`DirectorTerms`) serve its step, the next
-step and the per-step energy; the two-point q uses the mean of the two
-directors' div(L : grad d), as the operator is linear; and the explicit
-momentum flux is built one column at a time, each column differentiated as
-soon as it is built, the stress's as d alpha_j + w d_j from the factors
-alpha, w formed once per step (:func:`_stress_factors`).
+the grad v and the director strain its diagnostics took serve the next
+step); each director's grad d and div(L : grad d) (:class:`DirectorTerms`)
+serve its step, the next step and the per-step energy; the two-point q
+uses the mean of the two directors' div(L : grad d), as the operator is
+linear; and the explicit momentum flux is built one column at a time, each
+column differentiated as soon as it is built, the stress's as
+d alpha_j + w d_j from the factors alpha, w formed once per step
+(:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,8 +113,10 @@ class StepperConfig:
     theta: float = 0.3
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if not (0.0 < self.poisson_tol <= 1e-6):
             raise ValueError("poisson_tol must lie in (0, 1e-6]")
         if self.output_every < 1:
@@ -480,18 +485,21 @@ class DirectorTerms:
     """grad d, div(L : grad d), |d|^2 - 1 and the free energy of each
     member's director, component-major with the member axis leading,
     computed once and shared by the two steps and the diagnostics that need
-    them; and grad v of the same state once the diagnostics have taken it."""
+    them; and grad v of the same state and its :func:`energetics.director_strain`
+    once the diagnostics have taken them, for the next step, which clears
+    them."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
     dev: np.ndarray  # (m,) + grid.shape
     energy: list  # one energetics.EnergyBreakdown per member
     grad_v: np.ndarray | None = None  # (m, 3, dim) + grid.shape
+    strain: tuple | None = None  # (grad v) d, Dv d, d . Dv d
 
 
 @dataclass
 class Trajectory:
-    states: list  # sampled States (including the initial one)
+    states: list  # sampled States (including the initial one); none with an observer
     trace: EnergyTrace
     step_times: np.ndarray
     step_total_energy: np.ndarray
@@ -522,12 +530,13 @@ class Stepper:
         self.p = p
         self.tensor = tensor
         self.forcing = forcing
-        self.ops = SpectralOps(
-            grid,
-            tensor,
-            director_alpha=cfg.theta * cfg.dt * p.gamma,
-            helmholtz_coeff=cfg.theta * cfg.dt * 0.5 * p.mu4,
-        )
+        director_alpha = cfg.theta * cfg.dt * p.gamma
+        helmholtz_coeff = cfg.theta * cfg.dt * 0.5 * p.mu4
+        self.ops = SpectralOps(grid, tensor, director_alpha=director_alpha, helmholtz_coeff=helmholtz_coeff)
+        # at theta = 0 both implicit operators are exactly the identity: the
+        # step then makes no director solve and no Helmholtz divide
+        self._director_solve = director_alpha != 0.0
+        self._helmholtz = helmholtz_coeff != 0.0
         self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False
 
@@ -575,8 +584,12 @@ class Stepper:
 
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        grad_v = terms.grad_v if terms.grad_v is not None else g.gradient_components(grid, v)
-        grad_v_d, dvd, ddvd = en.director_strain(grad_v, d)
+        if terms.grad_v is None:
+            grad_v = g.gradient_components(grid, v)
+            grad_v_d, dvd, ddvd = en.director_strain(grad_v, d)
+        else:  # taken by the diagnostics of the sample s
+            grad_v, (grad_v_d, dvd, ddvd) = terms.grad_v, terms.strain
+            terms.strain = None
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
         del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
@@ -584,7 +597,10 @@ class Stepper:
         rhs += ((1.0 - theta) * p.gamma) * terms.lap
         rhs *= dt
         rhs += d
-        d_new = solve_director_implicit(rhs, self.ops)
+        if self._director_solve:
+            d_new = solve_director_implicit(rhs, self.ops)
+        else:  # the explicit update is the new director; rhs needs a new buffer
+            d_new, rhs = rhs, np.empty_like(rhs)
         new = self._director_terms(d_new)
 
         # 2. two-point variational derivative: the exact discrete gradient of
@@ -593,7 +609,7 @@ class Stepper:
         # discrete energy balance; div(L : grad .) of the midpoint is the mean
         q_half = d + d_new
         q_half *= ((0.5 / p.epsilon) * (0.5 * (terms.dev + new.dev)))[:, None]
-        # the solve has consumed the director right-hand side: reuse its buffer
+        # the director right-hand side is consumed: reuse its buffer
         np.add(terms.lap, new.lap, out=rhs)
         rhs *= 0.5
         q_half -= rhs
@@ -629,79 +645,98 @@ class Stepper:
             rhs += dt * g.components(fvals)
 
         # 4. the Helmholtz solve and the projection on one spectrum
-        vp = _velocity_update(self.ops, rhs, cfg.poisson_tol, helmholtz=True)
+        vp = _velocity_update(self.ops, rhs, cfg.poisson_tol, helmholtz=self._helmholtz)
         terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
         terms.grad_v = None
         vp[:, 3] /= dt
         out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3])
         return out.member(0) if isinstance(s, State) else out
 
-    def run(self, initial: State) -> Trajectory:
-        return self.run_ensemble([initial])[0]
+    def run(self, initial: State, observer=None) -> Trajectory:
+        return self.run_ensemble([initial], observer)[0]
 
-    def run_ensemble(self, initials) -> list:
+    def run_ensemble(self, initials, observer=None) -> list:
         """Run the states ``initials``, all at one time, as one ensemble: one
         step call per step advances every member.  Returns one Trajectory
         per member, bit for bit that of the member's lone run.  A member
         that turns non-finite raises SimulationError naming it, with its
-        last sample."""
+        last sample.
+
+        Without ``observer`` each Trajectory keeps a copy of every sampled
+        state.  With one, ``observer(ensemble)`` is called with each sampled
+        Ensemble in order, the initial one included, and the trajectories
+        keep no states: memory is flat in trajectory length.  The stepper
+        never writes into a state it has returned, so an observer may keep
+        what it is handed without copying it; it must not write into it.
+        """
         cfg = self.cfg
         state = Ensemble.of(initials)
         m = len(initials)
         n_steps = max(0, int(round((cfg.t_end - state.t) / cfg.dt)))
+        # each member's trace, field by field in EnergyTrace order, a column
+        # per sample
+        names = [f.name for f in fields(EnergyTrace)]
+        trace = np.empty((m, len(names), 1 + -(-n_steps // cfg.output_every)))
+        step_times = np.empty(n_steps + 1)
+        step_energy = np.empty((m, n_steps + 1))
+        samples = [[] for _ in range(m)]  # copies, kept without an observer
+        last = None  # the last sample handed to the observer
 
         terms = self._director_terms(state.d)
-        samples = [[state.member(i).copy()] for i in range(m)]
-        rows = [[row] for row in self._diagnostics(state, terms)]
-        step_times = [state.t]
-        step_energy = [[r[0]["total"]] for r in rows]
-
-        for k in range(1, n_steps + 1):
-            state = self.step(state, terms)
-            finite = np.isfinite(state.v).reshape(m, -1).all(axis=1)
-            finite &= np.isfinite(state.d).reshape(m, -1).all(axis=1)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise SimulationError(
-                    f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
-                    last_state=samples[i][-1],
-                )
-            step_times.append(state.t)
+        j = 0
+        for k in range(n_steps + 1):
+            if k > 0:
+                state = self.step(state, terms)
+                finite = np.isfinite(state.v).reshape(m, -1).all(axis=1)
+                finite &= np.isfinite(state.d).reshape(m, -1).all(axis=1)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    raise SimulationError(
+                        f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
+                        last_state=samples[i][-1] if observer is None else last.member(i),
+                    )
+            step_times[k] = state.t
             for i, fe in enumerate(terms.energy):
-                step_energy[i].append(self._kinetic(state.v[i]) + fe.elastic + fe.penalty)
+                step_energy[i, k] = self._kinetic(state.v[i]) + fe.elastic + fe.penalty
             if k % cfg.output_every == 0 or k == n_steps:
+                # the observer runs before the diagnostics, which leave grad v
+                # and the strain in ``terms``, so its temporaries and those
+                # arrays are not alive at once
+                if observer is None:
+                    for i in range(m):
+                        samples[i].append(state.member(i).copy())
+                else:
+                    observer(state)
+                    last = state
                 for i, row in enumerate(self._diagnostics(state, terms)):
-                    samples[i].append(state.member(i).copy())
-                    rows[i].append(row)
+                    trace[i, :, j] = [row[name] for name in names]
+                j += 1
 
         return [
-            Trajectory(
-                states=samples[i],
-                trace=EnergyTrace(**{name: np.array([r[name] for r in rows[i]]) for name in rows[i][0]}),
-                step_times=np.array(step_times),
-                step_total_energy=np.array(step_energy[i]),
-            )
+            Trajectory(samples[i], EnergyTrace(*trace[i]), step_times, step_energy[i])
             for i in range(m)
         ]
 
     def _diagnostics(self, e: Ensemble, terms: DirectorTerms) -> list:
         """Energies and dissipation channels of each member, from the
-        carried director terms; leaves grad v in ``terms`` for the next
-        step."""
+        carried director terms; leaves grad v and the director strain in
+        ``terms`` for the next step."""
         p, grid = self.p, self.grid
         dim, cellvol = grid.dim, grid.cell_volume
         v, d = e.v, e.d
-        q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
-        # Dv d, d . Dv d and |Dv|^2, where the rows of grad v beyond dim
-        # enter Dv twice, halved
         grad_v = terms.grad_v = g.gradient_components(grid, v)
-        dvd, ddvd = en.director_strain(grad_v, d)[1:]
+        # |Dv|^2, where the rows of grad v beyond dim enter Dv twice, halved;
+        # taken first, so that its temporary is gone before the strain is kept
         block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
-        rest = grad_v[:, dim:]
+        dv_sq = [0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r))
+                 for b, r in zip(block, grad_v[:, dim:])]
+        del block
+        q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
+        terms.strain = en.director_strain(grad_v, d)
+        dvd, ddvd = terms.strain[1:]
         fvals = self._forcing_values(e.t)
         rows = []
         for i, fe in enumerate(terms.energy):
-            dv_sq = 0.25 * float(np.vdot(block[i], block[i])) + 0.5 * float(np.vdot(rest[i], rest[i]))
             kinetic = self._kinetic(v[i])
             g_power = 0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * cellvol
             rows.append({
@@ -711,7 +746,7 @@ class Stepper:
                 "penalty": fe.penalty,
                 "total": kinetic + fe.elastic + fe.penalty,
                 "diss_mu1": p.mu1 * float(np.vdot(ddvd[i], ddvd[i])) * cellvol,
-                "diss_mu4": p.mu4 * dv_sq * cellvol,
+                "diss_mu4": p.mu4 * dv_sq[i] * cellvol,
                 "diss_dir": p.directional_coeff * float(np.vdot(dvd[i], dvd[i])) * cellvol,
                 "diss_q": p.gamma * float(np.vdot(q[i], q[i])) * cellvol,
                 "cross_term": p.cross_coeff * float(np.vdot(q[i], dvd[i])) * cellvol,
@@ -738,8 +773,9 @@ def run(
     tensor: ElasticTensor,
     forcing=None,
     allow_invalid: bool = False,
+    observer=None,
 ) -> Trajectory:
-    return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run(initial)
+    return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run(initial, observer)
 
 
 def run_ensemble(
@@ -749,5 +785,8 @@ def run_ensemble(
     tensor: ElasticTensor,
     forcing=None,
     allow_invalid: bool = False,
+    observer=None,
 ) -> list:
-    return Stepper(initials[0].v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(initials)
+    return Stepper(initials[0].v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(
+        initials, observer
+    )

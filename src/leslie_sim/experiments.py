@@ -37,25 +37,31 @@ class ComparisonReport:
     absorb_rhs: np.ndarray  # zeta * (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2)
 
 
-def _relative_series(grid: Grid, p: ParameterSet, tensor: ElasticTensor, runs) -> np.ndarray:
+@dataclass
+class _Sample:
+    """A sampled ensemble's time and C-contiguous component-major member
+    velocities and directors (m, 3) + grid.shape."""
+
+    t: float
+    v: np.ndarray
+    d: np.ndarray
+
+
+def _relative_column(grid: Grid, p: ParameterSet, contraction: tuple, lo: _Sample, at: _Sample,
+                     hi: _Sample) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
-    absorption bound of each run in ``runs[1:]`` against the reference
-    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples), from
-    :func:`energetics.relative_terms` of the runs stacked as members."""
-    ref = runs[0]
-    n = len(ref)
-    ts = np.array([s.t for s in ref])
-    contraction = tensor.sparse_contraction(grid.dim)
-    out = np.empty((5, len(runs) - 1, n))
-    for i in range(n):
-        # dt dr by centred differences of the samples, one-sided at the ends
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        dt_d = np.zeros_like(ref[i].d.values) if n == 1 else (
-            (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo])
-        )
-        v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
-        out[:, :, i] = en.relative_terms(grid, p, contraction, v, d, dt_d)
-    return out
+    absorption bound of each member after the first against the reference,
+    member 0, at the sample ``at``: shape (5, m - 1), from
+    :func:`energetics.relative_terms`.  dt dr is the difference quotient of
+    the reference between the samples ``lo`` and ``hi`` -- centred, or
+    one-sided at an end, where one of them is ``at`` -- and zero when ``lo``
+    is ``hi``, a lone sample."""
+    if lo is hi:
+        dt_d = np.zeros(grid.shape + (3,))
+    else:
+        dt_d = np.subtract(g.nodal(hi.d[0]), g.nodal(lo.d[0]), order="C")
+        dt_d /= hi.t - lo.t
+    return en.relative_terms(grid, p, contraction, at.v, at.d, dt_d)
 
 
 def weak_strong_campaign(
@@ -80,6 +86,11 @@ def weak_strong_campaign(
     empirical constant making the bound hold.  Each member of the ensemble
     evolves as it does alone, so a report equals that of a campaign with
     its delta alone.
+
+    The relative terms are evaluated while the ensemble runs, from a window
+    of the last three samples (the centred difference quotient of the
+    reference director needs the samples on both sides), so no sampled
+    state is kept and memory is flat in trajectory length.
     """
     require_valid(p)
     rng = np.random.default_rng(seed)
@@ -93,10 +104,22 @@ def weak_strong_campaign(
         )
         for delta in deltas
     ]
-    runs = [traj.states for traj in dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing)]
-    series = _relative_series(grid, p, tensor, runs)
-    ts = np.array([s.t for s in runs[0]])
-    return [_comparison(delta, ts, *series[:, k], c) for k, delta in enumerate(deltas)]
+    # the relative terms of sample i are taken when sample i + 1 arrives, and
+    # those of the last sample after the run, so a window of three samples
+    # (i - 1, i, i + 1) serves the centred dt dr
+    contraction = tensor.sparse_contraction(grid.dim)
+    window, columns = [], []
+
+    def observe(e):
+        window.append(_Sample(e.t, np.ascontiguousarray(e.v), np.ascontiguousarray(e.d)))
+        if len(window) > 1:
+            columns.append(_relative_column(grid, p, contraction, window[0], window[-2], window[-1]))
+            del window[:-2]
+
+    traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
+    columns.append(_relative_column(grid, p, contraction, window[0], window[-1], window[-1]))
+    series = np.stack(columns, axis=-1)
+    return [_comparison(delta, traj.trace.t, *series[:, k], c) for k, delta in enumerate(deltas)]
 
 
 def _comparison(delta, ts, E, W, K, cross_abs, absorb_rhs, c) -> ComparisonReport:
@@ -150,6 +173,10 @@ def weak_strong_experiment(
 # energy-law monitor
 # ---------------------------------------------------------------------------
 
+def _keep_nothing(sample) -> None:
+    """An observer for a run whose sampled states nothing reads."""
+
+
 @dataclass
 class EnergyReport:
     passed: bool
@@ -176,7 +203,7 @@ def energy_monitor(
     tol_step * E(0) and (b) the energy-inequality residual below
     tol_energy * E(0) at every sample time.
     """
-    traj = dynamics.run(initial, cfg, p, tensor, forcing=forcing)
+    traj = dynamics.run(initial, cfg, p, tensor, forcing=forcing, observer=_keep_nothing)
     residual = en.energy_inequality_residual(traj.trace, p)
     e0 = traj.trace.total[0]
     scale = max(e0, 1e-300)

@@ -39,8 +39,8 @@ class Grid:
             raise ValueError("n and h must have the same length")
         if any(v < 4 for v in n):
             raise ValueError("need at least 4 cells per axis")
-        if any(v <= 0.0 for v in h):
-            raise ValueError("grid spacing must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in h):
+            raise ValueError(f"grid spacing must be positive and finite, got {h}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "cell_volume", math.prod(h))

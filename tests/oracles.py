@@ -11,7 +11,10 @@ the functionals and the stress on node-major fields (``grid.shape + (3,)``)
 with the full 3 x 3 gradient, the contraction as a dense product, the
 projection target in real space, the smooth field as a sum of cosines, the
 ellipticity sample as one einsum and the director inverse by
-``np.linalg.inv`` -- independently of those kernels.
+``np.linalg.inv`` -- independently of those kernels.  The weak-strong
+campaign evaluates its relative terms while the ensemble runs, from a
+window of three samples; :func:`relative_series` evaluates them after the
+run from every retained sample.
 """
 
 import math
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 import leslie_sim.grid as g
-from leslie_sim.energetics import EnergyBreakdown
+from leslie_sim.energetics import EnergyBreakdown, relative_terms
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
 from leslie_sim.tensor import _sphere_grid, frobenius, outer, skw, sym
@@ -139,6 +142,28 @@ def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
         + w1p_seminorm(d_ref, 2) ** 2
     )
     return c * first * second
+
+
+def relative_series(grid, p, tensor, runs):
+    """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
+    absorption bound of each run in ``runs[1:]`` against the reference
+    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples), from
+    :func:`energetics.relative_terms` of the runs' retained sampled States
+    stacked as members, with dt dr by centred differences of the samples
+    (one-sided at the ends, zero for a lone sample)."""
+    ref = runs[0]
+    n = len(ref)
+    ts = np.array([s.t for s in ref])
+    contraction = tensor.sparse_contraction(grid.dim)
+    out = np.empty((5, len(runs) - 1, n))
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        dt_d = np.zeros_like(ref[i].d.values) if n == 1 else (
+            (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo])
+        )
+        v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
+        out[:, :, i] = relative_terms(grid, p, contraction, v, d, dt_d)
+    return out
 
 
 def smooth_vector_field(grid, rng, max_mode=2):

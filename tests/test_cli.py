@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from leslie_sim import dynamics
 from leslie_sim.cli import main
-from leslie_sim.snapshot import read_snapshot, read_trace_csv
+from leslie_sim.config import load_config
+from leslie_sim.initial import make_initial_state
+from leslie_sim.snapshot import read_snapshot, read_trace_csv, write_snapshot
 
 GOOD = """
 [grid]
@@ -13,6 +16,21 @@ t_end = 0.01
 [initial]
 kind = perturbed
 seed = 2
+"""
+
+#: Blows up at step 4, after the samples at steps 0 and 3.
+BLOWUP = """
+[grid]
+n = 16
+[stepper]
+dt = 0.4
+t_end = 40
+output_every = 3
+[initial]
+kind = perturbed
+seed = 2
+amplitude = 2.0
+v_amplitude = 0.0
 """
 
 BAD_MU = """
@@ -67,6 +85,21 @@ def test_bad_material_or_initial_value_is_config_error(tmp_path, capsys, command
     assert "config error: " in out.err and "OK" not in out.out
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("text", [
+    "[grid]\nlength = inf\n",
+    "[stepper]\ndt = nan\n",
+    "[stepper]\nt_end = nan\n",
+    "[experiment]\ndelta = nan\n",
+])
+def test_nonfinite_grid_stepper_or_experiment_value_is_config_error(tmp_path, capsys, command, text):
+    path = _write(tmp_path, "nonfinite.cfg", text)
+    assert main([command, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert "config error: line 2: " in out.err and "must be finite" in out.err
+    assert "OK" not in out.out
+
+
 def test_bad_usage_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -86,6 +119,51 @@ def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):
     assert len(snap_files) == len(data["t"])
     state = read_snapshot(str(snap_files[-1]))
     assert state.t == data["t"][-1]
+
+
+def test_simulate_snapshots_equal_those_of_the_retained_run(tmp_path):
+    # the snapshots are written as the run samples them, byte for byte the
+    # files of the states a run without an observer keeps
+    cfg_path = _write(tmp_path, "run.cfg", GOOD.replace("t_end = 0.01", "t_end = 0.005"))
+    snaps = tmp_path / "snaps"
+    assert main(["simulate", "--config", cfg_path, "--snapshots", str(snaps)]) == 0
+    cfg = load_config(cfg_path)
+    traj = dynamics.run(make_initial_state(cfg.grid, cfg.initial), cfg.stepper, cfg.params,
+                        cfg.elastic, forcing=cfg.forcing())
+    files = sorted(snaps.glob("state_*.snap"))
+    assert len(files) == len(traj.states) == 6
+    for i, (path, state) in enumerate(zip(files, traj.states)):
+        assert path.name == f"state_{i:05d}.snap"
+        write_snapshot(state, str(tmp_path / "expected.snap"))
+        assert path.read_bytes() == (tmp_path / "expected.snap").read_bytes()
+
+
+def test_simulate_keeps_no_states(tmp_path, monkeypatch, capsys):
+    runs = []
+    original = dynamics.run
+
+    def spy(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, "run", spy)
+    assert main(["simulate", "--config", _write(tmp_path, "run.cfg", GOOD)]) == 0
+    assert "PASS: simulated to t = 0.01," in capsys.readouterr().out
+    assert len(runs) == 1 and runs[0].states == [] and len(runs[0].trace.t) == 11
+
+
+def test_simulate_blowup_keeps_the_snapshots_taken_and_the_last_valid_state(tmp_path, capsys):
+    snaps = tmp_path / "snaps"
+    with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
+        code = main(["simulate", "--config", _write(tmp_path, "blow.cfg", BLOWUP),
+                     "--snapshots", str(snaps)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FAIL: non-finite values at step 4" in err and "last_valid.snap" in err
+    assert sorted(p.name for p in snaps.iterdir()) == [
+        "last_valid.snap", "state_00000.snap", "state_00001.snap"]
+    assert (snaps / "last_valid.snap").read_bytes() == (snaps / "state_00001.snap").read_bytes()
+    assert read_snapshot(str(snaps / "last_valid.snap")).t == pytest.approx(1.2)
 
 
 def test_energy_check_passes(tmp_path, capsys):

@@ -170,6 +170,19 @@ def test_nonfinite_initial_values_rejected(line):
         parse_config(f"[initial]\n{line}\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[grid]\nlength = inf\n", "[grid]\nlength = 1 nan\n",
+    "[stepper]\ndt = nan\n", "[stepper]\nt_end = nan\n", "[stepper]\nt_end = inf\n",
+    "[experiment]\ndelta = nan\n", "[experiment]\ngronwall_c = inf\n",
+    "[experiment]\ntol_energy = nan\n", "[experiment]\ntol_step = -inf\n",
+    "[material]\nepsilon = inf\n", "[material]\nmu1 = nan\n", "[stepper]\ntheta = nan\n",
+])
+def test_nonfinite_values_report_line(text):
+    with pytest.raises(ConfigError, match="must be finite") as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == 2
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[grid]\nn = 16\n")

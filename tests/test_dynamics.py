@@ -370,6 +370,13 @@ def test_stable_dt_bound_structure():
     assert stable_dt_bound(grid, TENSOR, p, theta=0.49) >= bound
 
 
+@pytest.mark.parametrize("field", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_stepper_config_rejects_nonfinite_times(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        StepperConfig(**{field: value})
+
+
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)

@@ -28,6 +28,12 @@ def test_grid_validation():
         Grid(n=(8,), h=(0.1,))
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_grid_rejects_nonfinite_spacing(h):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(n=(8, 8), h=(0.1, h))
+
+
 def test_unit_box_properties():
     grid = Grid.unit_box(16, dim=3)
     assert grid.dim == 3

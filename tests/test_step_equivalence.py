@@ -19,6 +19,7 @@ member must equal its lone run bit for bit.
 import numpy as np
 import pytest
 
+import leslie_sim.energetics as en
 import leslie_sim.grid as g
 import oracles
 from leslie_sim.dynamics import (
@@ -554,13 +555,31 @@ def test_sampled_velocity_gradient_is_carried(monkeypatch):
     assert len(calls) == 2 + 2 * 5
 
 
+@pytest.mark.parametrize("output_every", [1, 3])
+def test_sampled_director_strain_is_carried(monkeypatch, output_every):
+    calls = []
+    original = en.director_strain
+
+    def counted(grad_v, d):
+        calls.append(d.shape)
+        return original(grad_v, d)
+
+    monkeypatch.setattr(en, "director_strain", counted)
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
+    traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO).run(_state(GRIDS["2d"], seed=50))
+    samples = len(traj.states)
+    assert samples == 1 + 6 // output_every
+    # one per sample, and one per step that does not follow a sample: the
+    # step after a sample reuses the strain the sample's diagnostics took
+    assert len(calls) == samples + 6 - (samples - 1)
+
+
 # ---------------------------------------------------------------------------
 # full-field passes of one step
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("output_every", [1, 3])
-@pytest.mark.parametrize("grid_name", sorted(GRIDS))
-def test_step_pass_budget(monkeypatch, grid_name, output_every):
+def _passes_per_step(monkeypatch, grid, cfg):
+    """(FFT calls, ``grid._deriv`` calls) of each step of a run."""
     calls = {"fft": 0, "deriv": 0}
 
     def counted(func, kind):
@@ -583,13 +602,33 @@ def test_step_pass_budget(monkeypatch, grid_name, output_every):
         return out
 
     monkeypatch.setattr(Stepper, "step", step)
+    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=65))
+    return per_step
+
+
+@pytest.mark.parametrize("output_every", [1, 3])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_step_pass_budget(monkeypatch, grid_name, output_every):
     grid = GRIDS[grid_name]
     cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
-    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=65))
+    per_step = _passes_per_step(monkeypatch, grid, cfg)
     dim = grid.dim
     # per step: the director solve and the velocity update, each one forward
     # and one inverse transform; the new director's grad d and div(L : grad d),
     # the dim momentum-flux columns and the divergence of the projected
     # velocity, and grad v unless the sample before the step took it
     expected = [(4, 4 * dim + (0 if (k - 1) % output_every == 0 else dim)) for k in range(1, 7)]
+    assert per_step == expected
+
+
+@pytest.mark.parametrize("output_every", [1, 3])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_step_pass_budget_at_theta_zero(monkeypatch, grid_name, output_every):
+    # at theta = 0 the director solve is the identity and is not made: the
+    # velocity update's two transforms are the step's only FFTs
+    grid = GRIDS[grid_name]
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every, theta=0.0)
+    per_step = _passes_per_step(monkeypatch, grid, cfg)
+    dim = grid.dim
+    expected = [(2, 4 * dim + (0 if (k - 1) % output_every == 0 else dim)) for k in range(1, 7)]
     assert per_step == expected
