@@ -41,12 +41,11 @@ class RunConfig:
     stepper: StepperConfig
     initial: InitialSpec
     experiment: ExperimentConfig
-    forcing_spec: str = "zero"
     trace_path: str | None = None
     snapshot_dir: str | None = None
 
     def forcing(self):
-        return make_forcing(self.forcing_spec)
+        return make_forcing(self.params.forcing)
 
 
 _KNOWN = {
@@ -229,7 +228,6 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         stepper=stepper,
         initial=initial,
         experiment=experiment,
-        forcing_spec=params.forcing,
         trace_path=_get(sections, "output", "trace", None, str),
         snapshot_dir=_get(sections, "output", "snapshots", None, str),
     )

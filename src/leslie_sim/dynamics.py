@@ -138,15 +138,16 @@ class SpectralOps:
     along axis a has symbol i sigma_a with sigma_a = sin(2 pi k_a / n_a) / h_a,
     and the composite (wide) Laplacian the symbol -|sigma|^2.  The object
     holds the Helmholtz denominator 1 + helmholtz_coeff |sigma|^2 and the
-    projection denominator -|sigma|^2.  Given an elasticity tensor it also
-    holds the director stiffness S_ik = sum_jl L_ijkl sigma_j sigma_l, a sum
-    over the nonzero entries with j, l < dim (:func:`_stiffness`), and the
-    inverse of I + director_alpha S in closed form, adjugate over
-    determinant (:func:`_inverse_3x3`; no LAPACK call); both are real and
-    component-major, (3, 3) + half-spectrum shape.  ``director_blocks[i]``
-    lists the k whose block inverse[i, k] is not identically zero -- for an
-    isotropic tensor only k = i -- and :func:`solve_director_implicit`
-    multiplies only those.  A Stepper builds one and keeps it.
+    projection denominator -|sigma|^2.  Given an elasticity tensor and
+    director_alpha != 0 it also holds the inverse of I + director_alpha S,
+    with S the director stiffness (:func:`_stiffness`), in closed form,
+    adjugate over determinant (:func:`_inverse_3x3`; no LAPACK call), real
+    and component-major, (3, 3) + half-spectrum shape; at director_alpha = 0
+    that operator is the identity and ``director_inverse`` is None.
+    ``director_blocks[i]`` lists the k whose block inverse[i, k] is not
+    identically zero -- for an isotropic tensor only k = i -- and
+    :func:`solve_director_implicit` multiplies only those.  A Stepper builds
+    one and keeps it.
     """
 
     def __init__(
@@ -175,12 +176,11 @@ class SpectralOps:
         # modes where every derivative symbol vanishes carry no divergence;
         # dividing by inf leaves them at zero pressure
         self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
-        self.stiffness = None
         self.director_inverse = None
         self.director_blocks = None
-        if tensor is not None:
-            self.stiffness = _stiffness(tensor, sigmas)
-            matrix = director_alpha * self.stiffness
+        if tensor is not None and director_alpha != 0.0:
+            matrix = _stiffness(tensor, sigmas)
+            matrix *= director_alpha
             for i in range(3):
                 matrix[i, i] += 1.0
             self.director_inverse = inverse = _inverse_3x3(matrix)
@@ -346,7 +346,8 @@ def solve_director_implicit(rhs, ops: SpectralOps):
     """
     values = _members(rhs, ops)
     if ops.director_inverse is None:
-        raise ValueError("spectral operators were built without an elasticity tensor")
+        raise ValueError("spectral operators were built without an elasticity tensor "
+                         "or with director_alpha = 0")
     rhs_hat = ops.forward(values)
     inverse = ops.director_inverse
     x_hat = np.empty_like(rhs_hat)
@@ -374,8 +375,8 @@ def solve_helmholtz(rhs, ops: SpectralOps):
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     """Largest eigenvalue of the stiff linear operators (director elasticity
     scaled by gamma, and half the viscosity)."""
-    ops = SpectralOps(grid, tensor)
-    s_mat = np.moveaxis(ops.stiffness, (0, 1), (-2, -1))
+    ops = SpectralOps(grid)
+    s_mat = np.moveaxis(_stiffness(tensor, ops.sigmas), (0, 1), (-2, -1))
     eig_max = float(np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2)))))
     return max(p.gamma * eig_max, 0.5 * p.mu4 * float(ops.sig_sq.max()))
 
@@ -473,6 +474,12 @@ class Ensemble:
         v, d = (g.members([getattr(s, f) for s in states]) for f in "vd")
         return cls(grid, states[0].t, v, d, np.array([s.p.values for s in states]))
 
+    def copy(self) -> "Ensemble":
+        """A copy whose members are States of C-contiguous node-major
+        arrays, as ``State.copy()`` gives."""
+        v, d = (np.moveaxis(np.moveaxis(x, 1, -1).copy(), -1, 1) for x in (self.v, self.d))
+        return Ensemble(self.grid, self.t, v, d, self.p.copy())
+
     def member(self, i: int) -> State:
         """Member i as a State of node-major views."""
         grid = self.grid
@@ -534,8 +541,8 @@ class Stepper:
         helmholtz_coeff = cfg.theta * cfg.dt * 0.5 * p.mu4
         self.ops = SpectralOps(grid, tensor, director_alpha=director_alpha, helmholtz_coeff=helmholtz_coeff)
         # at theta = 0 both implicit operators are exactly the identity: the
-        # step then makes no director solve and no Helmholtz divide
-        self._director_solve = director_alpha != 0.0
+        # ops then hold no director inverse, and the step makes no director
+        # solve and no Helmholtz divide
         self._helmholtz = helmholtz_coeff != 0.0
         self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False
@@ -597,7 +604,7 @@ class Stepper:
         rhs += ((1.0 - theta) * p.gamma) * terms.lap
         rhs *= dt
         rhs += d
-        if self._director_solve:
+        if self.ops.director_inverse is not None:
             d_new = solve_director_implicit(rhs, self.ops)
         else:  # the explicit update is the new director; rhs needs a new buffer
             d_new, rhs = rhs, np.empty_like(rhs)
@@ -662,8 +669,9 @@ class Stepper:
         that turns non-finite raises SimulationError naming it, with its
         last sample.
 
-        Without ``observer`` each Trajectory keeps a copy of every sampled
-        state.  With one, ``observer(ensemble)`` is called with each sampled
+        Without ``observer`` the run's own observer copies each sample
+        (:meth:`Ensemble.copy`), and each Trajectory keeps its member of the
+        copies.  With one, ``observer(ensemble)`` is called with each sampled
         Ensemble in order, the initial one included, and the trajectories
         keep no states: memory is flat in trajectory length.  The stepper
         never writes into a state it has returned, so an observer may keep
@@ -679,8 +687,15 @@ class Stepper:
         trace = np.empty((m, len(names), 1 + -(-n_steps // cfg.output_every)))
         step_times = np.empty(n_steps + 1)
         step_energy = np.empty((m, n_steps + 1))
-        samples = [[] for _ in range(m)]  # copies, kept without an observer
-        last = None  # the last sample handed to the observer
+        kept = []  # copies of the samples, made without an observer
+        last = None  # the last sample, for SimulationError
+        if observer is None:
+            def observer(e):
+                # the copy is the last sample too, so that the stepper's own
+                # arrays are not held between samples
+                nonlocal last
+                last = e.copy()
+                kept.append(last)
 
         terms = self._director_terms(state.d)
         j = 0
@@ -693,7 +708,7 @@ class Stepper:
                     i = int(np.argmin(finite))
                     raise SimulationError(
                         f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
-                        last_state=samples[i][-1] if observer is None else last.member(i),
+                        last_state=last.member(i),
                     )
             step_times[k] = state.t
             for i, fe in enumerate(terms.energy):
@@ -702,18 +717,14 @@ class Stepper:
                 # the observer runs before the diagnostics, which leave grad v
                 # and the strain in ``terms``, so its temporaries and those
                 # arrays are not alive at once
-                if observer is None:
-                    for i in range(m):
-                        samples[i].append(state.member(i).copy())
-                else:
-                    observer(state)
-                    last = state
+                last = state
+                observer(state)
                 for i, row in enumerate(self._diagnostics(state, terms)):
                     trace[i, :, j] = [row[name] for name in names]
                 j += 1
 
         return [
-            Trajectory(samples[i], EnergyTrace(*trace[i]), step_times, step_energy[i])
+            Trajectory([c.member(i) for c in kept], EnergyTrace(*trace[i]), step_times, step_energy[i])
             for i in range(m)
         ]
 

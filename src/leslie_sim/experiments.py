@@ -13,7 +13,7 @@ import numpy as np
 from . import dynamics
 from . import energetics as en
 from . import grid as g
-from .grid import Grid, ScalarField, TensorField, VectorField
+from .grid import Grid, VectorField
 from .initial import divfree_smooth_field, smooth_vector_field
 from .material import ParameterSet, require_valid
 from .tensor import ElasticTensor
@@ -221,6 +221,28 @@ def energy_monitor(
 
 
 # ---------------------------------------------------------------------------
+# set-up shared by criteria 3 and 7, which run on component-major members
+# ---------------------------------------------------------------------------
+
+#: Elastic stiffness, penalty parameter and relaxation rate of the
+#: manufactured director gradient flow.
+K_ISO, EPS, GAMMA = 1.0, 0.1, 1.0
+#: The elasticity tensor of the integration-by-parts suite and of the
+#: manufactured gradient flow.
+TENSOR = ElasticTensor.isotropic(K_ISO)
+
+
+def _l2_norm(grid: Grid, a: np.ndarray) -> float:
+    return math.sqrt(float(np.vdot(a, a)) * grid.cell_volume)
+
+
+def _smooth_members(grid: Grid, rng, count: int) -> np.ndarray:
+    """``count`` smooth random vector fields drawn in turn, as members
+    (count, 3) + grid.shape."""
+    return g.members([smooth_vector_field(grid, rng) for _ in range(count)])
+
+
+# ---------------------------------------------------------------------------
 # discrete integration-by-parts suite
 # ---------------------------------------------------------------------------
 
@@ -234,101 +256,69 @@ class IbpReport:
         return self.max_residual <= 1e-12
 
 
-def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4), tensor: ElasticTensor | None = None) -> IbpReport:
+def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4)) -> IbpReport:
     """Three discrete analogues of the pairing identities, on periodic grids:
 
     (a) time product rule for (v, vr) by telescoping over steps,
     (b) (grad d ; L : grad dr) against the two adjoint-pairing forms,
-    (c) (|d|^2, |dr|^2) product rule with the exact two-point chain rule.
+    (c) (|d|^2, |dr|^2) product rule with the exact two-point chain rule,
 
+    and the summation by parts (div A, phi) = -(A : grad phi) that underlies
+    them, all with the stepper's kernels on component-major member arrays.
     All residuals are relative and must be at rounding level.
     """
-    tensor = tensor or ElasticTensor.isotropic(1.0)
+    n_steps = 6
     rows = []
     for n in ns:
         grid = Grid.unit_box(n, dim=2)
+        contraction = TENSOR.sparse_contraction(grid.dim)
+
+        def pair(a, b):
+            """L^2 pairing of equally shaped component-major arrays."""
+            return float(np.vdot(a, b)) * grid.cell_volume
+
         for seed in seeds:
             rng = np.random.default_rng(seed)
 
+            def row(check, residual):
+                rows.append({"n": n, "seed": seed, "check": check, "residual": residual})
+
             # (a) temporal telescoping for the velocity pairing
-            n_steps = 6
-            v_seq = [smooth_vector_field(grid, rng) for _ in range(n_steps)]
-            vr_seq = [smooth_vector_field(grid, rng) for _ in range(n_steps)]
-            lhs = g.inner(v_seq[-1], vr_seq[-1]) - g.inner(v_seq[0], vr_seq[0])
-            rhs = sum(
-                g.inner(
-                    VectorField(grid, v_seq[k + 1].values - v_seq[k].values),
-                    vr_seq[k + 1],
-                )
-                + g.inner(
-                    v_seq[k],
-                    VectorField(grid, vr_seq[k + 1].values - vr_seq[k].values),
-                )
-                for k in range(n_steps - 1)
-            )
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            rows.append({"n": n, "seed": seed, "check": "time_product_rule",
-                         "residual": abs(lhs - rhs) / scale})
+            v, vr = _smooth_members(grid, rng, n_steps), _smooth_members(grid, rng, n_steps)
+            lhs = pair(v[-1], vr[-1]) - pair(v[0], vr[0])
+            rhs = sum(pair(v[k + 1] - v[k], vr[k + 1]) + pair(v[k], vr[k + 1] - vr[k])
+                      for k in range(n_steps - 1))
+            row("time_product_rule", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
-            # (b) elastic pairing vs the adjoint Laplacian forms
-            d = smooth_vector_field(grid, rng)
-            dr = smooth_vector_field(grid, rng)
-            flux_r = TensorField(grid, tensor.apply(g.gradient_vec(dr).values))
-            pairing = g.inner(g.gradient_vec(d), flux_r)
-            lap_r = g.divergence_tensor(flux_r)
-            flux = TensorField(grid, tensor.apply(g.gradient_vec(d).values))
-            lap = g.divergence_tensor(flux)
+            # (b) elastic pairing vs the adjoint Laplacian forms: member 0 is
+            # d, member 1 is dr
+            d = _smooth_members(grid, rng, 2)
+            grad, flux, lap, _, _ = en.director_terms(grid, contraction, d)
+            pairing = pair(grad[0], flux[1])
             scale = max(abs(pairing), 1e-300)
-            rows.append({"n": n, "seed": seed, "check": "elastic_pairing_right",
-                         "residual": abs(pairing + g.inner(d, lap_r)) / scale})
-            rows.append({"n": n, "seed": seed, "check": "elastic_pairing_left",
-                         "residual": abs(pairing + g.inner(lap, dr)) / scale})
+            row("elastic_pairing_right", abs(pairing + pair(d[0], lap[1])) / scale)
+            row("elastic_pairing_left", abs(pairing + pair(lap[0], d[1])) / scale)
 
-            # (c) |d|^2 product rule with two-point chain rule
-            d_seq = [smooth_vector_field(grid, rng) for _ in range(n_steps)]
-            dr_seq = [smooth_vector_field(grid, rng) for _ in range(n_steps)]
+            # (c) |d|^2 product rule with two-point chain rule; |d+|^2 - |d|^2
+            # = (d+ + d) . (d+ - d), exactly
+            d, dr = _smooth_members(grid, rng, n_steps), _smooth_members(grid, rng, n_steps)
+            sq, sq_r = np.sum(d**2, axis=1), np.sum(dr**2, axis=1)
+            mid = np.sum((d[1:] + d[:-1]) * (d[1:] - d[:-1]), axis=1)
+            mid_r = np.sum((dr[1:] + dr[:-1]) * (dr[1:] - dr[:-1]), axis=1)
+            lhs = pair(sq[-1], sq_r[-1]) - pair(sq[0], sq_r[0])
+            rhs = sum(pair(mid[k], sq_r[k + 1]) + pair(sq[k], mid_r[k]) for k in range(n_steps - 1))
+            row("square_product_rule", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
-            def sq(f):
-                return ScalarField(grid, np.sum(f.values**2, axis=-1))
+            # spatial summation-by-parts core: A_ij is component i of the j-th
+            # field, and on a 2D grid only its columns j < 2 pair with grad phi
+            a = np.swapaxes(_smooth_members(grid, rng, 3), 0, 1)
+            phi = _smooth_members(grid, rng, 1)[0]
+            grad_phi = g.gradient_components(grid, phi)
+            residual = abs(pair(g.divergence_components(grid, a), phi)
+                           + pair(a[:, : grid.dim], grad_phi))
+            row("divergence_adjoint", residual / max(_l2_norm(grid, a) * _l2_norm(grid, grad_phi), 1e-300))
 
-            lhs = g.inner(sq(d_seq[-1]), sq(dr_seq[-1])) - g.inner(sq(d_seq[0]), sq(dr_seq[0]))
-            rhs = 0.0
-            for k in range(n_steps - 1):
-                # |d+|^2 - |d|^2 = (d+ + d) . (d+ - d), exactly
-                mid = ScalarField(
-                    grid,
-                    np.sum(
-                        (d_seq[k + 1].values + d_seq[k].values)
-                        * (d_seq[k + 1].values - d_seq[k].values),
-                        axis=-1,
-                    ),
-                )
-                mid_r = ScalarField(
-                    grid,
-                    np.sum(
-                        (dr_seq[k + 1].values + dr_seq[k].values)
-                        * (dr_seq[k + 1].values - dr_seq[k].values),
-                        axis=-1,
-                    ),
-                )
-                rhs += g.inner(mid, sq(dr_seq[k + 1])) + g.inner(sq(d_seq[k]), mid_r)
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            rows.append({"n": n, "seed": seed, "check": "square_product_rule",
-                         "residual": abs(lhs - rhs) / scale})
-
-            # spatial summation-by-parts core
-            a = TensorField(grid, np.stack(
-                [smooth_vector_field(grid, rng).values for _ in range(3)], axis=-1))
-            phi = smooth_vector_field(grid, rng)
-            scale = max(
-                math.sqrt(g.l2_norm_sq(a)) * math.sqrt(g.l2_norm_sq(g.gradient_vec(phi))),
-                1e-300,
-            )
-            rows.append({"n": n, "seed": seed, "check": "divergence_adjoint",
-                         "residual": g.ibp_divergence_residual(a, phi) / scale})
-
-    max_res = max(r["residual"] for r in rows)
-    return IbpReport(rows=rows, max_residual=max_res)
+    return IbpReport(rows=rows, max_residual=max(r["residual"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +337,9 @@ class ConvergenceReport:
         return min(self.orders)
 
 
-def _manufactured(grid: Grid, t: float, k_iso: float, eps: float, gamma: float):
-    """Director gradient flow with an analytic source.
+def _manufactured(grid: Grid, t: float):
+    """Director gradient flow with an analytic source, as one-member
+    component-major arrays (1, 3) + grid.shape.
 
     d(x, t) = e1 + a(t) sin(2 pi x) cos(2 pi y) e2 with a(t) = 0.2 + 0.1 cos(3 t);
     source = dt d + gamma * (-k Lap d + (1/eps)(|d|^2 - 1) d).
@@ -359,68 +350,51 @@ def _manufactured(grid: Grid, t: float, k_iso: float, eps: float, gamma: float):
     a = 0.2 + 0.1 * math.cos(3.0 * t)
     a_dot = -0.3 * math.sin(3.0 * t)
 
-    d = np.zeros(grid.shape + (3,))
-    d[..., 0] = 1.0
-    d[..., 1] = a * mode
+    d = np.zeros((1, 3) + grid.shape)
+    d[0, 0] = 1.0
+    d[0, 1] = a * mode
 
     lap_factor = (2.0 * np.pi / lx) ** 2 + (2.0 * np.pi / ly) ** 2
-    q = np.zeros(grid.shape + (3,))
     dev = (a * mode) ** 2  # |d|^2 - 1
-    q[..., 0] = dev / eps
-    q[..., 1] = k_iso * lap_factor * a * mode + dev * a * mode / eps
-
-    src = np.zeros(grid.shape + (3,))
-    src[..., 1] = a_dot * mode
-    src += gamma * q
-    return VectorField(grid, d), VectorField(grid, src)
+    src = np.zeros((1, 3) + grid.shape)
+    src[0, 0] = GAMMA * (dev / EPS)
+    src[0, 1] = a_dot * mode + GAMMA * (K_ISO * lap_factor * a * mode + dev * a * mode / EPS)
+    return d, src
 
 
-def _gradient_flow_run(
-    grid: Grid,
-    tensor: ElasticTensor,
-    k_iso: float,
-    eps: float,
-    gamma: float,
-    dt: float,
-    t_end: float,
-    theta: float = 0.3,
-) -> VectorField:
-    """Integrate dt d = -gamma q + source with the theta-implicit elastic solve."""
-    d, _ = _manufactured(grid, 0.0, k_iso, eps, gamma)
+def _gradient_flow_run(grid: Grid, dt: float, t_end: float, theta: float = 0.3) -> np.ndarray:
+    """Integrate dt d = -gamma q + source with the theta-implicit elastic
+    solve, with the stepper's director kernels; returns the final director,
+    (1, 3) + grid.shape."""
+    d, _ = _manufactured(grid, 0.0)
     n_steps = int(round(t_end / dt))
-    ops = dynamics.SpectralOps(grid, tensor, director_alpha=theta * dt * gamma)
+    contraction = TENSOR.sparse_contraction(grid.dim)
+    ops = dynamics.SpectralOps(grid, TENSOR, director_alpha=theta * dt * GAMMA)
     t = 0.0
     for _ in range(n_steps):
-        _, src = _manufactured(grid, t, k_iso, eps, gamma)
-        dev = np.sum(d.values**2, axis=-1) - 1.0
-        explicit = (
-            -(gamma / eps) * dev[..., None] * d.values
-            + (1.0 - theta) * gamma * g.laplacian_lambda(d, tensor).values
-            + src.values
-        )
-        rhs = VectorField(grid, d.values + dt * explicit)
-        d = dynamics.solve_director_implicit(rhs, ops)
+        _, src = _manufactured(grid, t)
+        _, _, lap, _, dev = en.director_terms(grid, contraction, d)
+        explicit = -(GAMMA / EPS) * dev[:, None] * d + (1.0 - theta) * GAMMA * lap + src
+        d = dynamics.solve_director_implicit(d + dt * explicit, ops)
         t += dt
     return d
 
 
-def convergence_study(mode: str, k_iso: float = 1.0, eps: float = 0.1, gamma: float = 1.0) -> ConvergenceReport:
+def convergence_study(mode: str) -> ConvergenceReport:
     """Observed orders for the director gradient flow with manufactured source.
 
     Space: error at t_end against the analytic solution for n = 16, 32, 64
     with a time step small enough that spatial error dominates.  Time:
     Richardson self-differences at fixed n over three dt halvings.
     """
-    tensor = ElasticTensor.isotropic(k_iso)
     if mode == "space":
         t_end, dt = 0.02, 2e-5
         levels = [16, 32, 64]
         errors = []
         for n in levels:
             grid = Grid.unit_box(n, dim=2)
-            d = _gradient_flow_run(grid, tensor, k_iso, eps, gamma, dt, t_end)
-            exact, _ = _manufactured(grid, t_end, k_iso, eps, gamma)
-            errors.append(g.lp_norm(VectorField(grid, d.values - exact.values), 2))
+            exact, _ = _manufactured(grid, t_end)
+            errors.append(_l2_norm(grid, _gradient_flow_run(grid, dt, t_end) - exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
         return ConvergenceReport(mode=mode, levels=levels, errors=errors, orders=orders)
 
@@ -428,14 +402,8 @@ def convergence_study(mode: str, k_iso: float = 1.0, eps: float = 0.1, gamma: fl
         n, t_end, dt0 = 32, 0.1, 4e-3
         grid = Grid.unit_box(n, dim=2)
         levels = [dt0 / 2**i for i in range(4)]
-        solutions = [
-            _gradient_flow_run(grid, tensor, k_iso, eps, gamma, dt, t_end)
-            for dt in levels
-        ]
-        diffs = [
-            g.lp_norm(VectorField(grid, solutions[i].values - solutions[i + 1].values), 2)
-            for i in range(len(solutions) - 1)
-        ]
+        solutions = [_gradient_flow_run(grid, dt, t_end) for dt in levels]
+        diffs = [_l2_norm(grid, solutions[i] - solutions[i + 1]) for i in range(len(solutions) - 1)]
         orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
         return ConvergenceReport(mode=mode, levels=levels, errors=diffs, orders=orders)
 

@@ -1,5 +1,6 @@
 """Uniform collocated Cartesian grids (2D or 3D domains, 3-component vectors)
-with second-order central difference operators and midpoint quadrature.
+with second-order central difference operators.  Integrals are midpoint
+sums: the L^2 pairing of two arrays is ``np.vdot(a, b) * grid.cell_volume``.
 
 Every grid is periodic; the discrete gradient and divergence are exactly
 adjoint (summation by parts), which the energy and relative-energy
@@ -280,56 +281,3 @@ def advect(v: VectorField, f: VectorField) -> VectorField:
     grad = gradient_vec(f)
     return VectorField(f.grid, np.einsum("...ij,...j->...i", grad.values, v.values))
 
-
-# ---------------------------------------------------------------------------
-# quadrature, norms, inner products
-# ---------------------------------------------------------------------------
-
-def integrate(f: ScalarField) -> float:
-    """Midpoint rule: sum of nodal values times the cell volume."""
-    return float(np.sum(f.values) * f.grid.cell_volume)
-
-
-def _magnitude(f) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        return np.abs(f.values)
-    if isinstance(f, VectorField):
-        return np.sqrt(np.sum(f.values**2, axis=-1))
-    if isinstance(f, TensorField):
-        return np.sqrt(np.sum(f.values**2, axis=(-2, -1)))
-    raise TypeError(f"not a field: {type(f)!r}")
-
-
-def lp_norm(f, p) -> float:
-    """L^p norm with midpoint quadrature; p = inf gives the max norm."""
-    mag = _magnitude(f)
-    if p == math.inf or p == "inf":
-        return float(np.max(mag))
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("p must satisfy 1 <= p <= inf")
-    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
-
-
-def inner(a, b) -> float:
-    """L^2 inner product; contracts all component axes."""
-    if type(a) is not type(b):
-        raise TypeError("inner product requires fields of the same kind")
-    prod = a.values * b.values
-    comp_axes = tuple(range(a.grid.dim, prod.ndim))
-    if comp_axes:
-        prod = np.sum(prod, axis=comp_axes)
-    return float(np.sum(prod) * a.grid.cell_volume)
-
-
-def l2_norm_sq(a) -> float:
-    return inner(a, a)
-
-
-# ---------------------------------------------------------------------------
-# discrete integration-by-parts residuals
-# ---------------------------------------------------------------------------
-
-def ibp_divergence_residual(a: TensorField, phi: VectorField) -> float:
-    """| (div A, phi) + (A : grad phi) |; zero to rounding on periodic grids."""
-    return abs(inner(divergence_tensor(a), phi) + inner(a, gradient_vec(phi)))

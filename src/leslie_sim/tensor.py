@@ -28,11 +28,6 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...j->...ij", a, b)
 
 
-def frobenius(a: np.ndarray, b: np.ndarray):
-    """Double contraction A : B = sum_ij A_ij B_ij over the trailing axes."""
-    return np.einsum("...ij,...ij->...", a, b)
-
-
 class EllipticityError(ValueError):
     """Sampled ellipticity of an elasticity tensor is not strictly positive."""
 

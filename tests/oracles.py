@@ -15,6 +15,11 @@ ellipticity sample as one einsum and the director inverse by
 campaign evaluates its relative terms while the ensemble runs, from a
 window of three samples; :func:`relative_series` evaluates them after the
 run from every retained sample.
+
+The node-major quadrature, norms and pairings (:func:`integrate`,
+:func:`lp_norm`, :func:`inner`, :func:`frobenius`,
+:func:`ibp_divergence_residual`) live here too: the library pairs its
+component-major arrays as ``np.vdot(a, b) * grid.cell_volume``.
 """
 
 import math
@@ -25,8 +30,67 @@ import leslie_sim.grid as g
 from leslie_sim.energetics import EnergyBreakdown, relative_terms
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
-from leslie_sim.tensor import _sphere_grid, frobenius, outer, skw, sym
+from leslie_sim.tensor import _sphere_grid, outer, skw, sym
 
+
+# ---------------------------------------------------------------------------
+# node-major quadrature, norms and pairings
+# ---------------------------------------------------------------------------
+
+def frobenius(a, b):
+    """Double contraction A : B = sum_ij A_ij B_ij over the trailing axes."""
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def integrate(f):
+    """Midpoint rule: sum of nodal values times the cell volume."""
+    return float(np.sum(f.values) * f.grid.cell_volume)
+
+
+def _magnitude(f):
+    if isinstance(f, ScalarField):
+        return np.abs(f.values)
+    if isinstance(f, VectorField):
+        return np.sqrt(np.sum(f.values**2, axis=-1))
+    if isinstance(f, TensorField):
+        return np.sqrt(np.sum(f.values**2, axis=(-2, -1)))
+    raise TypeError(f"not a field: {type(f)!r}")
+
+
+def lp_norm(f, p):
+    """L^p norm with midpoint quadrature; p = inf gives the max norm."""
+    mag = _magnitude(f)
+    if p == math.inf or p == "inf":
+        return float(np.max(mag))
+    p = float(p)
+    if p < 1.0:
+        raise ValueError("p must satisfy 1 <= p <= inf")
+    return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
+
+
+def inner(a, b):
+    """L^2 inner product; contracts all component axes."""
+    if type(a) is not type(b):
+        raise TypeError("inner product requires fields of the same kind")
+    prod = a.values * b.values
+    comp_axes = tuple(range(a.grid.dim, prod.ndim))
+    if comp_axes:
+        prod = np.sum(prod, axis=comp_axes)
+    return float(np.sum(prod) * a.grid.cell_volume)
+
+
+def l2_norm_sq(a):
+    return inner(a, a)
+
+
+def ibp_divergence_residual(a, phi):
+    """| (div A, phi) + (A : grad phi) |; zero to rounding on periodic grids."""
+    return abs(inner(g.divergence_tensor(a), phi) + inner(a, g.gradient_vec(phi)))
+
+
+# ---------------------------------------------------------------------------
+# node-major operators and functionals
+# ---------------------------------------------------------------------------
 
 def laplacian_lambda(d, tensor):
     """div(L : grad d)."""
@@ -36,13 +100,13 @@ def laplacian_lambda(d, tensor):
 
 def w1p_seminorm(f, p):
     """L^p norm of the pointwise Frobenius norm of grad f."""
-    return g.lp_norm(g.gradient_vec(f), p)
+    return lp_norm(g.gradient_vec(f), p)
 
 
 def ibp_laplacian_residual(d, phi, tensor):
     """| (div(L : grad d), phi) + (L : grad d ; grad phi) |."""
     flux = TensorField(d.grid, tensor.apply(g.gradient_vec(d).values))
-    return abs(g.inner(g.divergence_tensor(flux), phi) + g.inner(flux, g.gradient_vec(phi)))
+    return abs(inner(g.divergence_tensor(flux), phi) + inner(flux, g.gradient_vec(phi)))
 
 
 def elastic_flux(contraction, grad):
@@ -71,16 +135,16 @@ def leslie_stress(v, d, q, p):
 def projection_target(u, tol):
     """tol |div u| + 1e-14 (1 + |u|) in the L2 norm, the residual the
     projection of u must reach, with div the stencil divergence."""
-    div_norm = math.sqrt(g.l2_norm_sq(g.divergence_vec(u)))
-    return tol * div_norm + 1e-14 * (1.0 + math.sqrt(g.l2_norm_sq(u)))
+    div_norm = math.sqrt(l2_norm_sq(g.divergence_vec(u)))
+    return tol * div_norm + 1e-14 * (1.0 + math.sqrt(l2_norm_sq(u)))
 
 
 def free_energy(d, tensor, eps):
     """elastic = 1/2 int grad d : L : grad d, penalty = 1/(4 eps) int (|d|^2 - 1)^2."""
     grad = g.gradient_vec(d).values
-    elastic = 0.5 * g.integrate(ScalarField(d.grid, frobenius(grad, tensor.apply(grad))))
+    elastic = 0.5 * integrate(ScalarField(d.grid, frobenius(grad, tensor.apply(grad))))
     dev = np.sum(d.values**2, axis=-1) - 1.0
-    penalty = g.integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
+    penalty = integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
     return EnergyBreakdown(elastic=elastic, penalty=penalty)
 
 
@@ -94,12 +158,12 @@ def relative_energy(v, d, v_ref, d_ref, tensor, eps):
     """1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2."""
     dv = VectorField(v.grid, v.values - v_ref.values)
     grad = g.gradient_vec(VectorField(d.grid, d.values - d_ref.values))
-    elastic = 0.5 * g.integrate(
+    elastic = 0.5 * integrate(
         ScalarField(d.grid, frobenius(grad.values, tensor.apply(grad.values)))
     )
     dev = np.sum(d.values**2, axis=-1) - np.sum(d_ref.values**2, axis=-1)
-    penalty = g.integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
-    return 0.5 * g.l2_norm_sq(dv) + elastic + penalty
+    penalty = integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
+    return 0.5 * l2_norm_sq(dv) + elastic + penalty
 
 
 def dissipation_channels(v, d, q):
@@ -128,17 +192,17 @@ def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
     + |dr . Dvr dr|_L6^2 + |dt dr|_L3 + ||dr|^2 - 1|_L6^2 + |v|_L6^2
     + |grad dr|_L2^2), with |f|_W16 = (|f|_L6^6 + |grad f|_L6^6)^(1/6)."""
     grid = v.grid
-    first = 1.0 + g.lp_norm(d, 6) ** 2 + g.lp_norm(d_ref, 6) ** 2
-    w16 = (g.lp_norm(v_ref, 6) ** 6 + w1p_seminorm(v_ref, 6) ** 6) ** (1.0 / 6.0)
+    first = 1.0 + lp_norm(d, 6) ** 2 + lp_norm(d_ref, 6) ** 2
+    w16 = (lp_norm(v_ref, 6) ** 6 + w1p_seminorm(v_ref, 6) ** 6) ** (1.0 / 6.0)
     _, _, ddvd_r = dissipation_channels(v_ref, d_ref, q_ref)
     dev_r = np.sum(d_ref.values**2, axis=-1) - 1.0
     second = (
         w16**2
-        + g.lp_norm(q_ref, 3) ** 2
-        + g.lp_norm(ScalarField(grid, ddvd_r), 6) ** 2
-        + g.lp_norm(dt_d_ref, 3)
-        + g.lp_norm(ScalarField(grid, dev_r), 6) ** 2
-        + g.lp_norm(v, 6) ** 2
+        + lp_norm(q_ref, 3) ** 2
+        + lp_norm(ScalarField(grid, ddvd_r), 6) ** 2
+        + lp_norm(dt_d_ref, 3)
+        + lp_norm(ScalarField(grid, dev_r), 6) ** 2
+        + lp_norm(v, 6) ** 2
         + w1p_seminorm(d_ref, 2) ** 2
     )
     return c * first * second

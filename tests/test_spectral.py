@@ -16,8 +16,10 @@ import oracles
 from leslie_sim.dynamics import (
     SpectralOps,
     State,
+    Stepper,
     StepperConfig,
     _projection_targets,
+    _stiffness,
     max_stiff_rate,
     project_divfree,
     solve_director_implicit,
@@ -188,7 +190,7 @@ def test_director_inverse_in_closed_form(grid_name, tensor_name, alpha):
     grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
     ops = SpectralOps(grid, tensor, director_alpha=alpha)
     stiffness = oracles.director_stiffness(ops.sigmas, tensor)
-    _assert_close(np.moveaxis(ops.stiffness, (0, 1), (-2, -1)), stiffness, SETUP_TOL)
+    _assert_close(np.moveaxis(_stiffness(tensor, ops.sigmas), (0, 1), (-2, -1)), stiffness, SETUP_TOL)
     inverse = ops.director_inverse
     _assert_close(inverse, oracles.director_inverse(ops.sigmas, tensor, alpha), SETUP_TOL)
     product = np.einsum("ij...,...jk->...ik", inverse, np.eye(3) + alpha * stiffness)
@@ -230,6 +232,17 @@ def test_operators_reject_a_foreign_grid_or_a_missing_tensor():
         project_divfree(other, ops)
     with pytest.raises(ValueError):
         solve_director_implicit(_random_field(ops.grid, 4), SpectralOps(ops.grid))
+
+
+def test_theta_zero_operators_hold_no_director_inverse():
+    # at theta = 0 the director operator is the identity: nothing is built
+    # for it, and a director solve on those operators is an error
+    stepper = Stepper(GRIDS["2d-even"], StepperConfig(dt=1e-3, theta=0.0), PARODI_DEMO, TENSORS["aniso"])
+    assert stepper.ops.director_inverse is None
+    assert stepper.ops.director_blocks is None
+    assert not hasattr(stepper.ops, "stiffness")
+    with pytest.raises(ValueError, match="director_alpha = 0"):
+        solve_director_implicit(_random_field(stepper.grid, 4), stepper.ops)
 
 
 # ---------------------------------------------------------------------------

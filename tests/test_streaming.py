@@ -96,6 +96,33 @@ def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
     _assert_same_state(last, retained.value.last_state)
 
 
+def test_retained_run_keeps_contiguous_copies_and_its_last_sample_is_one():
+    # without an observer the run's own observer copies each sample: the
+    # states are C-contiguous node-major, as State.copy() gives, and the last
+    # sample of a blow-up is such a copy, not the stepper's arrays
+    grid = GRIDS[2]
+    cfg = StepperConfig(dt=1e-3, t_end=4e-3, output_every=2)
+    traj = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=62))
+    assert len(traj.states) == 3
+    for s in traj.states:
+        assert all(f.values.flags.c_contiguous for f in (s.v, s.d, s.p))
+    assert not np.shares_memory(traj.states[-1].d.values, traj.states[-2].d.values)
+
+    wild = State.initial(
+        VectorField.zeros(grid),
+        VectorField(grid, VectorField.constant(grid, (0.0, 0.0, 1.0)).values
+                    + 2.0 * smooth_vector_field(grid, np.random.default_rng(27)).values),
+    )
+    stepper = Stepper(grid, StepperConfig(dt=0.4, t_end=40.0, output_every=3), PARODI_DEMO,
+                      ElasticTensor.isotropic(1.0))
+    with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
+        with pytest.raises(SimulationError) as blowup:
+            stepper.run(wild)
+    last = blowup.value.last_state
+    assert last.t > 0.0 and np.all(np.isfinite(last.d.values))
+    assert all(f.values.flags.c_contiguous for f in (last.v, last.d, last.p))
+
+
 @pytest.mark.parametrize("samples", [1, 2, 3])
 @pytest.mark.parametrize("deltas", [(1e-3,), (0.0, 1e-2, 1e-4)], ids=["one", "several"])
 @pytest.mark.parametrize("dim", [2, 3])
