@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_ibp_check)
 
-    p = sub.add_parser("converge", help="manufactured-solution convergence study")
+    p = sub.add_parser("converge", help="self-convergence study of the coupled stepper")
     p.add_argument("--mode", choices=("space", "time"), required=True)
     p.set_defaults(func=_cmd_converge)
 

@@ -138,12 +138,13 @@ class SpectralOps:
     along axis a has symbol i sigma_a with sigma_a = sin(2 pi k_a / n_a) / h_a,
     and the composite (wide) Laplacian the symbol -|sigma|^2.  The object
     holds the Helmholtz denominator 1 + helmholtz_coeff |sigma|^2 and the
-    projection denominator -|sigma|^2.  Given an elasticity tensor and
-    director_alpha != 0 it also holds the inverse of I + director_alpha S,
-    with S the director stiffness (:func:`_stiffness`), in closed form,
-    adjugate over determinant (:func:`_inverse_3x3`; no LAPACK call), real
-    and component-major, (3, 3) + half-spectrum shape; at director_alpha = 0
-    that operator is the identity and ``director_inverse`` is None.
+    projection denominator -|sigma|^2.  Given an elasticity tensor, which
+    goes with a nonzero director_alpha and only with one (else ValueError),
+    it also holds the inverse of I + director_alpha S, with S the director
+    stiffness (:func:`_stiffness`), in closed form, adjugate over
+    determinant (:func:`_inverse_3x3`; no LAPACK call), real and
+    component-major, (3, 3) + half-spectrum shape; without one that
+    operator is the identity and ``director_inverse`` is None.
     ``director_blocks[i]`` lists the k whose block inverse[i, k] is not
     identically zero -- for an isotropic tensor only k = i -- and
     :func:`solve_director_implicit` multiplies only those.  A Stepper builds
@@ -157,6 +158,8 @@ class SpectralOps:
         director_alpha: float = 0.0,
         helmholtz_coeff: float = 0.0,
     ):
+        if (tensor is None) != (director_alpha == 0.0):
+            raise ValueError("an elasticity tensor goes with a nonzero director_alpha, and only with one")
         self.grid = grid
         self.axes = tuple(range(-grid.dim, 0))
         half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
@@ -178,7 +181,7 @@ class SpectralOps:
         self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
         self.director_inverse = None
         self.director_blocks = None
-        if tensor is not None and director_alpha != 0.0:
+        if tensor is not None:
             matrix = _stiffness(tensor, sigmas)
             matrix *= director_alpha
             for i in range(3):
@@ -346,8 +349,8 @@ def solve_director_implicit(rhs, ops: SpectralOps):
     """
     values = _members(rhs, ops)
     if ops.director_inverse is None:
-        raise ValueError("spectral operators were built without an elasticity tensor "
-                         "or with director_alpha = 0")
+        raise ValueError("spectral operators were built without an elasticity tensor, "
+                         "at director_alpha = 0")
     rhs_hat = ops.forward(values)
     inverse = ops.director_inverse
     x_hat = np.empty_like(rhs_hat)
@@ -539,10 +542,11 @@ class Stepper:
         self.forcing = forcing
         director_alpha = cfg.theta * cfg.dt * p.gamma
         helmholtz_coeff = cfg.theta * cfg.dt * 0.5 * p.mu4
-        self.ops = SpectralOps(grid, tensor, director_alpha=director_alpha, helmholtz_coeff=helmholtz_coeff)
         # at theta = 0 both implicit operators are exactly the identity: the
-        # ops then hold no director inverse, and the step makes no director
-        # solve and no Helmholtz divide
+        # ops then get no tensor and hold no director inverse, and the step
+        # makes no director solve and no Helmholtz divide
+        self.ops = SpectralOps(grid, tensor if director_alpha != 0.0 else None,
+                               director_alpha=director_alpha, helmholtz_coeff=helmholtz_coeff)
         self._helmholtz = helmholtz_coeff != 0.0
         self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False

@@ -1,6 +1,6 @@
 """Verification campaigns: weak-strong stability comparison, energy-law
-monitoring, discrete integration-by-parts checks, and manufactured-solution
-convergence studies.
+monitoring, discrete integration-by-parts checks, and self-convergence
+studies of the coupled stepper in the relative energy.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from . import dynamics
 from . import energetics as en
 from . import grid as g
 from .grid import Grid, VectorField
-from .initial import divfree_smooth_field, smooth_vector_field
-from .material import ParameterSet, require_valid
+from .initial import InitialSpec, divfree_smooth_field, make_initial_state, smooth_vector_field
+from .material import NON_PARODI_DEMO, ParameterSet, require_valid
 from .tensor import ElasticTensor
 
 
@@ -221,16 +221,19 @@ def energy_monitor(
 
 
 # ---------------------------------------------------------------------------
-# set-up shared by criteria 3 and 7, which run on component-major members
+# the tensor shared by criteria 3 and 7
 # ---------------------------------------------------------------------------
 
-#: Elastic stiffness, penalty parameter and relaxation rate of the
-#: manufactured director gradient flow.
-K_ISO, EPS, GAMMA = 1.0, 0.1, 1.0
+#: Elastic stiffness of the isotropic tensor of both criteria.
+K_ISO = 1.0
 #: The elasticity tensor of the integration-by-parts suite and of the
-#: manufactured gradient flow.
+#: convergence study.
 TENSOR = ElasticTensor.isotropic(K_ISO)
 
+
+# ---------------------------------------------------------------------------
+# discrete integration-by-parts suite
+# ---------------------------------------------------------------------------
 
 def _l2_norm(grid: Grid, a: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(a, a)) * grid.cell_volume)
@@ -241,10 +244,6 @@ def _smooth_members(grid: Grid, rng, count: int) -> np.ndarray:
     (count, 3) + grid.shape."""
     return g.members([smooth_vector_field(grid, rng) for _ in range(count)])
 
-
-# ---------------------------------------------------------------------------
-# discrete integration-by-parts suite
-# ---------------------------------------------------------------------------
 
 @dataclass
 class IbpReport:
@@ -322,7 +321,7 @@ def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4)) -> IbpReport:
 
 
 # ---------------------------------------------------------------------------
-# manufactured-solution convergence study
+# self-convergence study of the coupled stepper
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -337,74 +336,51 @@ class ConvergenceReport:
         return min(self.orders)
 
 
-def _manufactured(grid: Grid, t: float):
-    """Director gradient flow with an analytic source, as one-member
-    component-major arrays (1, 3) + grid.shape.
-
-    d(x, t) = e1 + a(t) sin(2 pi x) cos(2 pi y) e2 with a(t) = 0.2 + 0.1 cos(3 t);
-    source = dt d + gamma * (-k Lap d + (1/eps)(|d|^2 - 1) d).
-    """
-    xs = grid.coords()
-    lx, ly = grid.lengths[0], grid.lengths[1]
-    mode = np.sin(2.0 * np.pi * xs[0] / lx) * np.cos(2.0 * np.pi * xs[1] / ly)
-    a = 0.2 + 0.1 * math.cos(3.0 * t)
-    a_dot = -0.3 * math.sin(3.0 * t)
-
-    d = np.zeros((1, 3) + grid.shape)
-    d[0, 0] = 1.0
-    d[0, 1] = a * mode
-
-    lap_factor = (2.0 * np.pi / lx) ** 2 + (2.0 * np.pi / ly) ** 2
-    dev = (a * mode) ** 2  # |d|^2 - 1
-    src = np.zeros((1, 3) + grid.shape)
-    src[0, 0] = GAMMA * (dev / EPS)
-    src[0, 1] = a_dot * mode + GAMMA * (K_ISO * lap_factor * a * mode + dev * a * mode / EPS)
-    return d, src
+def _final_state(grid: Grid, dt: float, t_end: float) -> tuple:
+    """Final velocity and director of the study's run on ``grid``, as
+    one-member component-major arrays (1, 3) + grid.shape."""
+    initial = make_initial_state(grid, InitialSpec("perturbed", seed=1, amplitude=0.2, v_amplitude=0.2))
+    cfg = dynamics.StepperConfig(dt=dt, t_end=t_end, output_every=int(round(t_end / dt)), theta=0.3)
+    samples = []
+    dynamics.run(initial, cfg, NON_PARODI_DEMO, TENSOR, observer=samples.append)
+    return samples[-1].v, samples[-1].d
 
 
-def _gradient_flow_run(grid: Grid, dt: float, t_end: float, theta: float = 0.3) -> np.ndarray:
-    """Integrate dt d = -gamma q + source with the theta-implicit elastic
-    solve, with the stepper's director kernels; returns the final director,
-    (1, 3) + grid.shape."""
-    d, _ = _manufactured(grid, 0.0)
-    n_steps = int(round(t_end / dt))
-    contraction = TENSOR.sparse_contraction(grid.dim)
-    ops = dynamics.SpectralOps(grid, TENSOR, director_alpha=theta * dt * GAMMA)
-    t = 0.0
-    for _ in range(n_steps):
-        _, src = _manufactured(grid, t)
-        _, _, lap, _, dev = en.director_terms(grid, contraction, d)
-        explicit = -(GAMMA / EPS) * dev[:, None] * d + (1.0 - theta) * GAMMA * lap + src
-        d = dynamics.solve_director_implicit(d + dt * explicit, ops)
-        t += dt
-    return d
+def _block_mean(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Member arrays (m, 3) + shape on a grid with an integer multiple of the
+    cells of ``grid`` per axis, averaged over each block of cells onto
+    ``grid``, whose cell centres are the block centres."""
+    shape = a.shape[:2] + sum(((n, fine // n) for n, fine in zip(grid.n, a.shape[2:])), ())
+    return a.reshape(shape).mean(axis=tuple(range(3, len(shape), 2)))
 
 
 def convergence_study(mode: str) -> ConvergenceReport:
-    """Observed orders for the director gradient flow with manufactured source.
+    """Observed orders of the coupled stepper (:func:`dynamics.run`) by
+    self-convergence: NON_PARODI_DEMO, whose nonzero cross coefficient
+    exercises every stress channel, the isotropic ``TENSOR`` and theta = 0.3,
+    from the same perturbed state on every grid.  Each error is sqrt(E), E
+    the relative energy (:func:`energetics.relative_energies`) of a final
+    state against the next finer one, the reference.
 
-    Space: error at t_end against the analytic solution for n = 16, 32, 64
-    with a time step small enough that spatial error dominates.  Time:
-    Richardson self-differences at fixed n over three dt halvings.
+    Space: n = 32, 64, 128 at dt = 5e-5 to t = 0.01, each finer solution
+    averaged onto the coarser grid (:func:`_block_mean`); the leading time
+    error cancels between grids that share a dt.  Time: n = 32 to t = 0.05
+    at dt = 5e-4 / 2^k, k = 0 .. 3.
     """
     if mode == "space":
-        t_end, dt = 0.02, 2e-5
-        levels = [16, 32, 64]
-        errors = []
-        for n in levels:
-            grid = Grid.unit_box(n, dim=2)
-            exact, _ = _manufactured(grid, t_end)
-            errors.append(_l2_norm(grid, _gradient_flow_run(grid, dt, t_end) - exact))
-        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-        return ConvergenceReport(mode=mode, levels=levels, errors=errors, orders=orders)
-
-    if mode == "time":
-        n, t_end, dt0 = 32, 0.1, 4e-3
-        grid = Grid.unit_box(n, dim=2)
-        levels = [dt0 / 2**i for i in range(4)]
-        solutions = [_gradient_flow_run(grid, dt, t_end) for dt in levels]
-        diffs = [_l2_norm(grid, solutions[i] - solutions[i + 1]) for i in range(len(solutions) - 1)]
-        orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
-        return ConvergenceReport(mode=mode, levels=levels, errors=diffs, orders=orders)
-
-    raise ValueError(f"unknown convergence mode {mode!r}")
+        levels, t_end = [32, 64, 128], 0.01
+        runs = [(Grid.unit_box(n, dim=2), 5e-5) for n in levels]
+    elif mode == "time":
+        levels, t_end = [5e-4 / 2**k for k in range(4)], 0.05
+        runs = [(Grid.unit_box(32, dim=2), dt) for dt in levels]
+    else:
+        raise ValueError(f"unknown convergence mode {mode!r}")
+    finals = [_final_state(grid, dt, t_end) for grid, dt in runs]
+    errors = []
+    for (grid, _), coarse, fine in zip(runs, finals, finals[1:]):
+        v, d = (np.concatenate([_block_mean(grid, f), c]) for f, c in zip(fine, coarse))
+        E = en.relative_energies(grid, TENSOR.sparse_contraction(grid.dim), NON_PARODI_DEMO.epsilon,
+                                 v, d, np.sum(d * d, axis=1))
+        errors.append(math.sqrt(float(E[0])))
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+    return ConvergenceReport(mode=mode, levels=levels, errors=errors, orders=orders)

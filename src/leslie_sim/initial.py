@@ -64,9 +64,9 @@ def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2)
     return VectorField(grid, g.nodal(field).copy())
 
 
-def divfree_smooth_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2) -> VectorField:
+def divfree_smooth_field(grid: Grid, rng: np.random.Generator) -> VectorField:
     """Smooth random field projected onto discretely divergence-free fields."""
-    raw = smooth_vector_field(grid, rng, max_mode)
+    raw = smooth_vector_field(grid, rng)
     projected, _ = dynamics.project_divfree(raw)
     return projected
 

@@ -69,16 +69,16 @@ class ElasticTensor:
         return cls(entries=entries, eta=float(k))
 
     @classmethod
-    def from_entries(cls, entries, n_samples: int = 2000, seed: int = 0) -> "ElasticTensor":
+    def from_entries(cls, entries) -> "ElasticTensor":
         """Build from an explicit 81-entry list (row-major i,j,k,l).
 
-        The ellipticity constant is estimated by sampling; construction fails
-        if major symmetry is violated, and raises :class:`EllipticityError`
-        if the sampled ellipticity is not strictly positive.
+        The ellipticity constant is estimated from 2000 seeded samples;
+        construction fails if major symmetry is violated, and raises
+        :class:`EllipticityError` if it is not strictly positive.
         """
         arr = np.asarray(entries, dtype=np.float64).reshape(3, 3, 3, 3)
         tensor = cls(entries=arr, eta=1.0)
-        eta = ellipticity_check(tensor, n_samples=n_samples, seed=seed)
+        eta = ellipticity_check(tensor, n_samples=2000, seed=0)
         if eta <= 0.0:
             raise EllipticityError(f"sampled ellipticity constant {eta:.3e} <= 0")
         return cls(entries=arr, eta=eta)

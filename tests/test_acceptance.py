@@ -183,7 +183,7 @@ def test_criterion_7_convergence(capsys):
     elapsed = time.perf_counter() - start
     ok = space.min_order >= 1.9 and time_rep.min_order >= 0.9 and elapsed < 120.0
     _emit(capsys, 7, ok,
-          f"manufactured gradient flow: space order {space.min_order:.2f} "
+          f"self-convergence of the coupled stepper in sqrt(E): space order {space.min_order:.2f} "
           f"(>= 1.9), time order {time_rep.min_order:.2f} (>= 0.9), "
           f"{elapsed:.0f}s (< 120s)")
 

@@ -180,6 +180,15 @@ def test_ibp_check_passes(capsys):
     assert "residual" in out
 
 
+def test_converge_passes(capsys):
+    # four step sizes give three differences, one "level" line each
+    assert main(["converge", "--mode", "time"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("level")] == [
+        "level 0.0005", "level 0.00025", "level 0.000125"]
+    assert lines[-1].startswith("PASS")
+
+
 def test_compare_passes(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", GOOD + "[experiment]\ndelta = 1e-3\n")
     trace = str(tmp_path / "rel.csv")

@@ -5,12 +5,15 @@ The references transform with full complex ``fftn`` and solve each Fourier
 mode with ``np.linalg.solve``; the operators under test use the real
 half spectrum and precomputed inverses, so results agree to rounding.  The
 director stiffness and its closed-form inverse are held to the einsum and
-``np.linalg.inv`` of ``oracles``.
+``np.linalg.inv`` of ``oracles``.  The stepper's elastic operator
+div(L : grad d) is held to its adjoint pairing and to the continuum
+operator on Fourier modes, for every tensor and grid here.
 """
 
 import numpy as np
 import pytest
 
+import leslie_sim.energetics as en
 import leslie_sim.grid as g
 import oracles
 from leslie_sim.dynamics import (
@@ -234,6 +237,16 @@ def test_operators_reject_a_foreign_grid_or_a_missing_tensor():
         solve_director_implicit(_random_field(ops.grid, 4), SpectralOps(ops.grid))
 
 
+def test_operators_take_a_tensor_with_a_nonzero_director_alpha_only():
+    grid, tensor = GRIDS["2d-even"], TENSORS["aniso"]
+    with pytest.raises(ValueError, match="tensor"):
+        SpectralOps(grid, tensor)
+    with pytest.raises(ValueError, match="tensor"):
+        SpectralOps(grid, tensor, director_alpha=0.0, helmholtz_coeff=2e-3)
+    with pytest.raises(ValueError, match="tensor"):
+        SpectralOps(grid, director_alpha=3e-3)
+
+
 def test_theta_zero_operators_hold_no_director_inverse():
     # at theta = 0 the director operator is the identity: nothing is built
     # for it, and a director solve on those operators is an error
@@ -243,6 +256,46 @@ def test_theta_zero_operators_hold_no_director_inverse():
     assert not hasattr(stepper.ops, "stiffness")
     with pytest.raises(ValueError, match="director_alpha = 0"):
         solve_director_implicit(_random_field(stepper.grid, 4), stepper.ops)
+
+
+# ---------------------------------------------------------------------------
+# the elastic operator div(L : grad d) of the stepper
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_elastic_pairing_is_adjoint(grid_name, tensor_name):
+    # (grad d ; L : grad dr) = -(d, div(L : grad dr)) for d, dr white noise
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    d = np.random.default_rng(12).normal(size=(2, 3) + grid.shape)
+    grad, flux, lap, _, _ = en.director_terms(grid, tensor.sparse_contraction(grid.dim), d)
+    pairing = float(np.vdot(grad[0], flux[1]))
+    assert abs(pairing + float(np.vdot(d[0], lap[1]))) <= RTOL * abs(pairing)
+
+
+def _refined(grid):
+    return Grid(n=tuple(2 * n for n in grid.n), h=tuple(0.5 * h for h in grid.h))
+
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_elastic_operator_is_second_order_on_a_fourier_mode(grid_name, tensor_name):
+    # d = a sin(kappa . x) e_m with kappa_j = 2 pi / L_j has
+    # div(L : grad d)_i = -a sum_jl L_ijml kappa_j kappa_l sin(kappa . x);
+    # halving h divides the root-mean-square error by 4
+    tensor, amplitude = TENSORS[tensor_name], 0.7
+    for m in range(3):
+        errors = []
+        for grid in (GRIDS[grid_name], _refined(GRIDS[grid_name])):
+            kappa = 2.0 * np.pi / np.array(grid.lengths)
+            mode = np.sin(sum(k * x for k, x in zip(kappa, grid.coords())))
+            d = np.zeros((1, 3) + grid.shape)
+            d[0, m] = amplitude * mode
+            lap = en.director_terms(grid, tensor.sparse_contraction(grid.dim), d)[2][0]
+            symbol = np.einsum("ijl,j,l->i", tensor.entries[:, : grid.dim, m, : grid.dim], kappa, kappa)
+            exact = -amplitude * symbol[:, None] * mode.reshape(1, -1)
+            errors.append(np.sqrt(np.mean((lap.reshape(3, -1) - exact) ** 2)))
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.1), (m, errors)
 
 
 # ---------------------------------------------------------------------------
