@@ -146,8 +146,9 @@ def _cmd_ibp_check(args) -> int:
 
 def _cmd_converge(args) -> int:
     report = experiments.convergence_study(args.mode)
-    for level, err in zip(report.levels, report.errors):
-        print(f"level {level}: error {err:.6e}")
+    # each error compares the solutions at two consecutive levels
+    for coarse, fine, err in zip(report.levels, report.levels[1:], report.errors):
+        print(f"level {coarse} vs {fine}: error {err:.6e}")
     print(f"observed orders: {['%.3f' % o for o in report.orders]}")
     target = 1.9 if args.mode == "space" else 0.9
     ok = report.min_order >= target

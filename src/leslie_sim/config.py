@@ -48,19 +48,6 @@ class RunConfig:
         return make_forcing(self.params.forcing)
 
 
-_KNOWN = {
-    "grid": {"dim", "n", "length", "bc"},
-    "material": {
-        "lambda", "gamma", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6",
-        "epsilon", "forcing", "elastic", "elastic_k", "elastic_entries",
-    },
-    "stepper": {"dt", "t_end", "poisson_tol", "output_every", "theta"},
-    "initial": {"kind", "director", "seed", "amplitude", "v_amplitude"},
-    "experiment": {"gronwall_c", "tol_energy", "tol_step", "delta", "seed"},
-    "output": {"trace", "snapshots"},
-}
-
-
 def _parse_sections(text: str):
     sections: dict = {}
     current = None
@@ -70,7 +57,7 @@ def _parse_sections(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN:
+            if current not in _KEYS:
                 raise ConfigError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
@@ -79,25 +66,12 @@ def _parse_sections(text: str):
         if current is None:
             raise ConfigError("key outside any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = (value, lineno)
     return sections
-
-
-def _get(sections, section, key, default, convert):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    value, lineno = entry
-    try:
-        return convert(value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {exc}", lineno)
 
 
 def _finite(value: str) -> float:
@@ -137,38 +111,105 @@ def _explicit(value: str) -> ElasticTensor:
     return ElasticTensor.from_entries(entries)
 
 
+def _director(value: str) -> tuple:
+    return tuple(_finite_floats(value))
+
+
+#: Every key of every section: ``[section] key -> (field, converter)``.  A key
+#: with a field sets that field of the section's dataclass, which is built
+#: from the keys the file gives, so its defaults are the dataclass's own; the
+#: grid, the elastic tensor and ``[output]`` (field None) are built key by key.
+_KEYS = {
+    "grid": {
+        "dim": (None, int),
+        "n": (None, _ints),
+        "length": (None, _finite_floats),
+        "bc": (None, _periodic),
+    },
+    "material": {
+        "lambda": ("lam", _finite),
+        "gamma": ("gamma", _finite),
+        **{f"mu{i}": (f"mu{i}", _finite) for i in range(1, 7)},
+        "epsilon": ("epsilon", _finite),
+        "forcing": ("forcing", _forcing),
+        "elastic": (None, str),
+        "elastic_k": (None, _isotropic),
+        "elastic_entries": (None, _explicit),
+    },
+    "stepper": {
+        "dt": ("dt", _finite),
+        "t_end": ("t_end", _finite),
+        "poisson_tol": ("poisson_tol", _finite),
+        "output_every": ("output_every", int),
+        "theta": ("theta", _finite),
+    },
+    "initial": {
+        "kind": ("kind", str),
+        "director": ("director", _director),
+        "seed": ("seed", int),
+        "amplitude": ("amplitude", _finite),
+        "v_amplitude": ("v_amplitude", _finite),
+    },
+    "experiment": {
+        "gronwall_c": ("gronwall_c", _finite),
+        "tol_energy": ("tol_energy", _finite),
+        "tol_step": ("tol_step", _finite),
+        "delta": ("delta", _finite),
+        "seed": ("seed", int),
+    },
+    "output": {
+        "trace": (None, str),
+        "snapshots": (None, str),
+    },
+}
+
+
+def _get(sections, section, key, default=None):
+    """The converted value of ``[section] key``, or ``default`` if the file
+    does not give it."""
+    entry = sections.get(section, {}).get(key)
+    if entry is None:
+        return default
+    value, lineno = entry
+    try:
+        return _KEYS[section][key][1](value)
+    except Exception as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {exc}", lineno)
+
+
+def _build(cls, sections, section):
+    """The dataclass ``cls`` from the keys of ``[section]`` that the file
+    gives; a failed check of the whole dataclass is a ConfigError."""
+    given = sections.get(section, {})
+    kwargs = {field: _get(sections, section, key)
+              for key, (field, _) in _KEYS[section].items() if field is not None and key in given}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     sections = _parse_sections(text)
 
-    dim = _get(sections, "grid", "dim", 2, int)
+    dim = _get(sections, "grid", "dim", 2)
     if dim not in (2, 3):
         raise ConfigError("grid.dim must be 2 or 3")
-    n = _get(sections, "grid", "n", [32] * dim, _ints)
+    n = _get(sections, "grid", "n", [32] * dim)
     if len(n) == 1:
         n = n * dim
-    length = _get(sections, "grid", "length", [1.0] * dim, _finite_floats)
+    length = _get(sections, "grid", "length", [1.0] * dim)
     if len(length) == 1:
         length = length * dim
     if len(n) != dim or len(length) != dim:
         raise ConfigError("grid.n / grid.length must match grid.dim")
-    _get(sections, "grid", "bc", "periodic", _periodic)  # checked only: every grid is periodic
+    _get(sections, "grid", "bc")  # checked only: every grid is periodic
     try:
         grid = Grid(n=tuple(n), h=tuple(length[i] / n[i] for i in range(dim)))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    params = ParameterSet(
-        lam=_get(sections, "material", "lambda", 1.0, _finite),
-        gamma=_get(sections, "material", "gamma", 1.0, _finite),
-        mu1=_get(sections, "material", "mu1", 1.0, _finite),
-        mu2=_get(sections, "material", "mu2", 0.5, _finite),
-        mu3=_get(sections, "material", "mu3", 0.5, _finite),
-        mu4=_get(sections, "material", "mu4", 1.0, _finite),
-        mu5=_get(sections, "material", "mu5", 1.0, _finite),
-        mu6=_get(sections, "material", "mu6", 1.0, _finite),
-        epsilon=_get(sections, "material", "epsilon", 0.1, _finite),
-        forcing=_get(sections, "material", "forcing", "zero", _forcing),
-    )
+    params = _build(ParameterSet, sections, "material")
     violations = validate(params)
     if violations and not allow_invalid:
         raise ConfigError(
@@ -177,59 +218,25 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
 
     # the tensor is built as the value's conversion, so that a bad stiffness
     # or entry list is reported with its line
-    elastic_kind = _get(sections, "material", "elastic", "isotropic", str)
+    elastic_kind = _get(sections, "material", "elastic", "isotropic")
     if elastic_kind == "isotropic":
-        elastic = _get(sections, "material", "elastic_k", ElasticTensor.isotropic(1.0), _isotropic)
+        elastic = _get(sections, "material", "elastic_k", ElasticTensor.isotropic(1.0))
     elif elastic_kind == "explicit":
-        elastic = _get(sections, "material", "elastic_entries", None, _explicit)
+        elastic = _get(sections, "material", "elastic_entries")
         if elastic is None:
             raise ConfigError("elastic = explicit needs elastic_entries with 81 values")
     else:
         raise ConfigError(f"material.elastic must be isotropic or explicit, got {elastic_kind!r}")
 
-    try:
-        stepper = StepperConfig(
-            dt=_get(sections, "stepper", "dt", 5e-4, _finite),
-            t_end=_get(sections, "stepper", "t_end", 0.5, _finite),
-            poisson_tol=_get(sections, "stepper", "poisson_tol", 1e-10, _finite),
-            output_every=_get(sections, "stepper", "output_every", 1, int),
-            theta=_get(sections, "stepper", "theta", 0.3, _finite),
-        )
-    except ConfigError:  # a bad value, already reported with its line
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    try:
-        initial = InitialSpec(
-            kind=_get(sections, "initial", "kind", "perturbed", str),
-            director=tuple(_get(sections, "initial", "director", [0.0, 0.0, 1.0], _finite_floats)),
-            seed=_get(sections, "initial", "seed", 0, int),
-            amplitude=_get(sections, "initial", "amplitude", 0.1, _finite),
-            v_amplitude=_get(sections, "initial", "v_amplitude", 0.1, _finite),
-        )
-    except ConfigError:  # a bad value, already reported with its line
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    experiment = ExperimentConfig(
-        gronwall_c=_get(sections, "experiment", "gronwall_c", 1.0, _finite),
-        tol_energy=_get(sections, "experiment", "tol_energy", 1e-6, _finite),
-        tol_step=_get(sections, "experiment", "tol_step", 1e-10, _finite),
-        delta=_get(sections, "experiment", "delta", 1e-3, _finite),
-        seed=_get(sections, "experiment", "seed", 7, int),
-    )
-
     return RunConfig(
         grid=grid,
         params=params,
         elastic=elastic,
-        stepper=stepper,
-        initial=initial,
-        experiment=experiment,
-        trace_path=_get(sections, "output", "trace", None, str),
-        snapshot_dir=_get(sections, "output", "snapshots", None, str),
+        stepper=_build(StepperConfig, sections, "stepper"),
+        initial=_build(InitialSpec, sections, "initial"),
+        experiment=_build(ExperimentConfig, sections, "experiment"),
+        trace_path=_get(sections, "output", "trace"),
+        snapshot_dir=_get(sections, "output", "snapshots"),
     )
 
 

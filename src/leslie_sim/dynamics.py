@@ -687,8 +687,7 @@ class Stepper:
         n_steps = max(0, int(round((cfg.t_end - state.t) / cfg.dt)))
         # each member's trace, field by field in EnergyTrace order, a column
         # per sample
-        names = [f.name for f in fields(EnergyTrace)]
-        trace = np.empty((m, len(names), 1 + -(-n_steps // cfg.output_every)))
+        trace = np.empty((m, len(fields(EnergyTrace)), 1 + -(-n_steps // cfg.output_every)))
         step_times = np.empty(n_steps + 1)
         step_energy = np.empty((m, n_steps + 1))
         kept = []  # copies of the samples, made without an observer
@@ -723,8 +722,7 @@ class Stepper:
                 # arrays are not alive at once
                 last = state
                 observer(state)
-                for i, row in enumerate(self._diagnostics(state, terms)):
-                    trace[i, :, j] = [row[name] for name in names]
+                trace[:, :, j] = self._diagnostics(state, terms)
                 j += 1
 
         return [
@@ -733,19 +731,15 @@ class Stepper:
         ]
 
     def _diagnostics(self, e: Ensemble, terms: DirectorTerms) -> list:
-        """Energies and dissipation channels of each member, from the
-        carried director terms; leaves grad v and the director strain in
-        ``terms`` for the next step."""
+        """Each member's trace row, its energies and dissipation channels in
+        EnergyTrace field order, from the carried director terms; leaves
+        grad v and the director strain in ``terms`` for the next step."""
         p, grid = self.p, self.grid
-        dim, cellvol = grid.dim, grid.cell_volume
+        cellvol = grid.cell_volume
         v, d = e.v, e.d
         grad_v = terms.grad_v = g.gradient_components(grid, v)
-        # |Dv|^2, where the rows of grad v beyond dim enter Dv twice, halved;
         # taken first, so that its temporary is gone before the strain is kept
-        block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
-        dv_sq = [0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r))
-                 for b, r in zip(block, grad_v[:, dim:])]
-        del block
+        dv_sq = en.strain_sq(grad_v)
         q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
         terms.strain = en.director_strain(grad_v, d)
         dvd, ddvd = terms.strain[1:]
@@ -753,20 +747,19 @@ class Stepper:
         rows = []
         for i, fe in enumerate(terms.energy):
             kinetic = self._kinetic(v[i])
-            g_power = 0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * cellvol
-            rows.append({
-                "t": e.t,
-                "kinetic": kinetic,
-                "elastic": fe.elastic,
-                "penalty": fe.penalty,
-                "total": kinetic + fe.elastic + fe.penalty,
-                "diss_mu1": p.mu1 * float(np.vdot(ddvd[i], ddvd[i])) * cellvol,
-                "diss_mu4": p.mu4 * dv_sq[i] * cellvol,
-                "diss_dir": p.directional_coeff * float(np.vdot(dvd[i], dvd[i])) * cellvol,
-                "diss_q": p.gamma * float(np.vdot(q[i], q[i])) * cellvol,
-                "cross_term": p.cross_coeff * float(np.vdot(q[i], dvd[i])) * cellvol,
-                "g_power": g_power,
-            })
+            rows.append((
+                e.t,
+                kinetic,
+                fe.elastic,
+                fe.penalty,
+                kinetic + fe.elastic + fe.penalty,
+                p.mu1 * float(np.vdot(ddvd[i], ddvd[i])) * cellvol,
+                p.mu4 * dv_sq[i] * cellvol,
+                p.directional_coeff * float(np.vdot(dvd[i], dvd[i])) * cellvol,
+                p.gamma * float(np.vdot(q[i], q[i])) * cellvol,
+                p.cross_coeff * float(np.vdot(q[i], dvd[i])) * cellvol,
+                0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * cellvol,
+            ))
         return rows
 
 

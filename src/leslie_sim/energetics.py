@@ -100,6 +100,16 @@ def director_strain(grad_v: np.ndarray, d: np.ndarray):
     return gvd, dvd, _dot(d, dvd)
 
 
+def strain_sq(grad_v: np.ndarray) -> np.ndarray:
+    """The sum over the nodes of |Dv|^2 of each member, Dv the symmetric part
+    of its grad v (m, 3, dim, ...): the rows of grad v beyond dim enter Dv
+    twice, halved."""
+    dim = grad_v.shape[2]
+    block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
+    return np.array([0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r))
+                     for b, r in zip(block, grad_v[:, dim:])])
+
+
 def relative_energies(grid: g.Grid, contraction: tuple, eps: float, v, d, d_sq) -> np.ndarray:
     """E of each member after the first against member 0:
 
@@ -118,12 +128,7 @@ def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
     zeta (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2) of each member after the
     first against member 0.  W is the sum of the four squared
     dissipation-channel differences."""
-    dim = grid.dim
-    # |Dv - Dvr|^2: the rows of grad v beyond dim enter Dv twice, halved
-    gv = grad_v[1:] - grad_v[0]
-    block = gv[:, :dim] + np.swapaxes(gv[:, :dim], 1, 2)
-    dv_sq = 0.25 * _integral(grid, block**2) + 0.5 * _integral(grid, gv[:, dim:] ** 2)
-    del gv, block
+    dv_sq = strain_sq(grad_v[1:] - grad_v[0]) * grid.cell_volume  # |Dv - Dvr|^2
     dq, dvd_diff = q[1:] - q[0], dvd[1:] - dvd[0]
     q_sq = p.gamma * _integral(grid, dq**2)
     dvd_sq = p.directional_coeff * _integral(grid, dvd_diff**2)

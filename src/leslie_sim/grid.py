@@ -30,6 +30,7 @@ class Grid:
     n: tuple
     h: tuple
     cell_volume: float = field(init=False, repr=False, compare=False)
+    cell_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -45,6 +46,7 @@ class Grid:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "cell_volume", math.prod(h))
+        object.__setattr__(self, "cell_count", math.prod(n))
 
     @classmethod
     def unit_box(cls, n, dim: int = 2) -> "Grid":
@@ -59,10 +61,6 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return self.n
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.n))
 
     @property
     def lengths(self) -> tuple:

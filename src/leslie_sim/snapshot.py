@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,12 +21,11 @@ from .grid import Grid, ScalarField, VectorField
 
 MAGIC = b"ELSNAP1\n"
 
-#: CSV column order for trace files.
-TRACE_COLUMNS = (
-    "t", "kinetic", "elastic", "penalty", "total",
-    "diss_mu1", "diss_mu4", "diss_dir", "diss_q", "cross_term", "g_power",
-    "E", "W", "K", "bound", "residual_energy",
-)
+#: CSV column order for trace files: the fields of EnergyTrace, then those of
+#: RelativeTrace after their shared ``t``, then the energy-law residual.
+TRACE_COLUMNS = tuple(dict.fromkeys(
+    [f.name for trace in (EnergyTrace, RelativeTrace) for f in fields(trace)] + ["residual_energy"]
+))
 
 
 class SnapshotError(IOError):
@@ -129,20 +129,10 @@ def write_trace_csv(
     if energy is None and relative is None:
         raise ValueError("need at least one trace to write")
     n = len(energy.t) if energy is not None else len(relative.t)
-    zeros = np.zeros(n)
-
-    cols = {name: zeros for name in TRACE_COLUMNS}
-    if energy is not None:
-        cols.update(
-            t=energy.t, kinetic=energy.kinetic, elastic=energy.elastic,
-            penalty=energy.penalty, total=energy.total,
-            diss_mu1=energy.diss_mu1, diss_mu4=energy.diss_mu4,
-            diss_dir=energy.diss_dir, diss_q=energy.diss_q,
-            cross_term=energy.cross_term, g_power=energy.g_power,
-        )
-    if relative is not None:
-        cols.update(t=relative.t, E=relative.E, W=relative.W,
-                    K=relative.K, bound=relative.bound)
+    cols = dict.fromkeys(TRACE_COLUMNS, np.zeros(n))
+    for trace in (energy, relative):
+        if trace is not None:
+            cols.update((f.name, getattr(trace, f.name)) for f in fields(trace))
     if residual is not None:
         cols["residual_energy"] = np.asarray(residual)
 

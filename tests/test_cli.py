@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from leslie_sim import dynamics
+from leslie_sim import dynamics, experiments
 from leslie_sim.cli import main
 from leslie_sim.config import load_config
+from leslie_sim.experiments import ConvergenceReport
 from leslie_sim.initial import make_initial_state
 from leslie_sim.snapshot import read_snapshot, read_trace_csv, write_snapshot
 
@@ -180,13 +181,30 @@ def test_ibp_check_passes(capsys):
     assert "residual" in out
 
 
-def test_converge_passes(capsys):
+def test_converge_passes(capsys, monkeypatch, time_study):
     # four step sizes give three differences, one "level" line each
+    modes = []
+
+    def study(mode):
+        modes.append(mode)
+        return time_study[0]
+
+    monkeypatch.setattr(experiments, "convergence_study", study)
     assert main(["converge", "--mode", "time"]) == 0
+    assert modes == ["time"]
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("level")] == [
-        "level 0.0005", "level 0.00025", "level 0.000125"]
+        "level 0.0005 vs 0.00025", "level 0.00025 vs 0.000125", "level 0.000125 vs 6.25e-05"]
     assert lines[-1].startswith("PASS")
+
+
+def test_converge_labels_each_error_with_both_levels(capsys, monkeypatch):
+    # an error compares two solutions; the finest level is named too
+    report = ConvergenceReport(mode="space", levels=[32, 64, 128], errors=[4e-3, 1e-3], orders=[2.0])
+    monkeypatch.setattr(experiments, "convergence_study", lambda mode: report)
+    assert main(["converge", "--mode", "space"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["level 32 vs 64: error 4.000000e-03", "level 64 vs 128: error 1.000000e-03"]
 
 
 def test_compare_passes(tmp_path, capsys):

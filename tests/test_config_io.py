@@ -1,16 +1,18 @@
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from leslie_sim.config import ConfigError, load_config, parse_config
+from leslie_sim.config import _KEYS, ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
 from leslie_sim.energetics import EnergyTrace, energy_inequality_residual
 from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import make_initial_state
 from leslie_sim.material import PARODI_DEMO
 from leslie_sim.snapshot import (
+    TRACE_COLUMNS,
     SnapshotError,
     read_snapshot,
     read_trace_csv,
@@ -88,6 +90,12 @@ def test_readme_configuration_example_parses():
     cfg = parse_config(example)
     assert cfg.grid.n == (32, 32)
     assert cfg.trace_path == "trace.csv"
+    # the block names every key the parser knows, each in its own section
+    blocks = dict(part.split("]\n", 1) for part in example.split("[")[1:])
+    assert set(blocks) == set(_KEYS)
+    for section, keys in _KEYS.items():
+        for key in keys:
+            assert re.search(rf"(^|\s){key} =", blocks[section], re.M), f"[{section}] {key}"
 
 
 def test_unknown_key_reports_line():
@@ -289,6 +297,15 @@ def test_forced_run_residual_recomputes_from_trace_csv(tmp_path):
     again = EnergyTrace(**{f.name: back[f.name] for f in dataclasses.fields(EnergyTrace)})
     np.testing.assert_array_equal(
         energy_inequality_residual(again, cfg.params), back["residual_energy"]
+    )
+
+
+def test_trace_columns_are_pinned():
+    # derived from the trace dataclasses; a renamed or added field shows here
+    assert TRACE_COLUMNS == (
+        "t", "kinetic", "elastic", "penalty", "total",
+        "diss_mu1", "diss_mu4", "diss_dir", "diss_q", "cross_term", "g_power",
+        "E", "W", "K", "bound", "residual_energy",
     )
 
 

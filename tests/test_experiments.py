@@ -152,9 +152,9 @@ def test_convergence_study_bad_mode():
         convergence_study("spacetime")
 
 
-def test_convergence_time_study_errors_are_pinned():
+def test_convergence_time_study_errors_are_pinned(time_study):
     # sqrt(E) between the coupled stepper's final states at dt = 5e-4 / 2^k,
     # k = 0 .. 3, each against the next finer one
-    report = convergence_study("time")
+    report = time_study[0]
     assert report.levels == [5e-4, 2.5e-4, 1.25e-4, 6.25e-5]
     np.testing.assert_allclose(report.errors, PINNED, rtol=1e-12)
