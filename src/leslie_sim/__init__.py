@@ -17,7 +17,6 @@ from .dynamics import (
     run,
     run_ensemble,
     stable_dt_bound,
-    step,
 )
 from .energetics import (
     EnergyBreakdown,
@@ -110,7 +109,6 @@ __all__ = [
     "run",
     "run_ensemble",
     "stable_dt_bound",
-    "step",
     "validate",
     "variational_derivative",
     "weak_strong_campaign",

@@ -47,10 +47,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # without --allow-invalid, invalid parameters are a config error
     cfg = _load(args, allow_invalid=args.allow_invalid)
-    if not args.allow_invalid and validate(cfg.params):
-        print("refusing to simulate with invalid parameters", file=sys.stderr)
-        return EXIT_USAGE
     state = make_initial_state(cfg.grid, cfg.initial)
     snap_dir = args.snapshots or cfg.snapshot_dir
     if snap_dir:

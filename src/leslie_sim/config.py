@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import StepperConfig
+from .experiments import ExperimentConfig
 from .grid import Grid
 from .initial import InitialSpec
 from .material import ParameterSet, make_forcing, validate
@@ -22,15 +23,6 @@ class ConfigError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-@dataclass
-class ExperimentConfig:
-    gronwall_c: float = 1.0
-    tol_energy: float = 1e-6
-    tol_step: float = 1e-10
-    delta: float = 1e-3
-    seed: int = 7
 
 
 @dataclass
@@ -164,6 +156,23 @@ _KEYS = {
 }
 
 
+#: The keys that a kind does not use: ``(section, kind) -> keys``.  A file
+#: that gives one of them under that kind is a ConfigError naming its line.
+_UNUSED = {
+    ("material", "isotropic"): ("elastic_entries",),
+    ("material", "explicit"): ("elastic_k",),
+    ("initial", "constant"): ("seed", "amplitude", "v_amplitude"),
+    ("initial", "smooth_random"): ("director",),
+}
+
+
+def _reject_unused(sections, section, kind_key, kind):
+    for key in _UNUSED.get((section, kind), ()):
+        entry = sections.get(section, {}).get(key)
+        if entry is not None:
+            raise ConfigError(f"{section}.{key} is not used with {kind_key} = {kind}", entry[1])
+
+
 def _get(sections, section, key, default=None):
     """The converted value of ``[section] key``, or ``default`` if the file
     does not give it."""
@@ -219,21 +228,26 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     # the tensor is built as the value's conversion, so that a bad stiffness
     # or entry list is reported with its line
     elastic_kind = _get(sections, "material", "elastic", "isotropic")
+    if elastic_kind not in ("isotropic", "explicit"):
+        raise ConfigError(f"material.elastic must be isotropic or explicit, got {elastic_kind!r}")
+    _reject_unused(sections, "material", "elastic", elastic_kind)
     if elastic_kind == "isotropic":
         elastic = _get(sections, "material", "elastic_k", ElasticTensor.isotropic(1.0))
-    elif elastic_kind == "explicit":
+    else:
         elastic = _get(sections, "material", "elastic_entries")
         if elastic is None:
             raise ConfigError("elastic = explicit needs elastic_entries with 81 values")
-    else:
-        raise ConfigError(f"material.elastic must be isotropic or explicit, got {elastic_kind!r}")
+
+    stepper = _build(StepperConfig, sections, "stepper")
+    initial = _build(InitialSpec, sections, "initial")
+    _reject_unused(sections, "initial", "kind", initial.kind)
 
     return RunConfig(
         grid=grid,
         params=params,
         elastic=elastic,
-        stepper=_build(StepperConfig, sections, "stepper"),
-        initial=_build(InitialSpec, sections, "initial"),
+        stepper=stepper,
+        initial=initial,
         experiment=_build(ExperimentConfig, sections, "experiment"),
         trace_path=_get(sections, "output", "trace"),
         snapshot_dir=_get(sections, "output", "snapshots"),

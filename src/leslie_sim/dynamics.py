@@ -556,9 +556,6 @@ class Stepper:
             return None
         return self.forcing(self.grid, t).values
 
-    def _kinetic(self, v: np.ndarray) -> float:
-        return 0.5 * float(np.vdot(v, v)) * self.grid.cell_volume
-
     def _director_terms(self, d: np.ndarray) -> DirectorTerms:
         """The :class:`DirectorTerms` of the members' component-major
         directors."""
@@ -714,15 +711,15 @@ class Stepper:
                         last_state=last.member(i),
                     )
             step_times[k] = state.t
-            for i, fe in enumerate(terms.energy):
-                step_energy[i, k] = self._kinetic(state.v[i]) + fe.elastic + fe.penalty
+            kinetic = en.kinetic_energies(self.grid, state.v)
+            step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
             if k % cfg.output_every == 0 or k == n_steps:
                 # the observer runs before the diagnostics, which leave grad v
                 # and the strain in ``terms``, so its temporaries and those
                 # arrays are not alive at once
                 last = state
                 observer(state)
-                trace[:, :, j] = self._diagnostics(state, terms)
+                trace[:, :, j] = self._diagnostics(state, terms, kinetic)
                 j += 1
 
         return [
@@ -730,48 +727,25 @@ class Stepper:
             for i in range(m)
         ]
 
-    def _diagnostics(self, e: Ensemble, terms: DirectorTerms) -> list:
+    def _diagnostics(self, e: Ensemble, terms: DirectorTerms, kinetic: np.ndarray) -> list:
         """Each member's trace row, its energies and dissipation channels in
-        EnergyTrace field order, from the carried director terms; leaves
-        grad v and the director strain in ``terms`` for the next step."""
+        EnergyTrace field order, from the carried director terms and the
+        members' kinetic energies; leaves grad v and the director strain in
+        ``terms`` for the next step."""
         p, grid = self.p, self.grid
-        cellvol = grid.cell_volume
         v, d = e.v, e.d
         grad_v = terms.grad_v = g.gradient_components(grid, v)
         # taken first, so that its temporary is gone before the strain is kept
         dv_sq = en.strain_sq(grad_v)
         q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
         terms.strain = en.director_strain(grad_v, d)
-        dvd, ddvd = terms.strain[1:]
+        channels = en.dissipations(grid, p, dv_sq, q, *terms.strain[1:])
         fvals = self._forcing_values(e.t)
-        rows = []
-        for i, fe in enumerate(terms.energy):
-            kinetic = self._kinetic(v[i])
-            rows.append((
-                e.t,
-                kinetic,
-                fe.elastic,
-                fe.penalty,
-                kinetic + fe.elastic + fe.penalty,
-                p.mu1 * float(np.vdot(ddvd[i], ddvd[i])) * cellvol,
-                p.mu4 * dv_sq[i] * cellvol,
-                p.directional_coeff * float(np.vdot(dvd[i], dvd[i])) * cellvol,
-                p.gamma * float(np.vdot(q[i], q[i])) * cellvol,
-                p.cross_coeff * float(np.vdot(q[i], dvd[i])) * cellvol,
-                0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * cellvol,
-            ))
-        return rows
-
-
-def step(
-    s: State,
-    cfg: StepperConfig,
-    p: ParameterSet,
-    tensor: ElasticTensor,
-    forcing=None,
-    allow_invalid: bool = False,
-) -> State:
-    return Stepper(s.v.grid, cfg, p, tensor, forcing, allow_invalid).step(s)
+        return [
+            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[:, i],
+             0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * grid.cell_volume)
+            for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
+        ]
 
 
 def run(

@@ -1,13 +1,15 @@
-"""Scalar functionals of the flow: free energy, its variational derivative,
-relative energy / dissipation for pairs of trajectories, the Gronwall factor,
-and discrete energy-law residuals over recorded traces.
+"""Scalar functionals of the flow: free and kinetic energy, the variational
+derivative, dissipation channels, relative energy / dissipation for pairs of
+trajectories, the Gronwall factor, and energy-law residuals over traces.
 
 Each formula has one implementation, a kernel on the component-major member
 arrays of an ensemble (vectors ``(m, 3) + grid.shape``, gradients
 ``(m, 3, dim) + grid.shape``) that sums per member over the member's own
-slice; the stepper, the weak-strong campaign and the public functions all
-call it.  The public functions run the kernels on :func:`grid.members` of
-their fields, the contiguous copy ``dynamics.Ensemble.of`` makes, so that
+slice; the relative energy and dissipation are the energy and dissipation
+kernels applied to the members' differences from member 0.  The stepper,
+the weak-strong campaign and the public functions all call them.  The
+public functions run the kernels on :func:`grid.members` of their fields,
+the contiguous copy ``dynamics.Ensemble.of`` makes, so that
 :func:`free_energy` of a sampled state equals its trace row bit for bit.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import grid as g
 from .grid import VectorField
-from .material import ParameterSet, require_valid, zeta
+from .material import ParameterSet, zeta
 from .tensor import ElasticTensor, sym
 
 
@@ -110,31 +112,46 @@ def strain_sq(grad_v: np.ndarray) -> np.ndarray:
                      for b, r in zip(block, grad_v[:, dim:])])
 
 
+def kinetic_energies(grid: g.Grid, v: np.ndarray) -> np.ndarray:
+    """The kinetic energy 1/2 int |v|^2 of each member's velocity v (m, 3, ...)."""
+    return np.array([0.5 * float(np.vdot(v_i, v_i)) * grid.cell_volume for v_i in v])
+
+
+def dissipations(grid: g.Grid, p: ParameterSet, dv_sq, q, dvd, ddvd) -> np.ndarray:
+    """The channels mu1 |d . Dv d|^2, mu4 |Dv|^2, c |Dv d|^2 (c the
+    directional coefficient), gamma |q|^2 and cross_coeff (q, Dv d) of each
+    member, shape (5, m) in EnergyTrace order, each integral coef (a, b) as
+    ``coef * np.vdot(a, b) * cell_volume``; dv_sq is :func:`strain_sq`."""
+    cellvol = grid.cell_volume
+
+    def channel(coef, a, b):
+        return [coef * float(np.vdot(a_i, b_i)) * cellvol for a_i, b_i in zip(a, b)]
+
+    return np.array([channel(p.mu1, ddvd, ddvd), p.mu4 * dv_sq * cellvol,
+                     channel(p.directional_coeff, dvd, dvd), channel(p.gamma, q, q),
+                     channel(p.cross_coeff, q, dvd)])
+
+
 def relative_energies(grid: g.Grid, contraction: tuple, eps: float, v, d, d_sq) -> np.ndarray:
-    """E of each member after the first against member 0:
+    """E of each member after the first against member 0, the kinetic and
+    free energies of the differences, the penalty's of |d|^2 - |dr|^2:
 
     1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
     """
     grad_e = g.gradient_components(grid, d[1:] - d[0])
-    return (
-        0.5 * _integral(grid, (v[1:] - v[0]) ** 2)
-        + 0.5 * _integral(grid, grad_e * g.elastic_flux(grid, contraction, grad_e))
-        + _integral(grid, (d_sq[1:] - d_sq[0]) ** 2) / (4.0 * eps)
-    )
+    free = free_energies(grid, eps, grad_e, g.elastic_flux(grid, contraction, grad_e), d_sq[1:] - d_sq[0])
+    return kinetic_energies(grid, v[1:] - v[0]) + [f.total for f in free]
 
 
 def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
     """W, |cross_coeff (q - qr, Dv d - Dvr dr)| and the absorption bound
     zeta (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2) of each member after the
-    first against member 0.  W is the sum of the four squared
-    dissipation-channel differences."""
-    dv_sq = strain_sq(grad_v[1:] - grad_v[0]) * grid.cell_volume  # |Dv - Dvr|^2
-    dq, dvd_diff = q[1:] - q[0], dvd[1:] - dvd[0]
-    q_sq = p.gamma * _integral(grid, dq**2)
-    dvd_sq = p.directional_coeff * _integral(grid, dvd_diff**2)
-    W = p.mu1 * _integral(grid, (ddvd[1:] - ddvd[0]) ** 2) + p.mu4 * dv_sq + dvd_sq + q_sq
-    cross = np.abs(p.cross_coeff * _integral(grid, dq * dvd_diff))
-    return W, cross, zeta(p) * (q_sq + dvd_sq)
+    first against member 0, from the :func:`dissipations` of the
+    differences; W sums the four squared channels."""
+    mu1, mu4, directional, q_sq, cross = dissipations(
+        grid, p, strain_sq(grad_v[1:] - grad_v[0]), q[1:] - q[0], dvd[1:] - dvd[0], ddvd[1:] - ddvd[0]
+    )
+    return mu1 + mu4 + directional + q_sq, np.abs(cross), zeta(p) * (q_sq + directional)
 
 
 def ref_grad_sq(grid: g.Grid, grad: np.ndarray) -> np.ndarray:
@@ -242,7 +259,6 @@ def relative_dissipation(v: VectorField, d: VectorField, q: VectorField, v_ref: 
                          d_ref: VectorField, q_ref: VectorField, p: ParameterSet) -> float:
     """Sum of the four squared dissipation-channel differences
     (:func:`relative_dissipations`)."""
-    require_valid(p)
     grad_v = g.gradient_components(v.grid, g.members([v_ref, v]))
     _, dvd, ddvd = director_strain(grad_v, g.members([d_ref, d]))
     return float(relative_dissipations(v.grid, p, grad_v, g.members([q_ref, q]), dvd, ddvd)[0][0])

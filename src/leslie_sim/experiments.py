@@ -15,8 +15,19 @@ from . import energetics as en
 from . import grid as g
 from .grid import Grid, VectorField
 from .initial import InitialSpec, divfree_smooth_field, make_initial_state, smooth_vector_field
-from .material import NON_PARODI_DEMO, ParameterSet, require_valid
+from .material import NON_PARODI_DEMO, ParameterSet
 from .tensor import ElasticTensor
+
+
+@dataclass
+class ExperimentConfig:
+    """The ``[experiment]`` settings; the campaigns' keyword defaults."""
+
+    gronwall_c: float = 1.0
+    tol_energy: float = 1e-6
+    tol_step: float = 1e-10
+    delta: float = 1e-3
+    seed: int = 7
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +81,9 @@ def weak_strong_campaign(
     tensor: ElasticTensor,
     cfg: dynamics.StepperConfig,
     initial: dynamics.State,
-    seed: int = 7,
-    deltas=(1e-3,),
-    c: float = 1.0,
+    seed: int = ExperimentConfig.seed,
+    deltas=(ExperimentConfig.delta,),
+    c: float = ExperimentConfig.gronwall_c,
     forcing=None,
 ) -> list:
     """Run a reference trajectory and one delta-perturbed trajectory per
@@ -90,9 +101,9 @@ def weak_strong_campaign(
     The relative terms are evaluated while the ensemble runs, from a window
     of the last three samples (the centred difference quotient of the
     reference director needs the samples on both sides), so no sampled
-    state is kept and memory is flat in trajectory length.
+    state is kept and memory is flat in trajectory length.  Invalid
+    parameters raise InvalidParameters from the stepper.
     """
-    require_valid(p)
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
     xi_v = divfree_smooth_field(grid, rng)
@@ -160,9 +171,9 @@ def weak_strong_experiment(
     tensor: ElasticTensor,
     cfg: dynamics.StepperConfig,
     initial: dynamics.State,
-    seed: int = 7,
-    delta: float = 1e-3,
-    c: float = 1.0,
+    seed: int = ExperimentConfig.seed,
+    delta: float = ExperimentConfig.delta,
+    c: float = ExperimentConfig.gronwall_c,
     forcing=None,
 ) -> ComparisonReport:
     """The campaign of :func:`weak_strong_campaign` with the one ``delta``."""
@@ -193,8 +204,8 @@ def energy_monitor(
     tensor: ElasticTensor,
     cfg: dynamics.StepperConfig,
     initial: dynamics.State,
-    tol_energy: float = 1e-6,
-    tol_step: float = 1e-10,
+    tol_energy: float = ExperimentConfig.tol_energy,
+    tol_step: float = ExperimentConfig.tol_step,
     forcing=None,
 ) -> EnergyReport:
     """Run one trajectory and check the discrete energy law.

@@ -76,66 +76,48 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
 
-def _check_values(grid: Grid, values: np.ndarray, trailing: tuple):
-    expect = grid.shape + trailing
-    if values.shape != expect:
-        raise ValueError(f"field values shape {values.shape}, expected {expect}")
-
-
 @dataclass
-class ScalarField:
+class Field:
+    """Node-major values ``grid.shape + trailing`` on a grid; the scalar,
+    vector and tensor fields differ only by their ``trailing`` shape."""
+
     grid: Grid
     values: np.ndarray
+    trailing = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        _check_values(self.grid, self.values, ())
+        expect = self.grid.shape + self.trailing
+        if self.values.shape != expect:
+            raise ValueError(f"field values shape {self.values.shape}, expected {expect}")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros(grid.shape + cls.trailing))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
 
 
-@dataclass
-class VectorField:
-    grid: Grid
-    values: np.ndarray  # shape grid.shape + (3,)
+class ScalarField(Field):
+    """Values ``grid.shape``."""
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        _check_values(self.grid, self.values, (3,))
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros(grid.shape + (3,)))
+class VectorField(Field):
+    """Values ``grid.shape + (3,)``."""
+
+    trailing = (3,)
 
     @classmethod
     def constant(cls, grid: Grid, vec) -> "VectorField":
         values = np.broadcast_to(np.asarray(vec, dtype=np.float64), grid.shape + (3,))
         return cls(grid, values.copy())
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
 
+class TensorField(Field):
+    """Values ``grid.shape + (3, 3)``."""
 
-@dataclass
-class TensorField:
-    grid: Grid
-    values: np.ndarray  # shape grid.shape + (3, 3)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        _check_values(self.grid, self.values, (3, 3))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "TensorField":
-        return cls(grid, np.zeros(grid.shape + (3, 3)))
-
-    def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.values.copy())
+    trailing = (3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_validate_bad_material(tmp_path, capsys):
     assert "mu1 > 0" in capsys.readouterr().out
 
 
+def test_simulate_with_invalid_material_is_config_error(tmp_path, capsys):
+    assert main(["simulate", "--config", _write(tmp_path, "bad.cfg", BAD_MU)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "mu1 > 0" in err
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -163,6 +163,33 @@ def test_bad_explicit_entries_report_line():
         assert exc_info.value.line == 3
 
 
+#: The 81 entries of an isotropic tensor as an ``elastic_entries`` value.
+ISO_ENTRIES = " ".join(repr(float(x)) for x in ElasticTensor.isotropic(1.5).entries.ravel())
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[material]\nelastic_entries = 1 2 3\n", 2),  # isotropic, the default
+    ("[material]\nelastic = isotropic\nmu1 = 1.0\nelastic_entries = 1 2 3\n", 4),
+    (f"[material]\nelastic_k = 2.0\nelastic = explicit\nelastic_entries = {ISO_ENTRIES}\n", 2),
+    ("[initial]\nkind = smooth_random\ndirector = 1 0 0\n", 3),
+    ("[initial]\nkind = constant\nseed = 3\n", 3),
+    ("[initial]\namplitude = 0.2\nkind = constant\n", 2),
+    ("[initial]\nkind = constant\nv_amplitude = 0.2\n", 3),
+], ids=["isotropic-default-entries", "isotropic-entries", "explicit-k", "smooth-random-director",
+        "constant-seed", "constant-amplitude", "constant-v-amplitude"])
+def test_key_the_selected_kind_does_not_use_reports_line(text, line):
+    with pytest.raises(ConfigError, match="is not used with") as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == line
+
+
+def test_keys_the_random_kinds_use_parse():
+    cfg = parse_config("[initial]\nkind = smooth_random\nseed = 3\namplitude = 0.2\nv_amplitude = 0.3\n")
+    assert (cfg.initial.seed, cfg.initial.amplitude, cfg.initial.v_amplitude) == (3, 0.2, 0.3)
+    cfg = parse_config("[initial]\nkind = perturbed\ndirector = 1 0 0\nseed = 3\namplitude = 0.2\n")
+    assert (cfg.initial.director, cfg.initial.seed, cfg.initial.amplitude) == ((1.0, 0.0, 0.0), 3, 0.2)
+
+
 @pytest.mark.parametrize("spec", ["bogus", "constant:1,2", "constant:nan,0,0", "sinusoidal:inf"])
 def test_bad_forcing_reports_line(spec):
     with pytest.raises(ConfigError) as exc_info:

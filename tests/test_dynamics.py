@@ -20,7 +20,6 @@ from leslie_sim.dynamics import (
     project_divfree,
     run,
     stable_dt_bound,
-    step,
 )
 from leslie_sim.energetics import free_energy, variational_derivative
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
@@ -200,7 +199,7 @@ def test_stationary_state_is_fixed_point():
     s = State.initial(VectorField.zeros(grid),
                       VectorField.constant(grid, (0.0, 0.0, 1.0)))
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    out = step(s, cfg, PARODI_DEMO, TENSOR)
+    out = Stepper(grid, cfg, PARODI_DEMO, TENSOR).step(s)
     assert np.max(np.abs(out.v.values)) <= 1e-14
     assert np.max(np.abs(out.d.values - s.d.values)) <= 1e-14
     assert out.t == pytest.approx(1e-3)

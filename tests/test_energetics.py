@@ -7,7 +7,7 @@ import leslie_sim.energetics as en
 import oracles
 from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import smooth_vector_field
-from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO
+from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, InvalidParameters, ParameterSet
 from leslie_sim.tensor import ElasticTensor
 
 EPS = 0.1
@@ -126,6 +126,15 @@ def test_relative_dissipation_zero_at_equal_states():
     v, d = smooth_vector_field(grid, rng), smooth_vector_field(grid, rng)
     q = en.variational_derivative(d, TENSOR, EPS)
     assert en.relative_dissipation(v, d, q, v, d, q, PARODI_DEMO) == 0.0
+
+
+def test_relative_dissipation_with_invalid_parameters_raises():
+    grid = Grid.unit_box(8)
+    rng = np.random.default_rng(14)
+    v, d = smooth_vector_field(grid, rng), smooth_vector_field(grid, rng)
+    q = en.variational_derivative(d, TENSOR, EPS)
+    with pytest.raises(InvalidParameters, match="mu4 > 0"):
+        en.relative_dissipation(v, d, q, v, d, q, ParameterSet(mu4=-1.0))
 
 
 def test_relative_dissipation_nonnegative():

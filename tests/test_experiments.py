@@ -1,9 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import leslie_sim
 import oracles
+from leslie_sim import config
 from leslie_sim.dynamics import SimulationError, State, StepperConfig, run
 from leslie_sim.experiments import (
+    ExperimentConfig,
     convergence_study,
     energy_monitor,
     ibp_suite,
@@ -12,7 +17,7 @@ from leslie_sim.experiments import (
 )
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
-from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, zeta
+from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, InvalidParameters, ParameterSet, zeta
 from leslie_sim.tensor import ElasticTensor
 
 TENSOR = ElasticTensor.isotropic(1.0)
@@ -31,6 +36,26 @@ def _initial(grid, seed=30, amp=0.2):
         + amp * smooth_vector_field(grid, rng).values,
     )
     return State.initial(v0, d0)
+
+
+def test_keyword_defaults_are_the_experiment_config_fields():
+    fields = ExperimentConfig()
+    for func, keywords in (
+        (weak_strong_campaign, {"seed": fields.seed, "deltas": (fields.delta,), "c": fields.gronwall_c}),
+        (weak_strong_experiment, {"seed": fields.seed, "delta": fields.delta, "c": fields.gronwall_c}),
+        (energy_monitor, {"tol_energy": fields.tol_energy, "tol_step": fields.tol_step}),
+    ):
+        parameters = inspect.signature(func).parameters
+        for keyword, value in keywords.items():
+            assert parameters[keyword].default == value, (func.__name__, keyword)
+    assert config.ExperimentConfig is ExperimentConfig is leslie_sim.ExperimentConfig
+
+
+def test_campaign_with_invalid_parameters_raises():
+    grid = Grid.unit_box(8)
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3)
+    with pytest.raises(InvalidParameters, match="mu1 > 0"):
+        weak_strong_campaign(grid, ParameterSet(mu1=-1.0), TENSOR, cfg, _initial(grid))
 
 
 def test_ibp_suite_passes():

@@ -52,6 +52,16 @@ def test_field_shape_checks():
         TensorField(grid, np.zeros((8, 8, 3)))
 
 
+@pytest.mark.parametrize("cls, trailing", [(ScalarField, ()), (VectorField, (3,)), (TensorField, (3, 3))])
+def test_field_zeros_and_copy_keep_the_type(cls, trailing):
+    grid = Grid.unit_box(8)
+    field = cls.zeros(grid)
+    copy = field.copy()
+    assert type(copy) is cls and copy.grid == grid and copy.values.shape == grid.shape + trailing
+    copy.values[...] = 1.0
+    assert not field.values.any()
+
+
 def test_integrate_constant_is_one():
     grid = Grid.unit_box(12)
     assert oracles.integrate(ScalarField(grid, np.ones(grid.shape))) == pytest.approx(1.0)
