@@ -8,7 +8,8 @@ key has a documented default, so the empty config is valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 from .dynamics import StepperConfig
 from .experiments import ExperimentConfig
@@ -41,7 +42,10 @@ class RunConfig:
 
 
 def _parse_sections(text: str):
+    """The file's ``[section] key -> (value, line)`` entries, and the line
+    of each section's first header."""
     sections: dict = {}
+    headers: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -52,6 +56,7 @@ def _parse_sections(text: str):
             if current not in _KEYS:
                 raise ConfigError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
+            headers.setdefault(current, lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
@@ -63,7 +68,7 @@ def _parse_sections(text: str):
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = (value, lineno)
-    return sections
+    return sections, headers
 
 
 def _finite(value: str) -> float:
@@ -81,10 +86,14 @@ def _ints(value: str):
     return [int(v) for v in value.replace(",", " ").split()]
 
 
-def _periodic(value: str):
-    if value != "periodic":
-        raise ValueError(f"only periodic grids are supported, got {value!r}")
-    return value
+def _one_of(*choices, convert=str):
+    """A converter that accepts only ``choices``, after ``convert``."""
+    def check(value: str):
+        x = convert(value)
+        if x not in choices:
+            raise ValueError(f"must be {' or '.join(map(str, choices))}, got {value!r}")
+        return x
+    return check
 
 
 def _forcing(value: str) -> str:
@@ -113,10 +122,10 @@ def _director(value: str) -> tuple:
 #: grid, the elastic tensor and ``[output]`` (field None) are built key by key.
 _KEYS = {
     "grid": {
-        "dim": (None, int),
+        "dim": (None, _one_of(2, 3, convert=int)),
         "n": (None, _ints),
         "length": (None, _finite_floats),
-        "bc": (None, _periodic),
+        "bc": (None, _one_of("periodic")),  # every grid is periodic
     },
     "material": {
         "lambda": ("lam", _finite),
@@ -124,7 +133,7 @@ _KEYS = {
         **{f"mu{i}": (f"mu{i}", _finite) for i in range(1, 7)},
         "epsilon": ("epsilon", _finite),
         "forcing": ("forcing", _forcing),
-        "elastic": (None, str),
+        "elastic": (None, _one_of("isotropic", "explicit")),
         "elastic_k": (None, _isotropic),
         "elastic_entries": (None, _explicit),
     },
@@ -166,11 +175,26 @@ _UNUSED = {
 }
 
 
+def _line(sections, section, key):
+    """The line of ``[section] key``, or None if the file does not give it."""
+    entry = sections.get(section, {}).get(key)
+    return None if entry is None else entry[1]
+
+
+@contextmanager
+def _reported_at(line):
+    """A ValueError raised in the block, as a ConfigError naming ``line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), line)
+
+
 def _reject_unused(sections, section, kind_key, kind):
     for key in _UNUSED.get((section, kind), ()):
-        entry = sections.get(section, {}).get(key)
-        if entry is not None:
-            raise ConfigError(f"{section}.{key} is not used with {kind_key} = {kind}", entry[1])
+        line = _line(sections, section, key)
+        if line is not None:
+            raise ConfigError(f"{section}.{key} is not used with {kind_key} = {kind}", line)
 
 
 def _get(sections, section, key, default=None):
@@ -187,36 +211,41 @@ def _get(sections, section, key, default=None):
 
 
 def _build(cls, sections, section):
-    """The dataclass ``cls`` from the keys of ``[section]`` that the file
-    gives; a failed check of the whole dataclass is a ConfigError."""
-    given = sections.get(section, {})
-    kwargs = {field: _get(sections, section, key)
-              for key, (field, _) in _KEYS[section].items() if field is not None and key in given}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """The dataclass ``cls`` with the keys of ``[section]`` that the file
+    gives applied to its defaults one at a time, in file order.  Each check
+    of these dataclasses reads one field, so a failed one is a ConfigError
+    naming the line of the key that failed it."""
+    built = cls()
+    for key, (_, lineno) in sections.get(section, {}).items():
+        field = _KEYS[section][key][0]
+        if field is not None:
+            value = _get(sections, section, key)
+            with _reported_at(lineno):
+                built = replace(built, **{field: value})
+    return built
 
 
 def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
-    sections = _parse_sections(text)
+    sections, headers = _parse_sections(text)
 
     dim = _get(sections, "grid", "dim", 2)
-    if dim not in (2, 3):
-        raise ConfigError("grid.dim must be 2 or 3")
     n = _get(sections, "grid", "n", [32] * dim)
     if len(n) == 1:
         n = n * dim
     length = _get(sections, "grid", "length", [1.0] * dim)
     if len(length) == 1:
         length = length * dim
-    if len(n) != dim or len(length) != dim:
-        raise ConfigError("grid.n / grid.length must match grid.dim")
-    _get(sections, "grid", "bc")  # checked only: every grid is periodic
-    try:
-        grid = Grid(n=tuple(n), h=tuple(length[i] / n[i] for i in range(dim)))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    _get(sections, "grid", "bc")  # checked only
+    # a grid error names the line of the key that makes it: the cell counts
+    # are checked on cells of unit width, then the lengths set the spacing
+    with _reported_at(_line(sections, "grid", "n")):
+        if len(n) != dim:
+            raise ValueError("grid.n must match grid.dim")
+        grid = Grid(n=tuple(n), h=(1.0,) * dim)
+    with _reported_at(_line(sections, "grid", "length")):
+        if len(length) != dim:
+            raise ValueError("grid.length must match grid.dim")
+        grid = replace(grid, h=tuple(x / k for x, k in zip(length, n)))
 
     params = _build(ParameterSet, sections, "material")
     violations = validate(params)
@@ -228,17 +257,19 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     # the tensor is built as the value's conversion, so that a bad stiffness
     # or entry list is reported with its line
     elastic_kind = _get(sections, "material", "elastic", "isotropic")
-    if elastic_kind not in ("isotropic", "explicit"):
-        raise ConfigError(f"material.elastic must be isotropic or explicit, got {elastic_kind!r}")
     _reject_unused(sections, "material", "elastic", elastic_kind)
     if elastic_kind == "isotropic":
         elastic = _get(sections, "material", "elastic_k", ElasticTensor.isotropic(1.0))
     else:
         elastic = _get(sections, "material", "elastic_entries")
         if elastic is None:
-            raise ConfigError("elastic = explicit needs elastic_entries with 81 values")
+            raise ConfigError("elastic = explicit needs elastic_entries with 81 values",
+                              _line(sections, "material", "elastic"))
 
     stepper = _build(StepperConfig, sections, "stepper")
+    # every state built from a config starts at t = 0
+    with _reported_at(headers.get("stepper")):
+        stepper.steps(0.0)
     initial = _build(InitialSpec, sections, "initial")
     _reject_unused(sections, "initial", "kind", initial.kind)
 

@@ -124,6 +124,17 @@ class StepperConfig:
         if not (0.0 <= self.theta < 0.5):
             raise ValueError("theta must lie in [0, 0.5) for a one-sided energy law")
 
+    def steps(self, t0: float) -> int:
+        """The number of steps from t0 to t_end.  (t_end - t0) / dt must be
+        a whole number >= 0, to within 1e-9 of itself (or of 1, if smaller);
+        anything else is a ValueError, not a rounded step count."""
+        x = (self.t_end - t0) / self.dt
+        n = round(x)
+        if n < 0 or abs(x - n) > 1e-9 * max(abs(x), 1.0):
+            raise ValueError(f"t_end = {self.t_end:g} is not t0 = {t0:g} plus a whole number of "
+                             f"steps dt = {self.dt:g}: (t_end - t0) / dt = {x:.12g}")
+        return n
+
 
 # ---------------------------------------------------------------------------
 # spectral operators
@@ -681,7 +692,7 @@ class Stepper:
         cfg = self.cfg
         state = Ensemble.of(initials)
         m = len(initials)
-        n_steps = max(0, int(round((cfg.t_end - state.t) / cfg.dt)))
+        n_steps = cfg.steps(state.t)
         # each member's trace, field by field in EnergyTrace order, a column
         # per sample
         trace = np.empty((m, len(fields(EnergyTrace)), 1 + -(-n_steps // cfg.output_every)))

@@ -171,17 +171,17 @@ def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq
 
     Only |v|_L6 and |d|_L6 come from the perturbed member; of ``dev``, ``q``
     and ``ddvd`` only member 0 is read, and the reference's gradients enter
-    as :func:`ref_grad_sq`.  dt dr is node-major, grid.shape + (3,).  Note
-    |dt dr|_L3 enters to the first power while the others are squared; this
-    asymmetry is deliberate.  The W^{1,6} norm is
-    (|f|_L6^6 + |grad f|_L6^6)^{1/6}.
+    as :func:`ref_grad_sq`.  dt dr is the reference's alone, component-major
+    (1, 3) + grid.shape like the member arrays.  Note |dt dr|_L3 enters to
+    the first power while the others are squared; this asymmetry is
+    deliberate.  The W^{1,6} norm is (|f|_L6^6 + |grad f|_L6^6)^{1/6}.
     """
     v_l6, d_l6 = _lp_sq(grid, _dot(v, v), 6), _lp_sq(grid, d_sq, 6)
     ref_terms = (
         (v_l6[0] ** 3 + _lp_sq(grid, grad_vr_sq, 6) ** 3) ** (1.0 / 3.0)  # |vr|_W16^2
         + _lp_sq(grid, _dot(q[:1], q[:1]), 3)
         + _lp_sq(grid, ddvd[:1] ** 2, 6)
-        + np.sqrt(_lp_sq(grid, np.sum(dt_d**2, axis=-1)[None], 3))
+        + np.sqrt(_lp_sq(grid, _dot(dt_d, dt_d), 3))
         + _lp_sq(grid, dev[:1] ** 2, 6)
         + _integral(grid, grad_dr_sq)
     )
@@ -191,8 +191,8 @@ def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq
 def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, dt_d) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each member after the first against the reference,
-    member 0, at one sample: shape (5, m - 1).  q is built here; dt dr is
-    node-major.  Each gradient is dropped as soon as it is used."""
+    member 0, at one sample: shape (5, m - 1), dt dr (1, 3) + grid.shape.
+    q is built here, and each gradient is dropped as soon as it is used."""
     grad_d, flux, lap, d_sq, dev = director_terms(grid, contraction, d)
     del flux
     q = variational_q(d, dev, lap, p.epsilon)
@@ -244,7 +244,7 @@ def relative_energy(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: V
     return float(relative_energies(v.grid, contraction, eps, g.members([v_ref, v]), dm, _dot(dm, dm))[0])
 
 
-def dissipation_channels(v: VectorField, d: VectorField, q: VectorField):
+def dissipation_channels(v: VectorField, d: VectorField):
     """The three velocity-dependent dissipation integrands as node-major
     arrays: (Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient."""
     grid = v.grid
@@ -274,7 +274,7 @@ def gronwall_K(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: Vector
     grad_v = g.gradient_components(grid, vm)
     K = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, g.members([q_ref]), director_strain(grad_v, dm)[2],
                          ref_grad_sq(grid, grad_v), ref_grad_sq(grid, g.gradient_components(grid, dm)),
-                         dt_d_ref.values)
+                         g.members([dt_d_ref]))
     return c * float(K[0])
 
 

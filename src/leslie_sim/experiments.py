@@ -40,39 +40,23 @@ class ComparisonReport:
     trace: en.RelativeTrace
     minimal_c: float
     bound_satisfied: bool
-    max_E_over_E0: float
-    E0: float
-    max_E: float
     # per-sample data for the absorption inequality check
     cross_abs: np.ndarray  # |cross_coeff * (q - qr, Dv d - Dvr dr)|
     absorb_rhs: np.ndarray  # zeta * (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2)
 
+    @property
+    def E0(self) -> float:
+        return float(self.trace.E[0])
 
-@dataclass
-class _Sample:
-    """A sampled ensemble's time and C-contiguous component-major member
-    velocities and directors (m, 3) + grid.shape."""
+    @property
+    def max_E(self) -> float:
+        return float(self.trace.E.max())
 
-    t: float
-    v: np.ndarray
-    d: np.ndarray
-
-
-def _relative_column(grid: Grid, p: ParameterSet, contraction: tuple, lo: _Sample, at: _Sample,
-                     hi: _Sample) -> np.ndarray:
-    """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
-    absorption bound of each member after the first against the reference,
-    member 0, at the sample ``at``: shape (5, m - 1), from
-    :func:`energetics.relative_terms`.  dt dr is the difference quotient of
-    the reference between the samples ``lo`` and ``hi`` -- centred, or
-    one-sided at an end, where one of them is ``at`` -- and zero when ``lo``
-    is ``hi``, a lone sample."""
-    if lo is hi:
-        dt_d = np.zeros(grid.shape + (3,))
-    else:
-        dt_d = np.subtract(g.nodal(hi.d[0]), g.nodal(lo.d[0]), order="C")
-        dt_d /= hi.t - lo.t
-    return en.relative_terms(grid, p, contraction, at.v, at.d, dt_d)
+    @property
+    def max_E_over_E0(self) -> float:
+        """max E / E0: 0 when E vanishes throughout, inf when only E0 does."""
+        E0, max_E = self.E0, self.max_E
+        return max_E / E0 if E0 > 0.0 else math.inf if max_E > 0.0 else 0.0
 
 
 def weak_strong_campaign(
@@ -117,18 +101,24 @@ def weak_strong_campaign(
     ]
     # the relative terms of sample i are taken when sample i + 1 arrives, and
     # those of the last sample after the run, so a window of three samples
-    # (i - 1, i, i + 1) serves the centred dt dr
+    # (i - 1, i, i + 1) serves the centred dt dr (one-sided at an end, zero
+    # for a lone sample); the window holds the ensembles the stepper handed
+    # out, which it never writes into, so they need no copy
     contraction = tensor.sparse_contraction(grid.dim)
     window, columns = [], []
 
+    def column(lo, at, hi):
+        dt_d = np.zeros_like(at.d[:1]) if lo is hi else (hi.d[:1] - lo.d[:1]) / (hi.t - lo.t)
+        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, dt_d))
+
     def observe(e):
-        window.append(_Sample(e.t, np.ascontiguousarray(e.v), np.ascontiguousarray(e.d)))
+        window.append(e)
         if len(window) > 1:
-            columns.append(_relative_column(grid, p, contraction, window[0], window[-2], window[-1]))
+            column(window[0], window[-2], window[-1])
             del window[:-2]
 
     traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
-    columns.append(_relative_column(grid, p, contraction, window[0], window[-1], window[-1]))
+    column(window[0], window[-1], window[-1])
     series = np.stack(columns, axis=-1)
     return [_comparison(delta, traj.trace.t, *series[:, k], c) for k, delta in enumerate(deltas)]
 
@@ -150,16 +140,11 @@ def _comparison(delta, ts, E, W, K, cross_abs, absorb_rhs, c) -> ComparisonRepor
     elif np.any(E > 0.0):
         minimal_c = math.inf
 
-    trace = en.RelativeTrace(t=ts, E=E, W=W, K=c * K, bound=bound)
-    max_E = float(E.max())
     return ComparisonReport(
         delta0=delta,
-        trace=trace,
+        trace=en.RelativeTrace(t=ts, E=E, W=W, K=c * K, bound=bound),
         minimal_c=minimal_c,
         bound_satisfied=bound_satisfied,
-        max_E_over_E0=(max_E / E0 if E0 > 0.0 else math.inf if max_E > 0.0 else 0.0),
-        E0=E0,
-        max_E=max_E,
         cross_abs=cross_abs,
         absorb_rhs=absorb_rhs,
     )
@@ -212,8 +197,11 @@ def energy_monitor(
 
     Pass requires (a) the per-step total energy non-increasing within
     tol_step * E(0) and (b) the energy-inequality residual below
-    tol_energy * E(0) at every sample time.
+    tol_energy * E(0) at every sample time.  ``grid`` must be the initial
+    state's.
     """
+    if grid != initial.v.grid:
+        raise ValueError("grid must be the grid of the initial state")
     traj = dynamics.run(initial, cfg, p, tensor, forcing=forcing, observer=_keep_nothing)
     residual = en.energy_inequality_residual(traj.trace, p)
     e0 = traj.trace.total[0]

@@ -13,8 +13,10 @@ projection target in real space, the smooth field as a sum of cosines, the
 ellipticity sample as one einsum and the director inverse by
 ``np.linalg.inv`` -- independently of those kernels.  The weak-strong
 campaign evaluates its relative terms while the ensemble runs, from a
-window of three samples; :func:`relative_series` evaluates them after the
-run from every retained sample.
+window of the three ensembles the stepper last handed out;
+:func:`relative_series` evaluates them after the run from every retained
+sample, handing :func:`energetics.relative_terms` the same component-major
+members and the same component-major dt dr, (1, 3) + grid.shape.
 
 The node-major quadrature, norms and pairings (:func:`integrate`,
 :func:`lp_norm`, :func:`inner`, :func:`frobenius`,
@@ -222,8 +224,8 @@ def relative_series(grid, p, tensor, runs):
     out = np.empty((5, len(runs) - 1, n))
     for i in range(n):
         lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        dt_d = np.zeros_like(ref[i].d.values) if n == 1 else (
-            (ref[hi].d.values - ref[lo].d.values) / (ts[hi] - ts[lo])
+        dt_d = np.zeros((1, 3) + grid.shape) if n == 1 else (
+            (g.members([ref[hi].d]) - g.members([ref[lo].d])) / (ts[hi] - ts[lo])
         )
         v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
         out[:, :, i] = relative_terms(grid, p, contraction, v, d, dt_d)

@@ -220,3 +220,16 @@ def test_compare_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     data = read_trace_csv(trace)
     assert np.all(np.isfinite(data["E"]))
+
+
+def test_compare_delta_and_seed_flags(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", GOOD)
+    assert main(["compare", "--config", cfg, "--delta", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS: delta = 0,") and "max E = 0," in out
+
+    def max_E(seed):
+        assert main(["compare", "--config", cfg, "--delta", "1e-2", "--seed", seed]) == 0
+        return capsys.readouterr().out.split("max E = ")[1].split(",")[0]
+
+    assert max_E("3") != max_E("4")

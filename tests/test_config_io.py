@@ -218,6 +218,25 @@ def test_nonfinite_values_report_line(text):
     assert exc_info.value.line == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[material]\nelastic = bogus\n", "[material]\nelastic = explicit\n",
+    "[initial]\nkind = bogus\n", "[initial]\ndirector = 1 2\n",
+    "[grid]\ndim = 4\n", "[grid]\nn = 3\n", "[grid]\nn = 8 8 8\n", "[grid]\nlength = -1\n",
+    "[stepper]\ntheta = 0.7\n", "[stepper]\ndt = 0\n", "[stepper]\noutput_every = 0\n",
+])
+def test_bad_value_reports_the_line_of_its_key(text):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("t_end", ["0.0105", "0.0004", "-0.002"])
+def test_t_end_off_the_step_grid_reports_the_stepper_line(t_end):
+    with pytest.raises(ConfigError, match="whole number of steps") as exc_info:
+        parse_config(f"[grid]\nn = 8\n[stepper]\ndt = 1e-3\nt_end = {t_end}\n")
+    assert exc_info.value.line == 3
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[grid]\nn = 16\n")

@@ -377,6 +377,21 @@ def test_stepper_config_rejects_nonfinite_times(field, value):
         StepperConfig(**{field: value})
 
 
+def test_step_count_is_whole_or_an_error():
+    assert StepperConfig(dt=1e-3, t_end=0.01).steps(0.0) == 10
+    assert StepperConfig(dt=1e-3, t_end=0.01).steps(0.01) == 0
+    assert StepperConfig(dt=1e-3, t_end=0.3).steps(0.1) == 200  # 0.3 - 0.1 is not 0.2 exactly
+    for t_end, t0 in ((0.0105, 0.0), (4e-4, 0.0), (0.0, 2e-3)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            StepperConfig(dt=1e-3, t_end=t_end).steps(t0)
+    # a run stops neither early nor at once: it refuses the horizon
+    grid = Grid.unit_box(8)
+    s = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    for t_end in (0.0105, 4e-4):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run(s, StepperConfig(dt=1e-3, t_end=t_end), PARODI_DEMO, TENSOR)
+
+
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)

@@ -200,7 +200,7 @@ def test_parodi_cross_term_exactly_zero():
     rng = np.random.default_rng(17)
     v, d = smooth_vector_field(grid, rng), smooth_vector_field(grid, rng)
     q = en.variational_derivative(d, TENSOR, EPS)
-    _, dvd, _ = en.dissipation_channels(v, d, q)
+    _, dvd, _ = en.dissipation_channels(v, d)
     cross = PARODI_DEMO.cross_coeff * float(np.sum(q.values * dvd)) * grid.cell_volume
     assert cross == 0.0
 

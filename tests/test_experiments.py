@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 import leslie_sim
 import oracles
 from leslie_sim import config
+from leslie_sim import energetics as en
 from leslie_sim.dynamics import SimulationError, State, StepperConfig, run
 from leslie_sim.experiments import (
+    ComparisonReport,
     ExperimentConfig,
     convergence_study,
     energy_monitor,
@@ -77,6 +80,14 @@ def test_energy_monitor_stationary():
     np.testing.assert_allclose(report.residual, 0.0, atol=1e-13)
 
 
+def test_energy_monitor_rejects_a_grid_other_than_the_initial_states():
+    grid = Grid.unit_box(16)
+    s = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="grid"):
+        energy_monitor(Grid.unit_box(16, dim=3), PARODI_DEMO, TENSOR,
+                       StepperConfig(dt=1e-3, t_end=0.01), s)
+
+
 def test_energy_monitor_dissipative_run():
     grid = Grid.unit_box(16)
     report = energy_monitor(grid, PARODI_DEMO, TENSOR,
@@ -110,6 +121,19 @@ def test_weak_strong_quadratic_scaling():
     assert big.delta0 == 1e-2
     assert big.minimal_c >= 0.0
     assert np.all(big.trace.bound >= big.trace.E[0])
+
+
+@pytest.mark.parametrize("E, ratio", [
+    ([0.0, 0.0], 0.0), ([0.0, 2.0], math.inf), ([2.0, 3.0], 1.5),
+])
+def test_max_E_over_E0_edge_cases(E, ratio):
+    E = np.array(E)
+    zeros = np.zeros_like(E)
+    trace = en.RelativeTrace(t=np.arange(len(E), dtype=float), E=E, W=zeros, K=zeros, bound=E)
+    report = ComparisonReport(delta0=0.0, trace=trace, minimal_c=0.0, bound_satisfied=True,
+                              cross_abs=zeros, absorb_rhs=zeros)
+    assert (report.E0, report.max_E) == (E[0], E.max())
+    assert report.max_E_over_E0 == ratio
 
 
 def test_weak_strong_zero_delta():
