@@ -25,6 +25,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load(args, allow_invalid=False):
     try:
         return load_config(args.config, allow_invalid=allow_invalid)
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="weak-strong stability comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_compare)
 
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ibp-check", help="discrete integration-by-parts residuals")
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=_cmd_ibp_check)
 
     p = sub.add_parser("converge", help="self-convergence study of the coupled stepper")

@@ -15,7 +15,7 @@ from .dynamics import StepperConfig
 from .experiments import ExperimentConfig
 from .grid import Grid
 from .initial import InitialSpec
-from .material import ParameterSet, make_forcing, validate
+from .material import ParameterSet, make_forcing, violated_conditions
 from .tensor import ElasticTensor
 
 
@@ -248,11 +248,14 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         grid = replace(grid, h=tuple(x / k for x, k in zip(length, n)))
 
     params = _build(ParameterSet, sections, "material")
-    violations = validate(params)
+    violations = violated_conditions(params)
     if violations and not allow_invalid:
-        raise ConfigError(
-            "material parameters violate: " + "; ".join(violations)
-        )
+        # the line of the last key that the first violated inequality reads,
+        # or the section header if the file gives none of them
+        key_of = {field: key for key, (field, _) in _KEYS["material"].items()}
+        lines = [_line(sections, "material", key_of[f]) for f in violations[0][1]]
+        raise ConfigError("material parameters violate: " + "; ".join(t for t, _ in violations),
+                          max((n for n in lines if n is not None), default=headers.get("material")))
 
     # the tensor is built as the value's conversion, so that a bad stiffness
     # or entry list is reported with its line

@@ -11,15 +11,19 @@ Scheme (one step):
    advection, Leslie stress and director force evaluated at the old director
    with the two-point q, plus forcing;
 4. exact FFT Leray projection onto discretely divergence-free fields on
-   the Helmholtz solve's spectrum, with one inverse transform of velocity
-   and pressure stacked (:func:`_velocity_update`): four FFTs a step, two
-   at theta = 0, where both implicit operators are the identity and the
-   step makes no director solve and no Helmholtz divide.
+   the Helmholtz solve's spectrum (:func:`_velocity_update`), with one
+   inverse transform of the velocity, stacked with the pressure on the
+   steps whose state is sampled (the pressure is only ever read there):
+   four FFTs a step, two at theta = 0, where both implicit operators are
+   the identity and the step makes no director solve and no Helmholtz
+   divide.  The grad v of the projected velocity gives the projection
+   residual as its trace.
 
-Each derivative is taken once per step: one grad v serves the director
-rotation, the Leslie stress and the split advection (for a sampled state,
-the grad v and the director strain its diagnostics took serve the next
-step); each director's grad d and div(L : grad d) (:class:`DirectorTerms`)
+Each derivative is taken once per step: the grad v that the velocity
+update takes serves the next step's director rotation, Leslie stress and
+split advection and the sample's diagnostics (for a sampled state the
+director strain the diagnostics took serves the next step too); each
+director's grad d and div(L : grad d) (:class:`DirectorTerms`)
 serve its step, the next step and the per-step energy; the two-point q
 uses the mean of the two directors' div(L : grad d), as the operator is
 linear; and the explicit momentum flux is built one column at a time, each
@@ -206,7 +210,12 @@ class SpectralOps:
         return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def backward(self, values_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(values_hat, s=self.grid.n, axes=self.axes)
+        """``irfftn`` over the grid's axes, bit for bit, spending
+        ``values_hat``: the complex stages run in place on it (numpy's n-d
+        loop takes the listed axes last to first, so the reversed list is
+        ``irfftn``'s own order), then the real stage on the last axis."""
+        np.fft.ifftn(values_hat, axes=self.axes[-2::-1], out=values_hat)
+        return np.fft.irfft(values_hat, n=self.grid.n[-1], axis=-1)
 
     def check_grid(self, grid: Grid) -> None:
         if grid != self.grid:
@@ -291,22 +300,25 @@ def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
     """
     if ops is None:
         ops = SpectralOps(u.grid)
-    vp = _velocity_update(ops, _members(u, ops), tol)
+    vp, _ = _velocity_update(ops, _members(u, ops), tol)
     if isinstance(u, VectorField):
         return _as_given(u, vp[:, :3]), ScalarField(ops.grid, vp[0, 3])
     return vp[:, :3], vp[:, 3]
 
 
-def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False):
+def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False,
+                     pressure: bool = True):
     """The members' vectors ``values`` (m, 3) + grid.shape, Helmholtz-solved
-    if ``helmholtz``, then projected, and their pressures: velocity [:, :3]
-    and pressure [:, 3] of one (m, 4) + grid.shape inverse transform.  With
-    s = sigma . u_hat (the stencil divergence has symbol i s), p_hat =
+    if ``helmholtz``, then projected, with their pressures if ``pressure``:
+    velocity [:, :3] and pressure [:, 3] of one (m, 4) + grid.shape inverse
+    transform, (m, 3) without; and the grad v of the projected velocity.
+    With s = sigma . u_hat (the stencil divergence has symbol i s), p_hat =
     i s / (-|sigma|^2) and u_hat += sigma s / (-|sigma|^2).  Raises
-    ProjectionError when the stencil divergence of a member's result
-    exceeds its :func:`_projection_targets`."""
+    ProjectionError when the stencil divergence of a member's result, the
+    trace of its grad v summed as :func:`grid.divergence_components` sums
+    it, exceeds its :func:`_projection_targets`."""
     grid = ops.grid
-    vp_hat = np.empty((len(values), 4) + ops.sig_sq.shape, dtype=complex)
+    vp_hat = np.empty((len(values), 3 + pressure) + ops.sig_sq.shape, dtype=complex)
     u_hat = ops.forward(values, out=vp_hat[:, :3])
     if helmholtz:
         u_hat /= ops.helmholtz_denominator
@@ -317,17 +329,22 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
     s /= ops.projection_denominator
     for a in range(grid.dim):
         u_hat[:, a] += ops.sigmas[a] * s
-    np.multiply(s, 1j, out=vp_hat[:, 3])
+    if pressure:
+        np.multiply(s, 1j, out=vp_hat[:, 3])
     vp = ops.backward(vp_hat)
-    div_out = g.divergence_components(grid, vp[:, :3])
+    del vp_hat, u_hat, s  # spent; freed before grad v, the update's largest array
+    grad_v = g.gradient_components(grid, vp[:, :3])
+    div = grad_v[:, 0, 0] + grad_v[:, 1, 1]
+    for a in range(2, grid.dim):
+        div += grad_v[:, a, a]
     for i, target in enumerate(targets):
-        res = math.sqrt(float(np.vdot(div_out[i], div_out[i])) * grid.cell_volume)
+        res = math.sqrt(float(np.vdot(div[i], div[i])) * grid.cell_volume)
         if res > target:
             raise ProjectionError(
                 f"projection residual {res:.3e}{_member_label(i, len(targets))} "
                 f"exceeds target {target:.3e}"
             )
-    return vp
+    return vp, grad_v
 
 
 def _projection_targets(ops: SpectralOps, u_hat: np.ndarray, div_hat: np.ndarray, tol: float) -> list:
@@ -468,7 +485,8 @@ def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
 @dataclass
 class Ensemble:
     """The members of an ensemble at one time t: component-major velocities
-    and directors (m, 3) + grid.shape and pressures (m,) + grid.shape."""
+    and directors (m, 3) + grid.shape and pressures (m,) + grid.shape, or
+    None after a step that was not asked for them."""
 
     grid: Grid
     t: float
@@ -498,7 +516,8 @@ class Ensemble:
         """Member i as a State of node-major views."""
         grid = self.grid
         return State(self.t, VectorField(grid, g.nodal(self.v[i])),
-                     VectorField(grid, g.nodal(self.d[i])), ScalarField(grid, self.p[i]))
+                     VectorField(grid, g.nodal(self.d[i])),
+                     None if self.p is None else ScalarField(grid, self.p[i]))
 
 
 @dataclass
@@ -506,9 +525,9 @@ class DirectorTerms:
     """grad d, div(L : grad d), |d|^2 - 1 and the free energy of each
     member's director, component-major with the member axis leading,
     computed once and shared by the two steps and the diagnostics that need
-    them; and grad v of the same state and its :func:`energetics.director_strain`
-    once the diagnostics have taken them, for the next step, which clears
-    them."""
+    them; grad v of the same state, left by the step that made it; and its
+    :func:`energetics.director_strain` once the diagnostics have taken it,
+    for the next step, which clears it."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
@@ -585,11 +604,20 @@ class Stepper:
             )
             self._cfl_warned = True
 
-    def step(self, s, terms: DirectorTerms | None = None):
+    def _grad_v(self, terms: DirectorTerms, v: np.ndarray) -> np.ndarray:
+        """grad v of the state of ``terms``: the one the step that made the
+        state left there, else taken now and kept there."""
+        if terms.grad_v is None:
+            terms.grad_v = g.gradient_components(self.grid, v)
+        return terms.grad_v
+
+    def step(self, s, terms: DirectorTerms | None = None, pressure: bool = True):
         """Advance a State, or every member of an Ensemble, on the stepper's
         grid by one step, and return the same kind.  ``terms``, if given,
         must be those of s (else they are computed from s); they are
-        overwritten with those of the result, ready for the next step."""
+        overwritten with those of the result, ready for the next step.  With
+        ``pressure=False`` the step skips the pressure: the result's p is
+        None."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
         e = Ensemble.of([s]) if isinstance(s, State) else s
@@ -603,12 +631,11 @@ class Stepper:
 
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        if terms.grad_v is None:
-            grad_v = g.gradient_components(grid, v)
+        grad_v = self._grad_v(terms, v)
+        if terms.strain is None:
             grad_v_d, dvd, ddvd = en.director_strain(grad_v, d)
         else:  # taken by the diagnostics of the sample s
-            grad_v, (grad_v_d, dvd, ddvd) = terms.grad_v, terms.strain
-            terms.strain = None
+            (grad_v_d, dvd, ddvd), terms.strain = terms.strain, None
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
         del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
@@ -657,18 +684,20 @@ class Stepper:
         rhs -= 0.5 * np.einsum("mij...,mj...->mi...", grad_v, v[:, :dim])
         # Ericksen force (grad d)^T q, as in ericksen_force
         rhs[:, :dim] += np.einsum("mia...,mi...->ma...", grad_d, q_half)
+        del q_half  # the step's memory peaks in the velocity update
         rhs *= dt
         rhs += v
         fvals = self._forcing_values(e.t)
         if fvals is not None:
             rhs += dt * g.components(fvals)
 
-        # 4. the Helmholtz solve and the projection on one spectrum
-        vp = _velocity_update(self.ops, rhs, cfg.poisson_tol, helmholtz=self._helmholtz)
+        # 4. the Helmholtz solve and the projection on one spectrum; the old
+        # grad v is freed only after the new one is taken
+        vp, terms.grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz, pressure)
         terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
-        terms.grad_v = None
-        vp[:, 3] /= dt
-        out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3])
+        if pressure:
+            vp[:, 3] /= dt
+        out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3] if pressure else None)
         return out.member(0) if isinstance(s, State) else out
 
     def run(self, initial: State, observer=None) -> Trajectory:
@@ -711,8 +740,10 @@ class Stepper:
         terms = self._director_terms(state.d)
         j = 0
         for k in range(n_steps + 1):
+            # the pressure is computed only for the samples, which read it
+            sampled = k % cfg.output_every == 0 or k == n_steps
             if k > 0:
-                state = self.step(state, terms)
+                state = self.step(state, terms, pressure=sampled)
                 finite = np.isfinite(state.v).reshape(m, -1).all(axis=1)
                 finite &= np.isfinite(state.d).reshape(m, -1).all(axis=1)
                 if not finite.all():
@@ -724,10 +755,10 @@ class Stepper:
             step_times[k] = state.t
             kinetic = en.kinetic_energies(self.grid, state.v)
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
-            if k % cfg.output_every == 0 or k == n_steps:
-                # the observer runs before the diagnostics, which leave grad v
-                # and the strain in ``terms``, so its temporaries and those
-                # arrays are not alive at once
+            if sampled:
+                # the observer runs before the diagnostics, which leave the
+                # strain in ``terms``, so its temporaries and the strain are
+                # not alive at once
                 last = state
                 observer(state)
                 trace[:, :, j] = self._diagnostics(state, terms, kinetic)
@@ -740,12 +771,12 @@ class Stepper:
 
     def _diagnostics(self, e: Ensemble, terms: DirectorTerms, kinetic: np.ndarray) -> list:
         """Each member's trace row, its energies and dissipation channels in
-        EnergyTrace field order, from the carried director terms and the
-        members' kinetic energies; leaves grad v and the director strain in
+        EnergyTrace field order, from the carried director terms and grad v
+        and the members' kinetic energies; leaves the director strain in
         ``terms`` for the next step."""
         p, grid = self.p, self.grid
         v, d = e.v, e.d
-        grad_v = terms.grad_v = g.gradient_components(grid, v)
+        grad_v = self._grad_v(terms, v)
         # taken first, so that its temporary is gone before the strain is kept
         dv_sq = en.strain_sq(grad_v)
         q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)

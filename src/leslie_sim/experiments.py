@@ -29,6 +29,12 @@ class ExperimentConfig:
     delta: float = 1e-3
     seed: int = 7
 
+    def __post_init__(self):
+        # one check per field, so that a config error names its key's line
+        for name in ("gronwall_c", "tol_energy", "tol_step", "delta", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"experiment {name} must be >= 0, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # weak-strong stability comparison

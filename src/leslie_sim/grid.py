@@ -154,24 +154,34 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
     leading spatial axes (component axes trailing, node-major), ``axis`` in
     -dim .. -1 trailing ones (component axes leading, component-major), so
     spatial axis a is ``a - dim`` there.  Central differences with index
-    wrap-around; the two wrap rows go into the same buffer, so the result
+    wrap-around; the two wrap planes go into the same buffer, so the result
     equals (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled
-    copies.  Along the last axis of C-contiguous arrays the interior is one
-    flat subtract, wrong only at line ends, which the wrap rows overwrite.
-    Writes into ``out`` if given.
+    copies.  When the block of both operands' axes from the first spatial
+    one on is contiguous (the trailing spatial block of component-major
+    members, gradient columns and flux slices alike), the interior of every
+    line is one subtract over (rows, cells) views, the cells offset by the
+    axis stride; it is wrong only on the wrap planes, which are rewritten
+    after it.  Other layouts take the interior slice by slice.  Writes into
+    ``out`` if given.
     """
     h = grid.h[axis]
     n = grid.n[axis]
-    lead = (slice(None),) * (axis % values.ndim)
+    k = axis % values.ndim
+    lead = (slice(None),) * k
 
     def sl(idx):
         return lead + (idx,)
 
     if out is None:
         out = np.empty_like(values)
-    if len(lead) == values.ndim - 1 and values.flags.c_contiguous and out.flags.c_contiguous:
-        flat, flat_out = values.reshape(-1), out.reshape(-1)
-        np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    # the block's first entry: a view whose flags tell from the strides
+    # whether the block is contiguous, so that it reshapes into cells as a view
+    first = (0,) * (values.ndim - grid.dim if axis < 0 else 0)
+    if values[first].flags.c_contiguous and out[first].flags.c_contiguous:
+        flat_shape = values.shape[: len(first)] + (-1,)
+        flat, flat_out = values.reshape(flat_shape), out.reshape(flat_shape)
+        step = values.strides[k] // values.itemsize
+        np.subtract(flat[..., 2 * step :], flat[..., : -2 * step], out=flat_out[..., step:-step])
     else:
         np.subtract(values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))])
     np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])

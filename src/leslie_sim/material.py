@@ -52,28 +52,33 @@ class InvalidParameters(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+#: The dissipativity inequalities (strict, no tolerance): each one's text,
+#: the ParameterSet fields it reads and its test.
+_CONDITIONS = (
+    ("mu1 > 0", ("mu1",), lambda p: p.mu1 > 0.0),
+    ("mu4 > 0", ("mu4",), lambda p: p.mu4 > 0.0),
+    ("gamma > 0", ("gamma",), lambda p: p.gamma > 0.0),
+    ("(mu5+mu6) - lambda*(mu2+mu3) > 0", ("mu5", "mu6", "lam", "mu2", "mu3"),
+     lambda p: p.directional_coeff > 0.0),
+    ("4*gamma*((mu5+mu6) - lambda*(mu2+mu3)) > (gamma*(mu2+mu3) - lambda)^2",
+     ("gamma", "mu5", "mu6", "lam", "mu2", "mu3"),
+     lambda p: 4.0 * p.gamma * p.directional_coeff > p.cross_coeff**2),
+    ("epsilon > 0", ("epsilon",), lambda p: p.epsilon > 0.0),
+)
+
+
+def violated_conditions(p: ParameterSet) -> list:
+    """(text, fields read) of each dissipativity inequality that p violates."""
+    return [(text, reads) for text, reads, holds in _CONDITIONS if not holds(p)]
+
+
 def validate(p: ParameterSet):
     """Check the five dissipativity inequalities (strict, no tolerance).
 
     Returns the empty list when all hold, otherwise a list naming each
     violated condition.
     """
-    violations = []
-    if not p.mu1 > 0.0:
-        violations.append("mu1 > 0")
-    if not p.mu4 > 0.0:
-        violations.append("mu4 > 0")
-    if not p.gamma > 0.0:
-        violations.append("gamma > 0")
-    if not p.directional_coeff > 0.0:
-        violations.append("(mu5+mu6) - lambda*(mu2+mu3) > 0")
-    if not 4.0 * p.gamma * p.directional_coeff > p.cross_coeff**2:
-        violations.append(
-            "4*gamma*((mu5+mu6) - lambda*(mu2+mu3)) > (gamma*(mu2+mu3) - lambda)^2"
-        )
-    if not p.epsilon > 0.0:
-        violations.append("epsilon > 0")
-    return violations
+    return [text for text, _ in violated_conditions(p)]
 
 
 def require_valid(p: ParameterSet):

@@ -233,3 +233,22 @@ def test_compare_delta_and_seed_flags(tmp_path, capsys):
         return capsys.readouterr().out.split("max E = ")[1].split(",")[0]
 
     assert max_E("3") != max_E("4")
+
+
+@pytest.mark.parametrize("argv", [["compare", "--seed", "-3"], ["ibp-check", "--seed", "-1"]])
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "compare":
+        argv += ["--config", _write(tmp_path, "run.cfg", GOOD)]
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("compare", "[experiment]\nseed = -3\n"),
+    ("simulate", "[initial]\nseed = -2\n"),
+    ("energy-check", "[experiment]\ntol_energy = -1\n"),
+])
+def test_negative_seed_or_tolerance_is_config_error(tmp_path, capsys, command, text):
+    assert main([command, "--config", _write(tmp_path, "neg.cfg", text)]) == 2
+    out = capsys.readouterr()
+    assert "config error: line 2: " in out.err and "must be >= 0" in out.err

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from leslie_sim import config
 from leslie_sim.config import _KEYS, ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
 from leslie_sim.energetics import EnergyTrace, energy_inequality_residual
@@ -139,6 +140,28 @@ def test_invalid_material_names_inequality():
     assert cfg.params.mu1 == -1.0
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[material]\nmu1 = -1.0\n", 2),
+    ("[grid]\nn = 8\n[material]\nmu4 = 1\nepsilon = -1\n", 5),
+    # the violated inequalities read lambda and mu5: the later of the two
+    ("[material]\nlambda = 5\ngamma = 1\nmu5 = 1\n", 4),
+    ("[material]\nmu5 = 0.5\nmu6 = 0.5\nlambda = 0.1\nmu2 = 5\n", 5),
+])
+def test_invalid_material_reports_the_line_of_the_keys_it_reads(text, line):
+    with pytest.raises(ConfigError, match="material parameters violate") as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == line
+
+
+def test_invalid_material_without_its_keys_reports_the_section_header(monkeypatch):
+    # the defaults are valid, so only a stand-in check can fail on keys the
+    # file does not give
+    monkeypatch.setattr(config, "violated_conditions", lambda p: [("mu1 > 0", ("mu1",))])
+    with pytest.raises(ConfigError, match="mu1 > 0") as exc_info:
+        parse_config("[grid]\nn = 8\n[material]\nforcing = zero\n")
+    assert exc_info.value.line == 3
+
+
 def test_explicit_elastic_entries():
     iso = ElasticTensor.isotropic(1.5)
     entries = " ".join(repr(float(x)) for x in iso.entries.ravel())
@@ -226,6 +249,17 @@ def test_nonfinite_values_report_line(text):
 ])
 def test_bad_value_reports_the_line_of_its_key(text):
     with pytest.raises(ConfigError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nseed = -3\n", "[experiment]\ntol_energy = -1\n",
+    "[experiment]\ntol_step = -1e-12\n", "[experiment]\ngronwall_c = -0.5\n",
+    "[experiment]\ndelta = -1e-3\n", "[initial]\nseed = -2\n",
+])
+def test_negative_seed_or_tolerance_reports_line(text):
+    with pytest.raises(ConfigError, match="must be >= 0") as exc_info:
         parse_config(text)
     assert exc_info.value.line == 2
 

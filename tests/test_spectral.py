@@ -23,6 +23,7 @@ from leslie_sim.dynamics import (
     StepperConfig,
     _projection_targets,
     _stiffness,
+    _velocity_update,
     max_stiff_rate,
     project_divfree,
     solve_director_implicit,
@@ -172,6 +173,46 @@ def test_projection_target_by_parseval_matches_real_space(grid_name, tol):
     div_hat = sum(sig * u_hat[:, a] for a, sig in enumerate(ops.sigmas))
     (target,) = _projection_targets(ops, u_hat, div_hat, tol)
     assert target == pytest.approx(oracles.projection_target(u, tol), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("components", [3, 4])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_backward_is_irfftn_bit_for_bit(grid_name, components):
+    # the complex stages run in place on the spectrum, in irfftn's own order
+    grid = GRIDS[grid_name]
+    ops = SpectralOps(grid)
+    values_hat = ops.forward(np.random.default_rng(12).normal(size=(2, components) + grid.shape))
+    expected = np.fft.irfftn(values_hat, s=grid.n, axes=ops.axes)
+    np.testing.assert_array_equal(ops.backward(values_hat), expected)
+
+
+@pytest.mark.parametrize("pressure", [True, False])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_name, pressure):
+    # the residual is taken of the trace of the grad v it returns, which is
+    # the stencil divergence of its velocity bit for bit; the pressure only
+    # rides along
+    grid = GRIDS[grid_name]
+    ops = SpectralOps(grid, helmholtz_coeff=2e-3)
+    values = np.random.default_rng(13).normal(size=(2, 3) + grid.shape)
+    gated, vdot = [], np.vdot
+
+    def spy(a, b):
+        if a.dtype == np.float64:  # the targets are taken of complex spectra
+            gated.append(np.array(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    vp, grad_v = _velocity_update(ops, values, 1e-10, helmholtz=True, pressure=pressure)
+    monkeypatch.undo()
+    assert vp.shape == (2, 3 + pressure) + grid.shape
+    np.testing.assert_array_equal(grad_v, g.gradient_components(grid, vp[:, :3]))
+    div = g.divergence_components(grid, vp[:, :3])
+    assert len(gated) == len(div)
+    for got, want in zip(gated, div):
+        np.testing.assert_array_equal(got, want)
+    other, _ = _velocity_update(ops, values, 1e-10, helmholtz=True, pressure=not pressure)
+    np.testing.assert_array_equal(other[:, :3], vp[:, :3])
 
 
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
@@ -366,17 +407,26 @@ def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_deriv_of_member_arrays_and_strided_views(grid_name):
-    # the last axis of C-contiguous values and output takes one flat
-    # subtract, every other case the per-axis slices; both equal the rolled
-    # copies bit for bit
+    # operands whose spatial block is contiguous -- members, a stacked
+    # array's first three components, the flux slices of a gradient-shaped
+    # array, outputs into gradient columns -- take one subtract over
+    # (rows, cells) views; the others (a reversed axis, an interleaved
+    # output) the per-axis slices; all equal the rolled copies bit for bit
     grid = GRIDS[grid_name]
     rng = np.random.default_rng(9)
     members = rng.normal(size=(2, 3) + grid.shape)
     stacked = rng.normal(size=(2, 4) + grid.shape)
-    for values in (members, stacked[:, :3], members[..., ::-1], np.swapaxes(members, 0, 1)):
+    flux = rng.normal(size=(2, 3, grid.dim) + grid.shape)
+    inputs = [members, stacked[:, :3], np.swapaxes(members, 0, 1)]
+    inputs += [flux[:, :, j] for j in range(grid.dim)]
+    for values in inputs + [members[..., ::-1]]:
+        assert values[0, 0].flags.c_contiguous == any(values is x for x in inputs)
         for axis in range(-grid.dim, 0):
             expected = _rolled_deriv(grid, values, axis)
             np.testing.assert_array_equal(g._deriv(grid, values, axis), expected)
-            for out in (np.empty(values.shape), np.empty(values.shape + (2,))[..., 0]):
+            outs = [np.empty(values.shape), np.empty(values.shape + (2,))[..., 0]]
+            if values.shape == members.shape:
+                outs += [np.empty(flux.shape)[:, :, j] for j in range(grid.dim)]
+            for out in outs:
                 g._deriv(grid, values, axis, out=out)
                 np.testing.assert_array_equal(out, expected)

@@ -26,6 +26,7 @@ from leslie_sim.dynamics import (
     SimulationError,
     State,
     Ensemble,
+    SpectralOps,
     Stepper,
     StepperConfig,
     _stress_column,
@@ -348,7 +349,8 @@ def test_run_equals_repeated_lone_steps():
 
 
 def test_run_with_unsampled_steps_equals_repeated_lone_steps():
-    # the grad v a sample's diagnostics took serves only the step after it
+    # carried grad v and strain, and unsampled steps without the pressure,
+    # give what lone steps that recompute them give
     stepper = Stepper(GRIDS["2d"], StepperConfig(dt=1e-3, t_end=6e-3, output_every=3),
                       NON_PARODI_DEMO, ANISO)
     s = _state(GRIDS["2d"], seed=39)
@@ -549,11 +551,14 @@ def test_sampled_velocity_gradient_is_carried(monkeypatch):
         calls.append(values.shape)
         return original(grid, values)
 
+    # the state is built first: its projection takes a gradient too
+    state = _state(GRIDS["2d"], seed=49)
     monkeypatch.setattr(g, "gradient_components", counted)
-    traj = _stepper(t_end=5e-3).run(_state(GRIDS["2d"], seed=49))
+    traj = _stepper(t_end=5e-3).run(state)
     assert len(traj.states) == 6
     # initial director and velocity, then per step the new director and the
-    # sampled velocity; the step reuses the sampled velocity's gradient
+    # projected velocity; the diagnostics and the next step reuse the
+    # projected velocity's gradient
     assert len(calls) == 2 + 2 * 5
 
 
@@ -581,26 +586,31 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
 # ---------------------------------------------------------------------------
 
 def _passes_per_step(monkeypatch, grid, cfg):
-    """(FFT calls, ``grid._deriv`` calls) of each step of a run."""
+    """(transforms, ``grid._deriv`` calls, components of each inverse
+    transform) of each step of a run; the transforms are counted at
+    ``SpectralOps.forward`` and ``backward``, one call each."""
     calls = {"fft": 0, "deriv": 0}
+    inverse = []
 
-    def counted(func, kind):
+    def counted(func, kind, components=None):
         def wrapper(*args, **kwargs):
             calls[kind] += 1
+            if components is not None:
+                components.append(args[1].shape[1])
             return func(*args, **kwargs)
         return wrapper
 
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
-                 "fft2", "ifft2", "rfft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+    monkeypatch.setattr(SpectralOps, "forward", counted(SpectralOps.forward, "fft"))
+    monkeypatch.setattr(SpectralOps, "backward", counted(SpectralOps.backward, "fft", inverse))
     monkeypatch.setattr(g, "_deriv", counted(g._deriv, "deriv"))
     per_step = []
     original_step = Stepper.step
 
-    def step(self, s, terms=None):
+    def step(self, s, terms=None, pressure=True):
         before = dict(calls)
-        out = original_step(self, s, terms)
-        per_step.append((calls["fft"] - before["fft"], calls["deriv"] - before["deriv"]))
+        inverse.clear()
+        out = original_step(self, s, terms, pressure)
+        per_step.append((calls["fft"] - before["fft"], calls["deriv"] - before["deriv"], tuple(inverse)))
         return out
 
     monkeypatch.setattr(Stepper, "step", step)
@@ -608,7 +618,25 @@ def _passes_per_step(monkeypatch, grid, cfg):
     return per_step
 
 
-@pytest.mark.parametrize("output_every", [1, 3])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_step_without_pressure_moves_the_state_alike(grid_name):
+    # a step that is not asked for the pressure skips it and nothing else
+    grid = GRIDS[grid_name]
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), NON_PARODI_DEMO, ANISO)
+    e = Ensemble.of([_state(grid, seed=66)])
+    with_p, without_p = stepper.step(e), stepper.step(e, pressure=False)
+    assert without_p.p is None and with_p.p.shape == (1,) + grid.shape
+    np.testing.assert_array_equal(without_p.v, with_p.v)
+    np.testing.assert_array_equal(without_p.d, with_p.d)
+
+
+def _velocity_components(k, output_every):
+    """Components of the velocity update's inverse transform at step k of 6:
+    the pressure rides along only where the state is sampled."""
+    return 4 if k % output_every == 0 or k == 6 else 3
+
+
+@pytest.mark.parametrize("output_every", [1, 3, 4])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_step_pass_budget(monkeypatch, grid_name, output_every):
     grid = GRIDS[grid_name]
@@ -617,13 +645,12 @@ def test_step_pass_budget(monkeypatch, grid_name, output_every):
     dim = grid.dim
     # per step: the director solve and the velocity update, each one forward
     # and one inverse transform; the new director's grad d and div(L : grad d),
-    # the dim momentum-flux columns and the divergence of the projected
-    # velocity, and grad v unless the sample before the step took it
-    expected = [(4, 4 * dim + (0 if (k - 1) % output_every == 0 else dim)) for k in range(1, 7)]
+    # the dim momentum-flux columns and the grad v of the projected velocity
+    expected = [(4, 4 * dim, (3, _velocity_components(k, output_every))) for k in range(1, 7)]
     assert per_step == expected
 
 
-@pytest.mark.parametrize("output_every", [1, 3])
+@pytest.mark.parametrize("output_every", [1, 3, 4])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_step_pass_budget_at_theta_zero(monkeypatch, grid_name, output_every):
     # at theta = 0 the director solve is the identity and is not made: the
@@ -632,5 +659,5 @@ def test_step_pass_budget_at_theta_zero(monkeypatch, grid_name, output_every):
     cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every, theta=0.0)
     per_step = _passes_per_step(monkeypatch, grid, cfg)
     dim = grid.dim
-    expected = [(2, 4 * dim + (0 if (k - 1) % output_every == 0 else dim)) for k in range(1, 7)]
+    expected = [(2, 4 * dim, (_velocity_components(k, output_every),)) for k in range(1, 7)]
     assert per_step == expected
