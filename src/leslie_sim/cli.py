@@ -1,13 +1,16 @@
 """Command-line surface.
 
 Subcommands: validate | simulate | compare | energy-check | ibp-check |
-converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.
+converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.  A
+run that turns non-finite or fails its projection is a check failure,
+reported as one ``FAIL:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 
@@ -30,6 +33,20 @@ def _seed(value: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _delta(value: str) -> float:
+    delta = float(value)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise argparse.ArgumentTypeError(f"delta must be finite and >= 0, got {value}")
+    return delta
+
+
+def _grid_n(value: str) -> int:
+    n = int(value)
+    if n < 4:
+        raise argparse.ArgumentTypeError(f"n must be >= 4, got {n}")
+    return n
 
 
 def _load(args, allow_invalid=False):
@@ -74,12 +91,11 @@ def _cmd_simulate(args) -> int:
             forcing=cfg.forcing(), allow_invalid=args.allow_invalid, observer=observe,
         )
     except dynamics.SimulationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
         if snap_dir and exc.last_state is not None:
             path = os.path.join(snap_dir, "last_valid.snap")
             write_snapshot(exc.last_state, path)
-            print(f"last valid state saved to {path}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+            raise dynamics.SimulationError(f"{exc}; last valid state saved to {path}") from exc
+        raise
 
     residual = energy_inequality_residual(traj.trace, cfg.params)
     trace_path = args.trace or cfg.trace_path
@@ -181,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="weak-strong stability comparison")
     p.add_argument("--config", required=True)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_delta, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_compare)
@@ -192,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_energy_check)
 
     p = sub.add_parser("ibp-check", help="discrete integration-by-parts residuals")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_grid_n, default=32)
     p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=_cmd_ibp_check)
 
@@ -213,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

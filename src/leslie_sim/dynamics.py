@@ -19,17 +19,17 @@ Scheme (one step):
    divide.  The grad v of the projected velocity gives the projection
    residual as its trace.
 
-Each derivative is taken once per step: the grad v that the velocity
-update takes serves the next step's director rotation, Leslie stress and
-split advection and the sample's diagnostics (for a sampled state the
-director strain the diagnostics took serves the next step too); each
-director's grad d and div(L : grad d) (:class:`DirectorTerms`)
-serve its step, the next step and the per-step energy; the two-point q
-uses the mean of the two directors' div(L : grad d), as the operator is
-linear; and the explicit momentum flux is built one column at a time, each
-column differentiated as soon as it is built, the stress's as
-d alpha_j + w d_j from the factors alpha, w formed once per step
-(:func:`_stress_factors`).
+Each derivative is taken once per step.  Every state has one record of the
+fields that more than one reader needs (:class:`StateTerms`): its
+director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v,
+its director strain and its forcing values, all written when the state is
+made -- by the step for its result (grad v is the one the velocity update
+takes) -- and only read by the next step, the per-step energy and the
+sample's diagnostics.  The two-point q uses the mean of the two directors'
+div(L : grad d), as the operator is linear; and the explicit momentum flux
+is built one column at a time, each column differentiated as soon as it is
+built, the stress's as d alpha_j + w d_j from the factors alpha, w formed
+once per step (:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -521,20 +521,22 @@ class Ensemble:
 
 
 @dataclass
-class DirectorTerms:
-    """grad d, div(L : grad d), |d|^2 - 1 and the free energy of each
-    member's director, component-major with the member axis leading,
-    computed once and shared by the two steps and the diagnostics that need
-    them; grad v of the same state, left by the step that made it; and its
-    :func:`energetics.director_strain` once the diagnostics have taken it,
-    for the next step, which clears it."""
+class StateTerms:
+    """The fields of one state that more than one reader needs, each
+    member's, component-major with the member axis leading: its director's
+    grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v, its
+    :func:`energetics.director_strain` and the forcing values at its time.
+    Whoever makes the state writes all of them, the stepper for a fresh state
+    (:meth:`Stepper._terms`) and the step for its result; everyone else only
+    reads them, except that the step that consumes the strain drops it."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
     dev: np.ndarray  # (m,) + grid.shape
     energy: list  # one energetics.EnergyBreakdown per member
-    grad_v: np.ndarray | None = None  # (m, 3, dim) + grid.shape
-    strain: tuple | None = None  # (grad v) d, Dv d, d . Dv d
+    grad_v: np.ndarray  # (m, 3, dim) + grid.shape
+    strain: tuple | None  # (grad v) d, Dv d, d . Dv d
+    forcing: np.ndarray | None  # grid.shape + (3,); None when unforced
 
 
 @dataclass
@@ -586,11 +588,17 @@ class Stepper:
             return None
         return self.forcing(self.grid, t).values
 
-    def _director_terms(self, d: np.ndarray) -> DirectorTerms:
-        """The :class:`DirectorTerms` of the members' component-major
-        directors."""
+    def _director_terms(self, d: np.ndarray) -> tuple:
+        """grad d, div(L : grad d), |d|^2 - 1 and the free energies of the
+        members' component-major directors."""
         grad, flux, lap, _, dev = en.director_terms(self.grid, self._contraction, d)
-        return DirectorTerms(grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev))
+        return grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev)
+
+    def _terms(self, e: Ensemble) -> StateTerms:
+        """The :class:`StateTerms` of a state the stepper did not make."""
+        grad_v = g.gradient_components(self.grid, e.v)
+        return StateTerms(*self._director_terms(e.d), grad_v, en.director_strain(grad_v, e.d),
+                          self._forcing_values(e.t))
 
     def _check_cfl(self, v: np.ndarray) -> None:
         """Warn once per stepper when a member's advective CFL number
@@ -604,38 +612,28 @@ class Stepper:
             )
             self._cfl_warned = True
 
-    def _grad_v(self, terms: DirectorTerms, v: np.ndarray) -> np.ndarray:
-        """grad v of the state of ``terms``: the one the step that made the
-        state left there, else taken now and kept there."""
-        if terms.grad_v is None:
-            terms.grad_v = g.gradient_components(self.grid, v)
-        return terms.grad_v
-
-    def step(self, s, terms: DirectorTerms | None = None, pressure: bool = True):
+    def step(self, s, terms: StateTerms | None = None, pressure: bool = True):
         """Advance a State, or every member of an Ensemble, on the stepper's
         grid by one step, and return the same kind.  ``terms``, if given,
-        must be those of s (else they are computed from s); they are
-        overwritten with those of the result, ready for the next step.  With
-        ``pressure=False`` the step skips the pressure: the result's p is
-        None."""
+        must be those of s (else they are computed from s); the step
+        overwrites every field with those of the result, ready for its
+        readers and the next step.  With ``pressure=False`` the step skips
+        the pressure: the result's p is None."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
         e = Ensemble.of([s]) if isinstance(s, State) else s
         self.ops.check_grid(e.grid)
         v, d = e.v, e.d
         if terms is None:
-            terms = self._director_terms(d)
-        grad_d = terms.grad
+            terms = self._terms(e)
+        grad_d, grad_v = terms.grad, terms.grad_v
         if not self._cfl_warned:
             self._check_cfl(v)
 
         # 1. director update: theta-implicit elasticity, rest explicit;
-        # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        grad_v = self._grad_v(terms, v)
-        if terms.strain is None:
-            grad_v_d, dvd, ddvd = en.director_strain(grad_v, d)
-        else:  # taken by the diagnostics of the sample s
-            (grad_v_d, dvd, ddvd), terms.strain = terms.strain, None
+        # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d; the
+        # strain is dropped from ``terms`` as it is consumed
+        (grad_v_d, dvd, ddvd), terms.strain = terms.strain, None
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
         del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
@@ -647,16 +645,16 @@ class Stepper:
             d_new = solve_director_implicit(rhs, self.ops)
         else:  # the explicit update is the new director; rhs needs a new buffer
             d_new, rhs = rhs, np.empty_like(rhs)
-        new = self._director_terms(d_new)
+        grad_new, lap_new, dev_new, energy_new = self._director_terms(d_new)
 
         # 2. two-point variational derivative: the exact discrete gradient of
         # the free energy between d and d_new, so the coupling terms below
         # cancel the director transport and rotation terms identically in the
         # discrete energy balance; div(L : grad .) of the midpoint is the mean
         q_half = d + d_new
-        q_half *= ((0.5 / p.epsilon) * (0.5 * (terms.dev + new.dev)))[:, None]
+        q_half *= ((0.5 / p.epsilon) * (0.5 * (terms.dev + dev_new)))[:, None]
         # the director right-hand side is consumed: reuse its buffer
-        np.add(terms.lap, new.lap, out=rhs)
+        np.add(terms.lap, lap_new, out=rhs)
         rhs *= 0.5
         q_half -= rhs
 
@@ -687,14 +685,17 @@ class Stepper:
         del q_half  # the step's memory peaks in the velocity update
         rhs *= dt
         rhs += v
-        fvals = self._forcing_values(e.t)
-        if fvals is not None:
-            rhs += dt * g.components(fvals)
+        if terms.forcing is not None:
+            rhs += dt * g.components(terms.forcing)
 
         # 4. the Helmholtz solve and the projection on one spectrum; the old
-        # grad v is freed only after the new one is taken
-        vp, terms.grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz, pressure)
-        terms.grad, terms.lap, terms.dev, terms.energy = new.grad, new.lap, new.dev, new.energy
+        # grad v is freed only after the new one is taken, and with the old
+        # grad d before the result's strain is
+        vp, grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz, pressure)
+        del rhs, grad_d
+        terms.grad, terms.lap, terms.dev, terms.energy = grad_new, lap_new, dev_new, energy_new
+        terms.grad_v, terms.strain = grad_v, en.director_strain(grad_v, d_new)
+        terms.forcing = self._forcing_values(e.t + dt)
         if pressure:
             vp[:, 3] /= dt
         out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3] if pressure else None)
@@ -737,7 +738,7 @@ class Stepper:
                 last = e.copy()
                 kept.append(last)
 
-        terms = self._director_terms(state.d)
+        terms = self._terms(state)
         j = 0
         for k in range(n_steps + 1):
             # the pressure is computed only for the samples, which read it
@@ -756,9 +757,6 @@ class Stepper:
             kinetic = en.kinetic_energies(self.grid, state.v)
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
             if sampled:
-                # the observer runs before the diagnostics, which leave the
-                # strain in ``terms``, so its temporaries and the strain are
-                # not alive at once
                 last = state
                 observer(state)
                 trace[:, :, j] = self._diagnostics(state, terms, kinetic)
@@ -769,23 +767,16 @@ class Stepper:
             for i in range(m)
         ]
 
-    def _diagnostics(self, e: Ensemble, terms: DirectorTerms, kinetic: np.ndarray) -> list:
+    def _diagnostics(self, e: Ensemble, terms: StateTerms, kinetic: np.ndarray) -> list:
         """Each member's trace row, its energies and dissipation channels in
-        EnergyTrace field order, from the carried director terms and grad v
-        and the members' kinetic energies; leaves the director strain in
-        ``terms`` for the next step."""
-        p, grid = self.p, self.grid
-        v, d = e.v, e.d
-        grad_v = self._grad_v(terms, v)
-        # taken first, so that its temporary is gone before the strain is kept
-        dv_sq = en.strain_sq(grad_v)
-        q = en.variational_q(d, terms.dev, terms.lap, p.epsilon)
-        terms.strain = en.director_strain(grad_v, d)
-        channels = en.dissipations(grid, p, dv_sq, q, *terms.strain[1:])
-        fvals = self._forcing_values(e.t)
+        EnergyTrace field order, read from the state's terms and the
+        members' kinetic energies."""
+        p, grid, fvals = self.p, self.grid, terms.forcing
+        q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
+        channels = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
         return [
             (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[:, i],
-             0.0 if fvals is None else float(np.sum(fvals * g.nodal(v[i]))) * grid.cell_volume)
+             0.0 if fvals is None else float(np.sum(fvals * g.nodal(e.v[i]))) * grid.cell_volume)
             for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
         ]
 

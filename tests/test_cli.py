@@ -34,6 +34,17 @@ amplitude = 2.0
 v_amplitude = 0.0
 """
 
+#: Goes non-finite at step 5: at theta = 0 this dt is far above the
+#: stability bound.
+UNSTABLE = """
+[grid]
+n = 16
+[stepper]
+dt = 0.05
+t_end = 2.0
+theta = 0.0
+"""
+
 BAD_MU = """
 [material]
 mu1 = -1.0
@@ -252,3 +263,39 @@ def test_negative_seed_or_tolerance_is_config_error(tmp_path, capsys, command, t
     assert main([command, "--config", _write(tmp_path, "neg.cfg", text)]) == 2
     out = capsys.readouterr()
     assert "config error: line 2: " in out.err and "must be >= 0" in out.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
+def test_run_failure_is_a_fail_line(tmp_path, capsys, command):
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: non-finite values") and "at step 5 (t = 0.25)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
+def test_projection_failure_is_a_fail_line(tmp_path, capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise dynamics.ProjectionError("projection residual 1.000e-03 exceeds target 1.000e-10")
+
+    monkeypatch.setattr(dynamics.Stepper, "step", fail)
+    assert main([command, "--config", _write(tmp_path, "run.cfg", GOOD)]) == 1
+    assert capsys.readouterr().err == "FAIL: projection residual 1.000e-03 exceeds target 1.000e-10\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--delta", "nan"], "delta must be finite and >= 0"),
+    (["compare", "--delta", "inf"], "delta must be finite and >= 0"),
+    (["compare", "--delta", "-0.01"], "delta must be finite and >= 0"),
+    (["ibp-check", "--n", "3"], "n must be >= 4"),
+    (["ibp-check", "--n", "0"], "n must be >= 4"),
+])
+def test_bad_delta_or_n_flag_is_usage_error(tmp_path, capsys, argv, message):
+    # checked as the config value the flag overrides is
+    if argv[0] == "compare":
+        argv += ["--config", _write(tmp_path, "run.cfg", GOOD)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -19,7 +20,7 @@ from leslie_sim.experiments import (
     weak_strong_experiment,
 )
 from leslie_sim.grid import Grid, VectorField
-from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
+from leslie_sim.initial import InitialSpec, divfree_smooth_field, make_initial_state, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, InvalidParameters, ParameterSet, zeta
 from leslie_sim.tensor import ElasticTensor
 
@@ -194,6 +195,24 @@ def test_weak_strong_series_match_the_energetics_functions(dim):
                     continue
                 assert actual[name] == pytest.approx(value, rel=1e-12, abs=0.0), (name, i)
         assert rep.trace.E[0] > 0.0 and rep.cross_abs.max() > 0.0
+
+
+def test_nonconvex_regime_relative_energy_grows_and_its_constant_converges():
+    # at epsilon = 0.01 the double well's concave core makes the lowest
+    # director modes grow from d ~ 0 (1/epsilon = 100 exceeds the lowest
+    # |k|^2 = 4 pi^2): E grows, so minimal_c measures the estimate.  Measured
+    # there: max E/E0 403, 1000, 1037 and minimal_c 1.30702, 1.31169, 1.31189
+    # for delta = 1e-2, 1e-3, 1e-4
+    grid = Grid.unit_box(32)
+    p = dataclasses.replace(PARODI_DEMO, epsilon=0.01)
+    spec = InitialSpec(kind="perturbed", director=(0.0, 0.0, 0.0), seed=1, amplitude=0.05, v_amplitude=0.0)
+    cfg = StepperConfig(dt=2e-4, t_end=0.2, output_every=10)
+    reports = weak_strong_campaign(grid, p, TENSOR, cfg, make_initial_state(grid, spec),
+                                   seed=7, deltas=(1e-2, 1e-3, 1e-4))
+    assert all(rep.max_E_over_E0 > 100.0 for rep in reports[1:])
+    cs = [rep.minimal_c for rep in reports]
+    assert all(math.isfinite(c) and c > 0.0 for c in cs)
+    assert abs(cs[1] - cs[2]) <= 0.01 * cs[2]
 
 
 def test_convergence_study_bad_mode():

@@ -16,6 +16,8 @@ An ensemble steps its members together on a leading member axis; each
 member must equal its lone run bit for bit.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -579,6 +581,56 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
     # one per sample, and one per step that does not follow a sample: the
     # step after a sample reuses the strain the sample's diagnostics took
     assert len(calls) == samples + 6 - (samples - 1)
+
+
+# ---------------------------------------------------------------------------
+# the per-state record: written when the state is made, read by the rest
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("output_every", [1, 3])
+def test_forced_run_evaluates_the_forcing_once_per_state(output_every):
+    times = []
+    forcing = make_forcing("sinusoidal:5")
+
+    def counted(grid, t):
+        times.append(t)
+        return forcing(grid, t)
+
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
+    traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO, counted).run(_state(GRIDS["2d"], seed=51))
+    # one call per state, 7 for 6 steps: the step and the diagnostics read
+    # the values made with the state
+    assert len(times) == 7 and times == list(traj.step_times)
+
+
+def _frozen(value):
+    """A comparable copy of a record field: arrays by shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return [_frozen(x) for x in value]
+    return value
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_diagnostics_only_read_the_record_the_step_wrote(grid_name):
+    grid = GRIDS[grid_name]
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3)
+    stepper = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO, make_forcing("sinusoidal:5"))
+    e = Ensemble.of([_state(grid, seed=52)])
+    terms = stepper._terms(e)
+    out = stepper.step(e, terms)
+    record = {f.name: getattr(terms, f.name) for f in fields(terms)}
+    assert all(value is not None for value in record.values())
+    # the step's record of its result is the one a fresh state gets
+    fresh = stepper._terms(out)
+    for name, value in record.items():
+        assert _frozen(value) == _frozen(getattr(fresh, name)), name
+    frozen = {name: _frozen(value) for name, value in record.items()}
+    stepper._diagnostics(out, terms, en.kinetic_energies(grid, out.v))
+    for name, value in record.items():
+        assert getattr(terms, name) is value, name
+        assert _frozen(value) == frozen[name], name
 
 
 # ---------------------------------------------------------------------------
