@@ -79,7 +79,7 @@ def _cmd_simulate(args) -> int:
         os.makedirs(snap_dir, exist_ok=True)
     written = itertools.count()
 
-    def observe(sample):
+    def observe(sample, terms):
         # each snapshot is written as it is sampled; no state is kept
         if snap_dir:
             path = os.path.join(snap_dir, f"state_{next(written):05d}.snap")
@@ -226,7 +226,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # a run that blows up is reported by its own finiteness check, as one
+        # FAIL line, not by numpy's floating-point warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (dynamics.SimulationError, dynamics.ProjectionError) as exc:

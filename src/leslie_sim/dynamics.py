@@ -24,12 +24,12 @@ fields that more than one reader needs (:class:`StateTerms`): its
 director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v,
 its director strain and its forcing values, all written when the state is
 made -- by the step for its result (grad v is the one the velocity update
-takes) -- and only read by the next step, the per-step energy and the
-sample's diagnostics.  The two-point q uses the mean of the two directors'
-div(L : grad d), as the operator is linear; and the explicit momentum flux
-is built one column at a time, each column differentiated as soon as it is
-built, the stress's as d alpha_j + w d_j from the factors alpha, w formed
-once per step (:func:`_stress_factors`).
+takes) -- and only read by the next step, the per-step energy, the
+sample's diagnostics and the run's observer.  The two-point q uses the mean
+of the two directors' div(L : grad d), as the operator is linear; and the
+explicit momentum flux is built one column at a time, each column
+differentiated as soon as it is built, the stress's as d alpha_j + w d_j
+from the factors alpha, w formed once per step (:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -78,11 +78,12 @@ class ProjectionError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """Time integration aborted; carries the last finite state."""
+    """Time integration aborted; carries the last finite state and its member's index."""
 
-    def __init__(self, message, last_state=None):
+    def __init__(self, message, last_state=None, member=None):
         super().__init__(message)
         self.last_state = last_state
+        self.member = member
 
 
 @dataclass
@@ -527,8 +528,9 @@ class StateTerms:
     grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v, its
     :func:`energetics.director_strain` and the forcing values at its time.
     Whoever makes the state writes all of them, the stepper for a fresh state
-    (:meth:`Stepper._terms`) and the step for its result; everyone else only
-    reads them, except that the step that consumes the strain drops it."""
+    (:meth:`Stepper._terms`) and the step for its result; everyone else, the
+    run's observer too, only reads them, and the next step rebinds the fields
+    (dropping the strain it consumes) without writing into their arrays."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
@@ -665,8 +667,8 @@ class Stepper:
         # energy-neutral under the skew-adjoint central stencil.  Column j of
         # the explicit flux T - mu4 Dv - v x v / 2 + (1 - theta) mu4/2 grad v
         # is built in ``col`` and differentiated along axis j at once.
-        ddvd *= p.mu1  # now mu1 (d . Dv d), the stress's first channel
-        alpha, w = _stress_factors(d, q_half, dvd, ddvd, p)
+        # mu1 (d . Dv d) out of place: the strain's record may be handed out
+        alpha, w = _stress_factors(d, q_half, dvd, p.mu1 * ddvd, p)
         del dvd, ddvd
         viscous = (1.0 - theta) * 0.5 * p.mu4
         col, scratch = np.empty_like(v), np.empty_like(v)
@@ -713,11 +715,13 @@ class Stepper:
 
         Without ``observer`` the run's own observer copies each sample
         (:meth:`Ensemble.copy`), and each Trajectory keeps its member of the
-        copies.  With one, ``observer(ensemble)`` is called with each sampled
-        Ensemble in order, the initial one included, and the trajectories
-        keep no states: memory is flat in trajectory length.  The stepper
-        never writes into a state it has returned, so an observer may keep
-        what it is handed without copying it; it must not write into it.
+        copies.  With one, ``observer(ensemble, terms)`` is called with each
+        sampled Ensemble in order, the initial one included, and its
+        :class:`StateTerms`; the trajectories keep no states, so memory is
+        flat in trajectory length.  The stepper never writes into an array of
+        a state or record it has handed out, so an observer may keep them
+        uncopied (a record as a shallow copy, as the next step rebinds its
+        fields); it must not write into them.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
@@ -731,7 +735,7 @@ class Stepper:
         kept = []  # copies of the samples, made without an observer
         last = None  # the last sample, for SimulationError
         if observer is None:
-            def observer(e):
+            def observer(e, terms):
                 # the copy is the last sample too, so that the stepper's own
                 # arrays are not held between samples
                 nonlocal last
@@ -751,14 +755,14 @@ class Stepper:
                     i = int(np.argmin(finite))
                     raise SimulationError(
                         f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
-                        last_state=last.member(i),
+                        last_state=last.member(i), member=i,
                     )
             step_times[k] = state.t
             kinetic = en.kinetic_energies(self.grid, state.v)
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
             if sampled:
                 last = state
-                observer(state)
+                observer(state, terms)
                 trace[:, :, j] = self._diagnostics(state, terms, kinetic)
                 j += 1
 

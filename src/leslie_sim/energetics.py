@@ -11,6 +11,8 @@ the weak-strong campaign and the public functions all call them.  The
 public functions run the kernels on :func:`grid.members` of their fields,
 the contiguous copy ``dynamics.Ensemble.of`` makes, so that
 :func:`free_energy` of a sampled state equals its trace row bit for bit.
+:func:`relative_terms` reads the fields the step took from the sample's
+record (``dynamics.StateTerms``) and differentiates only d - dr.
 """
 
 from __future__ import annotations
@@ -188,24 +190,18 @@ def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq
     return (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
 
 
-def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, dt_d) -> np.ndarray:
+def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, terms, dt_d) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each member after the first against the reference,
     member 0, at one sample: shape (5, m - 1), dt dr (1, 3) + grid.shape.
-    q is built here, and each gradient is dropped as soon as it is used."""
-    grad_d, flux, lap, d_sq, dev = director_terms(grid, contraction, d)
-    del flux
-    q = variational_q(d, dev, lap, p.epsilon)
-    del lap
-    grad_dr_sq = ref_grad_sq(grid, grad_d)
-    del grad_d
-    grad_v = g.gradient_components(grid, v)
-    dvd, ddvd = director_strain(grad_v, d)[1:]
-    grad_vr_sq = ref_grad_sq(grid, grad_v)
-    W, cross, absorb = relative_dissipations(grid, p, grad_v, q, dvd, ddvd)
-    del grad_v
+    Their grad d, div(L : grad d), |d|^2 - 1, grad v and director strain are
+    read from the sample's record ``terms``; q and |d|^2 are formed here."""
+    q = variational_q(d, terms.dev, terms.lap, p.epsilon)
+    W, cross, absorb = relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
+    d_sq = _dot(d, d)
     E = relative_energies(grid, contraction, p.epsilon, v, d, d_sq)
-    K = gronwall_factors(grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq, dt_d)
+    K = gronwall_factors(grid, v, d_sq, terms.dev, q, terms.strain[2], ref_grad_sq(grid, terms.grad_v),
+                         ref_grad_sq(grid, terms.grad), dt_d)
     return np.array([E, W, K, cross, absorb])
 
 

@@ -6,7 +6,7 @@ studies of the coupled stepper in the relative energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,9 +90,12 @@ def weak_strong_campaign(
 
     The relative terms are evaluated while the ensemble runs, from a window
     of the last three samples (the centred difference quotient of the
-    reference director needs the samples on both sides), so no sampled
-    state is kept and memory is flat in trajectory length.  Invalid
-    parameters raise InvalidParameters from the stepper.
+    reference director needs the samples on both sides) and the fields the
+    step took for each (its ``dynamics.StateTerms``), so no sampled state is
+    kept, no field is differentiated twice and memory is flat in trajectory
+    length.  Invalid parameters raise InvalidParameters from the stepper; a
+    run that turns non-finite raises SimulationError naming it, the
+    reference or the perturbed one with its delta.
     """
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
@@ -109,21 +112,30 @@ def weak_strong_campaign(
     # those of the last sample after the run, so a window of three samples
     # (i - 1, i, i + 1) serves the centred dt dr (one-sided at an end, zero
     # for a lone sample); the window holds the ensembles the stepper handed
-    # out, which it never writes into, so they need no copy
+    # out, which it never writes into, so they need no copy, and ``record``
+    # a shallow copy of the last one's record, whose fields the step rebinds
     contraction = tensor.sparse_contraction(grid.dim)
-    window, columns = [], []
+    window, record, columns = [], [], []
 
     def column(lo, at, hi):
         dt_d = np.zeros_like(at.d[:1]) if lo is hi else (hi.d[:1] - lo.d[:1]) / (hi.t - lo.t)
-        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, dt_d))
+        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, record.pop(), dt_d))
 
-    def observe(e):
+    def observe(e, terms):
         window.append(e)
         if len(window) > 1:
             column(window[0], window[-2], window[-1])
             del window[:-2]
+        record.append(replace(terms))
 
-    traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
+    try:
+        traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
+    except dynamics.SimulationError as exc:
+        # the FAIL line names the run, not its index in the ensemble
+        run = ("the reference run" if exc.member == 0
+               else f"the perturbed run with delta = {deltas[exc.member - 1]:g}")
+        raise dynamics.SimulationError(str(exc).replace(f"member {exc.member}", run), exc.last_state,
+                                       exc.member) from exc
     column(window[0], window[-1], window[-1])
     series = np.stack(columns, axis=-1)
     return [_comparison(delta, traj.trace.t, *series[:, k], c) for k, delta in enumerate(deltas)]
@@ -175,7 +187,7 @@ def weak_strong_experiment(
 # energy-law monitor
 # ---------------------------------------------------------------------------
 
-def _keep_nothing(sample) -> None:
+def _keep_nothing(sample, terms) -> None:
     """An observer for a run whose sampled states nothing reads."""
 
 
@@ -347,7 +359,7 @@ def _final_state(grid: Grid, dt: float, t_end: float) -> tuple:
     initial = make_initial_state(grid, InitialSpec("perturbed", seed=1, amplitude=0.2, v_amplitude=0.2))
     cfg = dynamics.StepperConfig(dt=dt, t_end=t_end, output_every=int(round(t_end / dt)), theta=0.3)
     samples = []
-    dynamics.run(initial, cfg, NON_PARODI_DEMO, TENSOR, observer=samples.append)
+    dynamics.run(initial, cfg, NON_PARODI_DEMO, TENSOR, observer=lambda e, terms: samples.append(e))
     return samples[-1].v, samples[-1].d
 
 

@@ -13,10 +13,12 @@ projection target in real space, the smooth field as a sum of cosines, the
 ellipticity sample as one einsum and the director inverse by
 ``np.linalg.inv`` -- independently of those kernels.  The weak-strong
 campaign evaluates its relative terms while the ensemble runs, from a
-window of the three ensembles the stepper last handed out;
+window of the three ensembles the stepper last handed out and the record of
+the fields the step took for the sample (``dynamics.StateTerms``);
 :func:`relative_series` evaluates them after the run from every retained
 sample, handing :func:`energetics.relative_terms` the same component-major
-members and the same component-major dt dr, (1, 3) + grid.shape.
+members, a record taken again from them with the library's kernels, and the
+same component-major dt dr, (1, 3) + grid.shape.
 
 The node-major quadrature, norms and pairings (:func:`integrate`,
 :func:`lp_norm`, :func:`inner`, :func:`frobenius`,
@@ -29,7 +31,8 @@ import math
 import numpy as np
 
 import leslie_sim.grid as g
-from leslie_sim.energetics import EnergyBreakdown, relative_terms
+from leslie_sim.dynamics import StateTerms
+from leslie_sim.energetics import EnergyBreakdown, director_strain, director_terms, relative_terms
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
 from leslie_sim.tensor import _sphere_grid, outer, skw, sym
@@ -215,8 +218,10 @@ def relative_series(grid, p, tensor, runs):
     absorption bound of each run in ``runs[1:]`` against the reference
     ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples), from
     :func:`energetics.relative_terms` of the runs' retained sampled States
-    stacked as members, with dt dr by centred differences of the samples
-    (one-sided at the ends, zero for a lone sample)."""
+    stacked as members and of their record, taken from those copies with
+    :func:`energetics.director_terms`, :func:`grid.gradient_components` and
+    :func:`energetics.director_strain`, with dt dr by centred differences of
+    the samples (one-sided at the ends, zero for a lone sample)."""
     ref = runs[0]
     n = len(ref)
     ts = np.array([s.t for s in ref])
@@ -228,7 +233,11 @@ def relative_series(grid, p, tensor, runs):
             (g.members([ref[hi].d]) - g.members([ref[lo].d])) / (ts[hi] - ts[lo])
         )
         v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
-        out[:, :, i] = relative_terms(grid, p, contraction, v, d, dt_d)
+        # the sample's record, taken again with the library kernels
+        grad, _, lap, _, dev = director_terms(grid, contraction, d)
+        grad_v = g.gradient_components(grid, v)
+        terms = StateTerms(grad, lap, dev, None, grad_v, director_strain(grad_v, d), None)
+        out[:, :, i] = relative_terms(grid, p, contraction, v, d, terms, dt_d)
     return out
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,26 @@ def test_run_failure_is_a_fail_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("FAIL: non-finite values") and "at step 5 (t = 0.25)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
+def test_run_failure_raises_no_floating_point_warnings(tmp_path, capsys, command):
+    # the blow-up is reported by the run's finiteness check alone; the CFL
+    # warning, which says why the run failed, stays
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)]) == 1
+    messages = [str(w.message) for w in caught]
+    assert [m for m in messages if "encountered in" in m] == []
+    assert len(messages) == 1 and messages[0].startswith("advective CFL number")
+    assert capsys.readouterr().err.startswith("FAIL: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_failure_names_the_reference_run(tmp_path, capsys):
+    # member 0 of the campaign's ensemble is the reference run
+    assert main(["compare", "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)]) == 1
+    assert capsys.readouterr().err == "FAIL: non-finite values of the reference run at step 5 (t = 0.25)\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])

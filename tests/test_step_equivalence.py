@@ -578,8 +578,9 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
     traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO).run(_state(GRIDS["2d"], seed=50))
     samples = len(traj.states)
     assert samples == 1 + 6 // output_every
-    # one per sample, and one per step that does not follow a sample: the
-    # step after a sample reuses the strain the sample's diagnostics took
+    # one per state, 7 for 6 steps, sampled or not: the strain is made with
+    # the state and only read after, by the sample's diagnostics, the run's
+    # observer and the next step
     assert len(calls) == samples + 6 - (samples - 1)
 
 

@@ -1,25 +1,29 @@
 """Sampled states streamed to an observer.
 
-A run given an observer hands it each sampled ensemble and keeps no state
-itself: its trace and step energies must equal those of a run that keeps a
-copy of every sample, bit for bit, and its memory must not grow with the
-number of samples.  The weak-strong campaign evaluates its relative terms
-online from a window of three samples; they must equal, bit for bit, those
-that ``oracles.relative_series`` takes after the run from every retained
-sample.
+A run given an observer hands it each sampled ensemble with its record of
+fields (``StateTerms``) and keeps no state itself: its trace and step
+energies must equal those of a run that keeps a copy of every sample, bit
+for bit, its memory must not grow with the number of samples, and the
+stepper must write into no array it has handed out.  The weak-strong
+campaign evaluates its relative terms online from a window of three samples
+and the records; they must equal, bit for bit, those that
+``oracles.relative_series`` takes after the run from every retained sample,
+and the campaign must differentiate nothing but d - dr itself.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from leslie_sim import grid as grid_module
 from leslie_sim.dynamics import SimulationError, State, Stepper, StepperConfig, run_ensemble
 from leslie_sim.experiments import energy_monitor, weak_strong_campaign
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
-from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO
+from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
 from leslie_sim.tensor import ElasticTensor
 
 _EYE = np.eye(3)
@@ -54,7 +58,8 @@ def test_streamed_run_equals_retained_run(theta, output_every):
     states = [_state(grid, seed=60), _state(grid, seed=61, amplitude=0.5)]
     retained = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(states)
     seen = []  # the ensembles themselves, not copies
-    streamed = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(states, observer=seen.append)
+    streamed = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(
+        states, observer=lambda e, terms: seen.append(e))
     for i, (a, b) in enumerate(zip(streamed, retained)):
         assert a.states == [] and len(b.states) == 2 + 6 // output_every
         for name in vars(b.trace):
@@ -66,6 +71,28 @@ def test_streamed_run_equals_retained_run(theta, output_every):
         assert len(seen) == len(b.states)
         for e, s in zip(seen, b.states):
             _assert_same_state(e.member(i), s)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stepper_writes_into_no_array_it_handed_out(dim):
+    # mu1 != 1, so that a step scaling a handed-out strain by mu1 in place
+    # would change it; with forcing, so that the record's forcing is there
+    grid = GRIDS[dim]
+    p = dataclasses.replace(NON_PARODI_DEMO, mu1=2.5)
+    cfg = StepperConfig(dt=5e-4, t_end=2e-3, output_every=1)
+    stepper = Stepper(grid, cfg, p, ANISO, forcing=make_forcing("sinusoidal:0.5"))
+    handed = []  # every array of each sample and its record, with its bytes then
+
+    def observe(e, terms):
+        arrays = [e.v, e.d, e.p, terms.grad, terms.lap, terms.dev, terms.grad_v, *terms.strain,
+                  terms.forcing]
+        handed.append([(a, a.tobytes()) for a in arrays])
+
+    stepper.run_ensemble([_state(grid, seed=64), _state(grid, seed=65, amplitude=0.5)], observer=observe)
+    assert len(handed) == 5
+    for k, arrays in enumerate(handed):
+        for j, (a, taken) in enumerate(arrays):
+            assert a.tobytes() == taken, (k, j)
 
 
 def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
@@ -87,7 +114,7 @@ def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
         with pytest.raises(SimulationError) as retained:
             stepper().run_ensemble([still, wild])
         with pytest.raises(SimulationError) as streamed:
-            stepper().run_ensemble([still, wild], observer=seen.append)
+            stepper().run_ensemble([still, wild], observer=lambda e, terms: seen.append(e))
     assert str(streamed.value) == str(retained.value)
     assert "member 1" in str(streamed.value)
     last = streamed.value.last_state
@@ -151,6 +178,45 @@ def test_streamed_campaign_equals_retained_post_processing(dim, deltas, samples)
         assert rep.trace.K.tobytes() == K[k].tobytes()  # at c = 1
         assert rep.cross_abs.tobytes() == cross[k].tobytes()
         assert rep.absorb_rhs.tobytes() == absorb[k].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_campaign_takes_only_the_gradient_of_the_director_difference(dim, monkeypatch):
+    # beyond the run's own derivatives and those of its set-up (drawing the
+    # perturbation), a sample costs the dim derivatives of grad(d - dr) in E:
+    # grad d, div(L : grad d) and grad v are the record's
+    grid = GRIDS[dim]
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=2)  # 4 samples
+    initial = _state(grid, seed=66)
+    deriv, calls = grid_module._deriv, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return deriv(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_deriv", counted)
+    weak_strong_campaign(grid, NON_PARODI_DEMO, ANISO, cfg, initial, seed=5, deltas=(1e-3, 1e-2))
+    campaign = len(calls)
+    calls.clear()
+    rng = np.random.default_rng(5)  # the campaign's set-up: its perturbation
+    smooth_vector_field(grid, rng)
+    divfree_smooth_field(grid, rng)
+    run_ensemble([initial] * 3, cfg, NON_PARODI_DEMO, ANISO, observer=lambda e, terms: None)
+    assert campaign - len(calls) == 4 * dim
+
+
+def test_campaign_failure_names_the_perturbed_run_and_its_delta():
+    # the reference is at rest, so only the perturbed run with delta = 2
+    # turns non-finite; its FAIL line must not read "member 2"
+    grid = GRIDS[2]
+    still = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    cfg = StepperConfig(dt=0.4, t_end=40.0, output_every=3)
+    with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
+        with pytest.raises(SimulationError) as failed:
+            weak_strong_campaign(grid, PARODI_DEMO, ElasticTensor.isotropic(1.0), cfg, still,
+                                 seed=27, deltas=(0.0, 2.0))
+    assert str(failed.value).startswith("non-finite values of the perturbed run with delta = 2 at step ")
+    assert failed.value.member == 2 and np.all(np.isfinite(failed.value.last_state.d.values))
 
 
 def _peak_bytes(func) -> int:
