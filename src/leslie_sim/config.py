@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .dynamics import StepperConfig
 from .experiments import ExperimentConfig
-from .grid import Grid
+from .grid import Grid, VectorField
 from .initial import InitialSpec
 from .material import ParameterSet, make_forcing, violated_conditions
 from .tensor import ElasticTensor
@@ -34,11 +34,13 @@ class RunConfig:
     stepper: StepperConfig
     initial: InitialSpec
     experiment: ExperimentConfig
+    forcing_spec: str = "zero"
     trace_path: str | None = None
     snapshot_dir: str | None = None
 
-    def forcing(self):
-        return make_forcing(self.params.forcing)
+    def forcing(self) -> VectorField | None:
+        """The body force on the run's grid (:func:`material.make_forcing`)."""
+        return make_forcing(self.forcing_spec, self.grid)
 
 
 def _parse_sections(text: str):
@@ -97,7 +99,7 @@ def _one_of(*choices, convert=str):
 
 
 def _forcing(value: str) -> str:
-    make_forcing(value)  # built here only to check it
+    make_forcing(value, Grid.unit_box(4))  # built on the smallest grid only to check it
     return value
 
 
@@ -119,7 +121,9 @@ def _director(value: str) -> tuple:
 #: Every key of every section: ``[section] key -> (field, converter)``.  A key
 #: with a field sets that field of the section's dataclass, which is built
 #: from the keys the file gives, so its defaults are the dataclass's own; the
-#: grid, the elastic tensor and ``[output]`` (field None) are built key by key.
+#: grid, the elastic tensor, the forcing and ``[output]`` (field None) are
+#: built key by key, the forcing outside ParameterSet as a spec that
+#: ``RunConfig.forcing()`` builds on the run's grid.
 _KEYS = {
     "grid": {
         "dim": (None, _one_of(2, 3, convert=int)),
@@ -132,7 +136,7 @@ _KEYS = {
         "gamma": ("gamma", _finite),
         **{f"mu{i}": (f"mu{i}", _finite) for i in range(1, 7)},
         "epsilon": ("epsilon", _finite),
-        "forcing": ("forcing", _forcing),
+        "forcing": (None, _forcing),
         "elastic": (None, _one_of("isotropic", "explicit")),
         "elastic_k": (None, _isotropic),
         "elastic_entries": (None, _explicit),
@@ -248,6 +252,7 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         grid = replace(grid, h=tuple(x / k for x, k in zip(length, n)))
 
     params = _build(ParameterSet, sections, "material")
+    forcing_spec = _get(sections, "material", "forcing", "zero")
     violations = violated_conditions(params)
     if violations and not allow_invalid:
         # the line of the last key that the first violated inequality reads,
@@ -283,6 +288,7 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
         stepper=stepper,
         initial=initial,
         experiment=_build(ExperimentConfig, sections, "experiment"),
+        forcing_spec=forcing_spec,
         trace_path=_get(sections, "output", "trace"),
         snapshot_dir=_get(sections, "output", "snapshots"),
     )

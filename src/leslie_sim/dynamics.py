@@ -9,7 +9,8 @@ Scheme (one step):
    the free energy between the old and new director);
 3. tentative velocity: theta-implicit viscous Helmholtz solve, explicit
    advection, Leslie stress and director force evaluated at the old director
-   with the two-point q, plus forcing;
+   with the two-point q, plus the body force g, one field constant in time
+   that the stepper is given (``forcing=``) and keeps;
 4. exact FFT Leray projection onto discretely divergence-free fields on
    the Helmholtz solve's spectrum (:func:`_velocity_update`), with one
    inverse transform of the velocity, stacked with the pressure on the
@@ -21,15 +22,15 @@ Scheme (one step):
 
 Each derivative is taken once per step.  Every state has one record of the
 fields that more than one reader needs (:class:`StateTerms`): its
-director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v,
-its director strain and its forcing values, all written when the state is
-made -- by the step for its result (grad v is the one the velocity update
-takes) -- and only read by the next step, the per-step energy, the
-sample's diagnostics and the run's observer.  The two-point q uses the mean
-of the two directors' div(L : grad d), as the operator is linear; and the
-explicit momentum flux is built one column at a time, each column
-differentiated as soon as it is built, the stress's as d alpha_j + w d_j
-from the factors alpha, w formed once per step (:func:`_stress_factors`).
+director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v
+and its director strain, all written when the state is made -- by the step
+for its result (grad v is the one the velocity update takes) -- and only
+read by the next step, the per-step energy, the sample's diagnostics and
+the run's observer.  The two-point q uses the mean of the two directors'
+div(L : grad d), as the operator is linear; and the explicit momentum flux
+is built one column at a time, each column differentiated as soon as it is
+built, the stress's as d alpha_j + w d_j from the factors alpha, w formed
+once per step (:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -525,12 +526,13 @@ class Ensemble:
 class StateTerms:
     """The fields of one state that more than one reader needs, each
     member's, component-major with the member axis leading: its director's
-    grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v, its
-    :func:`energetics.director_strain` and the forcing values at its time.
-    Whoever makes the state writes all of them, the stepper for a fresh state
-    (:meth:`Stepper._terms`) and the step for its result; everyone else, the
-    run's observer too, only reads them, and the next step rebinds the fields
-    (dropping the strain it consumes) without writing into their arrays."""
+    grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v and its
+    :func:`energetics.director_strain`.  The body force is constant, so it is
+    the stepper's, not the state's.  Whoever makes the state writes all of
+    them, the stepper for a fresh state (:meth:`Stepper._terms`) and the
+    step for its result; everyone else, the run's observer too, only reads
+    them, and the next step rebinds the fields (dropping the strain it
+    consumes) without writing into their arrays."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
@@ -538,7 +540,6 @@ class StateTerms:
     energy: list  # one energetics.EnergyBreakdown per member
     grad_v: np.ndarray  # (m, 3, dim) + grid.shape
     strain: tuple | None  # (grad v) d, Dv d, d . Dv d
-    forcing: np.ndarray | None  # grid.shape + (3,); None when unforced
 
 
 @dataclass
@@ -550,7 +551,8 @@ class Trajectory:
 
 
 class Stepper:
-    """Steps one (grid, material, config) tuple; builds its SpectralOps once.
+    """Steps one (grid, material, config) tuple under one body force, a
+    field on the stepper's grid or None; builds its SpectralOps once.
 
     The step acts on an :class:`Ensemble`: every member at once, with the
     member axis leading, and with the checks and energies taken per member,
@@ -564,11 +566,13 @@ class Stepper:
         cfg: StepperConfig,
         p: ParameterSet,
         tensor: ElasticTensor,
-        forcing=None,
+        forcing: VectorField | None = None,
         allow_invalid: bool = False,
     ):
         if not allow_invalid:
             require_valid(p)
+        if forcing is not None and forcing.grid != grid:
+            raise ValueError("the forcing and the stepper live on different grids")
         self.grid = grid
         self.cfg = cfg
         self.p = p
@@ -585,33 +589,26 @@ class Stepper:
         self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False
 
-    def _forcing_values(self, t: float):
-        if self.forcing is None:
-            return None
-        return self.forcing(self.grid, t).values
-
     def _director_terms(self, d: np.ndarray) -> tuple:
         """grad d, div(L : grad d), |d|^2 - 1 and the free energies of the
         members' component-major directors."""
-        grad, flux, lap, _, dev = en.director_terms(self.grid, self._contraction, d)
+        grad, flux, lap, dev = en.director_terms(self.grid, self._contraction, d)
         return grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev)
 
     def _terms(self, e: Ensemble) -> StateTerms:
         """The :class:`StateTerms` of a state the stepper did not make."""
         grad_v = g.gradient_components(self.grid, e.v)
-        return StateTerms(*self._director_terms(e.d), grad_v, en.director_strain(grad_v, e.d),
-                          self._forcing_values(e.t))
+        return StateTerms(*self._director_terms(e.d), grad_v, en.director_strain(grad_v, e.d))
 
     def _check_cfl(self, v: np.ndarray) -> None:
-        """Warn once per stepper when a member's advective CFL number
-        exceeds 0.5."""
-        cfl = self.cfg.dt * np.abs(v).reshape(len(v), -1).max(axis=1) / min(self.grid.h)
-        worst = int(np.argmax(cfl))
-        if cfl[worst] > 0.5:
-            warnings.warn(
-                f"advective CFL number {cfl[worst]:.2f}{_member_label(worst, len(v))} exceeds 0.5",
-                RuntimeWarning,
-            )
+        """Warn once per stepper when the advective CFL number, the largest
+        dt max|v_a| / h_a over the members and the grid's axes a, exceeds
+        0.5; a component along an axis the grid lacks advects nothing."""
+        dim = self.grid.dim
+        speed = np.abs(v[:, :dim]).max(axis=(0, *range(2, dim + 2)))
+        cfl = self.cfg.dt * float(np.max(speed / self.grid.h))
+        if cfl > 0.5:
+            warnings.warn(f"advective CFL number {cfl:.2f} exceeds 0.5", RuntimeWarning)
             self._cfl_warned = True
 
     def step(self, s, terms: StateTerms | None = None, pressure: bool = True):
@@ -687,8 +684,8 @@ class Stepper:
         del q_half  # the step's memory peaks in the velocity update
         rhs *= dt
         rhs += v
-        if terms.forcing is not None:
-            rhs += dt * g.components(terms.forcing)
+        if self.forcing is not None:
+            rhs += dt * g.components(self.forcing.values)
 
         # 4. the Helmholtz solve and the projection on one spectrum; the old
         # grad v is freed only after the new one is taken, and with the old
@@ -697,7 +694,6 @@ class Stepper:
         del rhs, grad_d
         terms.grad, terms.lap, terms.dev, terms.energy = grad_new, lap_new, dev_new, energy_new
         terms.grad_v, terms.strain = grad_v, en.director_strain(grad_v, d_new)
-        terms.forcing = self._forcing_values(e.t + dt)
         if pressure:
             vp[:, 3] /= dt
         out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3] if pressure else None)
@@ -775,12 +771,12 @@ class Stepper:
         """Each member's trace row, its energies and dissipation channels in
         EnergyTrace field order, read from the state's terms and the
         members' kinetic energies."""
-        p, grid, fvals = self.p, self.grid, terms.forcing
+        p, grid, forcing = self.p, self.grid, self.forcing
         q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
         channels = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
         return [
             (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[:, i],
-             0.0 if fvals is None else float(np.sum(fvals * g.nodal(e.v[i]))) * grid.cell_volume)
+             0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(e.v[i]))) * grid.cell_volume)
             for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
         ]
 
@@ -790,7 +786,7 @@ def run(
     cfg: StepperConfig,
     p: ParameterSet,
     tensor: ElasticTensor,
-    forcing=None,
+    forcing: VectorField | None = None,
     allow_invalid: bool = False,
     observer=None,
 ) -> Trajectory:
@@ -802,7 +798,7 @@ def run_ensemble(
     cfg: StepperConfig,
     p: ParameterSet,
     tensor: ElasticTensor,
-    forcing=None,
+    forcing: VectorField | None = None,
     allow_invalid: bool = False,
     observer=None,
 ) -> list:

@@ -59,12 +59,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def director_terms(grid: g.Grid, contraction: tuple, d: np.ndarray):
-    """grad d, L : grad d, div(L : grad d), |d|^2 and |d|^2 - 1 of the
-    members' directors d, given ``contraction = tensor.sparse_contraction(grid.dim)``."""
+    """grad d, L : grad d, div(L : grad d) and |d|^2 - 1 of the members'
+    directors d, given ``contraction = tensor.sparse_contraction(grid.dim)``."""
     grad = g.gradient_components(grid, d)
     flux = g.elastic_flux(grid, contraction, grad)
-    d_sq = _dot(d, d)
-    return grad, flux, g.divergence_components(grid, flux), d_sq, d_sq - 1.0
+    return grad, flux, g.divergence_components(grid, flux), _dot(d, d) - 1.0
 
 
 def free_energies(grid: g.Grid, eps: float, grad, flux, dev) -> list:
@@ -213,7 +212,7 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     """Elastic and penalty energy of the director field (:func:`free_energies`)."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    grad, flux, _, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), g.members([d]))
+    grad, flux, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), g.members([d]))
     return free_energies(d.grid, eps, grad, flux, dev)[0]
 
 
@@ -227,7 +226,7 @@ def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) ->
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
     dm = g.members([d])
-    _, _, lap, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), dm)
+    _, _, lap, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), dm)
     return VectorField(d.grid, g.nodal(variational_q(dm, dev, lap, eps)[0]))
 
 

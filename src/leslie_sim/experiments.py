@@ -74,7 +74,7 @@ def weak_strong_campaign(
     seed: int = ExperimentConfig.seed,
     deltas=(ExperimentConfig.delta,),
     c: float = ExperimentConfig.gronwall_c,
-    forcing=None,
+    forcing: VectorField | None = None,
 ) -> list:
     """Run a reference trajectory and one delta-perturbed trajectory per
     entry of ``deltas`` as one ensemble; compare each with the reference.
@@ -177,7 +177,7 @@ def weak_strong_experiment(
     seed: int = ExperimentConfig.seed,
     delta: float = ExperimentConfig.delta,
     c: float = ExperimentConfig.gronwall_c,
-    forcing=None,
+    forcing: VectorField | None = None,
 ) -> ComparisonReport:
     """The campaign of :func:`weak_strong_campaign` with the one ``delta``."""
     return weak_strong_campaign(grid, p, tensor, cfg, initial, seed, (delta,), c, forcing)[0]
@@ -209,7 +209,7 @@ def energy_monitor(
     initial: dynamics.State,
     tol_energy: float = ExperimentConfig.tol_energy,
     tol_step: float = ExperimentConfig.tol_step,
-    forcing=None,
+    forcing: VectorField | None = None,
 ) -> EnergyReport:
     """Run one trajectory and check the discrete energy law.
 
@@ -309,7 +309,7 @@ def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4)) -> IbpReport:
             # (b) elastic pairing vs the adjoint Laplacian forms: member 0 is
             # d, member 1 is dr
             d = _smooth_members(grid, rng, 2)
-            grad, flux, lap, _, _ = en.director_terms(grid, contraction, d)
+            grad, flux, lap, _ = en.director_terms(grid, contraction, d)
             pairing = pair(grad[0], flux[1])
             scale = max(abs(pairing), 1e-300)
             row("elastic_pairing_right", abs(pairing + pair(d[0], lap[1])) / scale)

@@ -23,7 +23,6 @@ class ParameterSet:
     mu5: float = 1.0
     mu6: float = 1.0
     epsilon: float = 0.1
-    forcing: str = "zero"
 
     @property
     def mu23(self) -> float:
@@ -113,11 +112,9 @@ NON_PARODI_DEMO = ParameterSet(lam=0.5, mu5=1.0, mu6=1.0)
 # body-force catalog: "zero", "constant:<gx>,<gy>,<gz>", "sinusoidal:<amp>"
 # ---------------------------------------------------------------------------
 
-def make_forcing(spec: str):
-    """Return g(grid, t) -> VectorField | None for a catalog entry.
-
-    ``None`` (for "zero") lets callers skip the term entirely.
-    """
+def make_forcing(spec: str, grid: Grid) -> VectorField | None:
+    """The body force g of a catalog entry on ``grid``, a field constant in
+    time, or None for "zero", so that callers skip the term entirely."""
     spec = spec.strip()
     if spec == "zero":
         return None
@@ -125,22 +122,12 @@ def make_forcing(spec: str):
         parts = [float(v) for v in spec[len("constant:"):].split(",")]
         if len(parts) != 3 or not all(math.isfinite(x) for x in parts):
             raise ValueError(f"constant forcing needs 3 finite components, got {spec!r}")
-        vec = np.asarray(parts)
-
-        def constant_forcing(grid: Grid, t: float) -> VectorField:
-            return VectorField.constant(grid, vec)
-
-        return constant_forcing
+        return VectorField.constant(grid, parts)
     if spec.startswith("sinusoidal:"):
         amp = float(spec[len("sinusoidal:"):])
         if not math.isfinite(amp):
             raise ValueError(f"sinusoidal forcing needs a finite amplitude, got {spec!r}")
-
-        def sinusoidal_forcing(grid: Grid, t: float) -> VectorField:
-            xs = grid.coords()
-            values = np.zeros(grid.shape + (3,))
-            values[..., 1] = amp * np.sin(2.0 * np.pi * xs[0] / grid.lengths[0])
-            return VectorField(grid, values)
-
-        return sinusoidal_forcing
+        values = np.zeros(grid.shape + (3,))
+        values[..., 1] = amp * np.sin(2.0 * np.pi * grid.coords()[0] / grid.lengths[0])
+        return VectorField(grid, values)
     raise ValueError(f"unknown forcing spec {spec!r}")

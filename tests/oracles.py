@@ -234,9 +234,9 @@ def relative_series(grid, p, tensor, runs):
         )
         v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
         # the sample's record, taken again with the library kernels
-        grad, _, lap, _, dev = director_terms(grid, contraction, d)
+        grad, _, lap, dev = director_terms(grid, contraction, d)
         grad_v = g.gradient_components(grid, v)
-        terms = StateTerms(grad, lap, dev, None, grad_v, director_strain(grad_v, d), None)
+        terms = StateTerms(grad, lap, dev, None, grad_v, director_strain(grad_v, d))
         out[:, :, i] = relative_terms(grid, p, contraction, v, d, terms, dt_d)
     return out
 

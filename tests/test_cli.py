@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -296,6 +297,17 @@ def test_compare_failure_names_the_reference_run(tmp_path, capsys):
     # member 0 of the campaign's ensemble is the reference run
     assert main(["compare", "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)]) == 1
     assert capsys.readouterr().err == "FAIL: non-finite values of the reference run at step 5 (t = 0.25)\n"
+
+
+def test_compare_cfl_warning_names_no_ensemble_member(tmp_path, capsys):
+    # compare runs the reference and the perturbed run as one ensemble; its
+    # warning reads as that of a lone run, and the FAIL line names the run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)]) == 1
+    [message] = [str(w.message) for w in caught]
+    assert re.fullmatch(r"advective CFL number \d+\.\d\d exceeds 0\.5", message), message
+    assert capsys.readouterr().err.startswith("FAIL: non-finite values of the reference run")
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])

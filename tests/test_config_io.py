@@ -360,6 +360,13 @@ def test_trace_csv_round_trip_full_precision(tmp_path):
     np.testing.assert_array_equal(back["E"], np.zeros(n))
 
 
+def test_forcing_is_built_on_the_config_grid():
+    cfg = parse_config("[grid]\nn = 8 16\n[material]\nforcing = constant:1,0,0\n")
+    forcing = cfg.forcing()
+    assert forcing.grid == cfg.grid
+    np.testing.assert_array_equal(forcing.values, VectorField.constant(cfg.grid, (1, 0, 0)).values)
+
+
 def test_forced_run_residual_recomputes_from_trace_csv(tmp_path):
     # the CSV holds every term of energy_inequality_residual, the forcing
     # power (g, v) included, so the residual column can be checked from it

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from leslie_sim.dynamics import (
 from leslie_sim.energetics import free_energy, variational_derivative
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
-from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, InvalidParameters, ParameterSet
+from leslie_sim.material import (
+    NON_PARODI_DEMO,
+    PARODI_DEMO,
+    InvalidParameters,
+    ParameterSet,
+    make_forcing,
+)
 from leslie_sim.tensor import ElasticTensor, outer, skw, sym
 
 TENSOR = ElasticTensor.isotropic(1.0)
@@ -298,6 +305,44 @@ def test_cfl_warning():
     stepper = Stepper(grid, StepperConfig(dt=0.02, t_end=0.02), PARODI_DEMO, TENSOR)
     with pytest.warns(RuntimeWarning):
         stepper.step(s)
+
+
+def test_cfl_ignores_the_component_along_the_absent_axis():
+    # on a 2D grid v_z advects nothing: dt |v_z| / h = 1.6, but the CFL
+    # number is 0, and the run stays finite with non-increasing energy
+    grid = Grid.unit_box(16)
+    rng = np.random.default_rng(28)
+    v = VectorField(grid, VectorField.constant(grid, (0.0, 0.0, 100.0)).values
+                    + 0.1 * divfree_smooth_field(grid, rng).values)
+    d = VectorField(grid, VectorField.constant(grid, (0.0, 0.0, 1.0)).values
+                    + 0.1 * smooth_vector_field(grid, rng).values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run(State.initial(v, d), StepperConfig(dt=1e-3, t_end=0.02), PARODI_DEMO, TENSOR)
+    assert np.all(np.isfinite(traj.states[-1].v.values))
+    assert np.all(np.diff(traj.step_total_energy) <= 1e-12 * traj.step_total_energy[0])
+
+
+@pytest.mark.parametrize("v_y, cfl", [(4.0, None), (16.0, "0.64")])
+def test_cfl_number_is_taken_per_axis(v_y, cfl):
+    # h = (1/16, 1/4): v_y = 4 moves 0.16 of a cell along y per step, and
+    # 4 * dt / h_x = 0.64 does not count
+    grid = Grid(n=(16, 16), h=(1.0 / 16, 0.25))
+    s = State.initial(VectorField.constant(grid, (0.0, v_y, 0.0)),
+                      VectorField.constant(grid, (0.0, 0.0, 1.0)))
+    stepper = Stepper(grid, StepperConfig(dt=1e-2, t_end=1e-2), PARODI_DEMO, TENSOR)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stepper.step(s)
+    messages = [str(w.message) for w in caught]
+    assert messages == ([] if cfl is None else [f"advective CFL number {cfl} exceeds 0.5"])
+
+
+def test_stepper_rejects_forcing_on_another_grid():
+    grid = Grid.unit_box(16)
+    forcing = make_forcing("constant:1,0,0", Grid.unit_box(8))
+    with pytest.raises(ValueError, match="different grids"):
+        Stepper(grid, StepperConfig(), PARODI_DEMO, TENSOR, forcing=forcing)
 
 
 def test_invalid_parameters_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,21 +73,25 @@ def test_derived_coefficients():
     assert p.cross_coeff == pytest.approx(3.0 - 2.0)
 
 
+def test_parameter_set_holds_only_material_coefficients():
+    # the body force is a field on a grid, built by make_forcing
+    assert "forcing" not in {f.name for f in dataclasses.fields(ParameterSet)}
+
+
 def test_forcing_catalog():
-    assert make_forcing("zero") is None
     grid = Grid.unit_box(8)
-    const = make_forcing("constant: 1.0, 2.0, 3.0")
-    values = const(grid, 0.0).values
-    np.testing.assert_array_equal(values[0, 0], [1.0, 2.0, 3.0])
-    sine = make_forcing("sinusoidal:0.5")
-    f = sine(grid, 0.0).values
+    assert make_forcing("zero", grid) is None
+    const = make_forcing("constant: 1.0, 2.0, 3.0", grid)
+    assert const.grid == grid
+    np.testing.assert_array_equal(const.values[0, 0], [1.0, 2.0, 3.0])
+    f = make_forcing("sinusoidal:0.5", grid).values
     assert np.max(np.abs(f[..., 1])) == pytest.approx(
         0.5 * np.max(np.abs(np.sin(2 * np.pi * grid.axis_coords(0)))))
     assert np.all(f[..., 0] == 0.0) and np.all(f[..., 2] == 0.0)
     with pytest.raises(ValueError):
-        make_forcing("constant:1,2")
+        make_forcing("constant:1,2", grid)
     with pytest.raises(ValueError):
-        make_forcing("vortex:1")
+        make_forcing("vortex:1", grid)
 
 
 @given(

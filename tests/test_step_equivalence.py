@@ -144,7 +144,7 @@ def _ref_step(stepper, s):
         + (1.0 - theta) * 0.5 * p.mu4 * _ref_wide_laplacian(grid, v.values)
     )
     if stepper.forcing is not None:
-        rhs_values = rhs_values + dt * stepper.forcing(grid, s.t).values
+        rhs_values = rhs_values + dt * stepper.forcing.values
     v_star = solve_helmholtz(VectorField(grid, rhs_values), stepper.ops)
     v_new, p_mult = project_divfree(v_star, stepper.ops, cfg.poisson_tol)
     return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
@@ -171,7 +171,7 @@ def test_step_matches_reference(grid_name, tensor_name, theta, forcing):
         StepperConfig(dt=1e-3, t_end=1e-3, theta=theta),
         params,
         TENSORS[tensor_name],
-        forcing=None if forcing is None else make_forcing(forcing),
+        forcing=None if forcing is None else make_forcing(forcing, grid),
     )
     s = _state(grid, seed=len(grid_name) + 10 * len(tensor_name))
     out = stepper.step(s)
@@ -242,7 +242,7 @@ def test_sparse_elastic_flux_equals_the_dense_product(grid_name, tensor_name):
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
 def test_step_energy_and_trace_match_recomputed(tensor_name):
     grid, tensor, p = GRIDS["2d"], TENSORS[tensor_name], NON_PARODI_DEMO
-    forcing = make_forcing("sinusoidal:0.5")
+    forcing = make_forcing("sinusoidal:0.5", grid)
     cfg = StepperConfig(dt=1e-3, t_end=0.02, theta=0.3, output_every=1)
     traj = Stepper(grid, cfg, p, tensor, forcing=forcing).run(_state(grid, seed=3))
     assert len(traj.states) == 21
@@ -268,7 +268,7 @@ def test_step_energy_and_trace_match_recomputed(tensor_name):
             "diss_dir": p.directional_coeff * float(np.sum(dvd**2)) * cellvol,
             "diss_q": p.gamma * oracles.l2_norm_sq(q),
             "cross_term": p.cross_coeff * float(np.sum(q.values * dvd)) * cellvol,
-            "g_power": float(np.sum(forcing(grid, s.t).values * s.v.values)) * cellvol,
+            "g_power": float(np.sum(forcing.values * s.v.values)) * cellvol,
         }
         for name, value in row.items():
             assert getattr(traj.trace, name)[k] == pytest.approx(value, rel=1e-13, abs=0.0), name
@@ -454,7 +454,7 @@ def test_ensemble_members_equal_lone_runs(grid_name, tensor_name, theta, forcing
 
     def stepper():
         return Stepper(grid, cfg, params, TENSORS[tensor_name],
-                       forcing=None if forcing is None else make_forcing(forcing))
+                       forcing=None if forcing is None else make_forcing(forcing, grid))
 
     states = [_state(grid, seed=50 + i, amplitude=0.2 + 0.1 * i) for i in range(3)]
     alone = [stepper().run(s) for s in states]
@@ -588,22 +588,6 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
 # the per-state record: written when the state is made, read by the rest
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("output_every", [1, 3])
-def test_forced_run_evaluates_the_forcing_once_per_state(output_every):
-    times = []
-    forcing = make_forcing("sinusoidal:5")
-
-    def counted(grid, t):
-        times.append(t)
-        return forcing(grid, t)
-
-    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
-    traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO, counted).run(_state(GRIDS["2d"], seed=51))
-    # one call per state, 7 for 6 steps: the step and the diagnostics read
-    # the values made with the state
-    assert len(times) == 7 and times == list(traj.step_times)
-
-
 def _frozen(value):
     """A comparable copy of a record field: arrays by shape and bytes."""
     if isinstance(value, np.ndarray):
@@ -617,7 +601,7 @@ def _frozen(value):
 def test_diagnostics_only_read_the_record_the_step_wrote(grid_name):
     grid = GRIDS[grid_name]
     cfg = StepperConfig(dt=1e-3, t_end=6e-3)
-    stepper = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO, make_forcing("sinusoidal:5"))
+    stepper = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO, make_forcing("sinusoidal:5", grid))
     e = Ensemble.of([_state(grid, seed=52)])
     terms = stepper._terms(e)
     out = stepper.step(e, terms)

@@ -76,16 +76,15 @@ def test_streamed_run_equals_retained_run(theta, output_every):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stepper_writes_into_no_array_it_handed_out(dim):
     # mu1 != 1, so that a step scaling a handed-out strain by mu1 in place
-    # would change it; with forcing, so that the record's forcing is there
+    # would change it; with forcing, so that the forced step is the one checked
     grid = GRIDS[dim]
     p = dataclasses.replace(NON_PARODI_DEMO, mu1=2.5)
     cfg = StepperConfig(dt=5e-4, t_end=2e-3, output_every=1)
-    stepper = Stepper(grid, cfg, p, ANISO, forcing=make_forcing("sinusoidal:0.5"))
+    stepper = Stepper(grid, cfg, p, ANISO, forcing=make_forcing("sinusoidal:0.5", grid))
     handed = []  # every array of each sample and its record, with its bytes then
 
     def observe(e, terms):
-        arrays = [e.v, e.d, e.p, terms.grad, terms.lap, terms.dev, terms.grad_v, *terms.strain,
-                  terms.forcing]
+        arrays = [e.v, e.d, e.p, terms.grad, terms.lap, terms.dev, terms.grad_v, *terms.strain]
         handed.append([(a, a.tobytes()) for a in arrays])
 
     stepper.run_ensemble([_state(grid, seed=64), _state(grid, seed=65, amplitude=0.5)], observer=observe)
