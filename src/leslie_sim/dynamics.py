@@ -75,7 +75,11 @@ from .tensor import ElasticTensor, outer, skw, sym
 
 
 class ProjectionError(RuntimeError):
-    """Pressure solve failed to reach the requested divergence residual."""
+    """Pressure solve missed the requested divergence residual; carries its member's index."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
 
 
 class SimulationError(RuntimeError):
@@ -209,18 +213,25 @@ class SpectralOps:
             )
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes, out=out)
+        """``rfftn`` over the grid's axes, bit for bit, as its own 1-D passes:
+        ``rfft`` along the last axis into ``out`` (a new array if None),
+        then ``fft`` in place along the others, last to first."""
+        out = np.fft.rfft(values, axis=-1, out=out)
+        for axis in self.axes[-2::-1]:
+            np.fft.fft(out, axis=axis, out=out)
+        return out
 
     def backward(self, values_hat: np.ndarray) -> np.ndarray:
         """``irfftn`` over the grid's axes, bit for bit, spending
-        ``values_hat``: the complex stages run in place on it (numpy's n-d
-        loop takes the listed axes last to first, so the reversed list is
-        ``irfftn``'s own order), then the real stage on the last axis."""
-        np.fft.ifftn(values_hat, axes=self.axes[-2::-1], out=values_hat)
+        ``values_hat``: its 1-D passes in its own order, ``ifft`` in place
+        along every axis but the last, first to last, then ``irfft`` along
+        the last."""
+        for axis in self.axes[:-1]:
+            np.fft.ifft(values_hat, axis=axis, out=values_hat)
         return np.fft.irfft(values_hat, n=self.grid.n[-1], axis=-1)
 
     def check_grid(self, grid: Grid) -> None:
-        if grid != self.grid:
+        if grid is not self.grid and grid != self.grid:
             raise ValueError("field and spectral operators live on different grids")
 
 
@@ -344,7 +355,7 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
         if res > target:
             raise ProjectionError(
                 f"projection residual {res:.3e}{_member_label(i, len(targets))} "
-                f"exceeds target {target:.3e}"
+                f"exceeds target {target:.3e}", member=i
             )
     return vp, grad_v
 
@@ -356,10 +367,10 @@ def _projection_targets(ops: SpectralOps, u_hat: np.ndarray, div_hat: np.ndarray
     of the last axis other than 0 and the Nyquist mode stands for its
     conjugate too."""
     n, grid = ops.grid.n[-1], ops.grid
+    edges = (Ellipsis, slice(None, None, n // 2) if n % 2 == 0 else slice(1))
 
     def norm(x_hat):
-        edges = x_hat[..., :: n // 2] if n % 2 == 0 else x_hat[..., :1]
-        sq = 2.0 * np.vdot(x_hat, x_hat).real - np.vdot(edges, edges).real
+        sq = 2.0 * np.vdot(x_hat, x_hat).real - np.vdot(x_hat[edges], x_hat[edges]).real
         return math.sqrt(float(sq) / grid.cell_count * grid.cell_volume)
 
     return [tol * norm(s) + 1e-14 * (1.0 + norm(u)) for u, s in zip(u_hat, div_hat)]
@@ -606,7 +617,7 @@ class Stepper:
         0.5; a component along an axis the grid lacks advects nothing."""
         dim = self.grid.dim
         speed = np.abs(v[:, :dim]).max(axis=(0, *range(2, dim + 2)))
-        cfl = self.cfg.dt * float(np.max(speed / self.grid.h))
+        cfl = self.cfg.dt * float((speed / self.grid.h).max())
         if cfl > 0.5:
             warnings.warn(f"advective CFL number {cfl:.2f} exceeds 0.5", RuntimeWarning)
             self._cfl_warned = True
@@ -745,16 +756,17 @@ class Stepper:
             sampled = k % cfg.output_every == 0 or k == n_steps
             if k > 0:
                 state = self.step(state, terms, pressure=sampled)
-                finite = np.isfinite(state.v).reshape(m, -1).all(axis=1)
-                finite &= np.isfinite(state.d).reshape(m, -1).all(axis=1)
-                if not finite.all():
-                    i = int(np.argmin(finite))
+                # one check of each field over all members; the failing one
+                # is looked for only after a failure
+                if not (np.isfinite(state.v).all() and np.isfinite(state.d).all()):
+                    i = next(i for i in range(m) if not (np.isfinite(state.v[i]).all()
+                                                         and np.isfinite(state.d[i]).all()))
                     raise SimulationError(
                         f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
                         last_state=last.member(i), member=i,
                     )
             step_times[k] = state.t
-            kinetic = en.kinetic_energies(self.grid, state.v)
+            kinetic = en.kinetic_energies(self.grid, state.v).tolist()
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
             if sampled:
                 last = state
@@ -767,15 +779,15 @@ class Stepper:
             for i in range(m)
         ]
 
-    def _diagnostics(self, e: Ensemble, terms: StateTerms, kinetic: np.ndarray) -> list:
+    def _diagnostics(self, e: Ensemble, terms: StateTerms, kinetic: list) -> list:
         """Each member's trace row, its energies and dissipation channels in
         EnergyTrace field order, read from the state's terms and the
         members' kinetic energies."""
         p, grid, forcing = self.p, self.grid, self.forcing
         q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
-        channels = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
+        channels = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:]).T.tolist()
         return [
-            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[:, i],
+            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[i],
              0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(e.v[i]))) * grid.cell_volume)
             for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
         ]

@@ -108,7 +108,7 @@ def strain_sq(grad_v: np.ndarray) -> np.ndarray:
     of its grad v (m, 3, dim, ...): the rows of grad v beyond dim enter Dv
     twice, halved."""
     dim = grad_v.shape[2]
-    block = grad_v[:, :dim] + np.swapaxes(grad_v[:, :dim], 1, 2)
+    block = grad_v[:, :dim] + grad_v[:, :dim].swapaxes(1, 2)
     return np.array([0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r))
                      for b, r in zip(block, grad_v[:, dim:])])
 

@@ -94,8 +94,9 @@ def weak_strong_campaign(
     step took for each (its ``dynamics.StateTerms``), so no sampled state is
     kept, no field is differentiated twice and memory is flat in trajectory
     length.  Invalid parameters raise InvalidParameters from the stepper; a
-    run that turns non-finite raises SimulationError naming it, the
-    reference or the perturbed one with its delta.
+    run that turns non-finite raises SimulationError, and one whose
+    projection misses its target ProjectionError, naming it: the reference
+    or the perturbed one with its delta.
     """
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
@@ -130,12 +131,13 @@ def weak_strong_campaign(
 
     try:
         traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
-    except dynamics.SimulationError as exc:
+    except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
         # the FAIL line names the run, not its index in the ensemble
-        run = ("the reference run" if exc.member == 0
-               else f"the perturbed run with delta = {deltas[exc.member - 1]:g}")
-        raise dynamics.SimulationError(str(exc).replace(f"member {exc.member}", run), exc.last_state,
-                                       exc.member) from exc
+        if exc.member is not None:
+            run = ("the reference run" if exc.member == 0
+                   else f"the perturbed run with delta = {deltas[exc.member - 1]:g}")
+            exc.args = (str(exc).replace(f"member {exc.member}", run),)
+        raise
     column(window[0], window[-1], window[-1])
     series = np.stack(columns, axis=-1)
     return [_comparison(delta, traj.trace.t, *series[:, k], c) for k, delta in enumerate(deltas)]

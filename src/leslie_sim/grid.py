@@ -22,15 +22,34 @@ import numpy as np
 from .tensor import ElasticTensor
 
 
+def _stencil(n: int, h: float, trailing: int) -> tuple:
+    """The central difference's constants on an axis of n cells of spacing h
+    with ``trailing`` spatial axes after it: the scaling by 1/2h (a multiply
+    by the exact reciprocal where 2h is a power of two: the divide's bits,
+    faster) and the (out, ahead, behind) indices of the interior and of both
+    wrap planes, counted from the trailing end to serve any leading axes."""
+    two_h = 2.0 * h
+    exact = math.frexp(two_h)[0] == 0.5 and math.isfinite(1.0 / two_h)
+    rest = (slice(None),) * trailing
+    interior, wrap = (tuple((Ellipsis, i) + rest for i in idx) for idx in (
+        (slice(1, n - 1), slice(2, n), slice(0, n - 2)),
+        (slice(0, n, n - 1), slice(1, None, -1), slice(n - 1, n - 3, -1))))
+    return (np.multiply, 1.0 / two_h) if exact else (np.divide, two_h), interior, wrap
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform periodic grid; ``n`` cells and spacing ``h`` per
-    axis."""
+    axis.  Equality and hashing see only (n, h); the other attributes are
+    derived from them once, the per-axis :func:`_stencil` constants too."""
 
     n: tuple
     h: tuple
+    dim: int = field(init=False, repr=False, compare=False)
+    shape: tuple = field(init=False, repr=False, compare=False)
     cell_volume: float = field(init=False, repr=False, compare=False)
     cell_count: int = field(init=False, repr=False, compare=False)
+    stencils: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -43,24 +62,16 @@ class Grid:
             raise ValueError("need at least 4 cells per axis")
         if not all(math.isfinite(v) and v > 0.0 for v in h):
             raise ValueError(f"grid spacing must be positive and finite, got {h}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "cell_volume", math.prod(h))
-        object.__setattr__(self, "cell_count", math.prod(n))
+        stencils = tuple(_stencil(na, ha, len(n) - 1 - a) for a, (na, ha) in enumerate(zip(n, h)))
+        for name, value in dict(n=n, h=h, dim=len(n), shape=n, cell_volume=math.prod(h),
+                                cell_count=math.prod(n), stencils=stencils).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def unit_box(cls, n, dim: int = 2) -> "Grid":
         ns = tuple([int(n)] * dim)
         hs = tuple(1.0 / v for v in ns)
         return cls(n=ns, h=hs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.n)
-
-    @property
-    def shape(self) -> tuple:
-        return self.n
 
     @property
     def lengths(self) -> tuple:
@@ -148,45 +159,42 @@ def members(fields) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Second-order first derivative along spatial axis ``axis``.
-
-    One stencil serves both layouts: ``axis`` in 0 .. dim - 1 differentiates
-    leading spatial axes (component axes trailing, node-major), ``axis`` in
-    -dim .. -1 trailing ones (component axes leading, component-major), so
-    spatial axis a is ``a - dim`` there.  Central differences with index
-    wrap-around; the two wrap planes go into the same buffer, so the result
-    equals (roll(v, -1) - roll(v, 1)) / 2h bit for bit without the rolled
-    copies.  When the block of both operands' axes from the first spatial
-    one on is contiguous (the trailing spatial block of component-major
-    members, gradient columns and flux slices alike), the interior of every
-    line is one subtract over (rows, cells) views, the cells offset by the
-    axis stride; it is wrong only on the wrap planes, which are rewritten
-    after it.  Other layouts take the interior slice by slice.  Writes into
-    ``out`` if given.
+    """Second-order first derivative along spatial axis ``axis``: in
+    -dim .. -1 of trailing spatial axes (component axes leading,
+    component-major), spatial axis a being ``a - dim``; in 0 .. dim - 1 of
+    leading ones (node-major), through the component-major views.  Central
+    differences with index wrap-around, from the grid's ``stencils``: output
+    planes 0 and n - 1 take input planes 1 and 0 minus n - 1 and n - 2 in one
+    subtract, so the result equals (roll(v, -1) - roll(v, 1)) / 2h bit for
+    bit without the rolled copies.  The interior is one slice, which along
+    the outermost spatial axis of a contiguous block is one run per row.
+    Along the other axes, when the block of both operands' axes from the
+    first spatial one on is contiguous (component-major members, gradient
+    columns and flux slices alike), it is one subtract over (rows, cells)
+    views instead, the cells offset by the axis stride, wrong only on the
+    wrap planes, which are rewritten after it.  Writes into ``out`` if given.
     """
-    h = grid.h[axis]
-    n = grid.n[axis]
-    k = axis % values.ndim
-    lead = (slice(None),) * k
-
-    def sl(idx):
-        return lead + (idx,)
-
     if out is None:
         out = np.empty_like(values)
-    # the block's first entry: a view whose flags tell from the strides
-    # whether the block is contiguous, so that it reshapes into cells as a view
-    first = (0,) * (values.ndim - grid.dim if axis < 0 else 0)
-    if values[first].flags.c_contiguous and out[first].flags.c_contiguous:
-        flat_shape = values.shape[: len(first)] + (-1,)
+    if axis >= 0:
+        order = tuple(range(grid.dim, values.ndim)) + tuple(range(grid.dim))
+        _deriv(grid, values.transpose(order), axis - grid.dim, out.transpose(order))
+        return out
+    (scale, by), interior, wrap = grid.stencils[axis]
+    # the flags of the block's first entry tell whether it reshapes into cells
+    lead = values.ndim - grid.dim
+    first = (0,) * lead
+    if axis != -grid.dim and values[first].flags.c_contiguous and out[first].flags.c_contiguous:
+        flat_shape = values.shape[:lead] + (-1,)
         flat, flat_out = values.reshape(flat_shape), out.reshape(flat_shape)
-        step = values.strides[k] // values.itemsize
+        step = values.strides[axis] // values.itemsize
         np.subtract(flat[..., 2 * step :], flat[..., : -2 * step], out=flat_out[..., step:-step])
     else:
-        np.subtract(values[sl(slice(2, n))], values[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))])
-    np.subtract(values[sl(1)], values[sl(n - 1)], out=out[sl(0)])
-    np.subtract(values[sl(0)], values[sl(n - 2)], out=out[sl(n - 1)])
-    out /= 2.0 * h
+        at, ahead, behind = interior
+        np.subtract(values[ahead], values[behind], out=out[at])
+    at, ahead, behind = wrap
+    np.subtract(values[ahead], values[behind], out=out[at])
+    scale(out, by, out=out)
     return out
 
 
@@ -218,7 +226,12 @@ def elastic_flux(grid: Grid, contraction: tuple, grad: np.ndarray) -> np.ndarray
     """L : grad d of component-major gradients (..., 3, dim) + grid.shape,
     given ``contraction = tensor.sparse_contraction(grid.dim)``: each row of
     the (3 dim) x (3 dim) product summed over its nonzero entries only, in
-    column order, which equals the dense product bit for bit."""
+    column order, which equals the dense product bit for bit.  A contraction
+    c I (every row the one entry c on its own column: isotropic L) is one
+    multiply of the whole gradient by c."""
+    c = contraction[0][0][1]
+    if all(row == ((a, c),) for a, row in enumerate(contraction)):
+        return grad * c
     flat = grad.reshape((-1, 3 * grid.dim) + grid.shape)
     out = np.empty_like(flat)
     term = np.empty_like(flat[:, 0])

@@ -136,9 +136,10 @@ def write_trace_csv(
     if residual is not None:
         cols["residual_energy"] = np.asarray(residual)
 
-    lines = [",".join(TRACE_COLUMNS)]
-    for i in range(n):
-        lines.append(",".join(f"{cols[name][i]:.17g}" for name in TRACE_COLUMNS))
+    # each row's Python floats format as the numpy scalars did
+    row = ",".join(["%.17g"] * len(TRACE_COLUMNS))
+    table = np.column_stack([cols[name] for name in TRACE_COLUMNS])
+    lines = [",".join(TRACE_COLUMNS)] + [row % tuple(values.tolist()) for values in table]
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -8,7 +8,7 @@ import pytest
 from leslie_sim import config
 from leslie_sim.config import _KEYS, ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
-from leslie_sim.energetics import EnergyTrace, energy_inequality_residual
+from leslie_sim.energetics import EnergyTrace, RelativeTrace, energy_inequality_residual
 from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import make_initial_state
 from leslie_sim.material import PARODI_DEMO
@@ -359,6 +359,30 @@ def test_trace_csv_round_trip_full_precision(tmp_path):
     np.testing.assert_array_equal(back["residual_energy"], residual)
     np.testing.assert_array_equal(back["E"], np.zeros(n))
 
+
+
+def test_trace_csv_bytes_equal_per_element_numpy_formatting(tmp_path):
+    # each column goes out as Python floats; the bytes must be those of the
+    # numpy scalars formatted one at a time, the edge values included
+    edges = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+    n = len(edges)
+    rng = np.random.default_rng(42)
+    names = [f.name for f in dataclasses.fields(EnergyTrace)]
+    columns = {name: rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n) for name in names}
+    columns["kinetic"] = np.array(edges)
+    residual = np.array(edges[::-1])
+    relative = RelativeTrace(*(rng.normal(size=n) for _ in range(5)))
+    for energy, rel, res in ((EnergyTrace(**columns), None, residual), (None, relative, None)):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), energy=energy, relative=rel, residual=res)
+        cols = dict.fromkeys(TRACE_COLUMNS, np.zeros(n))
+        for trace in (energy, rel):
+            if trace is not None:
+                cols.update((f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace))
+        if res is not None:
+            cols["residual_energy"] = res
+        rows = [",".join(f"{np.float64(cols[name][i]):.17g}" for name in TRACE_COLUMNS) for i in range(n)]
+        assert path.read_bytes() == ("\n".join([",".join(TRACE_COLUMNS)] + rows) + "\n").encode("ascii")
 
 def test_forcing_is_built_on_the_config_grid():
     cfg = parse_config("[grid]\nn = 8 16\n[material]\nforcing = constant:1,0,0\n")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -41,6 +43,37 @@ def test_unit_box_properties():
     assert grid.cell_volume == pytest.approx((1.0 / 16) ** 3)
     assert grid.lengths == (1.0, 1.0, 1.0)
 
+
+
+def test_grid_attributes_are_plain_and_identity_is_n_and_h():
+    grid = Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.2))
+    # dim and shape are attributes set once, not properties
+    assert {"dim", "shape", "stencils"} <= set(vars(grid))
+    assert not any(isinstance(getattr(Grid, name, None), property) for name in ("dim", "shape"))
+    assert (grid.dim, grid.shape) == (3, (5, 4, 6))
+    same = Grid(n=[5.0, 4, 6], h=(0.2, 0.2, 0.2))
+    assert same == grid and hash(same) == hash(grid)
+    assert Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.25)) != grid
+    assert repr(grid) == "Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.2))"
+    values = np.random.default_rng(3).normal(size=(2, 3) + grid.shape)
+    for other in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert other == grid and hash(other) == hash(grid)
+        assert (other.dim, other.shape, other.cell_count) == (grid.dim, grid.shape, grid.cell_count)
+        for axis in range(-grid.dim, 0):
+            np.testing.assert_array_equal(g._deriv(other, values, axis), g._deriv(grid, values, axis))
+
+
+@pytest.mark.parametrize("h", [1.0 / 16, 0.1, 2.0**1022, 2.0**-1074, 3.0 * 2.0**-1060])
+def test_deriv_scaling_is_the_divide_bit_for_bit(h):
+    # 2h a power of two is scaled by a multiply with its exact reciprocal:
+    # down to subnormal results and up to overflow it rounds as the divide
+    grid = Grid(n=(4, 6), h=(h, h))
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(1, 3) + grid.shape) * 10.0 ** rng.integers(-300, 300, size=grid.shape)
+    for axis in (-2, -1):
+        rolled = np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(g._deriv(grid, values, axis), rolled / (2.0 * h))
 
 def test_field_shape_checks():
     grid = Grid.unit_box(8)

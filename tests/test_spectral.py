@@ -178,10 +178,19 @@ def test_projection_target_by_parseval_matches_real_space(grid_name, tol):
 @pytest.mark.parametrize("components", [3, 4])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_backward_is_irfftn_bit_for_bit(grid_name, components):
-    # the complex stages run in place on the spectrum, in irfftn's own order
+    # both directions are the n-d transforms' own 1-D passes, in their
+    # order: forward into a new array and, as the velocity update takes it,
+    # into the first three components of a four-component buffer; the
+    # complex stages of backward run in place on the spectrum
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid)
-    values_hat = ops.forward(np.random.default_rng(12).normal(size=(2, components) + grid.shape))
+    values = np.random.default_rng(12).normal(size=(2, components) + grid.shape)
+    values_hat = ops.forward(values)
+    np.testing.assert_array_equal(values_hat, np.fft.rfftn(values, axes=ops.axes))
+    buffer = np.zeros((2, 4) + values_hat.shape[2:], dtype=complex)
+    assert ops.forward(values[:, :3], out=buffer[:, :3]).base is buffer
+    np.testing.assert_array_equal(buffer[:, :3], np.fft.rfftn(values[:, :3], axes=ops.axes))
+    assert not buffer[:, 3].any()
     expected = np.fft.irfftn(values_hat, s=grid.n, axes=ops.axes)
     np.testing.assert_array_equal(ops.backward(values_hat), expected)
 
@@ -376,14 +385,24 @@ def test_director_solve_does_not_reuse_a_freed_tensor():
 # periodic stencil
 # ---------------------------------------------------------------------------
 
+#: The grids of the stencil tests: those above, and the smallest legal axes,
+#: n = 4 (where the wrap planes' slices touch every plane) and an odd n = 5,
+#: with spacings whose 2h is and is not a power of two.
+DERIV_GRIDS = {
+    **GRIDS,
+    "2d-smallest": Grid(n=(4, 5), h=(0.25, 0.3)),
+    "3d-smallest": Grid(n=(5, 4, 4), h=(0.2, 0.25, 0.125)),
+}
+
+
 def _rolled_deriv(grid, values, axis):
     h = grid.h[axis]
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
-@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("grid_name", sorted(DERIV_GRIDS))
 def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
-    grid = GRIDS[grid_name]
+    grid = DERIV_GRIDS[grid_name]
     rng = np.random.default_rng(6)
     tensor = rng.normal(size=grid.shape + (3, 3))
     views = [rng.normal(size=grid.shape), rng.normal(size=grid.shape + (3,))]
@@ -405,14 +424,14 @@ def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
             np.testing.assert_array_equal(out, expected)
 
 
-@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("grid_name", sorted(DERIV_GRIDS))
 def test_deriv_of_member_arrays_and_strided_views(grid_name):
     # operands whose spatial block is contiguous -- members, a stacked
     # array's first three components, the flux slices of a gradient-shaped
     # array, outputs into gradient columns -- take one subtract over
     # (rows, cells) views; the others (a reversed axis, an interleaved
     # output) the per-axis slices; all equal the rolled copies bit for bit
-    grid = GRIDS[grid_name]
+    grid = DERIV_GRIDS[grid_name]
     rng = np.random.default_rng(9)
     members = rng.normal(size=(2, 3) + grid.shape)
     stacked = rng.normal(size=(2, 4) + grid.shape)

@@ -235,6 +235,25 @@ def test_sparse_elastic_flux_equals_the_dense_product(grid_name, tensor_name):
                                   oracles.elastic_flux(dense, grad))
 
 
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_scalar_elastic_flux_is_one_multiply(monkeypatch, grid_name):
+    # an isotropic contraction c I scales the whole gradient at once; a
+    # diagonal one with unequal entries takes the rows, and both equal the
+    # dense product bit for bit
+    grid = GRIDS[grid_name]
+    grad = np.random.default_rng(65).normal(size=(2, 3, grid.dim) + grid.shape)
+    scale = np.arange(1.0, 10.0).reshape(3, 3)
+    diagonal = ElasticTensor(entries=np.einsum("ik,jl->ijkl", _EYE, _EYE) * scale[:, :, None, None], eta=1.0)
+    calls = []
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **k: calls.append(1) or multiply(*a, **k))
+    for tensor, rows in ((ElasticTensor.isotropic(1.7), 0), (diagonal, 3 * grid.dim)):
+        calls.clear()
+        flux = g.elastic_flux(grid, tensor.sparse_contraction(grid.dim), grad)
+        assert len(calls) == rows
+        np.testing.assert_array_equal(flux, oracles.elastic_flux(tensor.contraction(grid.dim), grad))
+
+
 # ---------------------------------------------------------------------------
 # energies and diagnostics read from the carried terms
 # ---------------------------------------------------------------------------

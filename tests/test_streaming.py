@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import oracles
+from leslie_sim import dynamics
 from leslie_sim import grid as grid_module
-from leslie_sim.dynamics import SimulationError, State, Stepper, StepperConfig, run_ensemble
+from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig, run_ensemble
 from leslie_sim.experiments import energy_monitor, weak_strong_campaign
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
@@ -217,6 +218,25 @@ def test_campaign_failure_names_the_perturbed_run_and_its_delta():
     assert str(failed.value).startswith("non-finite values of the perturbed run with delta = 2 at step ")
     assert failed.value.member == 2 and np.all(np.isfinite(failed.value.last_state.d.values))
 
+
+
+def test_campaign_projection_failure_names_the_perturbed_run(monkeypatch):
+    # a projection target of 0 for member 1 fails its first velocity update:
+    # the message names the perturbed run and its delta, not "member 1"
+    grid = GRIDS[2]
+    targets = dynamics._projection_targets
+
+    def member_1_exact(ops, u_hat, div_hat, tol):
+        found = targets(ops, u_hat, div_hat, tol)
+        return found[:1] + [0.0] * (len(found) - 1)
+
+    monkeypatch.setattr(dynamics, "_projection_targets", member_1_exact)
+    with pytest.raises(ProjectionError) as failed:
+        weak_strong_campaign(grid, PARODI_DEMO, ElasticTensor.isotropic(1.0), StepperConfig(dt=1e-3, t_end=2e-3),
+                             _state(grid, seed=28), seed=29, deltas=(1e-3,))
+    message = str(failed.value)
+    assert "of the perturbed run with delta = 0.001 exceeds target 0.000e+00" in message
+    assert "member" not in message and failed.value.member == 1
 
 def _peak_bytes(func) -> int:
     """Peak traced allocation, above what is allocated before, of func()."""
