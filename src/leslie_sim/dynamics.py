@@ -154,22 +154,23 @@ class SpectralOps:
     """The Fourier-diagonal operators of one grid.
 
     Fields are real, so they are transformed with ``rfftn`` over their
-    trailing spatial axes onto the half spectrum (the last spatial axis keeps
-    modes 0 .. n // 2); component axes lead.  The central first derivative
-    along axis a has symbol i sigma_a with sigma_a = sin(2 pi k_a / n_a) / h_a,
-    and the composite (wide) Laplacian the symbol -|sigma|^2.  The object
-    holds the Helmholtz denominator 1 + helmholtz_coeff |sigma|^2 and the
-    projection denominator -|sigma|^2.  Given an elasticity tensor, which
-    goes with a nonzero director_alpha and only with one (else ValueError),
-    it also holds the inverse of I + director_alpha S, with S the director
-    stiffness (:func:`_stiffness`), in closed form, adjugate over
-    determinant (:func:`_inverse_3x3`; no LAPACK call), real and
-    component-major, (3, 3) + half-spectrum shape; without one that
-    operator is the identity and ``director_inverse`` is None.
-    ``director_blocks[i]`` lists the k whose block inverse[i, k] is not
-    identically zero -- for an isotropic tensor only k = i -- and
-    :func:`solve_director_implicit` multiplies only those.  A Stepper builds
-    one and keeps it.
+    trailing spatial axes onto the half spectrum, shape ``half`` (the last
+    spatial axis keeps modes 0 .. n // 2); component axes lead.  The central
+    first derivative along axis a has symbol i sigma_a (:func:`_symbols`),
+    the composite (wide) Laplacian -|sigma|^2.  Each multiplier is held once
+    as the C-contiguous complex128 array, x + 0i, that a kernel multiplies a
+    spectrum by (a float one is cast on every call): ``sigmas``, and the
+    reciprocals ``helmholtz_factor`` of 1 + helmholtz_coeff |sigma|^2 and
+    ``projection_factor`` of -|sigma|^2 (numpy divides a complex by a float
+    by multiplying with its reciprocal: bit for bit the divides).  Given an
+    elasticity tensor, which goes with a nonzero director_alpha and only
+    with one (else ValueError), it also holds the inverse of I +
+    director_alpha S, S the director stiffness (:func:`_stiffness`), in
+    closed form (:func:`_inverse_3x3`; no LAPACK call): ``director_inverse[i]``
+    pairs each k whose block inverse[i, k] is not identically zero -- for an
+    isotropic tensor only k = i -- with that block, and bitwise equal blocks
+    are one array.  Without a tensor that operator is the identity and
+    ``director_inverse`` is None.  A Stepper builds one and keeps it.
     """
 
     def __init__(
@@ -183,34 +184,30 @@ class SpectralOps:
             raise ValueError("an elasticity tensor goes with a nonzero director_alpha, and only with one")
         self.grid = grid
         self.axes = tuple(range(-grid.dim, 0))
-        half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
-        sigmas = []
-        for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
-            k = np.arange(half[axis])
-            s = np.sin(2.0 * np.pi * k / na) / ha
-            # sin(pi) is not exactly zero in floating point; the k = 0 and
-            # Nyquist symbols must vanish exactly or the inversion blows up
-            s[(2 * k) % na == 0] = 0.0
-            shape = [1] * grid.dim
-            shape[axis] = half[axis]
-            sigmas.append(np.broadcast_to(s.reshape(shape), half))
-        self.sigmas = sigmas
-        self.sig_sq = sig_sq = sum(s**2 for s in sigmas)
-        self.helmholtz_denominator = 1.0 + helmholtz_coeff * sig_sq
-        # modes where every derivative symbol vanishes carry no divergence;
-        # dividing by inf leaves them at zero pressure
-        self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
+        sigmas = _symbols(grid)
+        self.half = sigmas[0].shape
+        sig_sq = sum(s**2 for s in sigmas)
+        self.sigmas = [s.astype(complex, order="C") for s in sigmas]
+        self.helmholtz_factor = (1.0 / (1.0 + helmholtz_coeff * sig_sq)).astype(complex)
+        # modes where every derivative symbol vanishes carry no divergence:
+        # their factor 1 / inf = 0 leaves them at zero pressure
+        self.projection_factor = (1.0 / np.where(sig_sq != 0.0, -sig_sq, np.inf)).astype(complex)
         self.director_inverse = None
-        self.director_blocks = None
         if tensor is not None:
             matrix = _stiffness(tensor, sigmas)
             matrix *= director_alpha
             for i in range(3):
                 matrix[i, i] += 1.0
-            self.director_inverse = inverse = _inverse_3x3(matrix)
-            self.director_blocks = tuple(
-                tuple(k for k in range(3) if inverse[i, k].any()) for i in range(3)
-            )
+            inverse = _inverse_3x3(matrix)
+            blocks, rows = {}, ([], [], [])  # a block's bytes -> its one complex array
+            for i, k in np.ndindex(3, 3):
+                block = inverse[i, k]
+                if block.any():
+                    key = block.tobytes()
+                    if key not in blocks:
+                        blocks[key] = block.astype(complex)
+                    rows[i].append((k, blocks[key]))
+            self.director_inverse = tuple(map(tuple, rows))
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``rfftn`` over the grid's axes, bit for bit, as its own 1-D passes:
@@ -233,6 +230,22 @@ class SpectralOps:
     def check_grid(self, grid: Grid) -> None:
         if grid is not self.grid and grid != self.grid:
             raise ValueError("field and spectral operators live on different grids")
+
+
+def _symbols(grid: Grid) -> list:
+    """sigma_a = sin(2 pi k_a / n_a) / h_a for a < dim, float64 broadcast views on the half spectrum."""
+    half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
+    sigmas = []
+    for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
+        k = np.arange(half[axis])
+        s = np.sin(2.0 * np.pi * k / na) / ha
+        # sin(pi) is not exactly zero in floating point; the k = 0 and
+        # Nyquist symbols must vanish exactly or the inversion blows up
+        s[(2 * k) % na == 0] = 0.0
+        shape = [1] * grid.dim
+        shape[axis] = half[axis]
+        sigmas.append(np.broadcast_to(s.reshape(shape), half))
+    return sigmas
 
 
 def _stiffness(tensor: ElasticTensor, sigmas: list) -> np.ndarray:
@@ -331,15 +344,15 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
     trace of its grad v summed as :func:`grid.divergence_components` sums
     it, exceeds its :func:`_projection_targets`."""
     grid = ops.grid
-    vp_hat = np.empty((len(values), 3 + pressure) + ops.sig_sq.shape, dtype=complex)
+    vp_hat = np.empty((len(values), 3 + pressure) + ops.half, dtype=complex)
     u_hat = ops.forward(values, out=vp_hat[:, :3])
     if helmholtz:
-        u_hat /= ops.helmholtz_denominator
+        u_hat *= ops.helmholtz_factor
     s = ops.sigmas[0] * u_hat[:, 0]
     for a in range(1, grid.dim):
         s += ops.sigmas[a] * u_hat[:, a]
     targets = _projection_targets(ops, u_hat, s, tol)
-    s /= ops.projection_denominator
+    s *= ops.projection_factor
     for a in range(grid.dim):
         u_hat[:, a] += ops.sigmas[a] * s
     if pressure:
@@ -384,25 +397,28 @@ def solve_director_implicit(rhs, ops: SpectralOps):
 
     The operator is block-diagonal in Fourier space: for each mode the 3x3
     matrix I + alpha * S(k), which strong ellipticity keeps positive
-    definite; ``ops`` holds its real inverse, applied to the complex
-    component-major spectrum as real-by-complex multiply-adds over the
-    blocks that are not identically zero (``ops.director_blocks``).
+    definite; ``ops`` holds the nonzero blocks of its inverse as complex
+    arrays (``ops.director_inverse``), applied to the component-major
+    spectrum as complex multiply-adds over those blocks only.  When every
+    row is one diagonal block (an isotropic tensor) the forward spectrum is
+    scaled in place and transformed back; no second spectrum is made.
     """
     values = _members(rhs, ops)
     if ops.director_inverse is None:
         raise ValueError("spectral operators were built without an elasticity tensor, "
                          "at director_alpha = 0")
     rhs_hat = ops.forward(values)
-    inverse = ops.director_inverse
-    x_hat = np.empty_like(rhs_hat)
+    rows = ops.director_inverse
+    diagonal = all(len(row) == 1 and row[0][0] == i for i, row in enumerate(rows))
+    x_hat = rhs_hat if diagonal else np.empty_like(rhs_hat)
     term = None
-    for i, blocks in enumerate(ops.director_blocks):
+    for i, ((k, block), *rest) in enumerate(rows):
         out = x_hat[:, i]
-        np.multiply(inverse[i, blocks[0]], rhs_hat[:, blocks[0]], out=out)
-        for k in blocks[1:]:
+        np.multiply(block, rhs_hat[:, k], out=out)
+        for k, block in rest:
             if term is None:
                 term = np.empty_like(out)
-            out += np.multiply(inverse[i, k], rhs_hat[:, k], out=term)
+            out += np.multiply(block, rhs_hat[:, k], out=term)
     return _as_given(rhs, ops.backward(x_hat))
 
 
@@ -412,17 +428,17 @@ def solve_helmholtz(rhs, ops: SpectralOps):
     ``ops`` was built with; ``rhs`` is a VectorField or an ensemble's member
     values (m, 3) + grid.shape, and x comes back in that kind."""
     x_hat = ops.forward(_members(rhs, ops))
-    x_hat /= ops.helmholtz_denominator
+    x_hat *= ops.helmholtz_factor
     return _as_given(rhs, ops.backward(x_hat))
 
 
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     """Largest eigenvalue of the stiff linear operators (director elasticity
     scaled by gamma, and half the viscosity)."""
-    ops = SpectralOps(grid)
-    s_mat = np.moveaxis(_stiffness(tensor, ops.sigmas), (0, 1), (-2, -1))
+    sigmas = _symbols(grid)
+    s_mat = np.moveaxis(_stiffness(tensor, sigmas), (0, 1), (-2, -1))
     eig_max = float(np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2)))))
-    return max(p.gamma * eig_max, 0.5 * p.mu4 * float(ops.sig_sq.max()))
+    return max(p.gamma * eig_max, 0.5 * p.mu4 * float(sum(s**2 for s in sigmas).max()))
 
 
 def stable_dt_bound(grid: Grid, tensor: ElasticTensor, p: ParameterSet, theta: float) -> float:

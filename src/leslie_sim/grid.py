@@ -228,10 +228,11 @@ def elastic_flux(grid: Grid, contraction: tuple, grad: np.ndarray) -> np.ndarray
     the (3 dim) x (3 dim) product summed over its nonzero entries only, in
     column order, which equals the dense product bit for bit.  A contraction
     c I (every row the one entry c on its own column: isotropic L) is one
-    multiply of the whole gradient by c."""
+    multiply of the whole gradient by c, and for c = 1, where that multiply
+    is an exact copy, the flux is ``grad`` itself: callers only read it."""
     c = contraction[0][0][1]
     if all(row == ((a, c),) for a, row in enumerate(contraction)):
-        return grad * c
+        return grad if c == 1.0 else grad * c
     flat = grad.reshape((-1, 3 * grid.dim) + grid.shape)
     out = np.empty_like(flat)
     term = np.empty_like(flat[:, 0])

@@ -32,12 +32,13 @@ class SnapshotError(IOError):
     """Malformed, truncated, or non-finite snapshot file."""
 
 
-def _atomic_write(path: str, payload: bytes):
+def _atomic_write(path: str, *chunks):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snap-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -46,6 +47,8 @@ def _atomic_write(path: str, payload: bytes):
 
 
 def write_snapshot(state: State, path: str):
+    """Stream magic, header and arrays into the file; only a field that is not
+    C-contiguous ``<f8`` (a stepper member's node-major view) is copied."""
     grid = state.v.grid
     header = (
         f"dim {grid.dim}\n"
@@ -62,8 +65,7 @@ def write_snapshot(state: State, path: str):
     ]
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise SnapshotError(f"{path}: refusing to write non-finite values")
-    payload = MAGIC + header + b"".join(a.tobytes() for a in arrays)
-    _atomic_write(path, payload)
+    _atomic_write(path, MAGIC, header, *arrays)
 
 
 def read_snapshot(path: str) -> State:

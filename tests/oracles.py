@@ -11,7 +11,11 @@ the functionals and the stress on node-major fields (``grid.shape + (3,)``)
 with the full 3 x 3 gradient, the contraction as a dense product, the
 projection target in real space, the smooth field as a sum of cosines, the
 ellipticity sample as one einsum and the director inverse by
-``np.linalg.inv`` -- independently of those kernels.  The weak-strong
+``np.linalg.inv`` -- independently of those kernels.  The spectral
+kernels hold every Fourier multiplier as a complex array;
+:class:`FloatSymbolKernels` applies the float64 symbols, denominators and
+real director inverse they were cast from, dividing by the denominators, as
+the kernels did before they held complex multipliers.  The weak-strong
 campaign evaluates its relative terms while the ensemble runs, from a
 window of the three ensembles the stepper last handed out and the record of
 the fields the step took for the sample (``dynamics.StateTerms``);
@@ -31,7 +35,7 @@ import math
 import numpy as np
 
 import leslie_sim.grid as g
-from leslie_sim.dynamics import StateTerms
+from leslie_sim.dynamics import StateTerms, _inverse_3x3, _stiffness
 from leslie_sim.energetics import EnergyBreakdown, director_strain, director_terms, relative_terms
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid
@@ -284,3 +288,72 @@ def director_inverse(sigmas, tensor, alpha):
     (3, 3) + the symbols' shape."""
     inverse = np.linalg.inv(np.eye(3) + alpha * director_stiffness(sigmas, tensor))
     return np.moveaxis(inverse, (-2, -1), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# spectral kernels with float64 multipliers
+# ---------------------------------------------------------------------------
+
+class FloatSymbolKernels:
+    """The director solve, Helmholtz solve, projection and velocity update
+    of ``dynamics`` on a grid's half spectrum, applying float64 multipliers
+    to the complex spectra: the symbols sigma_a as broadcast views, the real
+    closed-form director inverse (float x complex multiply-adds over the
+    blocks that are not identically zero), and ``/=`` by the Helmholtz
+    denominator 1 + helmholtz_coeff |sigma|^2 and by the projection
+    denominator -|sigma|^2 (inf where sigma vanishes).  They transform with
+    the operators ``ops`` and skip the projection gate."""
+
+    def __init__(self, ops, tensor=None, director_alpha=0.0, helmholtz_coeff=0.0):
+        grid = ops.grid
+        half = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
+        self.ops, self.sigmas = ops, []
+        for axis, (na, ha) in enumerate(zip(grid.n, grid.h)):
+            k = np.arange(half[axis])
+            s = np.sin(2.0 * np.pi * k / na) / ha
+            s[(2 * k) % na == 0] = 0.0
+            shape = [1] * grid.dim
+            shape[axis] = half[axis]
+            self.sigmas.append(np.broadcast_to(s.reshape(shape), half))
+        sig_sq = sum(s**2 for s in self.sigmas)
+        self.helmholtz_denominator = 1.0 + helmholtz_coeff * sig_sq
+        self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
+        if tensor is not None:
+            matrix = _stiffness(tensor, self.sigmas) * director_alpha
+            for i in range(3):
+                matrix[i, i] += 1.0
+            self.director_inverse = _inverse_3x3(matrix)
+
+    def velocity_update(self, values, helmholtz, pressure):
+        """vp, (m, 3 + pressure) + grid.shape, and the grad v of vp[:, :3]."""
+        ops, sigmas = self.ops, self.sigmas
+        vp_hat = np.empty((len(values), 3 + pressure) + sigmas[0].shape, dtype=complex)
+        u_hat = ops.forward(values, out=vp_hat[:, :3])
+        if helmholtz:
+            u_hat /= self.helmholtz_denominator
+        s = sigmas[0] * u_hat[:, 0]
+        for a in range(1, len(sigmas)):
+            s += sigmas[a] * u_hat[:, a]
+        s /= self.projection_denominator
+        for a in range(len(sigmas)):
+            u_hat[:, a] += sigmas[a] * s
+        if pressure:
+            np.multiply(s, 1j, out=vp_hat[:, 3])
+        vp = ops.backward(vp_hat)
+        return vp, g.gradient_components(ops.grid, vp[:, :3])
+
+    def solve_director(self, values):
+        inverse = self.director_inverse
+        rhs_hat = self.ops.forward(values)
+        x_hat = np.zeros_like(rhs_hat)
+        for i in range(3):
+            blocks = [k for k in range(3) if inverse[i, k].any()]
+            np.multiply(inverse[i, blocks[0]], rhs_hat[:, blocks[0]], out=x_hat[:, i])
+            for k in blocks[1:]:
+                x_hat[:, i] += inverse[i, k] * rhs_hat[:, k]
+        return self.ops.backward(x_hat)
+
+    def solve_helmholtz(self, values):
+        x_hat = self.ops.forward(values)
+        x_hat /= self.helmholtz_denominator
+        return self.ops.backward(x_hat)

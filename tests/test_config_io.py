@@ -13,6 +13,7 @@ from leslie_sim.grid import Grid, ScalarField, VectorField
 from leslie_sim.initial import make_initial_state
 from leslie_sim.material import PARODI_DEMO
 from leslie_sim.snapshot import (
+    MAGIC,
     TRACE_COLUMNS,
     SnapshotError,
     read_snapshot,
@@ -299,6 +300,36 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.v.values, state.v.values)
     np.testing.assert_array_equal(back.d.values, state.d.values)
     np.testing.assert_array_equal(back.p.values, state.p.values)
+
+
+def _snapshot_bytes(state):
+    """The snapshot layout spelled out: magic, header, then v, d and p as
+    little-endian float64 in node-major row-major order."""
+    grid = state.v.grid
+    header = (f"dim {grid.dim}\nn {' '.join(str(n) for n in grid.n)}\n"
+              f"h {' '.join(repr(h) for h in grid.h)}\nbc periodic\ntime {state.t!r}\ndata\n")
+    fields = (state.v.values, state.d.values, state.p.values)
+    return MAGIC + header.encode("ascii") + b"".join(np.asarray(f, dtype="<f8").tobytes() for f in fields)
+
+
+def test_snapshot_bytes_of_contiguous_and_member_view_states(tmp_path):
+    # a contiguous state, and the samples of a run as simulate writes them:
+    # member 0 of each sampled ensemble, whose v and d are node-major views
+    # of component-major arrays
+    state = _make_state()
+    path = tmp_path / "s.snap"
+    write_snapshot(state, str(path))
+    assert path.read_bytes() == _snapshot_bytes(state)
+    written = []
+
+    def observe(sample, terms):
+        member = sample.member(0)
+        assert not member.v.values.flags.c_contiguous and not member.d.values.flags.c_contiguous
+        write_snapshot(member, str(path))
+        written.append(path.read_bytes() == _snapshot_bytes(member))
+
+    run(state, StepperConfig(dt=1e-3, t_end=0.128, output_every=2), PARODI_DEMO, TENSOR, observer=observe)
+    assert written == [True, True, True]
 
 
 def test_snapshot_wrong_magic(tmp_path):

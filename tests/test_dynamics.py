@@ -175,7 +175,7 @@ def test_projection_gate_fires_and_names_the_member():
     # an inexact pressure solve leaves a divergence far above the target
     grid = Grid.unit_box(16)
     ops = SpectralOps(grid)
-    ops.projection_denominator *= 1.01
+    ops.projection_factor *= 1.0 / 1.01
     u = smooth_vector_field(grid, np.random.default_rng(22))
     with pytest.raises(ProjectionError, match="exceeds target"):
         project_divfree(u, ops)
@@ -189,7 +189,7 @@ def test_projection_gate_fires_and_names_the_member():
     moving = State.initial(v, d)
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=1e-3), NON_PARODI_DEMO, TENSOR)
     stepper.step(Ensemble.of([still, moving]))
-    stepper.ops.projection_denominator *= 1.01
+    stepper.ops.projection_factor *= 1.0 / 1.01
     with pytest.raises(ProjectionError, match="exceeds target") as lone:
         stepper.step(moving)
     assert "member" not in str(lone.value)

@@ -21,8 +21,10 @@ from leslie_sim.dynamics import (
     State,
     Stepper,
     StepperConfig,
+    _inverse_3x3,
     _projection_targets,
     _stiffness,
+    _symbols,
     _velocity_update,
     max_stiff_rate,
     project_divfree,
@@ -224,6 +226,69 @@ def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_
     np.testing.assert_array_equal(other[:, :3], vp[:, :3])
 
 
+# ---------------------------------------------------------------------------
+# complex multipliers against the float64 ones, bit for bit
+# ---------------------------------------------------------------------------
+
+def _real_members(grid, m, seed):
+    """m members' white-noise values, (m, 3) + grid.shape.  Their spectra
+    hold exactly zero imaginary parts -- on the last axis's k = 0 and Nyquist
+    modes after its real transform, and on the mean mode at the end -- where
+    a complex divided by a real x and the same complex times 1 / x + 0i
+    could differ in the sign of a zero."""
+    values = np.random.default_rng(seed).normal(size=(m, 3) + grid.shape)
+    edges = [0, grid.n[-1] // 2] if grid.n[-1] % 2 == 0 else [0]
+    assert not np.fft.rfft(values, axis=-1)[..., edges].imag.any()
+    assert not SpectralOps(grid).forward(values)[(Ellipsis,) + (0,) * grid.dim].imag.any()
+    return values
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("pressure", [True, False])
+@pytest.mark.parametrize("helmholtz", [True, False])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_velocity_update_bitwise_equals_float_symbol_kernel(grid_name, helmholtz, pressure, m):
+    grid = GRIDS[grid_name]
+    ops = SpectralOps(grid, helmholtz_coeff=2e-3)
+    values = _real_members(grid, m, 14)
+    vp, grad_v = _velocity_update(ops, values, 1e-10, helmholtz, pressure)
+    ref_vp, ref_grad_v = oracles.FloatSymbolKernels(ops, helmholtz_coeff=2e-3).velocity_update(
+        values, helmholtz, pressure)
+    assert vp.tobytes() == ref_vp.tobytes()
+    assert grad_v.tobytes() == ref_grad_v.tobytes()
+
+
+@pytest.mark.parametrize("tensor_name", sorted(TENSORS))
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_director_solve_bitwise_equals_float_symbol_kernel(grid_name, tensor_name):
+    # isotropic: the in-place solve; aniso and coupled: the multiply-adds
+    grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
+    ops = SpectralOps(grid, tensor, director_alpha=3e-3)
+    ref = oracles.FloatSymbolKernels(ops, tensor, director_alpha=3e-3)
+    values = _real_members(grid, 2, 15)
+    assert solve_director_implicit(values, ops).tobytes() == ref.solve_director(values).tobytes()
+    lone = VectorField(grid, g.nodal(values[1]))
+    got = solve_director_implicit(lone, ops).values
+    assert got.tobytes() == g.nodal(ref.solve_director(values[1:])[0]).tobytes()
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_helmholtz_solve_and_projection_bitwise_equal_float_symbol_kernels(grid_name):
+    grid = GRIDS[grid_name]
+    ops = SpectralOps(grid, helmholtz_coeff=2e-3)
+    ref = oracles.FloatSymbolKernels(ops, helmholtz_coeff=2e-3)
+    values = _real_members(grid, 2, 16)
+    assert solve_helmholtz(values, ops).tobytes() == ref.solve_helmholtz(values).tobytes()
+    # the fact the factors rest on: numpy divides a complex by a float x by
+    # multiplying with 1 / x, so the spectra agree before the transform too
+    u_hat = ops.forward(values)
+    assert (u_hat / ref.helmholtz_denominator).tobytes() == (u_hat * ops.helmholtz_factor).tobytes()
+    u, p = project_divfree(values, ops)
+    ref_vp, _ = ref.velocity_update(values, helmholtz=False, pressure=True)
+    assert u.tobytes() == ref_vp[:, :3].tobytes()
+    assert p.tobytes() == ref_vp[:, 3].tobytes()
+
+
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
@@ -235,31 +300,89 @@ def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
     assert max_stiff_rate(grid, tensor, PARODI_DEMO) == pytest.approx(expected, rel=RTOL)
 
 
+def _closed_form_inverse(grid, tensor, alpha):
+    """(I + alpha S)^-1 by the set-up kernels, before it is stored by block."""
+    matrix = _stiffness(tensor, _symbols(grid)) * alpha
+    for i in range(3):
+        matrix[i, i] += 1.0
+    return _inverse_3x3(matrix)
+
+
+def _dense_inverse(ops):
+    """The director inverse of ``ops`` as one real (3, 3) + half-spectrum
+    array, zero in the blocks it does not hold; its blocks are real."""
+    dense = np.zeros((3, 3) + ops.half)
+    for i, row in enumerate(ops.director_inverse):
+        for k, block in row:
+            assert not block.imag.any()
+            dense[i, k] = block.real
+    return dense
+
+
 @pytest.mark.parametrize("alpha", [3e-3, 0.1])
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_director_inverse_in_closed_form(grid_name, tensor_name, alpha):
     grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
     ops = SpectralOps(grid, tensor, director_alpha=alpha)
-    stiffness = oracles.director_stiffness(ops.sigmas, tensor)
-    _assert_close(np.moveaxis(_stiffness(tensor, ops.sigmas), (0, 1), (-2, -1)), stiffness, SETUP_TOL)
-    inverse = ops.director_inverse
-    _assert_close(inverse, oracles.director_inverse(ops.sigmas, tensor, alpha), SETUP_TOL)
+    sigmas = _symbols(grid)
+    stiffness = oracles.director_stiffness(sigmas, tensor)
+    _assert_close(np.moveaxis(_stiffness(tensor, sigmas), (0, 1), (-2, -1)), stiffness, SETUP_TOL)
+    inverse = _dense_inverse(ops)
+    _assert_close(inverse, oracles.director_inverse(sigmas, tensor, alpha), SETUP_TOL)
     product = np.einsum("ij...,...jk->...ik", inverse, np.eye(3) + alpha * stiffness)
     assert np.max(np.abs(product - np.eye(3))) <= SETUP_TOL
     # the blocks the director solve skips are exactly zero
-    for i, blocks in enumerate(ops.director_blocks):
-        assert all(not inverse[i, k].any() for k in set(range(3)) - set(blocks))
+    closed_form = _closed_form_inverse(grid, tensor, alpha)
+    for i, row in enumerate(ops.director_inverse):
+        assert all(not closed_form[i, k].any() for k in set(range(3)) - {k for k, _ in row})
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_isotropic_director_inverse_has_zero_off_diagonal_blocks(grid_name):
     ops = SpectralOps(GRIDS[grid_name], TENSORS["isotropic"], director_alpha=0.1)
-    assert ops.director_blocks == ((0,), (1,), (2,))
+    assert [[k for k, _ in row] for row in ops.director_inverse] == [[0], [1], [2]]
+    # the three diagonal blocks are bitwise equal: one array
+    assert len({id(block) for row in ops.director_inverse for _, block in row}) == 1
+    inverse = _closed_form_inverse(ops.grid, TENSORS["isotropic"], 0.1)
     for i in range(3):
         for k in range(3):
             if k != i:
-                assert np.all(ops.director_inverse[i, k] == 0.0)
+                assert np.all(inverse[i, k] == 0.0)
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_multipliers_are_complex_contiguous_and_equal_blocks_shared(grid_name):
+    # every multiplier is the complex128 C-contiguous array its kernel
+    # multiplies by, equal to the float64 value it stands for plus 0i; the
+    # director blocks are those of the closed-form inverse, a block bitwise
+    # equal to another being the same array
+    grid = GRIDS[grid_name]
+    ref = oracles.FloatSymbolKernels(SpectralOps(grid), helmholtz_coeff=2e-3)
+    for tensor_name, tensor in sorted(TENSORS.items()):
+        ops = SpectralOps(grid, tensor, director_alpha=3e-3, helmholtz_coeff=2e-3)
+        blocks = [block for row in ops.director_inverse for _, block in row]
+        multipliers = ops.sigmas + [ops.helmholtz_factor, ops.projection_factor] + blocks
+        assert len(ops.sigmas) == grid.dim
+        for x in multipliers:
+            assert x.dtype == np.complex128 and x.flags.c_contiguous and x.shape == ops.half
+            assert not x.imag.any()
+        for sigma, want in zip(ops.sigmas, ref.sigmas):
+            assert sigma.real.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert ops.helmholtz_factor.real.tobytes() == (1.0 / ref.helmholtz_denominator).tobytes()
+        assert ops.projection_factor.real.tobytes() == (1.0 / ref.projection_denominator).tobytes()
+        inverse = _closed_form_inverse(grid, tensor, 3e-3)
+        distinct = {}
+        for i, row in enumerate(ops.director_inverse):
+            assert [k for k, _ in row] == [k for k in range(3) if inverse[i, k].any()]
+            for k, block in row:
+                assert block.real.tobytes() == inverse[i, k].tobytes()
+                assert distinct.setdefault(block.real.tobytes(), block) is block
+        if tensor_name == "isotropic":
+            assert len(distinct) == 1
+        elif tensor_name == "aniso" and grid.dim == 3:
+            # the anisotropic inverse is bitwise symmetric
+            assert len(distinct) == 6
 
 
 def test_building_operators_calls_nothing_in_linalg(monkeypatch):
@@ -301,7 +424,6 @@ def test_theta_zero_operators_hold_no_director_inverse():
     # for it, and a director solve on those operators is an error
     stepper = Stepper(GRIDS["2d-even"], StepperConfig(dt=1e-3, theta=0.0), PARODI_DEMO, TENSORS["aniso"])
     assert stepper.ops.director_inverse is None
-    assert stepper.ops.director_blocks is None
     assert not hasattr(stepper.ops, "stiffness")
     with pytest.raises(ValueError, match="director_alpha = 0"):
         solve_director_implicit(_random_field(stepper.grid, 4), stepper.ops)

@@ -237,9 +237,9 @@ def test_sparse_elastic_flux_equals_the_dense_product(grid_name, tensor_name):
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_scalar_elastic_flux_is_one_multiply(monkeypatch, grid_name):
-    # an isotropic contraction c I scales the whole gradient at once; a
-    # diagonal one with unequal entries takes the rows, and both equal the
-    # dense product bit for bit
+    # an isotropic contraction c I scales the whole gradient at once, and
+    # at c = 1 the flux is the gradient itself; a diagonal one with unequal
+    # entries takes the rows; all equal the dense product bit for bit
     grid = GRIDS[grid_name]
     grad = np.random.default_rng(65).normal(size=(2, 3, grid.dim) + grid.shape)
     scale = np.arange(1.0, 10.0).reshape(3, 3)
@@ -252,6 +252,11 @@ def test_scalar_elastic_flux_is_one_multiply(monkeypatch, grid_name):
         flux = g.elastic_flux(grid, tensor.sparse_contraction(grid.dim), grad)
         assert len(calls) == rows
         np.testing.assert_array_equal(flux, oracles.elastic_flux(tensor.contraction(grid.dim), grad))
+        assert flux is not grad
+    identity = ElasticTensor.isotropic(1.0).sparse_contraction(grid.dim)
+    calls.clear()
+    assert g.elastic_flux(grid, identity, grad) is grad
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
