@@ -13,12 +13,13 @@ Scheme (one step):
    that the stepper is given (``forcing=``) and keeps;
 4. exact FFT Leray projection onto discretely divergence-free fields on
    the Helmholtz solve's spectrum (:func:`_velocity_update`), with one
-   inverse transform of the velocity, stacked with the pressure on the
-   steps whose state is sampled (the pressure is only ever read there):
-   four FFTs a step, two at theta = 0, where both implicit operators are
-   the identity and the step makes no director solve and no Helmholtz
-   divide.  The grad v of the projected velocity gives the projection
-   residual as its trace.
+   inverse transform of the velocity: four FFTs a step, two at theta = 0,
+   where both implicit operators are the identity and the step makes no
+   director solve and no Helmholtz divide.  The grad v of the projected
+   velocity gives the projection residual as its trace.  The result keeps
+   the projection's pressure spectrum and transforms it when its pressure
+   is first read (:class:`Ensemble`): a run whose readers never look at
+   the pressure never transforms it.
 
 Each derivative is taken once per step.  Every state has one record of the
 fields that more than one reader needs (:class:`StateTerms`): its
@@ -99,6 +100,8 @@ class State:
     a :class:`Stepper` they are views of component-major arrays.  The
     pressure is the discrete Leray multiplier divided by dt; it is an
     artifact of the projection, not a statement about the analytic pressure.
+    A State always holds it: one made of an Ensemble's member reads the
+    Ensemble's ``p``, which transforms it if no one has yet.
     """
 
     t: float
@@ -209,11 +212,11 @@ class SpectralOps:
                     rows[i].append((k, blocks[key]))
             self.director_inverse = tuple(map(tuple, rows))
 
-    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, values: np.ndarray) -> np.ndarray:
         """``rfftn`` over the grid's axes, bit for bit, as its own 1-D passes:
-        ``rfft`` along the last axis into ``out`` (a new array if None),
-        then ``fft`` in place along the others, last to first."""
-        out = np.fft.rfft(values, axis=-1, out=out)
+        ``rfft`` along the last axis into a new array, then ``fft`` in place
+        along the others, last to first."""
+        out = np.fft.rfft(values, axis=-1)
         for axis in self.axes[-2::-1]:
             np.fft.fft(out, axis=axis, out=out)
         return out
@@ -326,26 +329,24 @@ def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
     """
     if ops is None:
         ops = SpectralOps(u.grid)
-    vp, _ = _velocity_update(ops, _members(u, ops), tol)
+    v, s, _ = _velocity_update(ops, _members(u, ops), tol)
+    p = _pressure(ops, s)
     if isinstance(u, VectorField):
-        return _as_given(u, vp[:, :3]), ScalarField(ops.grid, vp[0, 3])
-    return vp[:, :3], vp[:, 3]
+        return _as_given(u, v), ScalarField(ops.grid, p[0])
+    return v, p
 
 
-def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False,
-                     pressure: bool = True):
+def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False):
     """The members' vectors ``values`` (m, 3) + grid.shape, Helmholtz-solved
-    if ``helmholtz``, then projected, with their pressures if ``pressure``:
-    velocity [:, :3] and pressure [:, 3] of one (m, 4) + grid.shape inverse
-    transform, (m, 3) without; and the grad v of the projected velocity.
-    With s = sigma . u_hat (the stencil divergence has symbol i s), p_hat =
-    i s / (-|sigma|^2) and u_hat += sigma s / (-|sigma|^2).  Raises
-    ProjectionError when the stencil divergence of a member's result, the
-    trace of its grad v summed as :func:`grid.divergence_components` sums
-    it, exceeds its :func:`_projection_targets`."""
+    if ``helmholtz``, then projected: the projected velocity, the spectrum
+    s / (-|sigma|^2) of their pressures (:func:`_pressure`) and the grad v
+    of the velocity.  With s = sigma . u_hat (the stencil divergence has
+    symbol i s), u_hat += sigma s / (-|sigma|^2).  Raises ProjectionError
+    when the stencil divergence of a member's result, the trace of its
+    grad v summed as :func:`grid.divergence_components` sums it, exceeds
+    its :func:`_projection_targets`."""
     grid = ops.grid
-    vp_hat = np.empty((len(values), 3 + pressure) + ops.half, dtype=complex)
-    u_hat = ops.forward(values, out=vp_hat[:, :3])
+    u_hat = ops.forward(values)
     if helmholtz:
         u_hat *= ops.helmholtz_factor
     s = ops.sigmas[0] * u_hat[:, 0]
@@ -355,11 +356,9 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
     s *= ops.projection_factor
     for a in range(grid.dim):
         u_hat[:, a] += ops.sigmas[a] * s
-    if pressure:
-        np.multiply(s, 1j, out=vp_hat[:, 3])
-    vp = ops.backward(vp_hat)
-    del vp_hat, u_hat, s  # spent; freed before grad v, the update's largest array
-    grad_v = g.gradient_components(grid, vp[:, :3])
+    v = ops.backward(u_hat)
+    del u_hat  # spent; freed before grad v, the update's largest array
+    grad_v = g.gradient_components(grid, v)
     div = grad_v[:, 0, 0] + grad_v[:, 1, 1]
     for a in range(2, grid.dim):
         div += grad_v[:, a, a]
@@ -370,7 +369,15 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
                 f"projection residual {res:.3e}{_member_label(i, len(targets))} "
                 f"exceeds target {target:.3e}", member=i
             )
-    return vp, grad_v
+    return v, s, grad_v
+
+
+def _pressure(ops: SpectralOps, s: np.ndarray) -> np.ndarray:
+    """The projection pressures, the inverse transform of p_hat = i s /
+    (-|sigma|^2), from the spectrum ``s`` that :func:`_velocity_update`
+    returns, spending it.  Each 1-D pass acts per line, so they are bit for
+    bit those of a transform that stacks p_hat with the velocity."""
+    return ops.backward(np.multiply(s, 1j, out=s))
 
 
 def _projection_targets(ops: SpectralOps, u_hat: np.ndarray, div_hat: np.ndarray, tol: float) -> list:
@@ -514,14 +521,23 @@ def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
 @dataclass
 class Ensemble:
     """The members of an ensemble at one time t: component-major velocities
-    and directors (m, 3) + grid.shape and pressures (m,) + grid.shape, or
-    None after a step that was not asked for them."""
+    and directors (m, 3) + grid.shape and pressures ``p`` (m,) + grid.shape.
+    ``pressure`` holds the pressures, or, in a step's result, a function
+    that transforms them from the projection's spectrum: the first read of
+    ``p`` calls it and keeps its result, so a run whose readers never look
+    at the pressure never transforms it."""
 
     grid: Grid
     t: float
     v: np.ndarray
     d: np.ndarray
-    p: np.ndarray
+    pressure: object
+
+    @property
+    def p(self) -> np.ndarray:
+        if callable(self.pressure):
+            self.pressure = self.pressure()
+        return self.pressure
 
     @classmethod
     def of(cls, states) -> "Ensemble":
@@ -545,8 +561,7 @@ class Ensemble:
         """Member i as a State of node-major views."""
         grid = self.grid
         return State(self.t, VectorField(grid, g.nodal(self.v[i])),
-                     VectorField(grid, g.nodal(self.d[i])),
-                     None if self.p is None else ScalarField(grid, self.p[i]))
+                     VectorField(grid, g.nodal(self.d[i])), ScalarField(grid, self.p[i]))
 
 
 @dataclass
@@ -638,13 +653,13 @@ class Stepper:
             warnings.warn(f"advective CFL number {cfl:.2f} exceeds 0.5", RuntimeWarning)
             self._cfl_warned = True
 
-    def step(self, s, terms: StateTerms | None = None, pressure: bool = True):
+    def step(self, s, terms: StateTerms | None = None):
         """Advance a State, or every member of an Ensemble, on the stepper's
         grid by one step, and return the same kind.  ``terms``, if given,
         must be those of s (else they are computed from s); the step
         overwrites every field with those of the result, ready for its
-        readers and the next step.  With ``pressure=False`` the step skips
-        the pressure: the result's p is None."""
+        readers and the next step.  An Ensemble's pressures are transformed
+        when its ``p`` is first read, a State's at once."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
         e = Ensemble.of([s]) if isinstance(s, State) else s
@@ -717,13 +732,11 @@ class Stepper:
         # 4. the Helmholtz solve and the projection on one spectrum; the old
         # grad v is freed only after the new one is taken, and with the old
         # grad d before the result's strain is
-        vp, grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz, pressure)
+        v_new, p_spectrum, grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz)
         del rhs, grad_d
         terms.grad, terms.lap, terms.dev, terms.energy = grad_new, lap_new, dev_new, energy_new
         terms.grad_v, terms.strain = grad_v, en.director_strain(grad_v, d_new)
-        if pressure:
-            vp[:, 3] /= dt
-        out = Ensemble(grid, e.t + dt, vp[:, :3], d_new, vp[:, 3] if pressure else None)
+        out = Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
         return out.member(0) if isinstance(s, State) else out
 
     def run(self, initial: State, observer=None) -> Trajectory:
@@ -768,10 +781,8 @@ class Stepper:
         terms = self._terms(state)
         j = 0
         for k in range(n_steps + 1):
-            # the pressure is computed only for the samples, which read it
-            sampled = k % cfg.output_every == 0 or k == n_steps
             if k > 0:
-                state = self.step(state, terms, pressure=sampled)
+                state = self.step(state, terms)
                 # one check of each field over all members; the failing one
                 # is looked for only after a failure
                 if not (np.isfinite(state.v).all() and np.isfinite(state.d).all()):
@@ -784,7 +795,7 @@ class Stepper:
             step_times[k] = state.t
             kinetic = en.kinetic_energies(self.grid, state.v).tolist()
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
-            if sampled:
+            if k % cfg.output_every == 0 or k == n_steps:
                 last = state
                 observer(state, terms)
                 trace[:, :, j] = self._diagnostics(state, terms, kinetic)
@@ -801,11 +812,11 @@ class Stepper:
         members' kinetic energies."""
         p, grid, forcing = self.p, self.grid, self.forcing
         q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
-        channels = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:]).T.tolist()
+        rows = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
         return [
-            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[i],
-             0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(e.v[i]))) * grid.cell_volume)
-            for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
+            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *row,
+             0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(v))) * grid.cell_volume)
+            for kin, fe, row, v in zip(kinetic, terms.energy, rows, e.v)
         ]
 
 

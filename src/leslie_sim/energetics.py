@@ -103,14 +103,13 @@ def director_strain(grad_v: np.ndarray, d: np.ndarray):
     return gvd, dvd, _dot(d, dvd)
 
 
-def strain_sq(grad_v: np.ndarray) -> np.ndarray:
+def strain_sq(grad_v: np.ndarray) -> list:
     """The sum over the nodes of |Dv|^2 of each member, Dv the symmetric part
     of its grad v (m, 3, dim, ...): the rows of grad v beyond dim enter Dv
     twice, halved."""
     dim = grad_v.shape[2]
     block = grad_v[:, :dim] + grad_v[:, :dim].swapaxes(1, 2)
-    return np.array([0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r))
-                     for b, r in zip(block, grad_v[:, dim:])])
+    return [0.25 * float(np.vdot(b, b)) + 0.5 * float(np.vdot(r, r)) for b, r in zip(block, grad_v[:, dim:])]
 
 
 def kinetic_energies(grid: g.Grid, v: np.ndarray) -> np.ndarray:
@@ -118,19 +117,18 @@ def kinetic_energies(grid: g.Grid, v: np.ndarray) -> np.ndarray:
     return np.array([0.5 * float(np.vdot(v_i, v_i)) * grid.cell_volume for v_i in v])
 
 
-def dissipations(grid: g.Grid, p: ParameterSet, dv_sq, q, dvd, ddvd) -> np.ndarray:
+def dissipations(grid: g.Grid, p: ParameterSet, dv_sq, q, dvd, ddvd) -> list:
     """The channels mu1 |d . Dv d|^2, mu4 |Dv|^2, c |Dv d|^2 (c the
     directional coefficient), gamma |q|^2 and cross_coeff (q, Dv d) of each
-    member, shape (5, m) in EnergyTrace order, each integral coef (a, b) as
-    ``coef * np.vdot(a, b) * cell_volume``; dv_sq is :func:`strain_sq`."""
+    member, one tuple per member in EnergyTrace order, each integral
+    coef (a, b) as ``coef * np.vdot(a, b) * cell_volume``; dv_sq is
+    :func:`strain_sq`."""
     cellvol = grid.cell_volume
-
-    def channel(coef, a, b):
-        return [coef * float(np.vdot(a_i, b_i)) * cellvol for a_i, b_i in zip(a, b)]
-
-    return np.array([channel(p.mu1, ddvd, ddvd), p.mu4 * dv_sq * cellvol,
-                     channel(p.directional_coeff, dvd, dvd), channel(p.gamma, q, q),
-                     channel(p.cross_coeff, q, dvd)])
+    return [(p.mu1 * float(np.vdot(ddvd_i, ddvd_i)) * cellvol, p.mu4 * dv_sq_i * cellvol,
+             p.directional_coeff * float(np.vdot(dvd_i, dvd_i)) * cellvol,
+             p.gamma * float(np.vdot(q_i, q_i)) * cellvol,
+             p.cross_coeff * float(np.vdot(q_i, dvd_i)) * cellvol)
+            for dv_sq_i, q_i, dvd_i, ddvd_i in zip(dv_sq, q, dvd, ddvd)]
 
 
 def relative_energies(grid: g.Grid, contraction: tuple, eps: float, v, d, d_sq) -> np.ndarray:
@@ -149,10 +147,12 @@ def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
     zeta (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2) of each member after the
     first against member 0, from the :func:`dissipations` of the
     differences; W sums the four squared channels."""
-    mu1, mu4, directional, q_sq, cross = dissipations(
-        grid, p, strain_sq(grad_v[1:] - grad_v[0]), q[1:] - q[0], dvd[1:] - dvd[0], ddvd[1:] - ddvd[0]
-    )
-    return mu1 + mu4 + directional + q_sq, np.abs(cross), zeta(p) * (q_sq + directional)
+    rows = dissipations(grid, p, strain_sq(grad_v[1:] - grad_v[0]), q[1:] - q[0], dvd[1:] - dvd[0],
+                        ddvd[1:] - ddvd[0])
+    z = zeta(p)
+    return ([mu1 + mu4 + directional + q_sq for mu1, mu4, directional, q_sq, _ in rows],
+            [abs(cross) for *_, cross in rows],
+            [z * (q_sq + directional) for _, _, directional, q_sq, _ in rows])
 
 
 def ref_grad_sq(grid: g.Grid, grad: np.ndarray) -> np.ndarray:

@@ -36,9 +36,16 @@ import numpy as np
 
 import leslie_sim.grid as g
 from leslie_sim.dynamics import StateTerms, _inverse_3x3, _stiffness
-from leslie_sim.energetics import EnergyBreakdown, director_strain, director_terms, relative_terms
+from leslie_sim.energetics import (
+    EnergyBreakdown,
+    director_strain,
+    director_terms,
+    relative_terms,
+    strain_sq,
+    variational_q,
+)
 from leslie_sim.grid import ScalarField, TensorField, VectorField
-from leslie_sim.material import require_valid
+from leslie_sim.material import require_valid, zeta
 from leslie_sim.tensor import _sphere_grid, outer, skw, sym
 
 
@@ -196,6 +203,45 @@ def relative_dissipation(v, d, q, v_ref, d_ref, q_ref, p):
     return term1 + term4 + term_dir + term_q
 
 
+def channel_array(grid, p, dv_sq, q, dvd, ddvd):
+    """The dissipation channels of each member of ``energetics.dissipations``
+    as it composed them: one (5, m) array in EnergyTrace order, built a
+    channel at a time, each integral coef (a, b) as ``coef * np.vdot(a, b) *
+    cell_volume``, mu4 |Dv|^2 as the array ``mu4 * dv_sq * cell_volume``."""
+    cellvol = grid.cell_volume
+
+    def channel(coef, a, b):
+        return [coef * float(np.vdot(a_i, b_i)) * cellvol for a_i, b_i in zip(a, b)]
+
+    return np.array([channel(p.mu1, ddvd, ddvd), p.mu4 * np.array(dv_sq) * cellvol,
+                     channel(p.directional_coeff, dvd, dvd), channel(p.gamma, q, q),
+                     channel(p.cross_coeff, q, dvd)])
+
+
+def trace_rows(stepper, e, terms, kinetic):
+    """Each member's trace row as ``Stepper._diagnostics`` composed it: the
+    :func:`channel_array` transposed and listed, between the energies and
+    the forcing power."""
+    p, grid, forcing = stepper.p, stepper.grid, stepper.forcing
+    q = variational_q(e.d, terms.dev, terms.lap, p.epsilon)
+    channels = channel_array(grid, p, strain_sq(terms.grad_v), q, *terms.strain[1:]).T.tolist()
+    return [
+        (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[i],
+         0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(e.v[i]))) * grid.cell_volume)
+        for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
+    ]
+
+
+def relative_dissipations(grid, p, grad_v, q, dvd, ddvd):
+    """W, |cross| and the absorption bound of ``energetics.relative_dissipations``
+    as it composed them, from the :func:`channel_array` of the members'
+    differences from member 0."""
+    mu1, mu4, directional, q_sq, cross = channel_array(
+        grid, p, strain_sq(grad_v[1:] - grad_v[0]), q[1:] - q[0], dvd[1:] - dvd[0], ddvd[1:] - ddvd[0]
+    )
+    return mu1 + mu4 + directional + q_sq, np.abs(cross), zeta(p) * (q_sq + directional)
+
+
 def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
     """K = c (1 + |d|_L6^2 + |dr|_L6^2) (|vr|_W16^2 + |qr|_L3^2
     + |dr . Dvr dr|_L6^2 + |dt dr|_L3 + ||dr|^2 - 1|_L6^2 + |v|_L6^2
@@ -325,10 +371,14 @@ class FloatSymbolKernels:
             self.director_inverse = _inverse_3x3(matrix)
 
     def velocity_update(self, values, helmholtz, pressure):
-        """vp, (m, 3 + pressure) + grid.shape, and the grad v of vp[:, :3]."""
+        """vp, (m, 3 + pressure) + grid.shape, and the grad v of vp[:, :3]:
+        with ``pressure``, velocity and pressure are stacked in one inverse
+        transform, as the step made them before it transformed the pressure
+        only when read."""
         ops, sigmas = self.ops, self.sigmas
         vp_hat = np.empty((len(values), 3 + pressure) + sigmas[0].shape, dtype=complex)
-        u_hat = ops.forward(values, out=vp_hat[:, :3])
+        u_hat = vp_hat[:, :3]
+        u_hat[...] = ops.forward(values)
         if helmholtz:
             u_hat /= self.helmholtz_denominator
         s = sigmas[0] * u_hat[:, 0]

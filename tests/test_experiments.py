@@ -98,6 +98,34 @@ def test_energy_monitor_dissipative_run():
     assert report.cross_term_max == 0.0
 
 
+@pytest.mark.parametrize("text", [
+    "[grid]\nn = 16\n[stepper]\nt_end = 0.02\noutput_every = 4\n",
+    "[grid]\nn = 24 20\n[material]\nforcing = sinusoidal:0.5\n[stepper]\noutput_every = 4\n",
+])
+def test_energy_monitor_verdict_does_not_depend_on_output_every(text):
+    # both runs satisfy the per-step energy law; integrating the dissipation
+    # by the trapezoid rule over every 4th sample only overestimated it
+    # (residuals 1.0e-2 and 1.3e-2 of E(0)); output_every only thins the rows
+    cfg = config.parse_config(text)
+    state = make_initial_state(cfg.grid, cfg.initial)
+
+    def monitor(stepper_cfg):
+        return energy_monitor(cfg.grid, cfg.params, cfg.elastic, stepper_cfg, state,
+                              tol_energy=cfg.experiment.tol_energy, tol_step=cfg.experiment.tol_step,
+                              forcing=cfg.forcing())
+
+    report, every = monitor(cfg.stepper), monitor(dataclasses.replace(cfg.stepper, output_every=1))
+    assert report.passed and every.passed
+    last = len(every.residual) - 1
+    kept = [k for k in range(last + 1) if k % 4 == 0 or k == last]
+    assert last % 4 == 0 or kept[-2:] == [last - last % 4, last]
+    assert report.residual.tobytes() == every.residual[kept].tobytes()
+    for name, column in vars(report.trace).items():
+        assert column.tobytes() == getattr(every.trace, name)[kept].tobytes(), name
+    assert (report.max_residual_rel, report.max_step_increase_rel, report.cross_term_max) == (
+        every.max_residual_rel, every.max_step_increase_rel, every.cross_term_max)
+
+
 def test_energy_monitor_detects_instability():
     # dt far above the explicit-penalty bound eps / (4 gamma) = 0.025
     grid = Grid.unit_box(16)

@@ -16,12 +16,15 @@ import pytest
 import leslie_sim.energetics as en
 import leslie_sim.grid as g
 import oracles
+from leslie_sim import dynamics
 from leslie_sim.dynamics import (
+    Ensemble,
     SpectralOps,
     State,
     Stepper,
     StepperConfig,
     _inverse_3x3,
+    _pressure,
     _projection_targets,
     _stiffness,
     _symbols,
@@ -181,18 +184,13 @@ def test_projection_target_by_parseval_matches_real_space(grid_name, tol):
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_backward_is_irfftn_bit_for_bit(grid_name, components):
     # both directions are the n-d transforms' own 1-D passes, in their
-    # order: forward into a new array and, as the velocity update takes it,
-    # into the first three components of a four-component buffer; the
-    # complex stages of backward run in place on the spectrum
+    # order: forward into a new array; the complex stages of backward run in
+    # place on the spectrum
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid)
     values = np.random.default_rng(12).normal(size=(2, components) + grid.shape)
     values_hat = ops.forward(values)
     np.testing.assert_array_equal(values_hat, np.fft.rfftn(values, axes=ops.axes))
-    buffer = np.zeros((2, 4) + values_hat.shape[2:], dtype=complex)
-    assert ops.forward(values[:, :3], out=buffer[:, :3]).base is buffer
-    np.testing.assert_array_equal(buffer[:, :3], np.fft.rfftn(values[:, :3], axes=ops.axes))
-    assert not buffer[:, 3].any()
     expected = np.fft.irfftn(values_hat, s=grid.n, axes=ops.axes)
     np.testing.assert_array_equal(ops.backward(values_hat), expected)
 
@@ -201,8 +199,9 @@ def test_backward_is_irfftn_bit_for_bit(grid_name, components):
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_name, pressure):
     # the residual is taken of the trace of the grad v it returns, which is
-    # the stencil divergence of its velocity bit for bit; the pressure only
-    # rides along
+    # the stencil divergence of its velocity bit for bit; the pressure is
+    # not part of it: transforming it, which spends the returned spectrum,
+    # leaves the velocity and its grad v as they were
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid, helmholtz_coeff=2e-3)
     values = np.random.default_rng(13).normal(size=(2, 3) + grid.shape)
@@ -214,16 +213,20 @@ def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_
         return vdot(a, b)
 
     monkeypatch.setattr(np, "vdot", spy)
-    vp, grad_v = _velocity_update(ops, values, 1e-10, helmholtz=True, pressure=pressure)
+    v, s, grad_v = _velocity_update(ops, values, 1e-10, helmholtz=True)
     monkeypatch.undo()
-    assert vp.shape == (2, 3 + pressure) + grid.shape
-    np.testing.assert_array_equal(grad_v, g.gradient_components(grid, vp[:, :3]))
-    div = g.divergence_components(grid, vp[:, :3])
+    assert v.shape == (2, 3) + grid.shape and s.shape == (2,) + ops.half
+    taken = v.tobytes(), grad_v.tobytes()
+    if pressure:
+        _pressure(ops, s)
+    assert (v.tobytes(), grad_v.tobytes()) == taken
+    np.testing.assert_array_equal(grad_v, g.gradient_components(grid, v))
+    div = g.divergence_components(grid, v)
     assert len(gated) == len(div)
     for got, want in zip(gated, div):
         np.testing.assert_array_equal(got, want)
-    other, _ = _velocity_update(ops, values, 1e-10, helmholtz=True, pressure=not pressure)
-    np.testing.assert_array_equal(other[:, :3], vp[:, :3])
+    other, _, _ = _velocity_update(ops, values, 1e-10, helmholtz=True)
+    np.testing.assert_array_equal(other, v)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +251,19 @@ def _real_members(grid, m, seed):
 @pytest.mark.parametrize("helmholtz", [True, False])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_velocity_update_bitwise_equals_float_symbol_kernel(grid_name, helmholtz, pressure, m):
+    # against the oracle's velocity alone, and against its velocity and
+    # pressure stacked in one inverse transform, whose pressure the
+    # returned spectrum gives when it is read
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid, helmholtz_coeff=2e-3)
     values = _real_members(grid, m, 14)
-    vp, grad_v = _velocity_update(ops, values, 1e-10, helmholtz, pressure)
+    v, s, grad_v = _velocity_update(ops, values, 1e-10, helmholtz)
     ref_vp, ref_grad_v = oracles.FloatSymbolKernels(ops, helmholtz_coeff=2e-3).velocity_update(
         values, helmholtz, pressure)
-    assert vp.tobytes() == ref_vp.tobytes()
+    assert v.tobytes() == ref_vp[:, :3].tobytes()
     assert grad_v.tobytes() == ref_grad_v.tobytes()
+    if pressure:
+        assert _pressure(ops, s).tobytes() == ref_vp[:, 3].tobytes()
 
 
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
@@ -287,6 +295,39 @@ def test_helmholtz_solve_and_projection_bitwise_equal_float_symbol_kernels(grid_
     ref_vp, _ = ref.velocity_update(values, helmholtz=False, pressure=True)
     assert u.tobytes() == ref_vp[:, :3].tobytes()
     assert p.tobytes() == ref_vp[:, 3].tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_pressure_on_read_equals_the_stacked_transform(monkeypatch, grid_name, m, theta):
+    # a step's pressure, transformed when it is read, is the fourth
+    # component of one inverse transform that stacks it with the velocity,
+    # divided by dt; project_divfree's is that component undivided
+    grid = GRIDS[grid_name]
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, theta=theta)
+    stepper = Stepper(grid, cfg, PARODI_DEMO, TENSORS["aniso"])
+    rng = np.random.default_rng(17)
+    members = [State.initial(VectorField(grid, 0.1 * rng.normal(size=grid.shape + (3,))),
+                             VectorField(grid, (0.0, 0.0, 1.0) + 0.1 * rng.normal(size=grid.shape + (3,))))
+               for _ in range(m)]
+    update, taken = dynamics._velocity_update, []
+
+    def spy(ops, values, tol, helmholtz=False):
+        taken.append((values.copy(), helmholtz))
+        return update(ops, values, tol, helmholtz)
+
+    monkeypatch.setattr(dynamics, "_velocity_update", spy)
+    out = stepper.step(Ensemble.of(members))
+    monkeypatch.undo()
+    ((values, helmholtz),) = taken
+    assert helmholtz == (theta != 0.0)
+    ref = oracles.FloatSymbolKernels(stepper.ops, helmholtz_coeff=theta * cfg.dt * 0.5 * PARODI_DEMO.mu4)
+    ref_vp, _ = ref.velocity_update(values, helmholtz, pressure=True)
+    assert out.v.tobytes() == ref_vp[:, :3].tobytes()
+    assert out.p.tobytes() == (ref_vp[:, 3] / cfg.dt).tobytes()
+    _, p = project_divfree(values, stepper.ops)
+    assert p.tobytes() == ref.velocity_update(values, helmholtz=False, pressure=True)[0][:, 3].tobytes()
 
 
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))

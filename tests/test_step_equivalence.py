@@ -36,6 +36,7 @@ from leslie_sim.dynamics import (
     ericksen_force,
     leslie_stress,
     project_divfree,
+    run,
     run_ensemble,
     solve_director_implicit,
     solve_helmholtz,
@@ -49,7 +50,7 @@ from leslie_sim.energetics import (
     relative_energy,
     variational_derivative,
 )
-from leslie_sim.experiments import weak_strong_campaign, weak_strong_experiment
+from leslie_sim.experiments import energy_monitor, weak_strong_campaign, weak_strong_experiment
 from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
@@ -298,6 +299,34 @@ def test_step_energy_and_trace_match_recomputed(tensor_name):
             assert getattr(traj.trace, name)[k] == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("params", ["parodi", "non_parodi"])
+def test_trace_rows_equal_the_channel_array_composition(params, m, forced):
+    # each row is one pass over the record; the rows and the relative
+    # dissipations equal, bit for bit, their composition from one (5, m)
+    # channel array, transposed and listed
+    grid = GRIDS["2d"]
+    p = {"parodi": PARODI_DEMO, "non_parodi": NON_PARODI_DEMO}[params]
+    forcing = make_forcing("sinusoidal:5", grid) if forced else None
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), p, ANISO, forcing)
+    e = Ensemble.of([_state(grid, seed=68 + i, amplitude=0.3 + 0.2 * i) for i in range(m)])
+    terms = stepper._terms(e)
+    out = stepper.step(e, terms)
+    kinetic = en.kinetic_energies(grid, out.v).tolist()
+    rows = stepper._diagnostics(out, terms, kinetic)
+    want = oracles.trace_rows(stepper, out, terms, kinetic)
+    assert len(rows) == len(want) == m
+    assert np.array(rows).tobytes() == np.array(want).tobytes()
+    assert any(row[-2] != 0.0 for row in rows) == (params == "non_parodi")
+    assert any(row[-1] != 0.0 for row in rows) == forced
+    q = en.variational_q(out.d, terms.dev, terms.lap, p.epsilon)
+    got = en.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
+    want = oracles.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
+    assert np.array(got).shape == (3, m - 1)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("grid_name, tensor_name", [("2d", "isotropic"), ("3d", "aniso")])
 def test_free_energy_equals_trace_rows_bit_for_bit(grid_name, tensor_name):
     # the stepper and free_energy call one kernel on the same contiguous values
@@ -375,8 +404,8 @@ def test_run_equals_repeated_lone_steps():
 
 
 def test_run_with_unsampled_steps_equals_repeated_lone_steps():
-    # carried grad v and strain, and unsampled steps without the pressure,
-    # give what lone steps that recompute them give
+    # carried grad v and strain, and unsampled steps whose pressure no one
+    # reads, give what lone steps that recompute them give
     stepper = Stepper(GRIDS["2d"], StepperConfig(dt=1e-3, t_end=6e-3, output_every=3),
                       NON_PARODI_DEMO, ANISO)
     s = _state(GRIDS["2d"], seed=39)
@@ -667,10 +696,10 @@ def _passes_per_step(monkeypatch, grid, cfg):
     per_step = []
     original_step = Stepper.step
 
-    def step(self, s, terms=None, pressure=True):
+    def step(self, s, terms=None):
         before = dict(calls)
         inverse.clear()
-        out = original_step(self, s, terms, pressure)
+        out = original_step(self, s, terms)
         per_step.append((calls["fft"] - before["fft"], calls["deriv"] - before["deriv"], tuple(inverse)))
         return out
 
@@ -681,20 +710,17 @@ def _passes_per_step(monkeypatch, grid, cfg):
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_step_without_pressure_moves_the_state_alike(grid_name):
-    # a step that is not asked for the pressure skips it and nothing else
+    # a step whose pressure is never read leaves it untransformed and moves
+    # the state as a step whose pressure is read; read later, it is the same
     grid = GRIDS[grid_name]
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), NON_PARODI_DEMO, ANISO)
     e = Ensemble.of([_state(grid, seed=66)])
-    with_p, without_p = stepper.step(e), stepper.step(e, pressure=False)
-    assert without_p.p is None and with_p.p.shape == (1,) + grid.shape
+    with_p, without_p = stepper.step(e), stepper.step(e)
+    assert with_p.p.shape == (1,) + grid.shape
+    assert callable(without_p.pressure) and not callable(with_p.pressure)
     np.testing.assert_array_equal(without_p.v, with_p.v)
     np.testing.assert_array_equal(without_p.d, with_p.d)
-
-
-def _velocity_components(k, output_every):
-    """Components of the velocity update's inverse transform at step k of 6:
-    the pressure rides along only where the state is sampled."""
-    return 4 if k % output_every == 0 or k == 6 else 3
+    assert without_p.p.tobytes() == with_p.p.tobytes()
 
 
 @pytest.mark.parametrize("output_every", [1, 3, 4])
@@ -706,8 +732,10 @@ def test_step_pass_budget(monkeypatch, grid_name, output_every):
     dim = grid.dim
     # per step: the director solve and the velocity update, each one forward
     # and one inverse transform; the new director's grad d and div(L : grad d),
-    # the dim momentum-flux columns and the grad v of the projected velocity
-    expected = [(4, 4 * dim, (3, _velocity_components(k, output_every))) for k in range(1, 7)]
+    # the dim momentum-flux columns and the grad v of the projected velocity.
+    # The velocity's inverse has its three components only, sampled or not:
+    # the pressure is transformed when it is read, outside the step
+    expected = [(4, 4 * dim, (3, 3))] * 6
     assert per_step == expected
 
 
@@ -720,5 +748,36 @@ def test_step_pass_budget_at_theta_zero(monkeypatch, grid_name, output_every):
     cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every, theta=0.0)
     per_step = _passes_per_step(monkeypatch, grid, cfg)
     dim = grid.dim
-    expected = [(2, 4 * dim, (_velocity_components(k, output_every),)) for k in range(1, 7)]
+    expected = [(2, 4 * dim, (3,))] * 6
     assert per_step == expected
+
+
+@pytest.mark.parametrize("output_every", [1, 4])
+@pytest.mark.parametrize("theta, per_step", [(0.3, 2), (0.0, 1)])
+def test_pressure_is_transformed_only_when_read(monkeypatch, theta, per_step, output_every):
+    grid = GRIDS["2d"]
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every, theta=theta)
+    state = _state(grid, seed=67)  # made before counting: its velocity is projected
+    backward, calls = SpectralOps.backward, []
+
+    def counted(self, values_hat):
+        calls.append(values_hat.shape)
+        return backward(self, values_hat)
+
+    monkeypatch.setattr(SpectralOps, "backward", counted)
+    # the energy monitor reads no pressure: the steps' own inverse
+    # transforms are all it makes
+    energy_monitor(grid, NON_PARODI_DEMO, ANISO, cfg, state)
+    assert len(calls) == per_step * 6
+    assert all(shape[:2] == (1, 3) for shape in calls)  # none stacks a pressure
+    # a run without an observer copies each sample, its pressure too: one
+    # more per sample after the initial one, whose pressure was given
+    calls.clear()
+    traj = run(state, cfg, NON_PARODI_DEMO, ANISO)
+    assert len(traj.states) == 2 + 5 // output_every
+    assert len(calls) == per_step * 6 + len(traj.states) - 1
+    # a step's pressure read twice is transformed once
+    out = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).step(Ensemble.of([state]))
+    calls.clear()
+    first = out.p
+    assert out.p is first and calls == [(1,) + SpectralOps(grid).half]
