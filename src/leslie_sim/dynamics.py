@@ -43,10 +43,10 @@ residual) and every energy are taken per member on that member's slice, so
 each member evolves bit for bit as it does alone.  A gradient holds only the
 grid's dim columns: on a 2D grid it has no always-zero third column, and
 L : grad d is one (3 dim) x (3 dim) matrix product with L_ijkl restricted to
-j, l < dim (:meth:`ElasticTensor.contraction`).  The states it returns keep
-the public node-major shape ``grid.shape + (3,)``: their fields are
-zero-copy ``np.moveaxis`` views of one member of the stepper's arrays.
-``State.copy()`` gives C-contiguous node-major arrays.
+j, l < dim (:meth:`ElasticTensor.contraction`).  A field's values have the
+same layout, ``(3,) + grid.shape``: a State of an Ensemble's member holds
+contiguous views of that member's arrays, and ``State.copy()`` gives arrays
+of its own.
 
 Evaluating the coupling terms at matching time levels makes the energy
 exchange between the kinetic and free energies cancel identically in the
@@ -72,7 +72,7 @@ from .energetics import EnergyTrace
 from .energetics import free_energy  # noqa: F401  (importable from here, as before)
 from .grid import Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
-from .tensor import ElasticTensor, outer, skw, sym
+from .tensor import ElasticTensor, sym
 
 
 class ProjectionError(RuntimeError):
@@ -96,8 +96,8 @@ class SimulationError(RuntimeError):
 class State:
     """One trajectory sample: time, velocity, director, projection pressure.
 
-    Fields have the node-major shape ``grid.shape + (3,)``; in states made by
-    a :class:`Stepper` they are views of component-major arrays.  The
+    Fields are component-major, ``(3,) + grid.shape``; in states made by a
+    :class:`Stepper` they are views of one member of its arrays.  The
     pressure is the discrete Leray multiplier divided by dt; it is an
     artifact of the projection, not a statement about the analytic pressure.
     A State always holds it: one made of an Ensemble's member reads the
@@ -300,7 +300,7 @@ def _members(u, ops: SpectralOps) -> np.ndarray:
     given."""
     if isinstance(u, VectorField):
         ops.check_grid(u.grid)
-        return g.components(u.values)[None]
+        return u.values[None]
     if u.ndim != ops.grid.dim + 2 or u.shape[1:] != (3,) + ops.grid.shape:
         raise ValueError(f"member values shape {u.shape}, expected (m, 3) + {ops.grid.shape}")
     return u
@@ -308,7 +308,7 @@ def _members(u, ops: SpectralOps) -> np.ndarray:
 
 def _as_given(u, values: np.ndarray):
     """Member values in the kind of the input ``u``."""
-    return VectorField(u.grid, g.nodal(values[0])) if isinstance(u, VectorField) else values
+    return VectorField(u.grid, values[0]) if isinstance(u, VectorField) else values
 
 
 def _member_label(i: int, m: int) -> str:
@@ -444,7 +444,7 @@ def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     scaled by gamma, and half the viscosity)."""
     sigmas = _symbols(grid)
     s_mat = np.moveaxis(_stiffness(tensor, sigmas), (0, 1), (-2, -1))
-    eig_max = float(np.max(np.linalg.eigvalsh(0.5 * (s_mat + np.swapaxes(s_mat, -1, -2)))))
+    eig_max = float(np.max(np.linalg.eigvalsh(sym(s_mat))))
     return max(p.gamma * eig_max, 0.5 * p.mu4 * float(sum(s**2 for s in sigmas).max()))
 
 
@@ -468,18 +468,21 @@ def leslie_stress(v: VectorField, d: VectorField, q: VectorField, p: ParameterSe
 
     evaluated term by term in this order, so that an entry where the terms
     nearly cancel rounds as the formula does; the stepper regroups the same
-    terms into :func:`_stress_factors`.
+    terms into :func:`_stress_factors`.  x_sym and x_skw are (x + x^T) / 2
+    and (x - x^T) / 2 over the leading (i, j) axes.
     """
-    dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    dq = outer(d.values, q.values)
+    grad = g.gradient_vec(v).values
+    dv = 0.5 * (grad + grad.swapaxes(0, 1))
+    d = d.values
+    dvd = np.einsum("ij...,j...->i...", dv, d)
+    ddvd = np.einsum("i...,i...->...", d, dvd)
+    dd, dq, d_dvd = (np.einsum("i...,j...->ij...", d, x) for x in (d, q.values, dvd))
     return TensorField(v.grid, (
-        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
+        p.mu1 * ddvd * dd
         + p.mu4 * dv
-        - p.gamma * p.mu23 * sym(dq)
-        - skw(dq)
-        + p.directional_coeff * sym(outer(d.values, dvd))
+        - p.gamma * p.mu23 * (0.5 * (dq + dq.swapaxes(0, 1)))
+        - 0.5 * (dq - dq.swapaxes(0, 1))
+        + p.directional_coeff * (0.5 * (d_dvd + d_dvd.swapaxes(0, 1)))
     ))
 
 
@@ -510,8 +513,7 @@ def ericksen_force(d: VectorField, q: VectorField) -> VectorField:
     per axis a; the gradient-of-potential part is absorbed into the
     projection pressure.  Satisfies (force, v) = (q, (v . grad) d) pointwise.
     """
-    grad = g.gradient_vec(d)
-    return VectorField(d.grid, np.einsum("...ia,...i->...a", grad.values, q.values))
+    return VectorField(d.grid, np.einsum("ia...,i...->a...", g.gradient_vec(d).values, q.values))
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +550,18 @@ class Ensemble:
         grid = states[0].v.grid
         if any(s.v.grid != grid or s.d.grid != grid for s in states):
             raise ValueError("the members of an ensemble must live on one grid")
-        v, d = (g.members([getattr(s, f) for s in states]) for f in "vd")
-        return cls(grid, states[0].t, v, d, np.array([s.p.values for s in states]))
+        v, d, p = (np.array([getattr(s, f).values for s in states]) for f in "vdp")
+        return cls(grid, states[0].t, v, d, p)
 
     def copy(self) -> "Ensemble":
-        """A copy whose members are States of C-contiguous node-major
-        arrays, as ``State.copy()`` gives."""
-        v, d = (np.moveaxis(np.moveaxis(x, 1, -1).copy(), -1, 1) for x in (self.v, self.d))
-        return Ensemble(self.grid, self.t, v, d, self.p.copy())
+        """A copy with C-contiguous arrays of its own, as ``State.copy()`` gives."""
+        return Ensemble(self.grid, self.t, self.v.copy(), self.d.copy(), self.p.copy())
 
     def member(self, i: int) -> State:
-        """Member i as a State of node-major views."""
+        """Member i as a State of contiguous views of the ensemble's arrays."""
         grid = self.grid
-        return State(self.t, VectorField(grid, g.nodal(self.v[i])),
-                     VectorField(grid, g.nodal(self.d[i])), ScalarField(grid, self.p[i]))
+        return State(self.t, VectorField(grid, self.v[i]), VectorField(grid, self.d[i]),
+                     ScalarField(grid, self.p[i]))
 
 
 @dataclass
@@ -727,7 +727,7 @@ class Stepper:
         rhs *= dt
         rhs += v
         if self.forcing is not None:
-            rhs += dt * g.components(self.forcing.values)
+            rhs += dt * self.forcing.values
 
         # 4. the Helmholtz solve and the projection on one spectrum; the old
         # grad v is freed only after the new one is taken, and with the old
@@ -809,13 +809,14 @@ class Stepper:
     def _diagnostics(self, e: Ensemble, terms: StateTerms, kinetic: list) -> list:
         """Each member's trace row, its energies and dissipation channels in
         EnergyTrace field order, read from the state's terms and the
-        members' kinetic energies."""
+        members' kinetic energies, and the forcing power (g, v), the sum of
+        the product of the component-major arrays times the cell volume."""
         p, grid, forcing = self.p, self.grid, self.forcing
         q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
         rows = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
         return [
             (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *row,
-             0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(v))) * grid.cell_volume)
+             0.0 if forcing is None else float(np.sum(forcing.values * v)) * grid.cell_volume)
             for kin, fe, row, v in zip(kinetic, terms.energy, rows, e.v)
         ]
 

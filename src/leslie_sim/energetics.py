@@ -7,9 +7,9 @@ arrays of an ensemble (vectors ``(m, 3) + grid.shape``, gradients
 ``(m, 3, dim) + grid.shape``) that sums per member over the member's own
 slice; the relative energy and dissipation are the energy and dissipation
 kernels applied to the members' differences from member 0.  The stepper,
-the weak-strong campaign and the public functions all call them.  The
-public functions run the kernels on :func:`grid.members` of their fields,
-the contiguous copy ``dynamics.Ensemble.of`` makes, so that
+the weak-strong campaign and the public functions all call them.  A field's
+values have the layout of one member, so the public functions run the
+kernels on ``values[None]``, or on a stack of the fields they pair, and
 :func:`free_energy` of a sampled state equals its trace row bit for bit.
 :func:`relative_terms` reads the fields the step took from the sample's
 record (``dynamics.StateTerms``) and differentiates only d - dr.
@@ -24,7 +24,7 @@ import numpy as np
 from . import grid as g
 from .grid import VectorField
 from .material import ParameterSet, zeta
-from .tensor import ElasticTensor, sym
+from .tensor import ElasticTensor
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     """Elastic and penalty energy of the director field (:func:`free_energies`)."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    grad, flux, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), g.members([d]))
+    grad, flux, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), d.values[None])
     return free_energies(d.grid, eps, grad, flux, dev)[0]
 
 
@@ -225,38 +225,36 @@ def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) ->
     """
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    dm = g.members([d])
+    dm = d.values[None]
     _, _, lap, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), dm)
-    return VectorField(d.grid, g.nodal(variational_q(dm, dev, lap, eps)[0]))
+    return VectorField(d.grid, variational_q(dm, dev, lap, eps)[0])
 
 
 def relative_energy(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: VectorField,
                     tensor: ElasticTensor, eps: float) -> float:
     """Squared-distance functional between two states
     (:func:`relative_energies`)."""
-    dm = g.members([d_ref, d])
+    vm, dm = np.stack([v_ref.values, v.values]), np.stack([d_ref.values, d.values])
     contraction = tensor.sparse_contraction(v.grid.dim)
-    return float(relative_energies(v.grid, contraction, eps, g.members([v_ref, v]), dm, _dot(dm, dm))[0])
+    return float(relative_energies(v.grid, contraction, eps, vm, dm, _dot(dm, dm))[0])
 
 
 def dissipation_channels(v: VectorField, d: VectorField):
-    """The three velocity-dependent dissipation integrands as node-major
-    arrays: (Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient."""
-    grid = v.grid
-    grad_v = g.gradient_components(grid, g.members([v]))
-    _, dvd, ddvd = director_strain(grad_v, g.members([d]))
-    full = np.zeros((3, 3) + grid.shape)
-    full[:, : grid.dim] = grad_v[0]
-    return sym(np.moveaxis(full, (0, 1), (-2, -1))), g.nodal(dvd[0]), ddvd[0]
+    """The three velocity-dependent dissipation integrands as component-major
+    arrays: (Dv, Dv d, d . Dv d) with Dv = (grad v + grad v^T) / 2 the
+    symmetric velocity gradient, (3, 3) + grid.shape."""
+    grad_v = g.gradient_vec(v).values
+    _, dvd, ddvd = director_strain(grad_v[None, :, : v.grid.dim], d.values[None])
+    return 0.5 * (grad_v + grad_v.swapaxes(0, 1)), dvd[0], ddvd[0]
 
 
 def relative_dissipation(v: VectorField, d: VectorField, q: VectorField, v_ref: VectorField,
                          d_ref: VectorField, q_ref: VectorField, p: ParameterSet) -> float:
     """Sum of the four squared dissipation-channel differences
     (:func:`relative_dissipations`)."""
-    grad_v = g.gradient_components(v.grid, g.members([v_ref, v]))
-    _, dvd, ddvd = director_strain(grad_v, g.members([d_ref, d]))
-    return float(relative_dissipations(v.grid, p, grad_v, g.members([q_ref, q]), dvd, ddvd)[0][0])
+    grad_v = g.gradient_components(v.grid, np.stack([v_ref.values, v.values]))
+    _, dvd, ddvd = director_strain(grad_v, np.stack([d_ref.values, d.values]))
+    return float(relative_dissipations(v.grid, p, grad_v, np.stack([q_ref.values, q.values]), dvd, ddvd)[0][0])
 
 
 def gronwall_K(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: VectorField,
@@ -264,12 +262,12 @@ def gronwall_K(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: Vector
     """Gronwall integrand controlling exponential growth of the relative
     energy: c times :func:`gronwall_factors`."""
     grid = v.grid
-    vm, dm = g.members([v_ref, v]), g.members([d_ref, d])
+    vm, dm = np.stack([v_ref.values, v.values]), np.stack([d_ref.values, d.values])
     d_sq = _dot(dm, dm)
     grad_v = g.gradient_components(grid, vm)
-    K = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, g.members([q_ref]), director_strain(grad_v, dm)[2],
+    K = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, q_ref.values[None], director_strain(grad_v, dm)[2],
                          ref_grad_sq(grid, grad_v), ref_grad_sq(grid, g.gradient_components(grid, dm)),
-                         g.members([dt_d_ref]))
+                         dt_d_ref.values[None])
     return c * float(K[0])
 
 

@@ -267,7 +267,7 @@ def _l2_norm(grid: Grid, a: np.ndarray) -> float:
 def _smooth_members(grid: Grid, rng, count: int) -> np.ndarray:
     """``count`` smooth random vector fields drawn in turn, as members
     (count, 3) + grid.shape."""
-    return g.members([smooth_vector_field(grid, rng) for _ in range(count)])
+    return np.array([smooth_vector_field(grid, rng).values for _ in range(count)])
 
 
 @dataclass

@@ -7,9 +7,9 @@ adjoint (summation by parts), which the energy and relative-energy
 diagnostics rely on.  On a 2D domain, vector fields keep all three
 components and derivatives in the absent direction are zero.
 
-Field values are node-major (``grid.shape + (3,)``); :func:`components` and
-:func:`nodal` switch to and from the component-major layout
-(``(3,) + grid.shape``) that the stepper computes in, without copying.
+Field values are component-major, the component axes leading
+(``(3,) + grid.shape`` for a vector), the one layout the stepper computes
+in: a field's values are one member of an ensemble's arrays as they are.
 """
 
 from __future__ import annotations
@@ -89,22 +89,22 @@ class Grid:
 
 @dataclass
 class Field:
-    """Node-major values ``grid.shape + trailing`` on a grid; the scalar,
-    vector and tensor fields differ only by their ``trailing`` shape."""
+    """Component-major values ``leading + grid.shape`` on a grid; the scalar,
+    vector and tensor fields differ only by their ``leading`` shape."""
 
     grid: Grid
     values: np.ndarray
-    trailing = ()
+    leading = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        expect = self.grid.shape + self.trailing
+        expect = self.leading + self.grid.shape
         if self.values.shape != expect:
             raise ValueError(f"field values shape {self.values.shape}, expected {expect}")
 
     @classmethod
     def zeros(cls, grid: Grid):
-        return cls(grid, np.zeros(grid.shape + cls.trailing))
+        return cls(grid, np.zeros(cls.leading + grid.shape))
 
     def copy(self):
         return type(self)(self.grid, self.values.copy())
@@ -115,43 +115,20 @@ class ScalarField(Field):
 
 
 class VectorField(Field):
-    """Values ``grid.shape + (3,)``."""
+    """Values ``(3,) + grid.shape``."""
 
-    trailing = (3,)
+    leading = (3,)
 
     @classmethod
     def constant(cls, grid: Grid, vec) -> "VectorField":
-        values = np.broadcast_to(np.asarray(vec, dtype=np.float64), grid.shape + (3,))
-        return cls(grid, values.copy())
+        values = np.asarray(vec, dtype=np.float64).reshape((3,) + (1,) * grid.dim)
+        return cls(grid, np.broadcast_to(values, (3,) + grid.shape).copy())
 
 
 class TensorField(Field):
-    """Values ``grid.shape + (3, 3)``."""
+    """Values ``(3, 3) + grid.shape``, entry (i, j) leading."""
 
-    trailing = (3, 3)
-
-
-# ---------------------------------------------------------------------------
-# layouts
-# ---------------------------------------------------------------------------
-
-def components(values: np.ndarray) -> np.ndarray:
-    """Component-major view (3, ...) of node-major (..., 3) values: the
-    ``np.moveaxis(values, -1, 0)`` view, without its argument checks."""
-    last = values.ndim - 1
-    return values.transpose((last,) + tuple(range(last)))
-
-
-def nodal(values: np.ndarray) -> np.ndarray:
-    """Node-major view (..., 3) of component-major (3, ...) values: the
-    ``np.moveaxis(values, 0, -1)`` view, without its argument checks."""
-    return values.transpose(tuple(range(1, values.ndim)) + (0,))
-
-
-def members(fields) -> np.ndarray:
-    """The values of vector fields as the members of an ensemble: a
-    C-contiguous component-major copy (m, 3) + grid.shape."""
-    return np.array([components(f.values) for f in fields])
+    leading = (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +136,9 @@ def members(fields) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Second-order first derivative along spatial axis ``axis``: in
-    -dim .. -1 of trailing spatial axes (component axes leading,
-    component-major), spatial axis a being ``a - dim``; in 0 .. dim - 1 of
-    leading ones (node-major), through the component-major views.  Central
+    """Second-order first derivative along spatial axis ``axis`` of
+    component-major values (component axes leading, the grid's axes
+    trailing), counted from the end: spatial axis a is ``a - dim``.  Central
     differences with index wrap-around, from the grid's ``stencils``: output
     planes 0 and n - 1 take input planes 1 and 0 minus n - 1 and n - 2 in one
     subtract, so the result equals (roll(v, -1) - roll(v, 1)) / 2h bit for
@@ -174,12 +150,10 @@ def _deriv(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = N
     views instead, the cells offset by the axis stride, wrong only on the
     wrap planes, which are rewritten after it.  Writes into ``out`` if given.
     """
+    if not -grid.dim <= axis < 0:
+        raise ValueError(f"spatial axis {axis} is not in -{grid.dim} .. -1")
     if out is None:
         out = np.empty_like(values)
-    if axis >= 0:
-        order = tuple(range(grid.dim, values.ndim)) + tuple(range(grid.dim))
-        _deriv(grid, values.transpose(order), axis - grid.dim, out.transpose(order))
-        return out
     (scale, by), interior, wrap = grid.stencils[axis]
     # the flags of the block's first entry tell whether it reshapes into cells
     lead = values.ndim - grid.dim
@@ -244,44 +218,33 @@ def elastic_flux(grid: Grid, contraction: tuple, grad: np.ndarray) -> np.ndarray
 
 
 def gradient_vec(f: VectorField) -> TensorField:
-    """Jacobian with entry (i, j) = d f_i / d x_j; absent axes give zeros."""
-    grid = f.grid
-    out = np.zeros(grid.shape + (3, 3))
-    for j in range(grid.dim):
-        out[..., :, j] = _deriv(grid, f.values, axis=j)
-    return TensorField(grid, out)
+    """Jacobian with entry (i, j) = d f_i / d x_j (:func:`gradient_components`);
+    the columns of absent axes are zeros."""
+    out = np.zeros((3, 3) + f.grid.shape)
+    out[:, : f.grid.dim] = gradient_components(f.grid, f.values)
+    return TensorField(f.grid, out)
 
 
 def divergence_vec(f: VectorField) -> ScalarField:
-    grid = f.grid
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        out += _deriv(grid, f.values[..., a], axis=a)
-    return ScalarField(grid, out)
+    return ScalarField(f.grid, divergence_components(f.grid, f.values))
 
 
 def divergence_tensor(a: TensorField) -> VectorField:
     """(div A)_i = sum_j d A_ij / d x_j."""
-    grid = a.grid
-    out = np.zeros(grid.shape + (3,))
-    for j in range(grid.dim):
-        out += _deriv(grid, a.values[..., :, j], axis=j)
-    return VectorField(grid, out)
+    return VectorField(a.grid, divergence_components(a.grid, a.values))
 
 
 def laplacian_lambda(d: VectorField, tensor: ElasticTensor) -> VectorField:
     """div(L : grad d); with isotropic L this is k times the componentwise
-    Laplacian.  The stepper's kernels on d as a one-member ensemble."""
+    Laplacian.  The stepper's kernels on d's values as they are."""
     grid = d.grid
-    grad = gradient_components(grid, members([d]))
-    lap = divergence_components(grid, elastic_flux(grid, tensor.sparse_contraction(grid.dim), grad))
-    return VectorField(grid, nodal(lap[0]))
+    flux = elastic_flux(grid, tensor.sparse_contraction(grid.dim), gradient_components(grid, d.values))
+    return VectorField(grid, divergence_components(grid, flux))
 
 
 def advect(v: VectorField, f: VectorField) -> VectorField:
     """(v . grad) f = (grad f) v per node."""
     if v.grid is not f.grid and v.grid != f.grid:
         raise ValueError("advect requires fields on the same grid")
-    grad = gradient_vec(f)
-    return VectorField(f.grid, np.einsum("...ij,...j->...i", grad.values, v.values))
-
+    dim = f.grid.dim
+    return VectorField(f.grid, np.einsum("ij...,j...->i...", gradient_components(f.grid, f.values), v.values[:dim]))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from . import grid as g
 from .grid import Grid, VectorField
 
 
@@ -62,15 +61,16 @@ def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2)
         idx = (sign * ks) % n
         kept = idx[:, -1] <= n[-1] // 2
         np.add.at(spectrum, (slice(None),) + tuple(idx[kept].T), values[kept].T)
-    field = np.fft.irfftn(spectrum, s=grid.n, axes=tuple(range(1, grid.dim + 1)))
-    return VectorField(grid, g.nodal(field).copy())
+    return VectorField(grid, np.fft.irfftn(spectrum, s=grid.n, axes=tuple(range(1, grid.dim + 1))))
 
 
 def divfree_smooth_field(grid: Grid, rng: np.random.Generator) -> VectorField:
-    """Smooth random field projected onto discretely divergence-free fields."""
+    """Smooth random field projected onto discretely divergence-free fields:
+    the velocity of :func:`dynamics.project_divfree` at its default
+    tolerance, without its pressure."""
     raw = smooth_vector_field(grid, rng)
-    projected, _ = dynamics.project_divfree(raw)
-    return projected
+    v, _, _ = dynamics._velocity_update(dynamics.SpectralOps(grid), raw.values[None], 1e-10)
+    return VectorField(grid, v[0])
 
 
 def make_initial_state(grid: Grid, spec: InitialSpec) -> dynamics.State:

@@ -127,7 +127,7 @@ def make_forcing(spec: str, grid: Grid) -> VectorField | None:
         amp = float(spec[len("sinusoidal:"):])
         if not math.isfinite(amp):
             raise ValueError(f"sinusoidal forcing needs a finite amplitude, got {spec!r}")
-        values = np.zeros(grid.shape + (3,))
-        values[..., 1] = amp * np.sin(2.0 * np.pi * grid.coords()[0] / grid.lengths[0])
+        values = np.zeros((3,) + grid.shape)
+        values[1] = amp * np.sin(2.0 * np.pi * grid.coords()[0] / grid.lengths[0])
         return VectorField(grid, values)
     raise ValueError(f"unknown forcing spec {spec!r}")

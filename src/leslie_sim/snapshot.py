@@ -2,13 +2,15 @@
 
 Snapshot layout: magic ``ELSNAP1\\n``, an ASCII header (dim, cells and
 spacing per axis, the boundary condition, always ``periodic``, time), a
-``data`` marker, then little-endian 8-byte floats in row-major order:
-v (3 components), d (3 components), p (1 component).  Round trips are
-bit-exact.
+``data`` marker, then little-endian 8-byte floats in node-major row-major
+order, ``grid.shape + (3,)``: v (3 components), d (3 components), p
+(1 component).  Fields are component-major in memory, so the vectors are
+transposed as they are written and read.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -47,9 +49,11 @@ def _atomic_write(path: str, *chunks):
 
 
 def write_snapshot(state: State, path: str):
-    """Stream magic, header and arrays into the file; only a field that is not
-    C-contiguous ``<f8`` (a stepper member's node-major view) is copied."""
+    """Stream magic, header and arrays into the file: the vectors as
+    node-major copies, the pressure as it is if it is C-contiguous ``<f8``."""
     grid = state.v.grid
+    if not math.isfinite(state.t):
+        raise SnapshotError(f"{path}: refusing to write non-finite time {state.t!r}")
     header = (
         f"dim {grid.dim}\n"
         f"n {' '.join(str(v) for v in grid.n)}\n"
@@ -59,8 +63,8 @@ def write_snapshot(state: State, path: str):
         "data\n"
     ).encode("ascii")
     arrays = [
-        np.ascontiguousarray(state.v.values, dtype="<f8"),
-        np.ascontiguousarray(state.d.values, dtype="<f8"),
+        np.ascontiguousarray(np.moveaxis(state.v.values, 0, -1), dtype="<f8"),
+        np.ascontiguousarray(np.moveaxis(state.d.values, 0, -1), dtype="<f8"),
         np.ascontiguousarray(state.p.values, dtype="<f8"),
     ]
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -96,7 +100,12 @@ def read_snapshot(path: str) -> State:
         raise SnapshotError(f"{path}: unsupported boundary condition {bc!r}")
     if len(n) != dim or len(h) != dim:
         raise SnapshotError(f"{path}: header axis counts disagree with dim")
-    grid = Grid(n=n, h=h)
+    if not math.isfinite(t):
+        raise SnapshotError(f"{path}: non-finite time {t!r}")
+    try:
+        grid = Grid(n=n, h=h)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: malformed header ({exc})")
 
     count = grid.cell_count
     expected = (3 * count + 3 * count + count) * 8
@@ -107,8 +116,7 @@ def read_snapshot(path: str) -> State:
     flat = np.frombuffer(body, dtype="<f8")
     if not np.all(np.isfinite(flat)):
         raise SnapshotError(f"{path}: non-finite values in payload")
-    v = flat[: 3 * count].reshape(grid.shape + (3,))
-    d = flat[3 * count: 6 * count].reshape(grid.shape + (3,))
+    v, d = (np.moveaxis(flat[i * count: (i + 3) * count].reshape(grid.shape + (3,)), -1, 0) for i in (0, 3))
     p = flat[6 * count:].reshape(grid.shape)
     return State(
         t=t,

@@ -18,11 +18,6 @@ def sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def skw(m: np.ndarray) -> np.ndarray:
-    """Skew-symmetric part (M - M^T)/2, acting on the trailing two axes."""
-    return 0.5 * (m - np.swapaxes(m, -1, -2))
-
-
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Outer product a b^T with entries a_i b_j."""
     return np.einsum("...i,...j->...ij", a, b)

@@ -7,11 +7,13 @@ entries of the contraction and gauges its projection by Parseval.  Its
 set-up synthesises smooth random fields with one inverse real FFT, samples
 the ellipticity with two-operand contractions and inverts the director
 matrices in closed form.  These are the same formulas written out plainly --
-the functionals and the stress on node-major fields (``grid.shape + (3,)``)
-with the full 3 x 3 gradient, the contraction as a dense product, the
-projection target in real space, the smooth field as a sum of cosines, the
-ellipticity sample as one einsum and the director inverse by
-``np.linalg.inv`` -- independently of those kernels.  The spectral
+the functionals and the stress on node-major views of the fields
+(:func:`nodal`, ``grid.shape + (3,)``, the layout the fields had before
+they were component-major), their results handed back component-major
+(:func:`leading`), with the full 3 x 3 gradient, the contraction as a
+dense product, the projection target in real space, the smooth field as a
+sum of cosines, the ellipticity sample as one einsum and the director
+inverse by ``np.linalg.inv`` -- independently of those kernels.  The spectral
 kernels hold every Fourier multiplier as a complex array;
 :class:`FloatSymbolKernels` applies the float64 symbols, denominators and
 real director inverse they were cast from, dividing by the denominators, as
@@ -26,7 +28,8 @@ same component-major dt dr, (1, 3) + grid.shape.
 
 The node-major quadrature, norms and pairings (:func:`integrate`,
 :func:`lp_norm`, :func:`inner`, :func:`frobenius`,
-:func:`ibp_divergence_residual`) live here too: the library pairs its
+:func:`ibp_divergence_residual`) and the skew part :func:`skw` live here
+too: the library pairs its
 component-major arrays as ``np.vdot(a, b) * grid.cell_volume``.
 """
 
@@ -46,7 +49,28 @@ from leslie_sim.energetics import (
 )
 from leslie_sim.grid import ScalarField, TensorField, VectorField
 from leslie_sim.material import require_valid, zeta
-from leslie_sim.tensor import _sphere_grid, outer, skw, sym
+from leslie_sim.tensor import _sphere_grid, outer, sym
+
+
+def skw(m):
+    """Skew-symmetric part (M - M^T)/2, acting on the trailing two axes."""
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
+
+
+# ---------------------------------------------------------------------------
+# node-major views
+# ---------------------------------------------------------------------------
+
+def nodal(f):
+    """The node-major view of a field's values: its component axes last."""
+    k = len(f.leading)
+    return np.moveaxis(f.values, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def leading(values, k):
+    """Node-major values with k component axes (last) as a C-contiguous
+    component-major array: the component axes first."""
+    return np.ascontiguousarray(np.moveaxis(values, tuple(range(-k, 0)), tuple(range(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +91,9 @@ def _magnitude(f):
     if isinstance(f, ScalarField):
         return np.abs(f.values)
     if isinstance(f, VectorField):
-        return np.sqrt(np.sum(f.values**2, axis=-1))
+        return np.sqrt(np.sum(nodal(f)**2, axis=-1))
     if isinstance(f, TensorField):
-        return np.sqrt(np.sum(f.values**2, axis=(-2, -1)))
+        return np.sqrt(np.sum(nodal(f)**2, axis=(-2, -1)))
     raise TypeError(f"not a field: {type(f)!r}")
 
 
@@ -88,7 +112,7 @@ def inner(a, b):
     """L^2 inner product; contracts all component axes."""
     if type(a) is not type(b):
         raise TypeError("inner product requires fields of the same kind")
-    prod = a.values * b.values
+    prod = nodal(a) * nodal(b)
     comp_axes = tuple(range(a.grid.dim, prod.ndim))
     if comp_axes:
         prod = np.sum(prod, axis=comp_axes)
@@ -110,8 +134,8 @@ def ibp_divergence_residual(a, phi):
 
 def laplacian_lambda(d, tensor):
     """div(L : grad d)."""
-    grad = g.gradient_vec(d)
-    return g.divergence_tensor(TensorField(d.grid, tensor.apply(grad.values)))
+    grad = nodal(g.gradient_vec(d))
+    return g.divergence_tensor(TensorField(d.grid, leading(tensor.apply(grad), 2)))
 
 
 def w1p_seminorm(f, p):
@@ -121,7 +145,7 @@ def w1p_seminorm(f, p):
 
 def ibp_laplacian_residual(d, phi, tensor):
     """| (div(L : grad d), phi) + (L : grad d ; grad phi) |."""
-    flux = TensorField(d.grid, tensor.apply(g.gradient_vec(d).values))
+    flux = TensorField(d.grid, leading(tensor.apply(nodal(g.gradient_vec(d))), 2))
     return abs(inner(g.divergence_tensor(flux), phi) + inner(flux, g.gradient_vec(phi)))
 
 
@@ -134,17 +158,20 @@ def elastic_flux(contraction, grad):
 
 def leslie_stress(v, d, q, p):
     """T = mu1 (d . Dv d) d x d + mu4 Dv - gamma(mu2+mu3) (d x q)_sym
-    + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym."""
-    dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    dq = outer(d.values, q.values)
-    return (
-        p.mu1 * ddvd[..., None, None] * outer(d.values, d.values)
+    + (d x q)_skw + [(mu5+mu6) - lambda(mu2+mu3)] (d x (Dv d))_sym,
+    component-major (3, 3) + grid.shape."""
+    d_nm = nodal(d)
+    dv = sym(nodal(g.gradient_vec(v)))
+    dvd = np.einsum("...ij,...j->...i", dv, d_nm)
+    ddvd = np.einsum("...i,...i->...", d_nm, dvd)
+    dq = outer(d_nm, nodal(q))
+    return leading(
+        p.mu1 * ddvd[..., None, None] * outer(d_nm, d_nm)
         + p.mu4 * dv
         - p.gamma * p.mu23 * sym(dq)
         - skw(dq)
-        + p.directional_coeff * sym(outer(d.values, dvd))
+        + p.directional_coeff * sym(outer(d_nm, dvd)),
+        2,
     )
 
 
@@ -157,17 +184,17 @@ def projection_target(u, tol):
 
 def free_energy(d, tensor, eps):
     """elastic = 1/2 int grad d : L : grad d, penalty = 1/(4 eps) int (|d|^2 - 1)^2."""
-    grad = g.gradient_vec(d).values
+    grad = nodal(g.gradient_vec(d))
     elastic = 0.5 * integrate(ScalarField(d.grid, frobenius(grad, tensor.apply(grad))))
-    dev = np.sum(d.values**2, axis=-1) - 1.0
+    dev = np.sum(nodal(d)**2, axis=-1) - 1.0
     penalty = integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
     return EnergyBreakdown(elastic=elastic, penalty=penalty)
 
 
 def variational_derivative(d, tensor, eps):
     """q = -div(L : grad d) + (1/eps)(|d|^2 - 1) d."""
-    dev = np.sum(d.values**2, axis=-1) - 1.0
-    return VectorField(d.grid, -laplacian_lambda(d, tensor).values + (dev[..., None] / eps) * d.values)
+    dev = np.sum(nodal(d)**2, axis=-1) - 1.0
+    return VectorField(d.grid, leading(-nodal(laplacian_lambda(d, tensor)) + (dev[..., None] / eps) * nodal(d), 1))
 
 
 def relative_energy(v, d, v_ref, d_ref, tensor, eps):
@@ -175,19 +202,20 @@ def relative_energy(v, d, v_ref, d_ref, tensor, eps):
     dv = VectorField(v.grid, v.values - v_ref.values)
     grad = g.gradient_vec(VectorField(d.grid, d.values - d_ref.values))
     elastic = 0.5 * integrate(
-        ScalarField(d.grid, frobenius(grad.values, tensor.apply(grad.values)))
+        ScalarField(d.grid, frobenius(nodal(grad), tensor.apply(nodal(grad))))
     )
-    dev = np.sum(d.values**2, axis=-1) - np.sum(d_ref.values**2, axis=-1)
+    dev = np.sum(nodal(d)**2, axis=-1) - np.sum(nodal(d_ref)**2, axis=-1)
     penalty = integrate(ScalarField(d.grid, dev**2)) / (4.0 * eps)
     return 0.5 * l2_norm_sq(dv) + elastic + penalty
 
 
 def dissipation_channels(v, d, q):
-    """(Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient."""
-    dv = sym(g.gradient_vec(v).values)
-    dvd = np.einsum("...ij,...j->...i", dv, d.values)
-    ddvd = np.einsum("...i,...i->...", d.values, dvd)
-    return dv, dvd, ddvd
+    """(Dv, Dv d, d . Dv d) with Dv the symmetric velocity gradient,
+    component-major."""
+    dv = sym(nodal(g.gradient_vec(v)))
+    dvd = np.einsum("...ij,...j->...i", dv, nodal(d))
+    ddvd = np.einsum("...i,...i->...", nodal(d), dvd)
+    return leading(dv, 2), leading(dvd, 1), ddvd
 
 
 def relative_dissipation(v, d, q, v_ref, d_ref, q_ref, p):
@@ -221,13 +249,14 @@ def channel_array(grid, p, dv_sq, q, dvd, ddvd):
 def trace_rows(stepper, e, terms, kinetic):
     """Each member's trace row as ``Stepper._diagnostics`` composed it: the
     :func:`channel_array` transposed and listed, between the energies and
-    the forcing power."""
+    the forcing power, summed over the product of the component-major
+    arrays."""
     p, grid, forcing = stepper.p, stepper.grid, stepper.forcing
     q = variational_q(e.d, terms.dev, terms.lap, p.epsilon)
     channels = channel_array(grid, p, strain_sq(terms.grad_v), q, *terms.strain[1:]).T.tolist()
     return [
         (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[i],
-         0.0 if forcing is None else float(np.sum(forcing.values * g.nodal(e.v[i]))) * grid.cell_volume)
+         0.0 if forcing is None else float(np.sum(forcing.values * e.v[i])) * grid.cell_volume)
         for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
     ]
 
@@ -250,7 +279,7 @@ def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
     first = 1.0 + lp_norm(d, 6) ** 2 + lp_norm(d_ref, 6) ** 2
     w16 = (lp_norm(v_ref, 6) ** 6 + w1p_seminorm(v_ref, 6) ** 6) ** (1.0 / 6.0)
     _, _, ddvd_r = dissipation_channels(v_ref, d_ref, q_ref)
-    dev_r = np.sum(d_ref.values**2, axis=-1) - 1.0
+    dev_r = np.sum(nodal(d_ref)**2, axis=-1) - 1.0
     second = (
         w16**2
         + lp_norm(q_ref, 3) ** 2
@@ -280,9 +309,9 @@ def relative_series(grid, p, tensor, runs):
     for i in range(n):
         lo, hi = max(i - 1, 0), min(i + 1, n - 1)
         dt_d = np.zeros((1, 3) + grid.shape) if n == 1 else (
-            (g.members([ref[hi].d]) - g.members([ref[lo].d])) / (ts[hi] - ts[lo])
+            (ref[hi].d.values[None] - ref[lo].d.values[None]) / (ts[hi] - ts[lo])
         )
-        v, d = (g.members([getattr(r[i], f) for r in runs]) for f in "vd")
+        v, d = (np.array([getattr(r[i], f).values for r in runs]) for f in "vd")
         # the sample's record, taken again with the library kernels
         grad, _, lap, dev = director_terms(grid, contraction, d)
         grad_v = g.gradient_components(grid, v)
@@ -305,7 +334,7 @@ def smooth_vector_field(grid, rng, max_mode=2):
         phase = rng.uniform(0.0, 2.0 * np.pi)
         arg = sum(2.0 * np.pi * k_vec[a] * xs[a] / grid.lengths[a] for a in range(grid.dim))
         values += np.cos(arg + phase)[..., None] * amp
-    return VectorField(grid, values)
+    return VectorField(grid, leading(values, 1))
 
 
 def ellipticity_check(tensor, n_samples=1000, seed=0):

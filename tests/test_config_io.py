@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pathlib
 import re
 
@@ -304,18 +305,19 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
 
 def _snapshot_bytes(state):
     """The snapshot layout spelled out: magic, header, then v, d and p as
-    little-endian float64 in node-major row-major order."""
+    little-endian float64 in node-major row-major order, the component-major
+    vectors moved to node-major."""
     grid = state.v.grid
     header = (f"dim {grid.dim}\nn {' '.join(str(n) for n in grid.n)}\n"
               f"h {' '.join(repr(h) for h in grid.h)}\nbc periodic\ntime {state.t!r}\ndata\n")
-    fields = (state.v.values, state.d.values, state.p.values)
+    fields = (np.moveaxis(state.v.values, 0, -1), np.moveaxis(state.d.values, 0, -1), state.p.values)
     return MAGIC + header.encode("ascii") + b"".join(np.asarray(f, dtype="<f8").tobytes() for f in fields)
 
 
 def test_snapshot_bytes_of_contiguous_and_member_view_states(tmp_path):
     # a contiguous state, and the samples of a run as simulate writes them:
-    # member 0 of each sampled ensemble, whose v and d are node-major views
-    # of component-major arrays
+    # member 0 of each sampled ensemble, whose v and d are contiguous views
+    # of the ensemble's arrays
     state = _make_state()
     path = tmp_path / "s.snap"
     write_snapshot(state, str(path))
@@ -324,12 +326,67 @@ def test_snapshot_bytes_of_contiguous_and_member_view_states(tmp_path):
 
     def observe(sample, terms):
         member = sample.member(0)
-        assert not member.v.values.flags.c_contiguous and not member.d.values.flags.c_contiguous
+        assert np.shares_memory(member.v.values, sample.v) and np.shares_memory(member.d.values, sample.d)
         write_snapshot(member, str(path))
         written.append(path.read_bytes() == _snapshot_bytes(member))
 
     run(state, StepperConfig(dt=1e-3, t_end=0.128, output_every=2), PARODI_DEMO, TENSOR, observer=observe)
     assert written == [True, True, True]
+
+
+#: SHA-256 of the snapshot of :func:`_pinned_state`, as written before the
+#: fields were component-major in memory: the file format did not change.
+PINNED_SNAPSHOT_SHA256 = "cda5c29ffad025086c028d91a5ab96b6ba9b05a08f01c47273d8138e40cb34ae"
+
+
+def _pinned_state():
+    """A state on a 3D grid of three cell counts whose every entry tells its
+    component and node apart: v_i(a, b, c) = (i + 4a + 32b + 256c) / 8."""
+    grid = Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.2))
+    i, a, b, c = np.indices((3,) + grid.shape)
+    v = (i + 4 * a + 32 * b + 256 * c) / 8.0
+    p = (a - b * c / 2.0)[0]
+    return State(0.375, VectorField(grid, v), VectorField(grid, 0.5 - v / 4.0), ScalarField(grid, p))
+
+
+def test_snapshot_format_is_pinned(tmp_path):
+    state = _pinned_state()
+    path = tmp_path / "s.snap"
+    write_snapshot(state, str(path))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SNAPSHOT_SHA256
+    # the payload is node-major: its entry (a, b, c, i) is v_i at node (a, b, c)
+    payload = np.frombuffer(data[data.index(b"data\n") + 5:], dtype="<f8")
+    assert payload[:4].tolist() == [0.0, 0.125, 0.25, 32.0]
+    back = read_snapshot(str(path))
+    assert back.t == state.t and back.v.grid == state.v.grid
+    for got, want in ((back.v, state.v), (back.d, state.d), (back.p, state.p)):
+        assert got.values.flags.c_contiguous and got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("line, bad", [
+    (b"\nn 16 16\n", b"\nn 2 2\n"),
+    (b"\nh 0.0625 0.0625\n", b"\nh nan 0.0625\n"),
+    (b"\ntime 0.125\n", b"\ntime nan\n"),
+], ids=["n", "h", "time"])
+def test_snapshot_bad_header_value_is_a_snapshot_error(tmp_path, line, bad):
+    path = tmp_path / "s.snap"
+    write_snapshot(_make_state(), str(path))
+    data = path.read_bytes()
+    assert data.count(line) == 1
+    path.write_bytes(data.replace(line, bad))
+    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+        read_snapshot(str(path))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_snapshot_refuses_a_nonfinite_time(tmp_path, t):
+    state = _make_state()
+    state.t = t
+    path = tmp_path / "s.snap"
+    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+        write_snapshot(state, str(path))
+    assert not path.exists()
 
 
 def test_snapshot_wrong_magic(tmp_path):

@@ -14,8 +14,8 @@ from leslie_sim.tensor import ElasticTensor
 
 def _sin_mode(grid, k=1, component=1):
     x = grid.coords()[0]
-    values = np.zeros(grid.shape + (3,))
-    values[..., component] = np.sin(2.0 * np.pi * k * x / grid.lengths[0])
+    values = np.zeros((3,) + grid.shape)
+    values[component] = np.sin(2.0 * np.pi * k * x / grid.lengths[0])
     return VectorField(grid, values)
 
 
@@ -85,12 +85,12 @@ def test_field_shape_checks():
         TensorField(grid, np.zeros((8, 8, 3)))
 
 
-@pytest.mark.parametrize("cls, trailing", [(ScalarField, ()), (VectorField, (3,)), (TensorField, (3, 3))])
-def test_field_zeros_and_copy_keep_the_type(cls, trailing):
+@pytest.mark.parametrize("cls, leading", [(ScalarField, ()), (VectorField, (3,)), (TensorField, (3, 3))])
+def test_field_zeros_and_copy_keep_the_type(cls, leading):
     grid = Grid.unit_box(8)
     field = cls.zeros(grid)
     copy = field.copy()
-    assert type(copy) is cls and copy.grid == grid and copy.values.shape == grid.shape + trailing
+    assert type(copy) is cls and copy.grid == grid and copy.values.shape == leading + grid.shape
     copy.values[...] = 1.0
     assert not field.values.any()
 
@@ -124,7 +124,7 @@ def test_trace_of_gradient_is_divergence():
     grid = Grid.unit_box(16)
     f = smooth_vector_field(grid, np.random.default_rng(0))
     grad = g.gradient_vec(f)
-    trace = np.einsum("...ii->...", grad.values)
+    trace = np.einsum("ii...->...", grad.values)
     np.testing.assert_allclose(trace, g.divergence_vec(f).values, atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_gradient_absent_axis_is_zero():
     grid = Grid.unit_box(16, dim=2)
     f = smooth_vector_field(grid, np.random.default_rng(1))
     grad = g.gradient_vec(f)
-    assert np.all(grad.values[..., :, 2] == 0.0)
+    assert np.all(grad.values[:, 2] == 0.0)
 
 
 def test_operators_linear():
@@ -156,9 +156,19 @@ def test_derivative_second_order_periodic():
         grid = Grid.unit_box(n)
         x = grid.coords()[0]
         f = np.sin(2.0 * np.pi * x)
-        df = g._deriv(grid, f, axis=0)
+        df = g._deriv(grid, f, axis=-2)
         errs.append(np.max(np.abs(df - 2.0 * np.pi * np.cos(2.0 * np.pi * x))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
+
+
+def test_deriv_rejects_an_axis_outside_the_spatial_ones():
+    # counted from the end: a count from the front would name a component
+    # axis of component-major values
+    grid = Grid.unit_box(8)
+    values = np.zeros((3,) + grid.shape)
+    for axis in (0, 1, -3):
+        with pytest.raises(ValueError, match="spatial axis"):
+            g._deriv(grid, values, axis)
 
 
 def test_advect_matches_jacobian_product():
@@ -167,7 +177,7 @@ def test_advect_matches_jacobian_product():
     v = smooth_vector_field(grid, rng)
     f = smooth_vector_field(grid, rng)
     grad = g.gradient_vec(f).values
-    expect = np.einsum("...ij,...j->...i", grad, v.values)
+    expect = np.einsum("ij...,j...->i...", grad, v.values)
     np.testing.assert_allclose(g.advect(v, f).values, expect, atol=1e-13)
 
 
@@ -193,11 +203,9 @@ def _ibp_divergence_residual_components(a, phi):
     component-major kernels: | (div A, phi) + (A : grad phi) |, where only
     the columns of A along the grid's axes pair with grad phi."""
     grid = phi.grid
-    a_cm = np.moveaxis(a.values, (-2, -1), (0, 1))
-    phi_cm = g.components(phi.values)
-    div = g.divergence_components(grid, a_cm)
-    grad = g.gradient_components(grid, phi_cm)
-    return abs(float(np.vdot(div, phi_cm)) + float(np.vdot(a_cm[:, : grid.dim], grad))) * grid.cell_volume
+    div = g.divergence_components(grid, a.values)
+    grad = g.gradient_components(grid, phi.values)
+    return abs(float(np.vdot(div, phi.values)) + float(np.vdot(a.values[:, : grid.dim], grad))) * grid.cell_volume
 
 
 def test_summation_by_parts_divergence():
@@ -205,7 +213,7 @@ def test_summation_by_parts_divergence():
         for residual in (oracles.ibp_divergence_residual, _ibp_divergence_residual_components):
             rng = np.random.default_rng(grid.n[0])
             a = TensorField(grid, np.stack(
-                [smooth_vector_field(grid, rng).values for _ in range(3)], axis=-1))
+                [smooth_vector_field(grid, rng).values for _ in range(3)], axis=1))
             phi = smooth_vector_field(grid, rng)
             scale = math.sqrt(oracles.l2_norm_sq(a)) * math.sqrt(
                 oracles.l2_norm_sq(g.gradient_vec(phi)))
@@ -226,9 +234,9 @@ def test_ibp_pair_trivial_cases():
     grid = Grid.unit_box(16)
     rng = np.random.default_rng(8)
     a = TensorField(grid, np.stack(
-        [smooth_vector_field(grid, rng).values for _ in range(3)], axis=-1))
+        [smooth_vector_field(grid, rng).values for _ in range(3)], axis=1))
     assert oracles.ibp_divergence_residual(a, VectorField.zeros(grid)) == 0.0
-    const = TensorField(grid, np.broadcast_to(np.eye(3), grid.shape + (3, 3)).copy())
+    const = TensorField(grid, np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3) + grid.shape).copy())
     phi = smooth_vector_field(grid, rng)
     assert oracles.ibp_divergence_residual(const, phi) <= 1e-12
 

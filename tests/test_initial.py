@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from leslie_sim.grid import Grid
-from leslie_sim.initial import smooth_vector_field
+from leslie_sim.dynamics import SpectralOps, project_divfree
+from leslie_sim.grid import Grid, VectorField
+from leslie_sim.initial import InitialSpec, divfree_smooth_field, make_initial_state, smooth_vector_field
 
 #: Tolerance relative to the field's largest value, fixed from float64
 #: rounding before the comparisons ran.
@@ -44,3 +45,29 @@ def test_smooth_field_of_other_bandwidths(max_mode):
     expected = oracles.smooth_vector_field(grid, ref_rng, max_mode=max_mode).values
     assert np.max(np.abs(field.values - expected)) <= TOL * np.max(np.abs(expected))
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("grid", [Grid.unit_box(8), Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.2))], ids=["2d", "3d"])
+def test_divfree_field_transforms_no_pressure(grid, monkeypatch):
+    # the projected velocity is project_divfree's, bit for bit, and set-up
+    # makes one inverse transform for it: none for the dropped pressure
+    expected, _ = project_divfree(smooth_vector_field(grid, np.random.default_rng(3)))
+    calls = []
+    backward = SpectralOps.backward
+
+    def counted(self, values_hat):
+        calls.append(values_hat.shape)
+        return backward(self, values_hat)
+
+    monkeypatch.setattr(SpectralOps, "backward", counted)
+    field = divfree_smooth_field(grid, np.random.default_rng(3))
+    assert field.values.tobytes() == expected.values.tobytes()
+    assert len(calls) == 1
+    calls.clear()
+    state = make_initial_state(grid, InitialSpec("perturbed", seed=3))
+    assert len(calls) == 1
+    rng = np.random.default_rng(3)
+    xi_d = smooth_vector_field(grid, rng)
+    assert state.v.values.tobytes() == (0.1 * divfree_smooth_field(grid, rng).values).tobytes()
+    assert state.d.values.tobytes() == (VectorField.constant(grid, (0.0, 0.0, 1.0)).values
+                                        + 0.1 * xi_d.values).tobytes()

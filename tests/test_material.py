@@ -83,11 +83,11 @@ def test_forcing_catalog():
     assert make_forcing("zero", grid) is None
     const = make_forcing("constant: 1.0, 2.0, 3.0", grid)
     assert const.grid == grid
-    np.testing.assert_array_equal(const.values[0, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(const.values[:, 0, 0], [1.0, 2.0, 3.0])
     f = make_forcing("sinusoidal:0.5", grid).values
-    assert np.max(np.abs(f[..., 1])) == pytest.approx(
+    assert np.max(np.abs(f[1])) == pytest.approx(
         0.5 * np.max(np.abs(np.sin(2 * np.pi * grid.axis_coords(0)))))
-    assert np.all(f[..., 0] == 0.0) and np.all(f[..., 2] == 0.0)
+    assert np.all(f[0] == 0.0) and np.all(f[2] == 0.0)
     with pytest.raises(ValueError):
         make_forcing("constant:1,2", grid)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import leslie_sim.energetics as en
 import leslie_sim.grid as g
 import oracles
 from leslie_sim import dynamics
+from oracles import leading, nodal
 from leslie_sim.dynamics import (
     Ensemble,
     SpectralOps,
@@ -69,7 +70,7 @@ GRIDS = {
 
 def _random_field(grid, seed):
     # white noise excites every mode, the k = 0 and Nyquist ones included
-    return VectorField(grid, np.random.default_rng(seed).normal(size=grid.shape + (3,)))
+    return VectorField(grid, leading(np.random.default_rng(seed).normal(size=grid.shape + (3,)), 1))
 
 
 def _assert_close(actual, expected, rtol=RTOL):
@@ -105,7 +106,7 @@ def _ref_director(rhs, tensor, alpha):
     grid = rhs.grid
     axes = tuple(range(grid.dim))
     mats = np.eye(3) + alpha * _ref_stiffness(grid, tensor)
-    rhs_hat = np.fft.fftn(rhs.values, axes=axes)
+    rhs_hat = np.fft.fftn(nodal(rhs), axes=axes)
     x_hat = np.linalg.solve(mats.astype(np.complex128), rhs_hat[..., None])[..., 0]
     return np.fft.ifftn(x_hat, axes=axes).real
 
@@ -114,7 +115,7 @@ def _ref_helmholtz(rhs, coeff):
     grid = rhs.grid
     axes = tuple(range(grid.dim))
     sig_sq = np.sum(_ref_symbols(grid) ** 2, axis=-1)
-    rhs_hat = np.fft.fftn(rhs.values, axes=axes)
+    rhs_hat = np.fft.fftn(nodal(rhs), axes=axes)
     return np.fft.ifftn(rhs_hat / (1.0 + coeff * sig_sq)[..., None], axes=axes).real
 
 
@@ -130,8 +131,8 @@ def _ref_projection(u):
     p -= p.mean()
     grad_p = np.zeros(grid.shape + (3,))
     for a in range(grid.dim):
-        grad_p[..., a] = g._deriv(grid, p, axis=a)
-    return u.values - grad_p, p
+        grad_p[..., a] = g._deriv(grid, p, axis=a - grid.dim)
+    return nodal(u) - grad_p, p
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_director_solve_matches_per_mode_solve(grid_name, tensor_name):
     rhs = _random_field(grid, 1)
     alpha = 3e-3
     ops = SpectralOps(grid, tensor, director_alpha=alpha)
-    _assert_close(solve_director_implicit(rhs, ops).values, _ref_director(rhs, tensor, alpha))
+    _assert_close(nodal(solve_director_implicit(rhs, ops)), _ref_director(rhs, tensor, alpha))
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
@@ -153,7 +154,7 @@ def test_helmholtz_solve_matches_full_spectrum(grid_name):
     grid = GRIDS[grid_name]
     rhs = _random_field(grid, 2)
     ops = SpectralOps(grid, helmholtz_coeff=2e-3)
-    _assert_close(solve_helmholtz(rhs, ops).values, _ref_helmholtz(rhs, 2e-3))
+    _assert_close(nodal(solve_helmholtz(rhs, ops)), _ref_helmholtz(rhs, 2e-3))
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
@@ -162,7 +163,7 @@ def test_projection_matches_full_spectrum(grid_name):
     u = _random_field(grid, 3)
     out, p = project_divfree(u, SpectralOps(grid))
     ref_out, ref_p = _ref_projection(u)
-    _assert_close(out.values, ref_out)
+    _assert_close(nodal(out), ref_out)
     _assert_close(p.values, ref_p)
 
 
@@ -174,7 +175,7 @@ def test_projection_target_by_parseval_matches_real_space(grid_name, tol):
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid)
     u = _random_field(grid, 8)
-    u_hat = ops.forward(g.components(u.values)[None])
+    u_hat = ops.forward(u.values[None])
     div_hat = sum(sig * u_hat[:, a] for a, sig in enumerate(ops.sigmas))
     (target,) = _projection_targets(ops, u_hat, div_hat, tol)
     assert target == pytest.approx(oracles.projection_target(u, tol), rel=1e-12, abs=0.0)
@@ -275,9 +276,9 @@ def test_director_solve_bitwise_equals_float_symbol_kernel(grid_name, tensor_nam
     ref = oracles.FloatSymbolKernels(ops, tensor, director_alpha=3e-3)
     values = _real_members(grid, 2, 15)
     assert solve_director_implicit(values, ops).tobytes() == ref.solve_director(values).tobytes()
-    lone = VectorField(grid, g.nodal(values[1]))
+    lone = VectorField(grid, values[1])
     got = solve_director_implicit(lone, ops).values
-    assert got.tobytes() == g.nodal(ref.solve_director(values[1:])[0]).tobytes()
+    assert got.tobytes() == ref.solve_director(values[1:])[0].tobytes()
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
@@ -308,8 +309,8 @@ def test_pressure_on_read_equals_the_stacked_transform(monkeypatch, grid_name, m
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, theta=theta)
     stepper = Stepper(grid, cfg, PARODI_DEMO, TENSORS["aniso"])
     rng = np.random.default_rng(17)
-    members = [State.initial(VectorField(grid, 0.1 * rng.normal(size=grid.shape + (3,))),
-                             VectorField(grid, (0.0, 0.0, 1.0) + 0.1 * rng.normal(size=grid.shape + (3,))))
+    members = [State.initial(VectorField(grid, leading(0.1 * rng.normal(size=grid.shape + (3,)), 1)),
+                             VectorField(grid, leading((0.0, 0.0, 1.0) + 0.1 * rng.normal(size=grid.shape + (3,)), 1)))
                for _ in range(m)]
     update, taken = dynamics._velocity_update, []
 
@@ -520,14 +521,14 @@ def test_director_solve_does_not_reuse_a_freed_tensor():
     # k = 5 operator, never matrices left over from a freed tensor.
     grid = Grid.unit_box(8)
     rng = np.random.default_rng(5)
-    d = VectorField(grid, np.array([0.0, 0.0, 1.0]) + 0.2 * rng.normal(size=grid.shape + (3,)))
+    d = VectorField(grid, leading(np.array([0.0, 0.0, 1.0]) + 0.2 * rng.normal(size=grid.shape + (3,)), 1))
     s = State.initial(VectorField.zeros(grid), d)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, theta=0.3)
     p = PARODI_DEMO
     k5 = ElasticTensor.isotropic(5.0)
-    dev = np.sum(d.values**2, axis=-1) - 1.0
+    dev = np.sum(d.values**2, axis=0) - 1.0
     explicit = (
-        -(p.gamma / p.epsilon) * dev[..., None] * d.values
+        -(p.gamma / p.epsilon) * dev * d.values
         + (1.0 - cfg.theta) * p.gamma * oracles.laplacian_lambda(d, k5).values
     )
     expected = _ref_director(
@@ -541,7 +542,7 @@ def test_director_solve_does_not_reuse_a_freed_tensor():
     del soft, tensor
     stiff = [ElasticTensor.isotropic(5.0) for _ in range(20)]
     for tensor in stiff:
-        _assert_close(Stepper(grid, cfg, p, tensor).step(s).d.values, expected)
+        _assert_close(nodal(Stepper(grid, cfg, p, tensor).step(s).d), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +568,17 @@ def _rolled_deriv(grid, values, axis):
 def test_periodic_deriv_bitwise_equals_rolled_copies(grid_name):
     grid = DERIV_GRIDS[grid_name]
     rng = np.random.default_rng(6)
-    tensor = rng.normal(size=grid.shape + (3, 3))
-    views = [rng.normal(size=grid.shape), rng.normal(size=grid.shape + (3,))]
-    views += [tensor[..., :, j] for j in range(3)] + [tensor[..., 1, :]]
+    # a scalar, a vector, the columns and a row of a tensor: spatial axis a
+    # is axis a - dim
+    tensor = leading(rng.normal(size=grid.shape + (3, 3)), 2)
+    views = [rng.normal(size=grid.shape), leading(rng.normal(size=grid.shape + (3,)), 1)]
+    views += [tensor[:, j] for j in range(3)] + [tensor[1, :]]
     for values in views:
-        for axis in range(grid.dim):
+        for axis in range(-grid.dim, 0):
             np.testing.assert_array_equal(
                 g._deriv(grid, values, axis), _rolled_deriv(grid, values, axis)
             )
-    # component-major arrays: spatial axis a is axis a - dim, and the result
-    # may go into a strided column of a gradient
+    # the result may go into a strided column of a gradient
     grad = rng.normal(size=(3, grid.dim) + grid.shape)
     for values in [rng.normal(size=(3,) + grid.shape)] + [grad[:, j] for j in range(grid.dim)]:
         for axis in range(-grid.dim, 0):

@@ -55,7 +55,7 @@ from leslie_sim.grid import Grid, ScalarField, TensorField, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
 from leslie_sim.snapshot import read_snapshot, write_snapshot
-from leslie_sim.tensor import ElasticTensor, outer, skw, sym
+from leslie_sim.tensor import ElasticTensor
 
 #: Relative tolerance of one step against the reference, fixed from float64
 #: rounding before the comparisons ran.
@@ -103,8 +103,13 @@ def _state(grid, seed, amplitude=0.3):
 def _ref_wide_laplacian(grid, values):
     out = np.zeros_like(values)
     for a in range(grid.dim):
-        out += g._deriv(grid, g._deriv(grid, values, axis=a), axis=a)
+        out += g._deriv(grid, g._deriv(grid, values, axis=a - grid.dim), axis=a - grid.dim)
     return out
+
+
+def _sym(m):
+    """(M + M^T)/2 over the leading (i, j) axes of component-major M."""
+    return 0.5 * (m + m.swapaxes(0, 1))
 
 
 def _ref_step(stepper, s):
@@ -113,13 +118,13 @@ def _ref_step(stepper, s):
     v, d = s.v, s.d
 
     grad_v = g.gradient_vec(v).values
-    wv, dv = skw(grad_v), sym(grad_v)
-    dev = np.sum(d.values**2, axis=-1) - 1.0
+    wv, dv = 0.5 * (grad_v - grad_v.swapaxes(0, 1)), _sym(grad_v)
+    dev = np.sum(d.values**2, axis=0) - 1.0
     explicit = (
         -g.advect(v, d).values
-        + np.einsum("...ij,...j->...i", wv, d.values)
-        - p.lam * np.einsum("...ij,...j->...i", dv, d.values)
-        - (p.gamma / p.epsilon) * dev[..., None] * d.values
+        + np.einsum("ij...,j...->i...", wv, d.values)
+        - p.lam * np.einsum("ij...,j...->i...", dv, d.values)
+        - (p.gamma / p.epsilon) * dev * d.values
         + (1.0 - theta) * p.gamma * oracles.laplacian_lambda(d, tensor).values
     )
     d_new = VectorField(grid, d.values + dt * explicit)
@@ -127,16 +132,16 @@ def _ref_step(stepper, s):
         d_new = solve_director_implicit(d_new, stepper.ops)
 
     d_mid = VectorField(grid, 0.5 * (d_new.values + d.values))
-    s_mid = 0.5 * (np.sum(d_new.values**2, axis=-1) + np.sum(d.values**2, axis=-1)) - 1.0
+    s_mid = 0.5 * (np.sum(d_new.values**2, axis=0) + np.sum(d.values**2, axis=0)) - 1.0
     q_half = VectorField(
         grid,
-        -oracles.laplacian_lambda(d_mid, tensor).values + (s_mid[..., None] / p.epsilon) * d_mid.values,
+        -oracles.laplacian_lambda(d_mid, tensor).values + (s_mid / p.epsilon) * d_mid.values,
     )
 
     stress_expl = TensorField(grid, oracles.leslie_stress(v, d, q_half, p) - p.mu4 * dv)
     adv = 0.5 * (
         g.advect(v, v).values
-        + g.divergence_tensor(TensorField(grid, outer(v.values, v.values))).values
+        + g.divergence_tensor(TensorField(grid, np.einsum("i...,j...->ij...", v.values, v.values))).values
     )
     rhs_values = v.values + dt * (
         -adv
@@ -208,20 +213,20 @@ def test_stress_kernels_match_the_formula(grid_name, tensor_name):
     grid, p = GRIDS[grid_name], NON_PARODI_DEMO
     s = _state(grid, seed=63, amplitude=0.5)
     # |d| != 1, so the mu1 channel and the penalty part of q are not degenerate
-    assert np.max(np.abs(np.linalg.norm(s.d.values, axis=-1) - 1.0)) > 0.1
+    assert np.max(np.abs(np.linalg.norm(s.d.values, axis=0) - 1.0)) > 0.1
     q = variational_derivative(s.d, TENSORS[tensor_name], p.epsilon)
     expected = oracles.leslie_stress(s.v, s.d, q, p)
     _assert_close(leslie_stress(s.v, s.d, q, p).values, expected, rtol=1e-13)
 
     # the step's column kernel: T - mu4 Dv column by column on members
-    d = g.members([s.d])
-    _, dvd, ddvd = director_strain(g.gradient_components(grid, g.members([s.v])), d)
-    alpha, w = _stress_factors(d, g.members([q]), dvd, p.mu1 * ddvd, p)
+    d = s.d.values[None]
+    _, dvd, ddvd = director_strain(g.gradient_components(grid, s.v.values[None]), d)
+    alpha, w = _stress_factors(d, q.values[None], dvd, p.mu1 * ddvd, p)
     cols = np.empty((3, 3) + grid.shape)
     for j in range(3):
         _stress_column(cols[:, j][None], j, d, alpha, w, np.empty_like(d))
-    viscous = p.mu4 * sym(g.gradient_vec(s.v).values)
-    _assert_close(np.moveaxis(cols, (0, 1), (-2, -1)), expected - viscous, rtol=1e-13)
+    viscous = p.mu4 * _sym(g.gradient_vec(s.v).values)
+    _assert_close(cols, expected - viscous, rtol=1e-13)
 
 
 @pytest.mark.parametrize("tensor_name", sorted(TENSORS))
@@ -421,7 +426,7 @@ def test_step_after_in_place_director_change_matches_fresh_stepper():
     stepper = _stepper()
     s = _state(GRIDS["2d"], seed=42)
     stepper.step(s)
-    s.d.values[..., 0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
+    s.d.values[0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
     _assert_same_state(stepper.step(s), _stepper().step(s))
 
 
@@ -446,33 +451,44 @@ def test_alternating_states_match_separate_steppers():
 
 
 # ---------------------------------------------------------------------------
-# layout: node-major states in, component-major views out
+# layout: a state's fields are one member of an ensemble's arrays
 # ---------------------------------------------------------------------------
+
+def _owned(*arrays):
+    """Whether each array is C-contiguous and owns its memory."""
+    return all(a.flags.c_contiguous and a.flags.owndata for a in arrays)
+
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_lone_step_is_layout_independent(grid_name, tmp_path):
     grid = GRIDS[grid_name]
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=1e-3), NON_PARODI_DEMO, ANISO)
     s = _state(grid, seed=45).copy()
-    assert s.v.values.flags.c_contiguous and s.d.values.flags.c_contiguous
-    # the same values as node-major views of component-major arrays, the
-    # layout of the states the stepper hands out
-    views = State(
-        s.t,
-        *(VectorField(grid, np.moveaxis(np.moveaxis(f.values, -1, 0).copy(), 0, -1))
-          for f in (s.v, s.d)),
-        s.p.copy(),
-    )
-    assert not views.v.values.flags.c_contiguous
-    assert np.moveaxis(views.d.values, -1, 0).flags.c_contiguous
+    assert _owned(s.v.values, s.d.values, s.p.values)
+    # the same values as the member of an ensemble, the layout of the states
+    # the stepper hands out: contiguous views of the ensemble's arrays; and
+    # in Fortran order, strided along every axis
+    ensemble = Ensemble.of([_state(grid, seed=46), s])
+    views = ensemble.member(1)
+    for f, members in ((views.v, ensemble.v), (views.d, ensemble.d), (views.p, ensemble.p)):
+        assert f.values.flags.c_contiguous and np.shares_memory(f.values, members)
+    strided = State(s.t, *(VectorField(grid, np.asfortranarray(f.values)) for f in (s.v, s.d)), s.p)
+    assert not strided.v.values.flags.c_contiguous
 
     out = stepper.step(s)
     _assert_same_state(out, stepper.step(views))
-    assert out.v.values.shape == out.d.values.shape == grid.shape + (3,)
+    _assert_same_state(out, stepper.step(strided))
+    assert out.v.values.shape == out.d.values.shape == (3,) + grid.shape
+    assert out.v.values.flags.c_contiguous and not out.v.values.flags.owndata
 
     copied = out.copy()
-    assert all(f.values.flags.c_contiguous for f in (copied.v, copied.d, copied.p))
+    assert _owned(copied.v.values, copied.d.values, copied.p.values)
     _assert_same_state(copied, out)
+    ensemble_copy = ensemble.copy()
+    assert _owned(ensemble_copy.v, ensemble_copy.d, ensemble_copy.p)
+    for name in ("v", "d", "p"):
+        assert not np.shares_memory(getattr(ensemble_copy, name), getattr(ensemble, name))
+        assert getattr(ensemble_copy, name).tobytes() == getattr(ensemble, name).tobytes()
     for state, name in ((out, "views.snap"), (copied, "copy.snap")):
         path = str(tmp_path / name)
         write_snapshot(state, path)

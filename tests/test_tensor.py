@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import skw
 
 from leslie_sim.tensor import (
     ElasticTensor,
     EllipticityError,
     ellipticity_check,
     outer,
-    skw,
     sym,
 )
 
