@@ -37,14 +37,18 @@ Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
 ``(m, 3, dim) + grid.shape`` with entry (i, j) = d f_i / d x_j -- so every
 contraction over components is a multiply-add of contiguous arrays and one
-step advances the m members of an :class:`Ensemble` at once; a lone state is
-the one-member case.  The checks (CFL warning, finiteness, projection
-residual) and every energy are taken per member on that member's slice, so
-each member evolves bit for bit as it does alone.  A gradient holds only the
-grid's dim columns: on a 2D grid it has no always-zero third column, and
-L : grad d is one (3 dim) x (3 dim) matrix product with L_ijkl restricted to
-j, l < dim (:meth:`ElasticTensor.contraction`).  A field's values have the
-same layout, ``(3,) + grid.shape``: a State of an Ensemble's member holds
+step advances the m members of an :class:`Ensemble` at once.  The step and
+its solvers take and return only those member arrays; fields (a
+:class:`State`, a VectorField) are the kind of the public API around them --
+``run``, ``run_ensemble``, ``project_divfree`` and the campaigns -- and a
+run turns its states into one Ensemble before its first step.  The checks
+(CFL warning, finiteness, projection residual) and every energy are taken
+per member on that member's slice, so each member evolves bit for bit as it
+does alone.  A gradient holds only the grid's dim columns: on a 2D grid it
+has no always-zero third column, and L : grad d is one (3 dim) x (3 dim)
+matrix product with L_ijkl restricted to j, l < dim
+(:meth:`ElasticTensor.contraction`).  A field's values have the same
+layout, ``(3,) + grid.shape``: a State of an Ensemble's member holds
 contiguous views of that member's arrays, and ``State.copy()`` gives arrays
 of its own.
 
@@ -132,8 +136,10 @@ class StepperConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if not (0.0 < self.poisson_tol <= 1e-6):
             raise ValueError("poisson_tol must lie in (0, 1e-6]")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
+        if not (float(self.output_every).is_integer() and self.output_every >= 1):
+            raise ValueError(f"output_every must be a whole number >= 1, got {self.output_every}")
+        # an integral float counts steps as the int does
+        object.__setattr__(self, "output_every", int(self.output_every))
         if not (0.0 <= self.theta < 0.5):
             raise ValueError("theta must lie in [0, 0.5) for a one-sided energy law")
 
@@ -294,46 +300,26 @@ def _inverse_3x3(m: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _members(u, ops: SpectralOps) -> np.ndarray:
-    """Component-major member values (m, 3) + grid.shape: those of a
-    VectorField on the grid of ``ops`` as one member, or the ensemble values
-    given."""
-    if isinstance(u, VectorField):
-        ops.check_grid(u.grid)
-        return u.values[None]
-    if u.ndim != ops.grid.dim + 2 or u.shape[1:] != (3,) + ops.grid.shape:
-        raise ValueError(f"member values shape {u.shape}, expected (m, 3) + {ops.grid.shape}")
-    return u
-
-
-def _as_given(u, values: np.ndarray):
-    """Member values in the kind of the input ``u``."""
-    return VectorField(u.grid, values[0]) if isinstance(u, VectorField) else values
-
-
 def _member_label(i: int, m: int) -> str:
     return f" of member {i}" if m > 1 else ""
 
 
-def project_divfree(u, ops: SpectralOps | None = None, tol: float = 1e-10):
-    """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0.
+def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float = 1e-10):
+    """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0,
+    as a VectorField and a ScalarField on u's grid.
 
     Solves div grad p = div u exactly in Fourier space (the composite
     central-difference Laplacian is diagonal there) with
-    :func:`_velocity_update`; modes where every derivative symbol vanishes
-    carry no divergence and are left alone, so p has zero mean.  ``u`` is a
-    VectorField, or the component-major values (m, 3) + grid.shape of an
-    ensemble's members (then p is (m,) + grid.shape); each member is held to
-    its own residual target.  Without ``ops`` the operators of u's grid are
-    built for this call.
+    :func:`_velocity_update`, u as a one-member ensemble; modes where every
+    derivative symbol vanishes carry no divergence and are left alone, so p
+    has zero mean.  Without ``ops`` the operators of u's grid are built for
+    this call.
     """
     if ops is None:
         ops = SpectralOps(u.grid)
-    v, s, _ = _velocity_update(ops, _members(u, ops), tol)
-    p = _pressure(ops, s)
-    if isinstance(u, VectorField):
-        return _as_given(u, v), ScalarField(ops.grid, p[0])
-    return v, p
+    ops.check_grid(u.grid)
+    v, s, _ = _velocity_update(ops, u.values[None], tol)
+    return VectorField(u.grid, v[0]), ScalarField(u.grid, _pressure(ops, s)[0])
 
 
 def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False):
@@ -396,11 +382,10 @@ def _projection_targets(ops: SpectralOps, u_hat: np.ndarray, div_hat: np.ndarray
     return [tol * norm(s) + 1e-14 * (1.0 + norm(u)) for u, s in zip(u_hat, div_hat)]
 
 
-def solve_director_implicit(rhs, ops: SpectralOps):
-    """Solve (I + alpha * (-div(L : grad .))) x = rhs with the tensor and
-    alpha that ``ops`` was built with; ``rhs`` is a VectorField or an
-    ensemble's member values (m, 3) + grid.shape, and x comes back in that
-    kind.
+def solve_director_implicit(values: np.ndarray, ops: SpectralOps) -> np.ndarray:
+    """Solve (I + alpha * (-div(L : grad .))) x = values with the tensor and
+    alpha that ``ops`` was built with, for an ensemble's component-major
+    member values (m, 3) + grid.shape; x has their shape.
 
     The operator is block-diagonal in Fourier space: for each mode the 3x3
     matrix I + alpha * S(k), which strong ellipticity keeps positive
@@ -410,7 +395,6 @@ def solve_director_implicit(rhs, ops: SpectralOps):
     row is one diagonal block (an isotropic tensor) the forward spectrum is
     scaled in place and transformed back; no second spectrum is made.
     """
-    values = _members(rhs, ops)
     if ops.director_inverse is None:
         raise ValueError("spectral operators were built without an elasticity tensor, "
                          "at director_alpha = 0")
@@ -426,17 +410,17 @@ def solve_director_implicit(rhs, ops: SpectralOps):
             if term is None:
                 term = np.empty_like(out)
             out += np.multiply(block, rhs_hat[:, k], out=term)
-    return _as_given(rhs, ops.backward(x_hat))
+    return ops.backward(x_hat)
 
 
-def solve_helmholtz(rhs, ops: SpectralOps):
-    """Solve (I + coeff * (-Lap)) x = rhs componentwise, with the wide
+def solve_helmholtz(values: np.ndarray, ops: SpectralOps) -> np.ndarray:
+    """Solve (I + coeff * (-Lap)) x = values componentwise, with the wide
     (composite central-difference) Laplacian and the coefficient that
-    ``ops`` was built with; ``rhs`` is a VectorField or an ensemble's member
-    values (m, 3) + grid.shape, and x comes back in that kind."""
-    x_hat = ops.forward(_members(rhs, ops))
+    ``ops`` was built with, for an ensemble's component-major member values
+    (m, 3) + grid.shape; x has their shape."""
+    x_hat = ops.forward(values)
     x_hat *= ops.helmholtz_factor
-    return _as_given(rhs, ops.backward(x_hat))
+    return ops.backward(x_hat)
 
 
 def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
@@ -598,8 +582,9 @@ class Stepper:
 
     The step acts on an :class:`Ensemble`: every member at once, with the
     member axis leading, and with the checks and energies taken per member,
-    so that each member evolves bit for bit as it does alone.  A lone state
-    is the one-member case.
+    so that each member evolves bit for bit as it does alone.  It takes
+    States only at :meth:`run` and :meth:`run_ensemble`, which step a
+    lone state as a one-member Ensemble.
     """
 
     def __init__(
@@ -653,20 +638,17 @@ class Stepper:
             warnings.warn(f"advective CFL number {cfl:.2f} exceeds 0.5", RuntimeWarning)
             self._cfl_warned = True
 
-    def step(self, s, terms: StateTerms | None = None):
-        """Advance a State, or every member of an Ensemble, on the stepper's
-        grid by one step, and return the same kind.  ``terms``, if given,
-        must be those of s (else they are computed from s); the step
-        overwrites every field with those of the result, ready for its
-        readers and the next step.  An Ensemble's pressures are transformed
-        when its ``p`` is first read, a State's at once."""
+    def step(self, e: Ensemble, terms: StateTerms) -> Ensemble:
+        """Advance every member of the Ensemble ``e`` on the stepper's grid
+        by one step and return the result.  ``terms`` must be those of e
+        (:meth:`_terms` gives them for a state the stepper did not make);
+        the step overwrites every field with those of the result, ready for
+        its readers and the next step.  The result's pressures are
+        transformed when its ``p`` is first read."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
-        e = Ensemble.of([s]) if isinstance(s, State) else s
         self.ops.check_grid(e.grid)
         v, d = e.v, e.d
-        if terms is None:
-            terms = self._terms(e)
         grad_d, grad_v = terms.grad, terms.grad_v
         if not self._cfl_warned:
             self._check_cfl(v)
@@ -736,8 +718,7 @@ class Stepper:
         del rhs, grad_d
         terms.grad, terms.lap, terms.dev, terms.energy = grad_new, lap_new, dev_new, energy_new
         terms.grad_v, terms.strain = grad_v, en.director_strain(grad_v, d_new)
-        out = Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
-        return out.member(0) if isinstance(s, State) else out
+        return Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
 
     def run(self, initial: State, observer=None) -> Trajectory:
         return self.run_ensemble([initial], observer)[0]

@@ -52,6 +52,9 @@ class Grid:
     stencils: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a fractional count is an error, not a count truncated by int()
+        if not all(float(v).is_integer() for v in self.n):
+            raise ValueError(f"cell counts must be whole numbers, got {tuple(self.n)}")
         n = tuple(int(v) for v in self.n)
         h = tuple(float(v) for v in self.h)
         if len(n) not in (2, 3):

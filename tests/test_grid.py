@@ -30,6 +30,13 @@ def test_grid_validation():
         Grid(n=(8,), h=(0.1,))
 
 
+@pytest.mark.parametrize("n", [(4.7, 6.9), (8, 8.5), (8, math.inf), (8, math.nan)])
+def test_grid_rejects_a_fractional_cell_count(n):
+    # int() would truncate (4.7, 6.9) to a (4, 6) grid
+    with pytest.raises(ValueError, match="whole numbers"):
+        Grid(n=n, h=(0.25, 0.25))
+
+
 @pytest.mark.parametrize("h", [math.inf, math.nan])
 def test_grid_rejects_nonfinite_spacing(h):
     with pytest.raises(ValueError, match="positive and finite"):

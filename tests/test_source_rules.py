@@ -4,11 +4,11 @@ object identity, and every public function has a use.
 A ``functools.lru_cache`` or ``cache`` holds its arguments and results for
 the life of the process, and a value derived from ``id(obj)`` can outlive
 the object and match a later one placed at the same address; either makes a
-result depend on what ran before.  A public module-level function that
-nothing in ``src/`` refers to, that the package does not export in
-``__all__`` and that the benchmark's tracer does not wrap (its ``SPANNED``
-table, read from ``perfbench/tracing.py`` as source, without importing it)
-is code that nothing runs; a formula the tests need as a reference belongs
+result depend on what ran before.  A module-level function, public or
+private, that nothing in ``src/`` refers to, that the package does not
+export in ``__all__`` and that the benchmark's tracer does not wrap (its
+``SPANNED`` table, read from ``perfbench/tracing.py`` as source, without
+importing it) is code that nothing runs; a formula the tests need as a reference belongs
 in ``tests/oracles.py``.  Standard library only (``ast``).
 """
 
@@ -75,10 +75,10 @@ def _assigned_literal(source: str, name: str):
 
 
 def unused_functions(sources: dict, exported, spanned) -> list:
-    """(module, name) of each public module-level function of the modules
-    ``sources`` (module name -> source) that no code outside its own
-    definition refers to, as a name or an attribute, and that is neither in
-    ``exported`` nor a (module, name) pair of ``spanned``."""
+    """(module, name) of each module-level function, public or private, of
+    the modules ``sources`` (module name -> source) that no code outside its
+    own definition refers to, as a name or an attribute, and that is neither
+    in ``exported`` nor a (module, name) pair of ``spanned``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = []  # (module, line, referenced name)
     for module, tree in trees.items():
@@ -90,7 +90,7 @@ def unused_functions(sources: dict, exported, spanned) -> list:
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if not isinstance(node, ast.FunctionDef):
                 continue
             if node.name in exported or (module, node.name) in spanned:
                 continue
@@ -122,7 +122,7 @@ def test_checker_finds_unused_functions():
         "b": "from . import a\nx = a.used()\ndef traced():\n    return 7\n",
     }
     found = unused_functions(sources, exported={"exported"}, spanned={("a", "traced")})
-    assert found == [("a", "dead"), ("a", "recursive"), ("b", "traced")]
+    assert found == [("a", "_private"), ("a", "dead"), ("a", "recursive"), ("b", "traced")]
 
 
 def test_every_public_function_has_a_use():

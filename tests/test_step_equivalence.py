@@ -129,7 +129,7 @@ def _ref_step(stepper, s):
     )
     d_new = VectorField(grid, d.values + dt * explicit)
     if theta > 0.0:  # at theta = 0 the director operator is the identity
-        d_new = solve_director_implicit(d_new, stepper.ops)
+        d_new = VectorField(grid, solve_director_implicit(d_new.values[None], stepper.ops)[0])
 
     d_mid = VectorField(grid, 0.5 * (d_new.values + d.values))
     s_mid = 0.5 * (np.sum(d_new.values**2, axis=0) + np.sum(d.values**2, axis=0)) - 1.0
@@ -151,7 +151,7 @@ def _ref_step(stepper, s):
     )
     if stepper.forcing is not None:
         rhs_values = rhs_values + dt * stepper.forcing.values
-    v_star = solve_helmholtz(VectorField(grid, rhs_values), stepper.ops)
+    v_star = VectorField(grid, solve_helmholtz(rhs_values[None], stepper.ops)[0])
     v_new, p_mult = project_divfree(v_star, stepper.ops, cfg.poisson_tol)
     return State(t=s.t + dt, v=v_new, d=d_new, p=ScalarField(grid, p_mult.values / dt))
 
@@ -180,7 +180,8 @@ def test_step_matches_reference(grid_name, tensor_name, theta, forcing):
         forcing=None if forcing is None else make_forcing(forcing, grid),
     )
     s = _state(grid, seed=len(grid_name) + 10 * len(tensor_name))
-    out = stepper.step(s)
+    e = Ensemble.of([s])
+    out = stepper.step(e, stepper._terms(e)).member(0)
     ref = _ref_step(stepper, s)
     assert out.t == ref.t
     _assert_close(out.v.values, ref.v.values)
@@ -394,7 +395,8 @@ def _assert_same_state(a, b):
 def test_lone_step_equals_first_run_sample():
     s = _state(GRIDS["2d"], seed=40)
     traj = _stepper(t_end=1e-3).run(s)
-    _assert_same_state(_stepper().step(s), traj.states[1])
+    stepper, e = _stepper(), Ensemble.of([s])
+    _assert_same_state(stepper.step(e, stepper._terms(e)).member(0), traj.states[1])
 
 
 def test_run_equals_repeated_lone_steps():
@@ -403,9 +405,10 @@ def test_run_equals_repeated_lone_steps():
     stepper = _stepper()
     s = _state(GRIDS["2d"], seed=41)
     traj = stepper.run(s)
+    e = Ensemble.of([s])
     for k in range(1, len(traj.states)):
-        s = stepper.step(s)
-        _assert_same_state(s, traj.states[k])
+        e = stepper.step(e, stepper._terms(e))
+        _assert_same_state(e.member(0), traj.states[k])
 
 
 def test_run_with_unsampled_steps_equals_repeated_lone_steps():
@@ -416,18 +419,20 @@ def test_run_with_unsampled_steps_equals_repeated_lone_steps():
     s = _state(GRIDS["2d"], seed=39)
     traj = stepper.run(s)
     assert len(traj.states) == 3
+    e = Ensemble.of([s])
     for k in range(1, 7):
-        s = stepper.step(s)
+        e = stepper.step(e, stepper._terms(e))
         if k % 3 == 0:
-            _assert_same_state(s, traj.states[k // 3])
+            _assert_same_state(e.member(0), traj.states[k // 3])
 
 
 def test_step_after_in_place_director_change_matches_fresh_stepper():
-    stepper = _stepper()
-    s = _state(GRIDS["2d"], seed=42)
-    stepper.step(s)
-    s.d.values[0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
-    _assert_same_state(stepper.step(s), _stepper().step(s))
+    stepper, fresh = _stepper(), _stepper()
+    e = Ensemble.of([_state(GRIDS["2d"], seed=42)])
+    stepper.step(e, stepper._terms(e))
+    e.d[0, 0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
+    _assert_same_state(stepper.step(e, stepper._terms(e)).member(0),
+                       fresh.step(e, fresh._terms(e)).member(0))
 
 
 def test_alternating_states_match_separate_steppers():
@@ -441,12 +446,13 @@ def test_alternating_states_match_separate_steppers():
             _assert_same_state(x, y)
 
     stepper_a, stepper_b = _stepper(), _stepper()
-    sa, sb, ra, rb = a, b, a, b
+    sa, sb = Ensemble.of([a]), Ensemble.of([b])
+    ra, rb = sa, sb
     for _ in range(3):
-        sa, sb = shared.step(sa), shared.step(sb)
-        ra, rb = stepper_a.step(ra), stepper_b.step(rb)
-        _assert_same_state(sa, ra)
-        _assert_same_state(sb, rb)
+        sa, sb = shared.step(sa, shared._terms(sa)), shared.step(sb, shared._terms(sb))
+        ra, rb = stepper_a.step(ra, stepper_a._terms(ra)), stepper_b.step(rb, stepper_b._terms(rb))
+        _assert_same_state(sa.member(0), ra.member(0))
+        _assert_same_state(sb.member(0), rb.member(0))
 
 
 
@@ -475,9 +481,11 @@ def test_lone_step_is_layout_independent(grid_name, tmp_path):
     strided = State(s.t, *(VectorField(grid, np.asfortranarray(f.values)) for f in (s.v, s.d)), s.p)
     assert not strided.v.values.flags.c_contiguous
 
-    out = stepper.step(s)
-    _assert_same_state(out, stepper.step(views))
-    _assert_same_state(out, stepper.step(strided))
+    e = Ensemble.of([s])
+    out = stepper.step(e, stepper._terms(e)).member(0)
+    for other in (views, strided):
+        e = Ensemble.of([other])
+        _assert_same_state(out, stepper.step(e, stepper._terms(e)).member(0))
     assert out.v.values.shape == out.d.values.shape == (3,) + grid.shape
     assert out.v.values.flags.c_contiguous and not out.v.values.flags.owndata
 
@@ -539,10 +547,12 @@ def test_ensemble_members_equal_lone_runs(grid_name, tensor_name, theta, forcing
 def test_ensemble_step_returns_an_ensemble_of_lone_steps():
     stepper = _stepper()
     states = [_state(GRIDS["2d"], seed=46), _state(GRIDS["2d"], seed=47, amplitude=0.5)]
-    out = stepper.step(Ensemble.of(states))
+    e = Ensemble.of(states)
+    out = stepper.step(e, stepper._terms(e))
     assert isinstance(out, Ensemble) and out.v.shape == (2, 3) + GRIDS["2d"].shape
     for i, s in enumerate(states):
-        _assert_same_state(out.member(i), _stepper().step(s))
+        alone, lone = _stepper(), Ensemble.of([s])
+        _assert_same_state(out.member(i), alone.step(lone, alone._terms(lone)).member(0))
     with pytest.raises(ValueError):
         Ensemble.of([states[0], State(1e-3, states[1].v, states[1].d, states[1].p)])
 
@@ -559,8 +569,9 @@ def test_members_on_different_grids_are_rejected():
     cfg = StepperConfig(dt=1e-3, t_end=2e-3)
     with pytest.raises(ValueError, match="one grid"):
         run_ensemble([a, b], cfg, NON_PARODI_DEMO, ANISO)
+    stepper, foreign = _stepper(), Ensemble.of([b])
     with pytest.raises(ValueError, match="different grids"):
-        _stepper().step(b)
+        stepper.step(foreign, stepper._terms(foreign))
 
 
 def test_nonfinite_member_raises_naming_it_with_its_last_sample():
@@ -712,10 +723,10 @@ def _passes_per_step(monkeypatch, grid, cfg):
     per_step = []
     original_step = Stepper.step
 
-    def step(self, s, terms=None):
+    def step(self, e, terms):
         before = dict(calls)
         inverse.clear()
-        out = original_step(self, s, terms)
+        out = original_step(self, e, terms)
         per_step.append((calls["fft"] - before["fft"], calls["deriv"] - before["deriv"], tuple(inverse)))
         return out
 
@@ -731,7 +742,7 @@ def test_step_without_pressure_moves_the_state_alike(grid_name):
     grid = GRIDS[grid_name]
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), NON_PARODI_DEMO, ANISO)
     e = Ensemble.of([_state(grid, seed=66)])
-    with_p, without_p = stepper.step(e), stepper.step(e)
+    with_p, without_p = stepper.step(e, stepper._terms(e)), stepper.step(e, stepper._terms(e))
     assert with_p.p.shape == (1,) + grid.shape
     assert callable(without_p.pressure) and not callable(with_p.pressure)
     np.testing.assert_array_equal(without_p.v, with_p.v)
@@ -793,7 +804,8 @@ def test_pressure_is_transformed_only_when_read(monkeypatch, theta, per_step, ou
     assert len(traj.states) == 2 + 5 // output_every
     assert len(calls) == per_step * 6 + len(traj.states) - 1
     # a step's pressure read twice is transformed once
-    out = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).step(Ensemble.of([state]))
+    stepper, e = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO), Ensemble.of([state])
+    out = stepper.step(e, stepper._terms(e))
     calls.clear()
     first = out.p
     assert out.p is first and calls == [(1,) + SpectralOps(grid).half]
