@@ -24,14 +24,14 @@ Scheme (one step):
 Each derivative is taken once per step.  Every state has one record of the
 fields that more than one reader needs (:class:`StateTerms`): its
 director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v
-and its director strain, all written when the state is made -- by the step
-for its result (grad v is the one the velocity update takes) -- and only
-read by the next step, the per-step energy, the sample's diagnostics and
-the run's observer.  The two-point q uses the mean of the two directors'
-div(L : grad d), as the operator is linear; and the explicit momentum flux
-is built one column at a time, each column differentiated as soon as it is
-built, the stress's as d alpha_j + w d_j from the factors alpha, w formed
-once per step (:func:`_stress_factors`).
+and its director strain, a frozen value made with the state -- the step
+returns it with its result (grad v is the one the velocity update takes) --
+and only read by the next step, the per-step energy, the sample's
+diagnostics and the run's observer.  The two-point q uses the mean of the
+two directors' div(L : grad d), as the operator is linear; and the
+explicit momentum flux is built one column at a time, each column
+differentiated as soon as it is built, the stress's as d alpha_j + w d_j
+from the factors alpha, w formed once per step (:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -548,24 +548,23 @@ class Ensemble:
                      ScalarField(grid, self.p[i]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateTerms:
     """The fields of one state that more than one reader needs, each
     member's, component-major with the member axis leading: its director's
     grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v and its
     :func:`energetics.director_strain`.  The body force is constant, so it is
-    the stepper's, not the state's.  Whoever makes the state writes all of
-    them, the stepper for a fresh state (:meth:`Stepper._terms`) and the
-    step for its result; everyone else, the run's observer too, only reads
-    them, and the next step rebinds the fields (dropping the strain it
-    consumes) without writing into their arrays."""
+    the stepper's, not the state's.  Whoever makes the state makes its
+    record, the stepper for a fresh state (:meth:`Stepper.terms`) and the
+    step for its result; records and states are never written after they
+    are handed out."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
     dev: np.ndarray  # (m,) + grid.shape
     energy: list  # one energetics.EnergyBreakdown per member
     grad_v: np.ndarray  # (m, 3, dim) + grid.shape
-    strain: tuple | None  # (grad v) d, Dv d, d . Dv d
+    strain: tuple  # (grad v) d, Dv d, d . Dv d
 
 
 @dataclass
@@ -622,7 +621,7 @@ class Stepper:
         grad, flux, lap, dev = en.director_terms(self.grid, self._contraction, d)
         return grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev)
 
-    def _terms(self, e: Ensemble) -> StateTerms:
+    def terms(self, e: Ensemble) -> StateTerms:
         """The :class:`StateTerms` of a state the stepper did not make."""
         grad_v = g.gradient_components(self.grid, e.v)
         return StateTerms(*self._director_terms(e.d), grad_v, en.director_strain(grad_v, e.d))
@@ -638,12 +637,11 @@ class Stepper:
             warnings.warn(f"advective CFL number {cfl:.2f} exceeds 0.5", RuntimeWarning)
             self._cfl_warned = True
 
-    def step(self, e: Ensemble, terms: StateTerms) -> Ensemble:
+    def step(self, e: Ensemble, terms: StateTerms) -> tuple:
         """Advance every member of the Ensemble ``e`` on the stepper's grid
-        by one step and return the result.  ``terms`` must be those of e
-        (:meth:`_terms` gives them for a state the stepper did not make);
-        the step overwrites every field with those of the result, ready for
-        its readers and the next step.  The result's pressures are
+        by one step: the result and its :class:`StateTerms`.  ``terms`` must
+        be those of e (:meth:`terms` gives them for a state the stepper did
+        not make); the step writes into neither.  The result's pressures are
         transformed when its ``p`` is first read."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
@@ -654,11 +652,9 @@ class Stepper:
             self._check_cfl(v)
 
         # 1. director update: theta-implicit elasticity, rest explicit;
-        # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d; the
-        # strain is dropped from ``terms`` as it is consumed
-        (grad_v_d, dvd, ddvd), terms.strain = terms.strain, None
+        # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
+        grad_v_d, dvd, ddvd = terms.strain
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
-        del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
         rhs -= ((p.gamma / p.epsilon) * terms.dev[:, None]) * d
         rhs += ((1.0 - theta) * p.gamma) * terms.lap
@@ -688,9 +684,8 @@ class Stepper:
         # energy-neutral under the skew-adjoint central stencil.  Column j of
         # the explicit flux T - mu4 Dv - v x v / 2 + (1 - theta) mu4/2 grad v
         # is built in ``col`` and differentiated along axis j at once.
-        # mu1 (d . Dv d) out of place: the strain's record may be handed out
+        # mu1 (d . Dv d) out of place: the record is never written
         alpha, w = _stress_factors(d, q_half, dvd, p.mu1 * ddvd, p)
-        del dvd, ddvd
         viscous = (1.0 - theta) * 0.5 * p.mu4
         col, scratch = np.empty_like(v), np.empty_like(v)
         for j in range(dim):
@@ -711,14 +706,12 @@ class Stepper:
         if self.forcing is not None:
             rhs += dt * self.forcing.values
 
-        # 4. the Helmholtz solve and the projection on one spectrum; the old
-        # grad v is freed only after the new one is taken, and with the old
-        # grad d before the result's strain is
+        # 4. the Helmholtz solve and the projection on one spectrum
         v_new, p_spectrum, grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz)
-        del rhs, grad_d
-        terms.grad, terms.lap, terms.dev, terms.energy = grad_new, lap_new, dev_new, energy_new
-        terms.grad_v, terms.strain = grad_v, en.director_strain(grad_v, d_new)
-        return Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
+        del rhs
+        result = Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
+        return result, StateTerms(grad_new, lap_new, dev_new, energy_new, grad_v,
+                                  en.director_strain(grad_v, d_new))
 
     def run(self, initial: State, observer=None) -> Trajectory:
         return self.run_ensemble([initial], observer)[0]
@@ -735,10 +728,8 @@ class Stepper:
         copies.  With one, ``observer(ensemble, terms)`` is called with each
         sampled Ensemble in order, the initial one included, and its
         :class:`StateTerms`; the trajectories keep no states, so memory is
-        flat in trajectory length.  The stepper never writes into an array of
-        a state or record it has handed out, so an observer may keep them
-        uncopied (a record as a shallow copy, as the next step rebinds its
-        fields); it must not write into them.
+        flat in trajectory length.  Records and states are never written
+        after they are handed out, so an observer may keep them uncopied.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
@@ -759,11 +750,11 @@ class Stepper:
                 last = e.copy()
                 kept.append(last)
 
-        terms = self._terms(state)
+        terms = self.terms(state)
         j = 0
         for k in range(n_steps + 1):
             if k > 0:
-                state = self.step(state, terms)
+                state, terms = self.step(state, terms)
                 # one check of each field over all members; the failing one
                 # is looked for only after a failure
                 if not (np.isfinite(state.v).all() and np.isfinite(state.d).all()):

@@ -11,8 +11,9 @@ the weak-strong campaign and the public functions all call them.  A field's
 values have the layout of one member, so the public functions run the
 kernels on ``values[None]``, or on a stack of the fields they pair, and
 :func:`free_energy` of a sampled state equals its trace row bit for bit.
-:func:`relative_terms` reads the fields the step took from the sample's
-record (``dynamics.StateTerms``) and differentiates only d - dr.
+:func:`relative_terms` reads the fields the step took from the record it
+returned with the sample (``dynamics.StateTerms``) and differentiates only
+d - dr.
 """
 
 from __future__ import annotations

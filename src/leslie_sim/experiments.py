@@ -31,9 +31,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # one check per field, so that a config error names its key's line
-        for name in ("gronwall_c", "tol_energy", "tol_step", "delta", "seed"):
+        for name in ("gronwall_c", "tol_energy", "tol_step", "delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"experiment {name} must be >= 0, got {getattr(self, name)}")
+        if not (float(self.seed).is_integer() and self.seed >= 0):
+            raise ValueError(f"experiment seed must be >= 0 and whole, got {self.seed}")
+        # an integral float seeds as the int does
+        self.seed = int(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +94,17 @@ def weak_strong_campaign(
 
     The relative terms are evaluated while the ensemble runs, from a window
     of the last three samples (the centred difference quotient of the
-    reference director needs the samples on both sides) and the fields the
-    step took for each (its ``dynamics.StateTerms``), so no sampled state is
-    kept, no field is differentiated twice and memory is flat in trajectory
-    length.  Invalid parameters raise InvalidParameters from the stepper; a
-    run that turns non-finite raises SimulationError, and one whose
-    projection misses its target ProjectionError, naming it: the reference
-    or the perturbed one with its delta.
+    reference director needs the samples on both sides) and the record the
+    step returned with each (its ``dynamics.StateTerms``), so no sampled
+    state is kept, no field is differentiated twice and memory is flat in
+    trajectory length.  ``grid`` must be the initial state's.  Invalid
+    parameters raise InvalidParameters from the stepper; a run that turns
+    non-finite raises SimulationError, and one whose projection misses its
+    target ProjectionError, naming it: the reference or the perturbed one
+    with its delta.
     """
+    if grid != initial.v.grid:
+        raise ValueError("grid must be the grid of the initial state")
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
     xi_v = divfree_smooth_field(grid, rng)
@@ -112,22 +119,21 @@ def weak_strong_campaign(
     # the relative terms of sample i are taken when sample i + 1 arrives, and
     # those of the last sample after the run, so a window of three samples
     # (i - 1, i, i + 1) serves the centred dt dr (one-sided at an end, zero
-    # for a lone sample); the window holds the ensembles the stepper handed
-    # out, which it never writes into, so they need no copy, and ``record``
-    # a shallow copy of the last one's record, whose fields the step rebinds
+    # for a lone sample); a sample's record is held until its terms are taken
     contraction = tensor.sparse_contraction(grid.dim)
-    window, record, columns = [], [], []
+    window, columns = [], []
 
     def column(lo, at, hi):
+        (lo, _), (at, terms), (hi, _) = lo, at, hi
         dt_d = np.zeros_like(at.d[:1]) if lo is hi else (hi.d[:1] - lo.d[:1]) / (hi.t - lo.t)
-        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, record.pop(), dt_d))
+        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, terms, dt_d))
 
     def observe(e, terms):
-        window.append(e)
+        window.append((e, terms))
         if len(window) > 1:
             column(window[0], window[-2], window[-1])
             del window[:-2]
-        record.append(replace(terms))
+            window[0] = (window[0][0], None)  # its terms are taken
 
     try:
         traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]

@@ -28,8 +28,10 @@ class InitialSpec:
         for name in ("director", "amplitude", "v_amplitude"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"initial {name} must be finite, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"initial seed must be >= 0, got {self.seed}")
+        if not (float(self.seed).is_integer() and self.seed >= 0):
+            raise ValueError(f"initial seed must be >= 0 and whole, got {self.seed}")
+        # an integral float seeds as the int does
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2) -> VectorField:

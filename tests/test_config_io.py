@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import pathlib
 import re
 
@@ -11,7 +12,8 @@ from leslie_sim.config import _KEYS, ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
 from leslie_sim.energetics import EnergyTrace, RelativeTrace, energy_inequality_residual
 from leslie_sim.grid import Grid, ScalarField, VectorField
-from leslie_sim.initial import make_initial_state
+from leslie_sim.experiments import ExperimentConfig
+from leslie_sim.initial import InitialSpec, make_initial_state
 from leslie_sim.material import PARODI_DEMO
 from leslie_sim.snapshot import (
     MAGIC,
@@ -264,6 +266,26 @@ def test_negative_seed_or_tolerance_reports_line(text):
     with pytest.raises(ConfigError, match="must be >= 0") as exc_info:
         parse_config(text)
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("cls, section", [(InitialSpec, "initial"), (ExperimentConfig, "experiment")])
+@pytest.mark.parametrize("seed", [1.5, 2.5, math.inf, math.nan])
+def test_fractional_seed_is_refused_naming_its_field(cls, section, seed):
+    # refused when the dataclass is made, not by numpy's SeedSequence later
+    with pytest.raises(ValueError, match=f"{section} seed must be >= 0 and whole"):
+        cls(seed=seed)
+    with pytest.raises(ConfigError, match=f"{section}.seed") as exc_info:
+        parse_config(f"[{section}]\nseed = {seed}\n")
+    assert exc_info.value.line == 2
+
+
+def test_integral_float_seed_is_taken_as_its_int():
+    spec, experiment = InitialSpec(seed=3.0), ExperimentConfig(seed=7.0)
+    assert type(spec.seed) is type(experiment.seed) is int
+    assert spec == InitialSpec(seed=3) and experiment == ExperimentConfig(seed=7)
+    grid = Grid.unit_box(8)
+    assert (make_initial_state(grid, spec).d.values.tobytes()
+            == make_initial_state(grid, InitialSpec(seed=3)).d.values.tobytes())
 
 
 @pytest.mark.parametrize("t_end", ["0.0105", "0.0004", "-0.002"])

@@ -188,13 +188,13 @@ def test_projection_gate_fires_and_names_the_member():
     moving = State.initial(v, d)
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=1e-3), NON_PARODI_DEMO, TENSOR)
     pair, lone_moving = Ensemble.of([still, moving]), Ensemble.of([moving])
-    stepper.step(pair, stepper._terms(pair))
+    stepper.step(pair, stepper.terms(pair))[0]
     stepper.ops.projection_factor *= 1.0 / 1.01
     with pytest.raises(ProjectionError, match="exceeds target") as lone:
-        stepper.step(lone_moving, stepper._terms(lone_moving))
+        stepper.step(lone_moving, stepper.terms(lone_moving))[0]
     assert "member" not in str(lone.value)
     with pytest.raises(ProjectionError, match="of member 1 exceeds"):
-        stepper.step(pair, stepper._terms(pair))
+        stepper.step(pair, stepper.terms(pair))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_stationary_state_is_fixed_point():
                       VectorField.constant(grid, (0.0, 0.0, 1.0)))
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     stepper, e = Stepper(grid, cfg, PARODI_DEMO, TENSOR), Ensemble.of([s])
-    out = stepper.step(e, stepper._terms(e)).member(0)
+    out = stepper.step(e, stepper.terms(e))[0].member(0)
     assert np.max(np.abs(out.v.values)) <= 1e-14
     assert np.max(np.abs(out.d.values - s.d.values)) <= 1e-14
     assert out.t == pytest.approx(1e-3)
@@ -306,7 +306,7 @@ def test_cfl_warning():
     stepper = Stepper(grid, StepperConfig(dt=0.02, t_end=0.02), PARODI_DEMO, TENSOR)
     e = Ensemble.of([s])
     with pytest.warns(RuntimeWarning):
-        stepper.step(e, stepper._terms(e))
+        stepper.step(e, stepper.terms(e))[0]
 
 
 def test_cfl_ignores_the_component_along_the_absent_axis():
@@ -336,7 +336,7 @@ def test_cfl_number_is_taken_per_axis(v_y, cfl):
     e = Ensemble.of([s])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stepper.step(e, stepper._terms(e))
+        stepper.step(e, stepper.terms(e))[0]
     messages = [str(w.message) for w in caught]
     assert messages == ([] if cfl is None else [f"advective CFL number {cfl} exceeds 0.5"])
 

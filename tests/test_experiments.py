@@ -89,6 +89,15 @@ def test_energy_monitor_rejects_a_grid_other_than_the_initial_states():
                        StepperConfig(dt=1e-3, t_end=0.01), s)
 
 
+def test_campaign_rejects_a_grid_other_than_the_initial_states():
+    # the same cell counts at another spacing: refused up front, naming the
+    # argument, not deep in the ensemble's own grid check
+    grid = Grid.unit_box(8)
+    other = Grid(n=grid.n, h=(0.2, 0.2))
+    with pytest.raises(ValueError, match="^grid must be the grid of the initial state$"):
+        weak_strong_campaign(other, PARODI_DEMO, TENSOR, StepperConfig(dt=1e-3, t_end=2e-3), _initial(grid))
+
+
 def test_energy_monitor_dissipative_run():
     grid = Grid.unit_box(16)
     report = energy_monitor(grid, PARODI_DEMO, TENSOR,

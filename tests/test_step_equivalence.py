@@ -181,7 +181,7 @@ def test_step_matches_reference(grid_name, tensor_name, theta, forcing):
     )
     s = _state(grid, seed=len(grid_name) + 10 * len(tensor_name))
     e = Ensemble.of([s])
-    out = stepper.step(e, stepper._terms(e)).member(0)
+    out = stepper.step(e, stepper.terms(e))[0].member(0)
     ref = _ref_step(stepper, s)
     assert out.t == ref.t
     _assert_close(out.v.values, ref.v.values)
@@ -317,8 +317,7 @@ def test_trace_rows_equal_the_channel_array_composition(params, m, forced):
     forcing = make_forcing("sinusoidal:5", grid) if forced else None
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), p, ANISO, forcing)
     e = Ensemble.of([_state(grid, seed=68 + i, amplitude=0.3 + 0.2 * i) for i in range(m)])
-    terms = stepper._terms(e)
-    out = stepper.step(e, terms)
+    out, terms = stepper.step(e, stepper.terms(e))
     kinetic = en.kinetic_energies(grid, out.v).tolist()
     rows = stepper._diagnostics(out, terms, kinetic)
     want = oracles.trace_rows(stepper, out, terms, kinetic)
@@ -396,7 +395,7 @@ def test_lone_step_equals_first_run_sample():
     s = _state(GRIDS["2d"], seed=40)
     traj = _stepper(t_end=1e-3).run(s)
     stepper, e = _stepper(), Ensemble.of([s])
-    _assert_same_state(stepper.step(e, stepper._terms(e)).member(0), traj.states[1])
+    _assert_same_state(stepper.step(e, stepper.terms(e))[0].member(0), traj.states[1])
 
 
 def test_run_equals_repeated_lone_steps():
@@ -407,7 +406,7 @@ def test_run_equals_repeated_lone_steps():
     traj = stepper.run(s)
     e = Ensemble.of([s])
     for k in range(1, len(traj.states)):
-        e = stepper.step(e, stepper._terms(e))
+        e = stepper.step(e, stepper.terms(e))[0]
         _assert_same_state(e.member(0), traj.states[k])
 
 
@@ -421,7 +420,7 @@ def test_run_with_unsampled_steps_equals_repeated_lone_steps():
     assert len(traj.states) == 3
     e = Ensemble.of([s])
     for k in range(1, 7):
-        e = stepper.step(e, stepper._terms(e))
+        e = stepper.step(e, stepper.terms(e))[0]
         if k % 3 == 0:
             _assert_same_state(e.member(0), traj.states[k // 3])
 
@@ -429,10 +428,10 @@ def test_run_with_unsampled_steps_equals_repeated_lone_steps():
 def test_step_after_in_place_director_change_matches_fresh_stepper():
     stepper, fresh = _stepper(), _stepper()
     e = Ensemble.of([_state(GRIDS["2d"], seed=42)])
-    stepper.step(e, stepper._terms(e))
+    stepper.step(e, stepper.terms(e))[0]
     e.d[0, 0] += 0.05 * np.cos(2.0 * np.pi * GRIDS["2d"].coords()[1])
-    _assert_same_state(stepper.step(e, stepper._terms(e)).member(0),
-                       fresh.step(e, fresh._terms(e)).member(0))
+    _assert_same_state(stepper.step(e, stepper.terms(e))[0].member(0),
+                       fresh.step(e, fresh.terms(e))[0].member(0))
 
 
 def test_alternating_states_match_separate_steppers():
@@ -449,8 +448,8 @@ def test_alternating_states_match_separate_steppers():
     sa, sb = Ensemble.of([a]), Ensemble.of([b])
     ra, rb = sa, sb
     for _ in range(3):
-        sa, sb = shared.step(sa, shared._terms(sa)), shared.step(sb, shared._terms(sb))
-        ra, rb = stepper_a.step(ra, stepper_a._terms(ra)), stepper_b.step(rb, stepper_b._terms(rb))
+        sa, sb = shared.step(sa, shared.terms(sa))[0], shared.step(sb, shared.terms(sb))[0]
+        ra, rb = stepper_a.step(ra, stepper_a.terms(ra))[0], stepper_b.step(rb, stepper_b.terms(rb))[0]
         _assert_same_state(sa.member(0), ra.member(0))
         _assert_same_state(sb.member(0), rb.member(0))
 
@@ -482,10 +481,10 @@ def test_lone_step_is_layout_independent(grid_name, tmp_path):
     assert not strided.v.values.flags.c_contiguous
 
     e = Ensemble.of([s])
-    out = stepper.step(e, stepper._terms(e)).member(0)
+    out = stepper.step(e, stepper.terms(e))[0].member(0)
     for other in (views, strided):
         e = Ensemble.of([other])
-        _assert_same_state(out, stepper.step(e, stepper._terms(e)).member(0))
+        _assert_same_state(out, stepper.step(e, stepper.terms(e))[0].member(0))
     assert out.v.values.shape == out.d.values.shape == (3,) + grid.shape
     assert out.v.values.flags.c_contiguous and not out.v.values.flags.owndata
 
@@ -548,11 +547,11 @@ def test_ensemble_step_returns_an_ensemble_of_lone_steps():
     stepper = _stepper()
     states = [_state(GRIDS["2d"], seed=46), _state(GRIDS["2d"], seed=47, amplitude=0.5)]
     e = Ensemble.of(states)
-    out = stepper.step(e, stepper._terms(e))
+    out = stepper.step(e, stepper.terms(e))[0]
     assert isinstance(out, Ensemble) and out.v.shape == (2, 3) + GRIDS["2d"].shape
     for i, s in enumerate(states):
         alone, lone = _stepper(), Ensemble.of([s])
-        _assert_same_state(out.member(i), alone.step(lone, alone._terms(lone)).member(0))
+        _assert_same_state(out.member(i), alone.step(lone, alone.terms(lone))[0].member(0))
     with pytest.raises(ValueError):
         Ensemble.of([states[0], State(1e-3, states[1].v, states[1].d, states[1].p)])
 
@@ -571,7 +570,7 @@ def test_members_on_different_grids_are_rejected():
         run_ensemble([a, b], cfg, NON_PARODI_DEMO, ANISO)
     stepper, foreign = _stepper(), Ensemble.of([b])
     with pytest.raises(ValueError, match="different grids"):
-        stepper.step(foreign, stepper._terms(foreign))
+        stepper.step(foreign, stepper.terms(foreign))[0]
 
 
 def test_nonfinite_member_raises_naming_it_with_its_last_sample():
@@ -665,7 +664,7 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
 
 
 # ---------------------------------------------------------------------------
-# the per-state record: written when the state is made, read by the rest
+# the per-state record: made with the state, read by the rest
 # ---------------------------------------------------------------------------
 
 def _frozen(value):
@@ -683,12 +682,11 @@ def test_diagnostics_only_read_the_record_the_step_wrote(grid_name):
     cfg = StepperConfig(dt=1e-3, t_end=6e-3)
     stepper = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO, make_forcing("sinusoidal:5", grid))
     e = Ensemble.of([_state(grid, seed=52)])
-    terms = stepper._terms(e)
-    out = stepper.step(e, terms)
+    out, terms = stepper.step(e, stepper.terms(e))
     record = {f.name: getattr(terms, f.name) for f in fields(terms)}
     assert all(value is not None for value in record.values())
     # the step's record of its result is the one a fresh state gets
-    fresh = stepper._terms(out)
+    fresh = stepper.terms(out)
     for name, value in record.items():
         assert _frozen(value) == _frozen(getattr(fresh, name)), name
     frozen = {name: _frozen(value) for name, value in record.items()}
@@ -742,7 +740,7 @@ def test_step_without_pressure_moves_the_state_alike(grid_name):
     grid = GRIDS[grid_name]
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), NON_PARODI_DEMO, ANISO)
     e = Ensemble.of([_state(grid, seed=66)])
-    with_p, without_p = stepper.step(e, stepper._terms(e)), stepper.step(e, stepper._terms(e))
+    with_p, without_p = stepper.step(e, stepper.terms(e))[0], stepper.step(e, stepper.terms(e))[0]
     assert with_p.p.shape == (1,) + grid.shape
     assert callable(without_p.pressure) and not callable(with_p.pressure)
     np.testing.assert_array_equal(without_p.v, with_p.v)
@@ -805,7 +803,7 @@ def test_pressure_is_transformed_only_when_read(monkeypatch, theta, per_step, ou
     assert len(calls) == per_step * 6 + len(traj.states) - 1
     # a step's pressure read twice is transformed once
     stepper, e = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO), Ensemble.of([state])
-    out = stepper.step(e, stepper._terms(e))
+    out = stepper.step(e, stepper.terms(e))[0]
     calls.clear()
     first = out.p
     assert out.p is first and calls == [(1,) + SpectralOps(grid).half]

@@ -83,16 +83,25 @@ def test_stepper_writes_into_no_array_it_handed_out(dim):
     cfg = StepperConfig(dt=5e-4, t_end=2e-3, output_every=1)
     stepper = Stepper(grid, cfg, p, ANISO, forcing=make_forcing("sinusoidal:0.5", grid))
     handed = []  # every array of each sample and its record, with its bytes then
+    kept = []  # each record itself, uncopied, with its arrays then
 
     def observe(e, terms):
         arrays = [e.v, e.d, e.p, terms.grad, terms.lap, terms.dev, terms.grad_v, *terms.strain]
         handed.append([(a, a.tobytes()) for a in arrays])
+        kept.append((terms, arrays[3:]))
 
     stepper.run_ensemble([_state(grid, seed=64), _state(grid, seed=65, amplitude=0.5)], observer=observe)
     assert len(handed) == 5
     for k, arrays in enumerate(handed):
         for j, (a, taken) in enumerate(arrays):
             assert a.tobytes() == taken, (k, j)
+    # a kept record still holds the arrays it was handed out with: no later
+    # step rebinds its fields, and none can
+    for k, (record, arrays) in enumerate(kept):
+        now = [record.grad, record.lap, record.dev, record.grad_v, *record.strain]
+        assert all(a is b for a, b in zip(now, arrays, strict=True)), k
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.grad = record.lap
 
 
 def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
