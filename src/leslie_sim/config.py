@@ -84,8 +84,17 @@ def _finite_floats(value: str) -> list:
     return [_finite(v) for v in value.replace(",", " ").split()]
 
 
-def _ints(value: str):
-    return [int(v) for v in value.replace(",", " ").split()]
+def _number(value: str):
+    """An int literal as its exact int, else a finite float: the Grid or
+    dataclass that takes a count or seed checks that it is whole."""
+    try:
+        return int(value)
+    except ValueError:
+        return _finite(value)
+
+
+def _numbers(value: str) -> list:
+    return [_number(v) for v in value.replace(",", " ").split()]
 
 
 def _one_of(*choices, convert=str):
@@ -127,7 +136,7 @@ def _director(value: str) -> tuple:
 _KEYS = {
     "grid": {
         "dim": (None, _one_of(2, 3, convert=int)),
-        "n": (None, _ints),
+        "n": (None, _numbers),
         "length": (None, _finite_floats),
         "bc": (None, _one_of("periodic")),  # every grid is periodic
     },
@@ -144,14 +153,13 @@ _KEYS = {
     "stepper": {
         "dt": ("dt", _finite),
         "t_end": ("t_end", _finite),
-        "poisson_tol": ("poisson_tol", _finite),
-        "output_every": ("output_every", int),
+        "output_every": ("output_every", _number),
         "theta": ("theta", _finite),
     },
     "initial": {
         "kind": ("kind", str),
         "director": ("director", _director),
-        "seed": ("seed", int),
+        "seed": ("seed", _number),
         "amplitude": ("amplitude", _finite),
         "v_amplitude": ("v_amplitude", _finite),
     },
@@ -160,7 +168,7 @@ _KEYS = {
         "tol_energy": ("tol_energy", _finite),
         "tol_step": ("tol_step", _finite),
         "delta": ("delta", _finite),
-        "seed": ("seed", int),
+        "seed": ("seed", _number),
     },
     "output": {
         "trace": (None, str),
@@ -249,7 +257,7 @@ def parse_config(text: str, allow_invalid: bool = False) -> RunConfig:
     with _reported_at(_line(sections, "grid", "length")):
         if len(length) != dim:
             raise ValueError("grid.length must match grid.dim")
-        grid = replace(grid, h=tuple(x / k for x, k in zip(length, n)))
+        grid = replace(grid, h=tuple(x / k for x, k in zip(length, grid.n)))
 
     params = _build(ParameterSet, sections, "material")
     forcing_spec = _get(sections, "material", "forcing", "zero")

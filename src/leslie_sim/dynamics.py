@@ -47,7 +47,7 @@ per member on that member's slice, so each member evolves bit for bit as it
 does alone.  A gradient holds only the grid's dim columns: on a 2D grid it
 has no always-zero third column, and L : grad d is one (3 dim) x (3 dim)
 matrix product with L_ijkl restricted to j, l < dim
-(:meth:`ElasticTensor.contraction`).  A field's values have the same
+(:meth:`ElasticTensor.flux`).  A field's values have the same
 layout, ``(3,) + grid.shape``: a State of an Ensemble's member holds
 contiguous views of that member's arrays, and ``State.copy()`` gives arrays
 of its own.
@@ -77,6 +77,9 @@ from .energetics import free_energy  # noqa: F401  (importable from here, as bef
 from .grid import Grid, ScalarField, TensorField, VectorField
 from .material import ParameterSet, require_valid
 from .tensor import ElasticTensor, sym
+
+
+PROJECTION_TOL = 1e-10  # the tol of every projection's :func:`_projection_targets`
 
 
 class ProjectionError(RuntimeError):
@@ -125,7 +128,6 @@ class State:
 class StepperConfig:
     dt: float = 5e-4
     t_end: float = 0.5
-    poisson_tol: float = 1e-10
     output_every: int = 1
     theta: float = 0.3
 
@@ -134,8 +136,6 @@ class StepperConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if not (0.0 < self.poisson_tol <= 1e-6):
-            raise ValueError("poisson_tol must lie in (0, 1e-6]")
         if not (float(self.output_every).is_integer() and self.output_every >= 1):
             raise ValueError(f"output_every must be a whole number >= 1, got {self.output_every}")
         # an integral float counts steps as the int does
@@ -174,8 +174,8 @@ class SpectralOps:
     by multiplying with its reciprocal: bit for bit the divides).  Given an
     elasticity tensor, which goes with a nonzero director_alpha and only
     with one (else ValueError), it also holds the inverse of I +
-    director_alpha S, S the director stiffness (:func:`_stiffness`), in
-    closed form (:func:`_inverse_3x3`; no LAPACK call): ``director_inverse[i]``
+    director_alpha S(k) (:meth:`ElasticTensor.stiffness`), in closed form
+    (:func:`_inverse_3x3`; no LAPACK call): ``director_inverse[i]``
     pairs each k whose block inverse[i, k] is not identically zero -- for an
     isotropic tensor only k = i -- with that block, and bitwise equal blocks
     are one array.  Without a tensor that operator is the identity and
@@ -203,7 +203,7 @@ class SpectralOps:
         self.projection_factor = (1.0 / np.where(sig_sq != 0.0, -sig_sq, np.inf)).astype(complex)
         self.director_inverse = None
         if tensor is not None:
-            matrix = _stiffness(tensor, sigmas)
+            matrix = tensor.stiffness(sigmas)
             matrix *= director_alpha
             for i in range(3):
                 matrix[i, i] += 1.0
@@ -257,28 +257,6 @@ def _symbols(grid: Grid) -> list:
     return sigmas
 
 
-def _stiffness(tensor: ElasticTensor, sigmas: list) -> np.ndarray:
-    """S_ik = sum_jl L_ijkl sigma_j sigma_l on the half spectrum of the dim
-    symbols ``sigmas``, component-major (3, 3) + half-spectrum shape: each
-    nonzero L_ijkl with j, l < dim adds L_ijkl sigma_j sigma_l to S_ik, the
-    products sigma_j sigma_l formed once each (the symbols of the axes from
-    dim on vanish)."""
-    dim = len(sigmas)
-    stiffness = np.zeros((3, 3) + sigmas[0].shape)
-    products, term = {}, np.empty(sigmas[0].shape)
-    for row, entries in enumerate(tensor.sparse_contraction(dim)):
-        i, j = divmod(row, dim)
-        for col, c in entries:
-            if c == 0.0:
-                continue
-            k, l = divmod(col, dim)
-            pair = (min(j, l), max(j, l))
-            if pair not in products:
-                products[pair] = sigmas[j] * sigmas[l]
-            stiffness[i, k] += np.multiply(products[pair], c, out=term)
-    return stiffness
-
-
 def _inverse_3x3(m: np.ndarray) -> np.ndarray:
     """Inverse of each 3x3 matrix of component-major ``m`` (3, 3) + shape,
     adjugate over determinant: inverse[i, k] is the cofactor of m[k, i],
@@ -304,7 +282,7 @@ def _member_label(i: int, m: int) -> str:
     return f" of member {i}" if m > 1 else ""
 
 
-def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float = 1e-10):
+def project_divfree(u: VectorField, ops: SpectralOps | None = None):
     """Discrete Leray projection: returns (u - grad p, p) with div(result) ~ 0,
     as a VectorField and a ScalarField on u's grid.
 
@@ -318,11 +296,11 @@ def project_divfree(u: VectorField, ops: SpectralOps | None = None, tol: float =
     if ops is None:
         ops = SpectralOps(u.grid)
     ops.check_grid(u.grid)
-    v, s, _ = _velocity_update(ops, u.values[None], tol)
+    v, s, _ = _velocity_update(ops, u.values[None])
     return VectorField(u.grid, v[0]), ScalarField(u.grid, _pressure(ops, s)[0])
 
 
-def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz: bool = False):
+def _velocity_update(ops: SpectralOps, values: np.ndarray, helmholtz: bool = False):
     """The members' vectors ``values`` (m, 3) + grid.shape, Helmholtz-solved
     if ``helmholtz``, then projected: the projected velocity, the spectrum
     s / (-|sigma|^2) of their pressures (:func:`_pressure`) and the grad v
@@ -338,7 +316,7 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, tol: float, helmholtz
     s = ops.sigmas[0] * u_hat[:, 0]
     for a in range(1, grid.dim):
         s += ops.sigmas[a] * u_hat[:, a]
-    targets = _projection_targets(ops, u_hat, s, tol)
+    targets = _projection_targets(ops, u_hat, s, PROJECTION_TOL)
     s *= ops.projection_factor
     for a in range(grid.dim):
         u_hat[:, a] += ops.sigmas[a] * s
@@ -427,7 +405,7 @@ def max_stiff_rate(grid: Grid, tensor: ElasticTensor, p: ParameterSet) -> float:
     """Largest eigenvalue of the stiff linear operators (director elasticity
     scaled by gamma, and half the viscosity)."""
     sigmas = _symbols(grid)
-    s_mat = np.moveaxis(_stiffness(tensor, sigmas), (0, 1), (-2, -1))
+    s_mat = np.moveaxis(tensor.stiffness(sigmas), (0, 1), (-2, -1))
     eig_max = float(np.max(np.linalg.eigvalsh(sym(s_mat))))
     return max(p.gamma * eig_max, 0.5 * p.mu4 * float(sum(s**2 for s in sigmas).max()))
 
@@ -612,13 +590,12 @@ class Stepper:
         self.ops = SpectralOps(grid, tensor if director_alpha != 0.0 else None,
                                director_alpha=director_alpha, helmholtz_coeff=helmholtz_coeff)
         self._helmholtz = helmholtz_coeff != 0.0
-        self._contraction = tensor.sparse_contraction(grid.dim)
         self._cfl_warned = False
 
     def _director_terms(self, d: np.ndarray) -> tuple:
         """grad d, div(L : grad d), |d|^2 - 1 and the free energies of the
         members' component-major directors."""
-        grad, flux, lap, dev = en.director_terms(self.grid, self._contraction, d)
+        grad, flux, lap, dev = en.director_terms(self.grid, self.tensor, d)
         return grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev)
 
     def terms(self, e: Ensemble) -> StateTerms:
@@ -707,7 +684,7 @@ class Stepper:
             rhs += dt * self.forcing.values
 
         # 4. the Helmholtz solve and the projection on one spectrum
-        v_new, p_spectrum, grad_v = _velocity_update(self.ops, rhs, cfg.poisson_tol, self._helmholtz)
+        v_new, p_spectrum, grad_v = _velocity_update(self.ops, rhs, self._helmholtz)
         del rhs
         result = Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
         return result, StateTerms(grad_new, lap_new, dev_new, energy_new, grad_v,

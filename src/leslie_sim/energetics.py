@@ -59,11 +59,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("mi...,mi...->m...", x, y)
 
 
-def director_terms(grid: g.Grid, contraction: tuple, d: np.ndarray):
-    """grad d, L : grad d, div(L : grad d) and |d|^2 - 1 of the members'
-    directors d, given ``contraction = tensor.sparse_contraction(grid.dim)``."""
+def director_terms(grid: g.Grid, tensor: ElasticTensor, d: np.ndarray):
+    """grad d, L : grad d (:meth:`ElasticTensor.flux`), div(L : grad d) and
+    |d|^2 - 1 of the members' directors d."""
     grad = g.gradient_components(grid, d)
-    flux = g.elastic_flux(grid, contraction, grad)
+    flux = tensor.flux(grad, grid.dim)
     return grad, flux, g.divergence_components(grid, flux), _dot(d, d) - 1.0
 
 
@@ -132,14 +132,14 @@ def dissipations(grid: g.Grid, p: ParameterSet, dv_sq, q, dvd, ddvd) -> list:
             for dv_sq_i, q_i, dvd_i, ddvd_i in zip(dv_sq, q, dvd, ddvd)]
 
 
-def relative_energies(grid: g.Grid, contraction: tuple, eps: float, v, d, d_sq) -> np.ndarray:
+def relative_energies(grid: g.Grid, tensor: ElasticTensor, eps: float, v, d, d_sq) -> np.ndarray:
     """E of each member after the first against member 0, the kinetic and
     free energies of the differences, the penalty's of |d|^2 - |dr|^2:
 
     1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
     """
     grad_e = g.gradient_components(grid, d[1:] - d[0])
-    free = free_energies(grid, eps, grad_e, g.elastic_flux(grid, contraction, grad_e), d_sq[1:] - d_sq[0])
+    free = free_energies(grid, eps, grad_e, tensor.flux(grad_e, grid.dim), d_sq[1:] - d_sq[0])
     return kinetic_energies(grid, v[1:] - v[0]) + [f.total for f in free]
 
 
@@ -190,7 +190,7 @@ def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq
     return (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
 
 
-def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, terms, dt_d) -> np.ndarray:
+def relative_terms(grid: g.Grid, p: ParameterSet, tensor: ElasticTensor, v, d, terms, dt_d) -> np.ndarray:
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each member after the first against the reference,
     member 0, at one sample: shape (5, m - 1), dt dr (1, 3) + grid.shape.
@@ -199,7 +199,7 @@ def relative_terms(grid: g.Grid, p: ParameterSet, contraction: tuple, v, d, term
     q = variational_q(d, terms.dev, terms.lap, p.epsilon)
     W, cross, absorb = relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
     d_sq = _dot(d, d)
-    E = relative_energies(grid, contraction, p.epsilon, v, d, d_sq)
+    E = relative_energies(grid, tensor, p.epsilon, v, d, d_sq)
     K = gronwall_factors(grid, v, d_sq, terms.dev, q, terms.strain[2], ref_grad_sq(grid, terms.grad_v),
                          ref_grad_sq(grid, terms.grad), dt_d)
     return np.array([E, W, K, cross, absorb])
@@ -213,7 +213,7 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     """Elastic and penalty energy of the director field (:func:`free_energies`)."""
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
-    grad, flux, _, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), d.values[None])
+    grad, flux, _, dev = director_terms(d.grid, tensor, d.values[None])
     return free_energies(d.grid, eps, grad, flux, dev)[0]
 
 
@@ -227,7 +227,7 @@ def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) ->
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
     dm = d.values[None]
-    _, _, lap, dev = director_terms(d.grid, tensor.sparse_contraction(d.grid.dim), dm)
+    _, _, lap, dev = director_terms(d.grid, tensor, dm)
     return VectorField(d.grid, variational_q(dm, dev, lap, eps)[0])
 
 
@@ -236,8 +236,7 @@ def relative_energy(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: V
     """Squared-distance functional between two states
     (:func:`relative_energies`)."""
     vm, dm = np.stack([v_ref.values, v.values]), np.stack([d_ref.values, d.values])
-    contraction = tensor.sparse_contraction(v.grid.dim)
-    return float(relative_energies(v.grid, contraction, eps, vm, dm, _dot(dm, dm))[0])
+    return float(relative_energies(v.grid, tensor, eps, vm, dm, _dot(dm, dm))[0])
 
 
 def dissipation_channels(v: VectorField, d: VectorField):

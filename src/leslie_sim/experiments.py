@@ -120,13 +120,12 @@ def weak_strong_campaign(
     # those of the last sample after the run, so a window of three samples
     # (i - 1, i, i + 1) serves the centred dt dr (one-sided at an end, zero
     # for a lone sample); a sample's record is held until its terms are taken
-    contraction = tensor.sparse_contraction(grid.dim)
     window, columns = [], []
 
     def column(lo, at, hi):
         (lo, _), (at, terms), (hi, _) = lo, at, hi
         dt_d = np.zeros_like(at.d[:1]) if lo is hi else (hi.d[:1] - lo.d[:1]) / (hi.t - lo.t)
-        columns.append(en.relative_terms(grid, p, contraction, at.v, at.d, terms, dt_d))
+        columns.append(en.relative_terms(grid, p, tensor, at.v, at.d, terms, dt_d))
 
     def observe(e, terms):
         window.append((e, terms))
@@ -301,7 +300,6 @@ def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4)) -> IbpReport:
     rows = []
     for n in ns:
         grid = Grid.unit_box(n, dim=2)
-        contraction = TENSOR.sparse_contraction(grid.dim)
 
         def pair(a, b):
             """L^2 pairing of equally shaped component-major arrays."""
@@ -323,7 +321,7 @@ def ibp_suite(ns=(16, 32), seeds=(0, 1, 2, 3, 4)) -> IbpReport:
             # (b) elastic pairing vs the adjoint Laplacian forms: member 0 is
             # d, member 1 is dr
             d = _smooth_members(grid, rng, 2)
-            grad, flux, lap, _ = en.director_terms(grid, contraction, d)
+            grad, flux, lap, _ = en.director_terms(grid, TENSOR, d)
             pairing = pair(grad[0], flux[1])
             scale = max(abs(pairing), 1e-300)
             row("elastic_pairing_right", abs(pairing + pair(d[0], lap[1])) / scale)
@@ -410,8 +408,7 @@ def convergence_study(mode: str) -> ConvergenceReport:
     errors = []
     for (grid, _), coarse, fine in zip(runs, finals, finals[1:]):
         v, d = (np.concatenate([_block_mean(grid, f), c]) for f, c in zip(fine, coarse))
-        E = en.relative_energies(grid, TENSOR.sparse_contraction(grid.dim), NON_PARODI_DEMO.epsilon,
-                                 v, d, np.sum(d * d, axis=1))
+        E = en.relative_energies(grid, TENSOR, NON_PARODI_DEMO.epsilon, v, d, np.sum(d * d, axis=1))
         errors.append(math.sqrt(float(E[0])))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return ConvergenceReport(mode=mode, levels=levels, errors=errors, orders=orders)

@@ -199,27 +199,6 @@ def divergence_components(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def elastic_flux(grid: Grid, contraction: tuple, grad: np.ndarray) -> np.ndarray:
-    """L : grad d of component-major gradients (..., 3, dim) + grid.shape,
-    given ``contraction = tensor.sparse_contraction(grid.dim)``: each row of
-    the (3 dim) x (3 dim) product summed over its nonzero entries only, in
-    column order, which equals the dense product bit for bit.  A contraction
-    c I (every row the one entry c on its own column: isotropic L) is one
-    multiply of the whole gradient by c, and for c = 1, where that multiply
-    is an exact copy, the flux is ``grad`` itself: callers only read it."""
-    c = contraction[0][0][1]
-    if all(row == ((a, c),) for a, row in enumerate(contraction)):
-        return grad if c == 1.0 else grad * c
-    flat = grad.reshape((-1, 3 * grid.dim) + grid.shape)
-    out = np.empty_like(flat)
-    term = np.empty_like(flat[:, 0])
-    for a, ((b, c), *rest) in enumerate(contraction):
-        np.multiply(flat[:, b], c, out=out[:, a])
-        for b, c in rest:
-            out[:, a] += np.multiply(flat[:, b], c, out=term)
-    return out.reshape(grad.shape)
-
-
 def gradient_vec(f: VectorField) -> TensorField:
     """Jacobian with entry (i, j) = d f_i / d x_j (:func:`gradient_components`);
     the columns of absent axes are zeros."""
@@ -241,7 +220,7 @@ def laplacian_lambda(d: VectorField, tensor: ElasticTensor) -> VectorField:
     """div(L : grad d); with isotropic L this is k times the componentwise
     Laplacian.  The stepper's kernels on d's values as they are."""
     grid = d.grid
-    flux = elastic_flux(grid, tensor.sparse_contraction(grid.dim), gradient_components(grid, d.values))
+    flux = tensor.flux(gradient_components(grid, d.values), grid.dim)
     return VectorField(grid, divergence_components(grid, flux))
 
 

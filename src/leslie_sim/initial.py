@@ -68,10 +68,9 @@ def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2)
 
 def divfree_smooth_field(grid: Grid, rng: np.random.Generator) -> VectorField:
     """Smooth random field projected onto discretely divergence-free fields:
-    the velocity of :func:`dynamics.project_divfree` at its default
-    tolerance, without its pressure."""
+    the velocity of :func:`dynamics.project_divfree` without its pressure."""
     raw = smooth_vector_field(grid, rng)
-    v, _, _ = dynamics._velocity_update(dynamics.SpectralOps(grid), raw.values[None], 1e-10)
+    v, _, _ = dynamics._velocity_update(dynamics.SpectralOps(grid), raw.values[None])
     return VectorField(grid, v[0])
 
 

@@ -8,7 +8,7 @@ routines serve both pointwise values and whole grid fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,17 @@ class ElasticTensor:
     """Constant rank-4 tensor with major symmetry L_ijkl = L_klij.
 
     ``eta`` is the (estimated) strong-ellipticity constant:
-    (a x b) : L : (a x b) >= eta |a|^2 |b|^2 for unit a, b.
+    (a x b) : L : (a x b) >= eta |a|^2 |b|^2 for unit a, b.  Derived from
+    ``entries`` once for dim 2 and 3, and not compared, are ``rows[dim]``,
+    the (column, value) pairs of each row's nonzero entries of
+    :meth:`contraction` (or one zero entry), and ``scalar[dim]``, c where
+    that contraction is c I, else None.
     """
 
     entries: np.ndarray
     eta: float
+    rows: dict = field(init=False, repr=False, compare=False)
+    scalar: dict = field(init=False, repr=False, compare=False)
 
     MAJOR_SYMMETRY_RTOL = 1e-12
 
@@ -53,6 +59,12 @@ class ElasticTensor:
                 f"major symmetry violated: max |L_ijkl - L_klij| = {defect:.3e}"
             )
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", {dim: tuple(
+            tuple((b, float(c)) for b, c in enumerate(r) if c != 0.0) or ((0, 0.0),)
+            for r in self.contraction(dim)) for dim in (2, 3)})
+        object.__setattr__(self, "scalar", {
+            dim: rows[0][0][1] if all(row == ((a, rows[0][0][1]),) for a, row in enumerate(rows)) else None
+            for dim, rows in self.rows.items()})
 
     @classmethod
     def isotropic(cls, k: float = 1.0) -> "ElasticTensor":
@@ -93,11 +105,39 @@ class ElasticTensor:
         of L : A have no divergence on a dim-dimensional grid."""
         return np.ascontiguousarray(self.entries[:, :dim, :, :dim]).reshape(3 * dim, 3 * dim)
 
-    def sparse_contraction(self, dim: int) -> tuple:
-        """:meth:`contraction` as the (column, value) pairs of each row's
-        nonzero entries, or one zero entry, for :func:`grid.elastic_flux`."""
-        rows = self.contraction(dim)
-        return tuple(tuple((b, float(c)) for b, c in enumerate(r) if c != 0.0) or ((0, 0.0),) for r in rows)
+    def flux(self, grad: np.ndarray, dim: int) -> np.ndarray:
+        """L : grad d of component-major gradients (..., 3, dim) + grid shape,
+        each row of :meth:`contraction` summed over its nonzero entries in
+        column order (the dense product bit for bit); for c I one multiply
+        by c, and at c = 1 (an exact copy) ``grad`` itself: callers only read it."""
+        c = self.scalar[dim]
+        if c is not None:
+            return grad if c == 1.0 else grad * c
+        flat = grad.reshape((-1, 3 * dim) + grad.shape[-dim:])
+        out = np.empty_like(flat)
+        term = np.empty_like(flat[:, 0])
+        for a, ((b, c), *rest) in enumerate(self.rows[dim]):
+            np.multiply(flat[:, b], c, out=out[:, a])
+            for b, c in rest:
+                out[:, a] += np.multiply(flat[:, b], c, out=term)
+        return out.reshape(grad.shape)
+
+    def stiffness(self, sigmas: list) -> np.ndarray:
+        """S_ik = sum_jl L_ijkl sigma_j sigma_l of the dim symbols ``sigmas``,
+        (3, 3) + their half-spectrum shape, over the nonzero L_ijkl with j, l
+        < dim (the other symbols vanish), each sigma_j sigma_l formed once."""
+        dim = len(sigmas)
+        stiffness = np.zeros((3, 3) + sigmas[0].shape)
+        products, term = {}, np.empty(sigmas[0].shape)
+        for row, entries in enumerate(self.rows[dim]):
+            i, j = divmod(row, dim)
+            for col, c in entries:  # a zero row's one zero entry adds zeros
+                k, l = divmod(col, dim)
+                pair = (min(j, l), max(j, l))
+                if pair not in products:
+                    products[pair] = sigmas[j] * sigmas[l]
+                stiffness[i, k] += np.multiply(products[pair], c, out=term)
+        return stiffness
 
 
 def _sphere_grid(n_theta: int = 13, n_phi: int = 24) -> np.ndarray:

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 import leslie_sim.grid as g
-from leslie_sim.dynamics import StateTerms, _inverse_3x3, _stiffness
+from leslie_sim.dynamics import StateTerms, _inverse_3x3
 from leslie_sim.energetics import (
     EnergyBreakdown,
     director_strain,
@@ -304,7 +304,6 @@ def relative_series(grid, p, tensor, runs):
     ref = runs[0]
     n = len(ref)
     ts = np.array([s.t for s in ref])
-    contraction = tensor.sparse_contraction(grid.dim)
     out = np.empty((5, len(runs) - 1, n))
     for i in range(n):
         lo, hi = max(i - 1, 0), min(i + 1, n - 1)
@@ -313,10 +312,10 @@ def relative_series(grid, p, tensor, runs):
         )
         v, d = (np.array([getattr(r[i], f).values for r in runs]) for f in "vd")
         # the sample's record, taken again with the library kernels
-        grad, _, lap, dev = director_terms(grid, contraction, d)
+        grad, _, lap, dev = director_terms(grid, tensor, d)
         grad_v = g.gradient_components(grid, v)
         terms = StateTerms(grad, lap, dev, None, grad_v, director_strain(grad_v, d))
-        out[:, :, i] = relative_terms(grid, p, contraction, v, d, terms, dt_d)
+        out[:, :, i] = relative_terms(grid, p, tensor, v, d, terms, dt_d)
     return out
 
 
@@ -394,7 +393,7 @@ class FloatSymbolKernels:
         self.helmholtz_denominator = 1.0 + helmholtz_coeff * sig_sq
         self.projection_denominator = np.where(sig_sq != 0.0, -sig_sq, np.inf)
         if tensor is not None:
-            matrix = _stiffness(tensor, self.sigmas) * director_alpha
+            matrix = tensor.stiffness(self.sigmas) * director_alpha
             for i in range(3):
                 matrix[i, i] += 1.0
             self.director_inverse = _inverse_3x3(matrix)

@@ -114,6 +114,9 @@ def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="scheme") as exc_info:
         parse_config("[stepper]\ndt = 1e-3\nscheme = semi_implicit_theta\n")
     assert exc_info.value.line == 3
+    with pytest.raises(ConfigError, match="poisson_tol") as exc_info:
+        parse_config("[stepper]\ndt = 1e-3\npoisson_tol = 1e-10\n")
+    assert exc_info.value.line == 3
 
 
 def test_duplicate_key_rejected():
@@ -250,6 +253,7 @@ def test_nonfinite_values_report_line(text):
     "[initial]\nkind = bogus\n", "[initial]\ndirector = 1 2\n",
     "[grid]\ndim = 4\n", "[grid]\nn = 3\n", "[grid]\nn = 8 8 8\n", "[grid]\nlength = -1\n",
     "[stepper]\ntheta = 0.7\n", "[stepper]\ndt = 0\n", "[stepper]\noutput_every = 0\n",
+    "[grid]\nn = 8.5\n", "[grid]\nn = 8 8.5\n", "[stepper]\noutput_every = 2.5\n",
 ])
 def test_bad_value_reports_the_line_of_its_key(text):
     with pytest.raises(ConfigError) as exc_info:
@@ -286,6 +290,24 @@ def test_integral_float_seed_is_taken_as_its_int():
     grid = Grid.unit_box(8)
     assert (make_initial_state(grid, spec).d.values.tobytes()
             == make_initial_state(grid, InitialSpec(seed=3)).d.values.tobytes())
+
+
+def test_integral_float_counts_and_seeds_are_taken_as_their_ints():
+    # the config leaves the whole-number checks to Grid and the dataclasses,
+    # which take 2.0 as 2 in a file as they do in code
+    text = ("[grid]\nn = {n}\n[stepper]\nt_end = 0.01\noutput_every = {k}\n"
+            "[initial]\nseed = {k}\n[experiment]\nseed = {k}\n")
+    cfg = parse_config(text.format(n="8.0 6", k="2.0"))
+    want = parse_config(text.format(n="8 6", k="2"))
+    assert (cfg.grid, cfg.stepper, cfg.initial, cfg.experiment) == (
+        want.grid, want.stepper, want.initial, want.experiment)
+    assert cfg.grid.h == (0.125, 1.0 / 6.0)
+    values = cfg.grid.n + (cfg.stepper.output_every, cfg.initial.seed, cfg.experiment.seed)
+    assert values == (8, 6, 2, 2, 2) and all(type(x) is int for x in values)
+    # an integer literal stays exact where a float conversion would round it
+    seed = 12345678901234567891
+    cfg = parse_config(f"[initial]\nseed = {seed}\n[experiment]\nseed = {seed}\n")
+    assert cfg.initial.seed == seed == cfg.experiment.seed != float(seed)
 
 
 @pytest.mark.parametrize("t_end", ["0.0105", "0.0004", "-0.002"])

@@ -459,8 +459,6 @@ def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
     with pytest.raises(ValueError):
-        StepperConfig(poisson_tol=1e-3)
-    with pytest.raises(ValueError):
         StepperConfig(theta=0.5)
     with pytest.raises(ValueError):
         StepperConfig(output_every=0)

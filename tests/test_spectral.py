@@ -27,7 +27,6 @@ from leslie_sim.dynamics import (
     _inverse_3x3,
     _pressure,
     _projection_targets,
-    _stiffness,
     _symbols,
     _velocity_update,
     max_stiff_rate,
@@ -216,7 +215,7 @@ def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_
         return vdot(a, b)
 
     monkeypatch.setattr(np, "vdot", spy)
-    v, s, grad_v = _velocity_update(ops, values, 1e-10, helmholtz=True)
+    v, s, grad_v = _velocity_update(ops, values, helmholtz=True)
     monkeypatch.undo()
     assert v.shape == (2, 3) + grid.shape and s.shape == (2,) + ops.half
     taken = v.tobytes(), grad_v.tobytes()
@@ -228,7 +227,7 @@ def test_velocity_update_gates_the_divergence_of_its_velocity(monkeypatch, grid_
     assert len(gated) == len(div)
     for got, want in zip(gated, div):
         np.testing.assert_array_equal(got, want)
-    other, _, _ = _velocity_update(ops, values, 1e-10, helmholtz=True)
+    other, _, _ = _velocity_update(ops, values, helmholtz=True)
     np.testing.assert_array_equal(other, v)
 
 
@@ -260,7 +259,7 @@ def test_velocity_update_bitwise_equals_float_symbol_kernel(grid_name, helmholtz
     grid = GRIDS[grid_name]
     ops = SpectralOps(grid, helmholtz_coeff=2e-3)
     values = _real_members(grid, m, 14)
-    v, s, grad_v = _velocity_update(ops, values, 1e-10, helmholtz)
+    v, s, grad_v = _velocity_update(ops, values, helmholtz)
     ref_vp, ref_grad_v = oracles.FloatSymbolKernels(ops, helmholtz_coeff=2e-3).velocity_update(
         values, helmholtz, pressure)
     assert v.tobytes() == ref_vp[:, :3].tobytes()
@@ -314,9 +313,9 @@ def test_pressure_on_read_equals_the_stacked_transform(monkeypatch, grid_name, m
                for _ in range(m)]
     update, taken = dynamics._velocity_update, []
 
-    def spy(ops, values, tol, helmholtz=False):
+    def spy(ops, values, helmholtz=False):
         taken.append((values.copy(), helmholtz))
-        return update(ops, values, tol, helmholtz)
+        return update(ops, values, helmholtz)
 
     monkeypatch.setattr(dynamics, "_velocity_update", spy)
     e = Ensemble.of(members)
@@ -347,7 +346,7 @@ def test_max_stiff_rate_matches_full_spectrum(grid_name, tensor_name):
 
 def _closed_form_inverse(grid, tensor, alpha):
     """(I + alpha S)^-1 by the set-up kernels, before it is stored by block."""
-    matrix = _stiffness(tensor, _symbols(grid)) * alpha
+    matrix = tensor.stiffness(_symbols(grid)) * alpha
     for i in range(3):
         matrix[i, i] += 1.0
     return _inverse_3x3(matrix)
@@ -372,7 +371,7 @@ def test_director_inverse_in_closed_form(grid_name, tensor_name, alpha):
     ops = SpectralOps(grid, tensor, director_alpha=alpha)
     sigmas = _symbols(grid)
     stiffness = oracles.director_stiffness(sigmas, tensor)
-    _assert_close(np.moveaxis(_stiffness(tensor, sigmas), (0, 1), (-2, -1)), stiffness, SETUP_TOL)
+    _assert_close(np.moveaxis(tensor.stiffness(sigmas), (0, 1), (-2, -1)), stiffness, SETUP_TOL)
     inverse = _dense_inverse(ops)
     _assert_close(inverse, oracles.director_inverse(sigmas, tensor, alpha), SETUP_TOL)
     product = np.einsum("ij...,...jk->...ik", inverse, np.eye(3) + alpha * stiffness)
@@ -480,7 +479,7 @@ def test_elastic_pairing_is_adjoint(grid_name, tensor_name):
     # (grad d ; L : grad dr) = -(d, div(L : grad dr)) for d, dr white noise
     grid, tensor = GRIDS[grid_name], TENSORS[tensor_name]
     d = np.random.default_rng(12).normal(size=(2, 3) + grid.shape)
-    grad, flux, lap, _ = en.director_terms(grid, tensor.sparse_contraction(grid.dim), d)
+    grad, flux, lap, _ = en.director_terms(grid, tensor, d)
     pairing = float(np.vdot(grad[0], flux[1]))
     assert abs(pairing + float(np.vdot(d[0], lap[1]))) <= RTOL * abs(pairing)
 
@@ -503,7 +502,7 @@ def test_elastic_operator_is_second_order_on_a_fourier_mode(grid_name, tensor_na
             mode = np.sin(sum(k * x for k, x in zip(kappa, grid.coords())))
             d = np.zeros((1, 3) + grid.shape)
             d[0, m] = amplitude * mode
-            lap = en.director_terms(grid, tensor.sparse_contraction(grid.dim), d)[2][0]
+            lap = en.director_terms(grid, tensor, d)[2][0]
             symbol = np.einsum("ijl,j,l->i", tensor.entries[:, : grid.dim, m, : grid.dim], kappa, kappa)
             exact = -amplitude * symbol[:, None] * mode.reshape(1, -1)
             errors.append(np.sqrt(np.mean((lap.reshape(3, -1) - exact) ** 2)))
