@@ -15,7 +15,6 @@ from .dynamics import (
     max_stiff_rate,
     project_divfree,
     run,
-    run_ensemble,
     stable_dt_bound,
 )
 from .energetics import (
@@ -107,7 +106,6 @@ __all__ = [
     "relative_energy",
     "require_valid",
     "run",
-    "run_ensemble",
     "stable_dt_bound",
     "validate",
     "variational_derivative",

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import dynamics, experiments
-from .config import ConfigError, load_config
+from .config import ConfigError, _number, load_config
 from .energetics import energy_inequality_residual
 from .initial import make_initial_state
 from .material import validate
@@ -33,13 +33,6 @@ def _seed(value: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def _delta(value: str) -> float:
-    delta = float(value)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise argparse.ArgumentTypeError(f"delta must be finite and >= 0, got {value}")
-    return delta
 
 
 def _grid_n(value: str) -> int:
@@ -111,12 +104,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load(args)
-    delta = cfg.experiment.delta if args.delta is None else args.delta
-    seed = cfg.experiment.seed if args.seed is None else args.seed
+    flags = {"delta": args.delta, "seed": args.seed}
+    try:
+        # a flag overrides its config value and is checked as that value is
+        exp = replace(cfg.experiment, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     state = make_initial_state(cfg.grid, cfg.initial)
     report = experiments.weak_strong_experiment(
         cfg.grid, cfg.params, cfg.elastic, cfg.stepper, state,
-        seed=seed, delta=delta, c=cfg.experiment.gronwall_c,
+        seed=exp.seed, delta=exp.delta, c=exp.gronwall_c,
         forcing=cfg.forcing(),
     )
     trace_path = args.trace or cfg.trace_path
@@ -125,9 +123,9 @@ def _cmd_compare(args) -> int:
     ok = report.bound_satisfied and np.isfinite(report.minimal_c)
     verdict = "PASS" if ok else "FAIL"
     print(
-        f"{verdict}: delta = {delta:g}, E(0) = {report.E0:.6g}, "
+        f"{verdict}: delta = {exp.delta:g}, E(0) = {report.E0:.6g}, "
         f"max E = {report.max_E:.6g}, minimal_c = {report.minimal_c:.6g}, "
-        f"bound at c = {cfg.experiment.gronwall_c:g}: "
+        f"bound at c = {exp.gronwall_c:g}: "
         f"{'holds' if report.bound_satisfied else 'violated'}"
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -197,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="weak-strong stability comparison")
     p.add_argument("--config", required=True)
-    p.add_argument("--delta", type=_delta, default=None)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--seed", type=_number, default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_compare)
 

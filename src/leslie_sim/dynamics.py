@@ -40,11 +40,12 @@ contraction over components is a multiply-add of contiguous arrays and one
 step advances the m members of an :class:`Ensemble` at once.  The step and
 its solvers take and return only those member arrays; fields (a
 :class:`State`, a VectorField) are the kind of the public API around them --
-``run``, ``run_ensemble``, ``project_divfree`` and the campaigns -- and a
-run turns its states into one Ensemble before its first step.  The checks
-(CFL warning, finiteness, projection residual) and every energy are taken
-per member on that member's slice, so each member evolves bit for bit as it
-does alone.  A gradient holds only the grid's dim columns: on a 2D grid it
+``project_divfree``, the campaigns and :meth:`Stepper.run_ensemble`, the
+one run loop (``run`` is its one-member case), which turns its states into
+one Ensemble before its first step and samples the steps that
+:meth:`StepperConfig.samples` names.  The checks (CFL warning, finiteness,
+projection residual) and every energy are taken per member on that
+member's slice, so each member evolves bit for bit as it does alone.  A gradient holds only the grid's dim columns: on a 2D grid it
 has no always-zero third column, and L : grad d is one (3 dim) x (3 dim)
 matrix product with L_ijkl restricted to j, l < dim
 (:meth:`ElasticTensor.flux`).  A field's values have the same
@@ -153,6 +154,12 @@ class StepperConfig:
             raise ValueError(f"t_end = {self.t_end:g} is not t0 = {t0:g} plus a whole number of "
                              f"steps dt = {self.dt:g}: (t_end - t0) / dt = {x:.12g}")
         return n
+
+    def samples(self, t0: float) -> list:
+        """The sampled steps of a run from t0: step 0, every
+        ``output_every``-th step and the last, :meth:`steps`."""
+        n = self.steps(t0)
+        return [*range(0, n, self.output_every), n]
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +522,6 @@ class Ensemble:
         v, d, p = (np.array([getattr(s, f).values for s in states]) for f in "vdp")
         return cls(grid, states[0].t, v, d, p)
 
-    def copy(self) -> "Ensemble":
-        """A copy with C-contiguous arrays of its own, as ``State.copy()`` gives."""
-        return Ensemble(self.grid, self.t, self.v.copy(), self.d.copy(), self.p.copy())
-
     def member(self, i: int) -> State:
         """Member i as a State of contiguous views of the ensemble's arrays."""
         grid = self.grid
@@ -560,8 +563,8 @@ class Stepper:
     The step acts on an :class:`Ensemble`: every member at once, with the
     member axis leading, and with the checks and energies taken per member,
     so that each member evolves bit for bit as it does alone.  It takes
-    States only at :meth:`run` and :meth:`run_ensemble`, which step a
-    lone state as a one-member Ensemble.
+    States only at :meth:`run_ensemble`, the one run loop; a lone state's
+    run is its one-member case (:func:`run`).
     """
 
     def __init__(
@@ -690,44 +693,39 @@ class Stepper:
         return result, StateTerms(grad_new, lap_new, dev_new, energy_new, grad_v,
                                   en.director_strain(grad_v, d_new))
 
-    def run(self, initial: State, observer=None) -> Trajectory:
-        return self.run_ensemble([initial], observer)[0]
-
     def run_ensemble(self, initials, observer=None) -> list:
         """Run the states ``initials``, all at one time, as one ensemble: one
-        step call per step advances every member.  Returns one Trajectory
-        per member, bit for bit that of the member's lone run.  A member
-        that turns non-finite raises SimulationError naming it, with its
-        last sample.
+        step call per step advances every member, and the steps of
+        ``cfg.samples`` are sampled.  Returns one Trajectory per member, bit
+        for bit that of the member's lone run.  A member that turns
+        non-finite raises SimulationError naming it, with its last sample.
 
-        Without ``observer`` the run's own observer copies each sample
-        (:meth:`Ensemble.copy`), and each Trajectory keeps its member of the
-        copies.  With one, ``observer(ensemble, terms)`` is called with each
-        sampled Ensemble in order, the initial one included, and its
-        :class:`StateTerms`; the trajectories keep no states, so memory is
-        flat in trajectory length.  Records and states are never written
-        after they are handed out, so an observer may keep them uncopied.
+        ``observer(ensemble, terms)`` is called with each sampled Ensemble in
+        order, the initial one included, and its :class:`StateTerms`; the
+        trajectories then keep no states, so memory is flat in trajectory
+        length.  Without one, the run keeps the samples themselves, and each
+        Trajectory holds its member of them, whose pressures are transformed
+        as its States are made.  Each step makes new arrays, and records and
+        states are never written after they are handed out, so a sample may
+        be kept uncopied.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
         m = len(initials)
-        n_steps = cfg.steps(state.t)
+        samples = cfg.samples(state.t)
+        n_steps = samples[-1]
         # each member's trace, field by field in EnergyTrace order, a column
         # per sample
-        trace = np.empty((m, len(fields(EnergyTrace)), 1 + -(-n_steps // cfg.output_every)))
+        trace = np.empty((m, len(fields(EnergyTrace)), len(samples)))
         step_times = np.empty(n_steps + 1)
         step_energy = np.empty((m, n_steps + 1))
-        kept = []  # copies of the samples, made without an observer
-        last = None  # the last sample, for SimulationError
+        kept = []  # the samples, kept without an observer
         if observer is None:
             def observer(e, terms):
-                # the copy is the last sample too, so that the stepper's own
-                # arrays are not held between samples
-                nonlocal last
-                last = e.copy()
-                kept.append(last)
+                kept.append(e)
 
         terms = self.terms(state)
+        last = None  # the last sample, for SimulationError
         j = 0
         for k in range(n_steps + 1):
             if k > 0:
@@ -744,14 +742,14 @@ class Stepper:
             step_times[k] = state.t
             kinetic = en.kinetic_energies(self.grid, state.v).tolist()
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
-            if k % cfg.output_every == 0 or k == n_steps:
+            if k == samples[j]:
                 last = state
                 observer(state, terms)
                 trace[:, :, j] = self._diagnostics(state, terms, kinetic)
                 j += 1
 
         return [
-            Trajectory([c.member(i) for c in kept], EnergyTrace(*trace[i]), step_times, step_energy[i])
+            Trajectory([e.member(i) for e in kept], EnergyTrace(*trace[i]), step_times, step_energy[i])
             for i in range(m)
         ]
 
@@ -779,18 +777,8 @@ def run(
     allow_invalid: bool = False,
     observer=None,
 ) -> Trajectory:
-    return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run(initial, observer)
-
-
-def run_ensemble(
-    initials,
-    cfg: StepperConfig,
-    p: ParameterSet,
-    tensor: ElasticTensor,
-    forcing: VectorField | None = None,
-    allow_invalid: bool = False,
-    observer=None,
-) -> list:
-    return Stepper(initials[0].v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(
-        initials, observer
-    )
+    """The run of the one state ``initial``: :meth:`Stepper.run_ensemble`
+    of a one-member ensemble."""
+    return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(
+        [initial], observer
+    )[0]

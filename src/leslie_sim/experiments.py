@@ -32,8 +32,11 @@ class ExperimentConfig:
     def __post_init__(self):
         # one check per field, so that a config error names its key's line
         for name in ("gronwall_c", "tol_energy", "tol_step", "delta"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"experiment {name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"experiment {name} must be finite and >= 0, got {value}")
+            if value < 0:
+                raise ValueError(f"experiment {name} must be >= 0, got {value}")
         if not (float(self.seed).is_integer() and self.seed >= 0):
             raise ValueError(f"experiment seed must be >= 0 and whole, got {self.seed}")
         # an integral float seeds as the int does
@@ -135,7 +138,7 @@ def weak_strong_campaign(
             window[0] = (window[0][0], None)  # its terms are taken
 
     try:
-        traj = dynamics.run_ensemble(members, cfg, p, tensor, forcing=forcing, observer=observe)[0]
+        traj = dynamics.Stepper(grid, cfg, p, tensor, forcing).run_ensemble(members, observe)[0]
     except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
         # the FAIL line names the run, not its index in the ensemble
         if exc.member is not None:
@@ -225,8 +228,8 @@ def energy_monitor(
     tol_energy * E(0) at every step.  The trajectory is sampled at every
     step, so that the residual integrates the dissipation over every step
     whatever ``cfg.output_every``; that only selects the rows of the
-    report's trace and residual, every output_every-th step and the last.
-    ``grid`` must be the initial state's.
+    report's trace and residual, the steps of ``cfg.samples``.  ``grid``
+    must be the initial state's.
     """
     if grid != initial.v.grid:
         raise ValueError("grid must be the grid of the initial state")
@@ -238,8 +241,7 @@ def energy_monitor(
     step_increase = float(np.max(np.diff(traj.step_total_energy), initial=0.0))
     max_res = float(residual.max())
     passed = step_increase <= tol_step * scale and max_res <= tol_energy * scale
-    last = len(residual) - 1
-    kept = [k for k in range(last + 1) if k % cfg.output_every == 0 or k == last]
+    kept = cfg.samples(initial.t)
     return EnergyReport(
         passed=passed,
         trace=en.EnergyTrace(*(getattr(traj.trace, f.name)[kept] for f in fields(en.EnergyTrace))),

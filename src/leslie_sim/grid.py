@@ -72,9 +72,8 @@ class Grid:
 
     @classmethod
     def unit_box(cls, n, dim: int = 2) -> "Grid":
-        ns = tuple([int(n)] * dim)
-        hs = tuple(1.0 / v for v in ns)
-        return cls(n=ns, h=hs)
+        # n as given: Grid refuses a fractional count
+        return cls(n=(n,) * dim, h=(1.0 / n,) * dim)
 
     @property
     def lengths(self) -> tuple:

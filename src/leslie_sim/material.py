@@ -5,7 +5,7 @@ conditions, the absorption constant zeta, and the body-force catalog.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,11 @@ class ParameterSet:
     mu5: float = 1.0
     mu6: float = 1.0
     epsilon: float = 0.1
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"material {f.name} must be finite, got {getattr(self, f.name)}")
 
     @property
     def mu23(self) -> float:

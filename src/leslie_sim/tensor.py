@@ -32,15 +32,17 @@ class ElasticTensor:
     """Constant rank-4 tensor with major symmetry L_ijkl = L_klij.
 
     ``eta`` is the (estimated) strong-ellipticity constant:
-    (a x b) : L : (a x b) >= eta |a|^2 |b|^2 for unit a, b.  Derived from
-    ``entries`` once for dim 2 and 3, and not compared, are ``rows[dim]``,
-    the (column, value) pairs of each row's nonzero entries of
+    (a x b) : L : (a x b) >= eta |a|^2 |b|^2 for unit a, b.  Equality and
+    hashing see only ``eta`` and ``key``, the bytes of ``entries``.  Derived
+    from ``entries`` once for dim 2 and 3, and not compared, are
+    ``rows[dim]``, the (column, value) pairs of each row's nonzero entries of
     :meth:`contraction` (or one zero entry), and ``scalar[dim]``, c where
     that contraction is c I, else None.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray = field(compare=False)
     eta: float
+    key: bytes = field(init=False, repr=False)
     rows: dict = field(init=False, repr=False, compare=False)
     scalar: dict = field(init=False, repr=False, compare=False)
 
@@ -59,6 +61,7 @@ class ElasticTensor:
                 f"major symmetry violated: max |L_ijkl - L_klij| = {defect:.3e}"
             )
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "key", entries.tobytes())
         object.__setattr__(self, "rows", {dim: tuple(
             tuple((b, float(c)) for b, c in enumerate(r) if c != 0.0) or ((0, 0.0),)
             for r in self.contraction(dim)) for dim in (2, 3)})

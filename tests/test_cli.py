@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -194,6 +195,22 @@ def test_energy_check_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_energy_check_trace_is_the_report_trace(tmp_path, capsys):
+    # 10 steps, every 4th sampled and the last: the rows of steps 0, 4, 8, 10
+    text = GOOD.replace("dt = 1e-3", "dt = 5e-4").replace("t_end = 0.01", "t_end = 5e-3\noutput_every = 4")
+    cfg, trace = _write(tmp_path, "run.cfg", text), str(tmp_path / "energy.csv")
+    assert main(["energy-check", "--config", cfg, "--trace", trace]) == 0
+    assert "PASS" in capsys.readouterr().out
+    run = load_config(cfg)
+    report = experiments.energy_monitor(
+        run.grid, run.params, run.elastic, run.stepper, make_initial_state(run.grid, run.initial))
+    data = read_trace_csv(trace)
+    np.testing.assert_allclose(data["t"], [0.0, 2e-3, 4e-3, 5e-3], rtol=1e-12)
+    for f in dataclasses.fields(report.trace):
+        np.testing.assert_array_equal(data[f.name], getattr(report.trace, f.name))
+    np.testing.assert_array_equal(data["residual_energy"], report.residual)
+
+
 def test_ibp_check_passes(capsys):
     assert main(["ibp-check", "--n", "16", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -247,6 +264,18 @@ def test_compare_delta_and_seed_flags(tmp_path, capsys):
         return capsys.readouterr().out.split("max E = ")[1].split(",")[0]
 
     assert max_E("3") != max_E("4")
+
+
+@pytest.mark.parametrize("flag, config", [("2.0", "2"), ("12345678901234567891", "12345678901234567891")])
+def test_compare_seed_flag_is_read_as_the_config_value(tmp_path, capsys, flag, config):
+    # an integral float seeds as its int, and a 20-digit seed stays exact
+    def verdict(argv):
+        assert main(["compare", "--delta", "1e-2"] + argv) == 0
+        return capsys.readouterr().out
+
+    cfg = _write(tmp_path, "run.cfg", GOOD)
+    seeded = _write(tmp_path, "seeded.cfg", GOOD + f"[experiment]\nseed = {config}\n")
+    assert verdict(["--config", cfg, "--seed", flag]) == verdict(["--config", seeded])
 
 
 @pytest.mark.parametrize("argv", [["compare", "--seed", "-3"], ["ibp-check", "--seed", "-1"]])
@@ -323,7 +352,7 @@ def test_projection_failure_is_a_fail_line(tmp_path, capsys, monkeypatch, comman
 @pytest.mark.parametrize("argv, message", [
     (["compare", "--delta", "nan"], "delta must be finite and >= 0"),
     (["compare", "--delta", "inf"], "delta must be finite and >= 0"),
-    (["compare", "--delta", "-0.01"], "delta must be finite and >= 0"),
+    (["compare", "--delta", "-0.01"], "delta must be >= 0"),
     (["ibp-check", "--n", "3"], "n must be >= 4"),
     (["ibp-check", "--n", "0"], "n must be >= 4"),
 ])

@@ -43,6 +43,22 @@ def test_empty_config_is_valid_with_defaults():
     assert cfg.forcing() is None
 
 
+#: The identity tensor, L_ijkl = delta_ik delta_jl, as 81 explicit entries.
+EXPLICIT_IDENTITY = ("[material]\nelastic = explicit\nelastic_entries = "
+                     + " ".join((["1"] + ["0"] * 9) * 8 + ["1"]) + "\n")
+
+
+@pytest.mark.parametrize("text", ["", "[material]\nelastic_k = 2.5\n", EXPLICIT_IDENTITY],
+                         ids=["defaults", "isotropic", "explicit"])
+def test_parsed_configs_compare_as_values(text):
+    # the elastic tensor compares and hashes as a value, so a RunConfig does
+    cfg, again = parse_config(text), parse_config(text)
+    assert cfg.elastic is not again.elastic
+    assert cfg == again and hash(cfg.elastic) == hash(again.elastic)
+    other = parse_config("[material]\nelastic_k = 3\n")
+    assert cfg != other and cfg.elastic != other.elastic
+
+
 def test_full_config_round_trip_values():
     text = """
 [grid]
@@ -281,6 +297,14 @@ def test_fractional_seed_is_refused_naming_its_field(cls, section, seed):
     with pytest.raises(ConfigError, match=f"{section}.seed") as exc_info:
         parse_config(f"[{section}]\nseed = {seed}\n")
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("name", ["gronwall_c", "tol_energy", "tol_step", "delta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_nonfinite_experiment_value_is_refused(name, value):
+    # refused by the dataclass itself, as the config file's parser refuses them
+    with pytest.raises(ValueError, match=f"experiment {name} must be finite"):
+        ExperimentConfig(**{name: value})
 
 
 def test_integral_float_seed_is_taken_as_its_int():

@@ -440,6 +440,20 @@ def test_step_count_is_whole_or_an_error():
             run(s, StepperConfig(dt=1e-3, t_end=t_end), PARODI_DEMO, TENSOR)
 
 
+def test_sample_schedule_is_step_0_every_output_every_th_and_the_last():
+    assert StepperConfig(dt=1e-3, t_end=0.01, output_every=4).samples(0.0) == [0, 4, 8, 10]
+    assert StepperConfig(dt=1e-3, t_end=0.012, output_every=4).samples(0.0) == [0, 4, 8, 12]
+    assert StepperConfig(dt=1e-3, t_end=0.01, output_every=20).samples(0.0) == [0, 10]
+    assert StepperConfig(dt=1e-3, t_end=0.01).samples(0.01) == [0]
+    # a run samples exactly those steps, from its initial time
+    grid = Grid.unit_box(8)
+    s = State.initial(VectorField.zeros(grid), VectorField.constant(grid, (0.0, 0.0, 1.0)), t=2e-3)
+    cfg = StepperConfig(dt=1e-3, t_end=9e-3, output_every=3)
+    traj = run(s, cfg, PARODI_DEMO, TENSOR)
+    assert cfg.samples(s.t) == [0, 3, 6, 7] and len(traj.states) == 4
+    np.testing.assert_array_equal(traj.trace.t, traj.step_times[cfg.samples(s.t)])
+
+
 @pytest.mark.parametrize("output_every", [2.5, 0.5, math.inf, math.nan])
 def test_stepper_config_rejects_a_fractional_output_every(output_every):
     # refused when the config is made, not by a TypeError inside the run

@@ -43,6 +43,15 @@ def test_grid_rejects_nonfinite_spacing(h):
         Grid(n=(8, 8), h=(0.1, h))
 
 
+def test_unit_box_refuses_a_fractional_cell_count():
+    # int() would truncate 8.5 to an 8 x 8 grid; an integral float is its int
+    with pytest.raises(ValueError, match="whole numbers"):
+        Grid.unit_box(8.5)
+    grid = Grid.unit_box(8.0)
+    assert grid == Grid.unit_box(8) and grid.n == (8, 8) and grid.h == (0.125, 0.125)
+    assert type(grid.n[0]) is int
+
+
 def test_unit_box_properties():
     grid = Grid.unit_box(16, dim=3)
     assert grid.dim == 3

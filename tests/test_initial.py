@@ -71,3 +71,28 @@ def test_divfree_field_transforms_no_pressure(grid, monkeypatch):
     assert state.v.values.tobytes() == (0.1 * divfree_smooth_field(grid, rng).values).tobytes()
     assert state.d.values.tobytes() == (VectorField.constant(grid, (0.0, 0.0, 1.0)).values
                                         + 0.1 * xi_d.values).tobytes()
+
+
+def test_constant_state_is_the_director_at_rest():
+    grid = Grid(n=(5, 4, 6), h=(0.2, 0.2, 0.2))
+    state = make_initial_state(grid, InitialSpec(kind="constant", director=(0.6, 0.0, 0.8)))
+    assert not state.v.values.any() and not state.p.values.any()
+    np.testing.assert_array_equal(state.d.values, VectorField.constant(grid, (0.6, 0.0, 0.8)).values)
+
+
+def test_smooth_random_state_is_seeded_and_its_base_direction_is_unit():
+    grid = Grid.unit_box(8)
+
+    def state(seed, amplitude=0.1):
+        return make_initial_state(grid, InitialSpec(kind="smooth_random", seed=seed, amplitude=amplitude))
+
+    a, again, other = state(3), state(3), state(4)
+    for name in "vdp":
+        assert getattr(a, name).values.tobytes() == getattr(again, name).values.tobytes()
+    assert not np.array_equal(a.d.values, other.d.values)
+    # at amplitude 0 the director is the random base direction, not the
+    # configured one, at every node
+    base = state(3, amplitude=0.0).d.values.reshape(3, -1)
+    np.testing.assert_array_equal(base, np.broadcast_to(base[:, :1], base.shape))
+    assert abs(np.linalg.norm(base[:, 0]) - 1.0) <= 1e-15
+    assert not np.array_equal(base[:, 0], InitialSpec().director)

@@ -47,6 +47,17 @@ def test_single_violations_named():
     ]
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ParameterSet)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_nonfinite_parameter_is_refused(name, value):
+    # epsilon = inf would pass every dissipativity inequality and run a
+    # stepper with no penalty term
+    with pytest.raises(ValueError, match=f"material {name} must be finite"):
+        ParameterSet(**{name: value})
+    with pytest.raises(ValueError, match="must be finite"):
+        dataclasses.replace(PARODI_DEMO, **{name: value})
+
+
 def test_require_valid_raises_with_violations():
     with pytest.raises(InvalidParameters) as exc_info:
         require_valid(ParameterSet(mu1=-1.0, mu4=-1.0))

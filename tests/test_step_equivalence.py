@@ -37,7 +37,6 @@ from leslie_sim.dynamics import (
     leslie_stress,
     project_divfree,
     run,
-    run_ensemble,
     solve_director_implicit,
     solve_helmholtz,
 )
@@ -293,7 +292,7 @@ def test_step_energy_and_trace_match_recomputed(tensor_name):
     grid, tensor, p = GRIDS["2d"], TENSORS[tensor_name], NON_PARODI_DEMO
     forcing = make_forcing("sinusoidal:0.5", grid)
     cfg = StepperConfig(dt=1e-3, t_end=0.02, theta=0.3, output_every=1)
-    traj = Stepper(grid, cfg, p, tensor, forcing=forcing).run(_state(grid, seed=3))
+    traj = Stepper(grid, cfg, p, tensor, forcing=forcing).run_ensemble([_state(grid, seed=3)])[0]
     assert len(traj.states) == 21
 
     for k, s in enumerate(traj.states):
@@ -355,7 +354,7 @@ def test_free_energy_equals_trace_rows_bit_for_bit(grid_name, tensor_name):
     # the stepper and free_energy call one kernel on the same contiguous values
     grid, tensor, p = GRIDS[grid_name], TENSORS[tensor_name], NON_PARODI_DEMO
     cfg = StepperConfig(dt=1e-3, t_end=0.01, output_every=1)
-    traj = Stepper(grid, cfg, p, tensor).run(_state(grid, seed=4))
+    traj = Stepper(grid, cfg, p, tensor).run_ensemble([_state(grid, seed=4)])[0]
     assert len(traj.states) == 11
     for k, s in enumerate(traj.states):
         fe = free_energy(s.d, tensor, p.epsilon)
@@ -411,7 +410,7 @@ def _assert_same_state(a, b):
 
 def test_lone_step_equals_first_run_sample():
     s = _state(GRIDS["2d"], seed=40)
-    traj = _stepper(t_end=1e-3).run(s)
+    traj = _stepper(t_end=1e-3).run_ensemble([s])[0]
     stepper, e = _stepper(), Ensemble.of([s])
     _assert_same_state(stepper.step(e, stepper.terms(e))[0].member(0), traj.states[1])
 
@@ -421,7 +420,7 @@ def test_run_equals_repeated_lone_steps():
     # director terms from its own state gives
     stepper = _stepper()
     s = _state(GRIDS["2d"], seed=41)
-    traj = stepper.run(s)
+    traj = stepper.run_ensemble([s])[0]
     e = Ensemble.of([s])
     for k in range(1, len(traj.states)):
         e = stepper.step(e, stepper.terms(e))[0]
@@ -434,7 +433,7 @@ def test_run_with_unsampled_steps_equals_repeated_lone_steps():
     stepper = Stepper(GRIDS["2d"], StepperConfig(dt=1e-3, t_end=6e-3, output_every=3),
                       NON_PARODI_DEMO, ANISO)
     s = _state(GRIDS["2d"], seed=39)
-    traj = stepper.run(s)
+    traj = stepper.run_ensemble([s])[0]
     assert len(traj.states) == 3
     e = Ensemble.of([s])
     for k in range(1, 7):
@@ -455,8 +454,8 @@ def test_step_after_in_place_director_change_matches_fresh_stepper():
 def test_alternating_states_match_separate_steppers():
     shared = _stepper()
     a, b = _state(GRIDS["2d"], seed=43), _state(GRIDS["2d"], seed=44, amplitude=0.5)
-    shared_runs = [shared.run(a), shared.run(b), shared.run(a)]
-    alone_a, alone_b = _stepper().run(a), _stepper().run(b)
+    shared_runs = [shared.run_ensemble([s])[0] for s in (a, b, a)]
+    alone_a, alone_b = _stepper().run_ensemble([a])[0], _stepper().run_ensemble([b])[0]
     for traj, alone in zip(shared_runs, (alone_a, alone_b, alone_a)):
         np.testing.assert_array_equal(traj.step_total_energy, alone.step_total_energy)
         for x, y in zip(traj.states, alone.states):
@@ -509,11 +508,6 @@ def test_lone_step_is_layout_independent(grid_name, tmp_path):
     copied = out.copy()
     assert _owned(copied.v.values, copied.d.values, copied.p.values)
     _assert_same_state(copied, out)
-    ensemble_copy = ensemble.copy()
-    assert _owned(ensemble_copy.v, ensemble_copy.d, ensemble_copy.p)
-    for name in ("v", "d", "p"):
-        assert not np.shares_memory(getattr(ensemble_copy, name), getattr(ensemble, name))
-        assert getattr(ensemble_copy, name).tobytes() == getattr(ensemble, name).tobytes()
     for state, name in ((out, "views.snap"), (copied, "copy.snap")):
         path = str(tmp_path / name)
         write_snapshot(state, path)
@@ -551,7 +545,7 @@ def test_ensemble_members_equal_lone_runs(grid_name, tensor_name, theta, forcing
                        forcing=None if forcing is None else make_forcing(forcing, grid))
 
     states = [_state(grid, seed=50 + i, amplitude=0.2 + 0.1 * i) for i in range(3)]
-    alone = [stepper().run(s) for s in states]
+    alone = [stepper().run_ensemble([s])[0] for s in states]
     for m in (1, 2, 3):
         members = stepper().run_ensemble(states[:m])
         assert len(members) == m
@@ -585,7 +579,7 @@ def test_members_on_different_grids_are_rejected():
         Ensemble.of([State.initial(b.v, a.d)])
     cfg = StepperConfig(dt=1e-3, t_end=2e-3)
     with pytest.raises(ValueError, match="one grid"):
-        run_ensemble([a, b], cfg, NON_PARODI_DEMO, ANISO)
+        Stepper(fine, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([a, b])
     stepper, foreign = _stepper(), Ensemble.of([b])
     with pytest.raises(ValueError, match="different grids"):
         stepper.step(foreign, stepper.terms(foreign))[0]
@@ -607,7 +601,7 @@ def test_nonfinite_member_raises_naming_it_with_its_last_sample():
 
     with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
         with pytest.raises(SimulationError) as lone:
-            stepper().run(wild)
+            stepper().run_ensemble([wild])[0]
         with pytest.raises(SimulationError) as ensemble:
             stepper().run_ensemble([still, wild])
     assert "member 1" in str(ensemble.value)
@@ -653,7 +647,7 @@ def test_sampled_velocity_gradient_is_carried(monkeypatch):
     # the state is built first: its projection takes a gradient too
     state = _state(GRIDS["2d"], seed=49)
     monkeypatch.setattr(g, "gradient_components", counted)
-    traj = _stepper(t_end=5e-3).run(state)
+    traj = _stepper(t_end=5e-3).run_ensemble([state])[0]
     assert len(traj.states) == 6
     # initial director and velocity, then per step the new director and the
     # projected velocity; the diagnostics and the next step reuse the
@@ -672,7 +666,8 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
 
     monkeypatch.setattr(en, "director_strain", counted)
     cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=output_every)
-    traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO).run(_state(GRIDS["2d"], seed=50))
+    traj = Stepper(GRIDS["2d"], cfg, NON_PARODI_DEMO, ANISO).run_ensemble(
+        [_state(GRIDS["2d"], seed=50)])[0]
     samples = len(traj.states)
     assert samples == 1 + 6 // output_every
     # one per state, 7 for 6 steps, sampled or not: the strain is made with
@@ -747,7 +742,7 @@ def _passes_per_step(monkeypatch, grid, cfg):
         return out
 
     monkeypatch.setattr(Stepper, "step", step)
-    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=65))
+    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([_state(grid, seed=65)])[0]
     return per_step
 
 

@@ -2,9 +2,9 @@
 
 A run given an observer hands it each sampled ensemble with its record of
 fields (``StateTerms``) and keeps no state itself: its trace and step
-energies must equal those of a run that keeps a copy of every sample, bit
-for bit, its memory must not grow with the number of samples, and the
-stepper must write into no array it has handed out.  The weak-strong
+energies must equal those of a run that keeps every sample, bit for bit,
+its memory must not grow with the number of samples, and the stepper must
+write into no array it has handed out.  The weak-strong
 campaign evaluates its relative terms online from a window of three samples
 and the records; they must equal, bit for bit, those that
 ``oracles.relative_series`` takes after the run from every retained sample,
@@ -20,7 +20,7 @@ import pytest
 import oracles
 from leslie_sim import dynamics
 from leslie_sim import grid as grid_module
-from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig, run_ensemble
+from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig
 from leslie_sim.experiments import energy_monitor, weak_strong_campaign
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
@@ -132,13 +132,14 @@ def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
     _assert_same_state(last, retained.value.last_state)
 
 
-def test_retained_run_keeps_contiguous_copies_and_its_last_sample_is_one():
-    # without an observer the run's own observer copies each sample: the
-    # states are C-contiguous node-major, as State.copy() gives, and the last
-    # sample of a blow-up is such a copy, not the stepper's arrays
+def test_retained_run_keeps_contiguous_samples_and_its_last_sample_is_one():
+    # without an observer the run keeps each sample the step made, uncopied:
+    # its states are contiguous component-major views of the sample's
+    # arrays, no two samples share memory, and the last sample of a blow-up
+    # is such a state too
     grid = GRIDS[2]
     cfg = StepperConfig(dt=1e-3, t_end=4e-3, output_every=2)
-    traj = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run(_state(grid, seed=62))
+    traj = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([_state(grid, seed=62)])[0]
     assert len(traj.states) == 3
     for s in traj.states:
         assert all(f.values.flags.c_contiguous for f in (s.v, s.d, s.p))
@@ -153,7 +154,7 @@ def test_retained_run_keeps_contiguous_copies_and_its_last_sample_is_one():
                       ElasticTensor.isotropic(1.0))
     with pytest.warns(RuntimeWarning), np.errstate(all="ignore"):
         with pytest.raises(SimulationError) as blowup:
-            stepper.run(wild)
+            stepper.run_ensemble([wild])[0]
     last = blowup.value.last_state
     assert last.t > 0.0 and np.all(np.isfinite(last.d.values))
     assert all(f.values.flags.c_contiguous for f in (last.v, last.d, last.p))
@@ -175,7 +176,7 @@ def test_streamed_campaign_equals_retained_post_processing(dim, deltas, samples)
                       VectorField(grid, initial.d.values + delta * xi_d.values))
         for delta in deltas
     ]
-    runs = [traj.states for traj in run_ensemble(members, cfg, NON_PARODI_DEMO, ANISO)]
+    runs = [traj.states for traj in Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(members)]
     # with one sample the oracle takes dt dr as zero
     E, W, K, cross, absorb = oracles.relative_series(grid, NON_PARODI_DEMO, ANISO, runs)
     assert E.shape == (len(deltas), samples)
@@ -210,7 +211,7 @@ def test_campaign_takes_only_the_gradient_of_the_director_difference(dim, monkey
     rng = np.random.default_rng(5)  # the campaign's set-up: its perturbation
     smooth_vector_field(grid, rng)
     divfree_smooth_field(grid, rng)
-    run_ensemble([initial] * 3, cfg, NON_PARODI_DEMO, ANISO, observer=lambda e, terms: None)
+    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([initial] * 3, lambda e, terms: None)
     assert campaign - len(calls) == 4 * dim
 
 

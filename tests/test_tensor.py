@@ -52,6 +52,19 @@ def test_isotropic_rejects_nonpositive_stiffness():
             ElasticTensor.isotropic(k)
 
 
+def test_tensor_compares_and_hashes_as_a_value():
+    # equality and hashing see eta and the entries' bytes, not the ndarray
+    # itself, whose == is elementwise
+    a, b = ElasticTensor.isotropic(1.0), ElasticTensor.isotropic(1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ElasticTensor.isotropic(2.0)
+    entries = a.entries.copy()
+    entries[0, 0, 1, 1] = entries[1, 1, 0, 0] = 0.5
+    assert a != ElasticTensor(entries=entries, eta=1.0)  # the same eta
+    assert a != ElasticTensor(entries=a.entries, eta=0.5)  # the same entries
+    assert len({a, b, ElasticTensor.isotropic(2.0)}) == 2
+
+
 def test_major_symmetry_enforced():
     entries = np.zeros((3, 3, 3, 3))
     entries[0, 1, 2, 0] = 1.0  # no matching (2,0,0,1) entry
