@@ -17,8 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import dynamics, experiments
-from .config import ConfigError, _number, load_config
+from .config import ConfigError, load_config, number
 from .energetics import energy_inequality_residual
+from .grid import whole
 from .initial import make_initial_state
 from .material import validate
 from .snapshot import write_snapshot, write_trace_csv
@@ -28,18 +29,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _seed(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _grid_n(value: str) -> int:
-    n = int(value)
-    if n < 4:
-        raise argparse.ArgumentTypeError(f"n must be >= 4, got {n}")
-    return n
+def _whole(name: str, least: int):
+    """A flag read as the config reads a count or seed: :func:`config.number`,
+    then :func:`grid.whole`; a bad value is a usage error naming the flag."""
+    def convert(value: str) -> int:
+        try:
+            return whole(number(value), name, least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def _load(args, allow_invalid=False):
@@ -196,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="weak-strong stability comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=_number, default=None)
+    p.add_argument("--seed", type=number, default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_compare)
 
@@ -206,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_energy_check)
 
     p = sub.add_parser("ibp-check", help="discrete integration-by-parts residuals")
-    p.add_argument("--n", type=_grid_n, default=32)
-    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--n", type=_whole("grid n", 4), default=32)
+    p.add_argument("--seed", type=_whole("seed", 0), default=1)
     p.set_defaults(func=_cmd_ibp_check)
 
     p = sub.add_parser("converge", help="self-convergence study of the coupled stepper")

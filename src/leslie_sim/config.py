@@ -2,12 +2,13 @@
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
 lines ignored.  Unknown sections or keys are errors with line numbers; every
-key has a documented default, so the empty config is valid.
+key has a documented default, so the empty config is valid.  The converters
+only parse; each value is checked once, by the object that takes it, and a
+failed check is a ConfigError naming the line of its key.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -73,28 +74,21 @@ def _parse_sections(text: str):
     return sections, headers
 
 
-def _finite(value: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {value!r}")
-    return x
+def _floats(value: str) -> list:
+    return [float(v) for v in value.replace(",", " ").split()]
 
 
-def _finite_floats(value: str) -> list:
-    return [_finite(v) for v in value.replace(",", " ").split()]
-
-
-def _number(value: str):
-    """An int literal as its exact int, else a finite float: the Grid or
-    dataclass that takes a count or seed checks that it is whole."""
+def number(value: str):
+    """An int literal as its exact int, else a float.  Converters only parse:
+    the object that takes a value checks it (finite, whole, in range)."""
     try:
         return int(value)
     except ValueError:
-        return _finite(value)
+        return float(value)
 
 
 def _numbers(value: str) -> list:
-    return [_number(v) for v in value.replace(",", " ").split()]
+    return [number(v) for v in value.replace(",", " ").split()]
 
 
 def _one_of(*choices, convert=str):
@@ -117,14 +111,14 @@ def _isotropic(value: str) -> ElasticTensor:
 
 
 def _explicit(value: str) -> ElasticTensor:
-    entries = _finite_floats(value)
+    entries = _floats(value)
     if len(entries) != 81:
         raise ValueError(f"elastic_entries needs 81 values, got {len(entries)}")
     return ElasticTensor.from_entries(entries)
 
 
 def _director(value: str) -> tuple:
-    return tuple(_finite_floats(value))
+    return tuple(_floats(value))
 
 
 #: Every key of every section: ``[section] key -> (field, converter)``.  A key
@@ -137,38 +131,38 @@ _KEYS = {
     "grid": {
         "dim": (None, _one_of(2, 3, convert=int)),
         "n": (None, _numbers),
-        "length": (None, _finite_floats),
+        "length": (None, _floats),
         "bc": (None, _one_of("periodic")),  # every grid is periodic
     },
     "material": {
-        "lambda": ("lam", _finite),
-        "gamma": ("gamma", _finite),
-        **{f"mu{i}": (f"mu{i}", _finite) for i in range(1, 7)},
-        "epsilon": ("epsilon", _finite),
+        "lambda": ("lam", float),
+        "gamma": ("gamma", float),
+        **{f"mu{i}": (f"mu{i}", float) for i in range(1, 7)},
+        "epsilon": ("epsilon", float),
         "forcing": (None, _forcing),
         "elastic": (None, _one_of("isotropic", "explicit")),
         "elastic_k": (None, _isotropic),
         "elastic_entries": (None, _explicit),
     },
     "stepper": {
-        "dt": ("dt", _finite),
-        "t_end": ("t_end", _finite),
-        "output_every": ("output_every", _number),
-        "theta": ("theta", _finite),
+        "dt": ("dt", float),
+        "t_end": ("t_end", float),
+        "output_every": ("output_every", number),
+        "theta": ("theta", float),
     },
     "initial": {
         "kind": ("kind", str),
         "director": ("director", _director),
-        "seed": ("seed", _number),
-        "amplitude": ("amplitude", _finite),
-        "v_amplitude": ("v_amplitude", _finite),
+        "seed": ("seed", number),
+        "amplitude": ("amplitude", float),
+        "v_amplitude": ("v_amplitude", float),
     },
     "experiment": {
-        "gronwall_c": ("gronwall_c", _finite),
-        "tol_energy": ("tol_energy", _finite),
-        "tol_step": ("tol_step", _finite),
-        "delta": ("delta", _finite),
-        "seed": ("seed", _number),
+        "gronwall_c": ("gronwall_c", float),
+        "tol_energy": ("tol_energy", float),
+        "tol_step": ("tol_step", float),
+        "delta": ("delta", float),
+        "seed": ("seed", number),
     },
     "output": {
         "trace": (None, str),

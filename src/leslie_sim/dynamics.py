@@ -45,13 +45,13 @@ one run loop (``run`` is its one-member case), which turns its states into
 one Ensemble before its first step and samples the steps that
 :meth:`StepperConfig.samples` names.  The checks (CFL warning, finiteness,
 projection residual) and every energy are taken per member on that
-member's slice, so each member evolves bit for bit as it does alone.  A gradient holds only the grid's dim columns: on a 2D grid it
-has no always-zero third column, and L : grad d is one (3 dim) x (3 dim)
-matrix product with L_ijkl restricted to j, l < dim
-(:meth:`ElasticTensor.flux`).  A field's values have the same
-layout, ``(3,) + grid.shape``: a State of an Ensemble's member holds
-contiguous views of that member's arrays, and ``State.copy()`` gives arrays
-of its own.
+member's slice, so each member evolves bit for bit as it does alone.  A
+gradient holds only the grid's dim columns: on a 2D grid it has no
+always-zero third column, and L : grad d is one (3 dim) x (3 dim) matrix
+product with L_ijkl restricted to j, l < dim (:meth:`ElasticTensor.flux`).
+A field's values have the same layout, ``(3,) + grid.shape``: a State of an
+Ensemble's member holds contiguous views of that member's arrays, and
+``State.copy()`` gives arrays of its own.
 
 Evaluating the coupling terms at matching time levels makes the energy
 exchange between the kinetic and free energies cancel identically in the
@@ -134,15 +134,13 @@ class StepperConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not math.isfinite(self.t_end):
             raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if not (float(self.output_every).is_integer() and self.output_every >= 1):
-            raise ValueError(f"output_every must be a whole number >= 1, got {self.output_every}")
-        # an integral float counts steps as the int does
-        object.__setattr__(self, "output_every", int(self.output_every))
+        object.__setattr__(self, "output_every", g.whole(self.output_every, "output_every", 1))
         if not (0.0 <= self.theta < 0.5):
-            raise ValueError("theta must lie in [0, 0.5) for a one-sided energy law")
+            raise ValueError(f"theta must be finite and lie in [0, 0.5) for a one-sided "
+                             f"energy law, got {self.theta}")
 
     def steps(self, t0: float) -> int:
         """The number of steps from t0 to t_end.  (t_end - t0) / dt must be

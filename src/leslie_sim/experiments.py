@@ -19,7 +19,7 @@ from .material import NON_PARODI_DEMO, ParameterSet
 from .tensor import ElasticTensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """The ``[experiment]`` settings; the campaigns' keyword defaults."""
 
@@ -37,10 +37,7 @@ class ExperimentConfig:
                 raise ValueError(f"experiment {name} must be finite and >= 0, got {value}")
             if value < 0:
                 raise ValueError(f"experiment {name} must be >= 0, got {value}")
-        if not (float(self.seed).is_integer() and self.seed >= 0):
-            raise ValueError(f"experiment seed must be >= 0 and whole, got {self.seed}")
-        # an integral float seeds as the int does
-        self.seed = int(self.seed)
+        object.__setattr__(self, "seed", g.whole(self.seed, "experiment seed", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,15 @@ import numpy as np
 from .tensor import ElasticTensor
 
 
+def whole(value, name: str, least: int) -> int:
+    """``value`` as an int: the one rule for every count and seed.  An
+    integral float counts as its int, and an int stays exact however long
+    it is; a fraction, nan, inf or a value below ``least`` is a ValueError."""
+    if not ((isinstance(value, int) or float(value).is_integer()) and value >= least):
+        raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
+    return int(value)
+
+
 def _stencil(n: int, h: float, trailing: int) -> tuple:
     """The central difference's constants on an axis of n cells of spacing h
     with ``trailing`` spatial axes after it: the scaling by 1/2h (a multiply
@@ -53,18 +62,14 @@ class Grid:
 
     def __post_init__(self):
         # a fractional count is an error, not a count truncated by int()
-        if not all(float(v).is_integer() for v in self.n):
-            raise ValueError(f"cell counts must be whole numbers, got {tuple(self.n)}")
-        n = tuple(int(v) for v in self.n)
+        n = tuple(whole(v, "grid n", 4) for v in self.n)
         h = tuple(float(v) for v in self.h)
         if len(n) not in (2, 3):
             raise ValueError("grid dimension must be 2 or 3")
         if len(h) != len(n):
             raise ValueError("n and h must have the same length")
-        if any(v < 4 for v in n):
-            raise ValueError("need at least 4 cells per axis")
         if not all(math.isfinite(v) and v > 0.0 for v in h):
-            raise ValueError(f"grid spacing must be positive and finite, got {h}")
+            raise ValueError(f"grid spacing must be finite and positive, got {h}")
         stencils = tuple(_stencil(na, ha, len(n) - 1 - a) for a, (na, ha) in enumerate(zip(n, h)))
         for name, value in dict(n=n, h=h, dim=len(n), shape=n, cell_volume=math.prod(h),
                                 cell_count=math.prod(n), stencils=stencils).items():

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .grid import Grid, VectorField
+from .grid import Grid, VectorField, whole
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,7 @@ class InitialSpec:
         for name in ("director", "amplitude", "v_amplitude"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"initial {name} must be finite, got {getattr(self, name)}")
-        if not (float(self.seed).is_integer() and self.seed >= 0):
-            raise ValueError(f"initial seed must be >= 0 and whole, got {self.seed}")
-        # an integral float seeds as the int does
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", whole(self.seed, "initial seed", 0))
 
 
 def smooth_vector_field(grid: Grid, rng: np.random.Generator, max_mode: int = 2) -> VectorField:

@@ -53,7 +53,7 @@ class ElasticTensor:
         if entries.shape != (3, 3, 3, 3):
             raise ValueError(f"elasticity tensor must be 3x3x3x3, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
-            raise ValueError("elasticity tensor has non-finite entries")
+            raise ValueError("elasticity tensor entries must be finite")
         scale = np.max(np.abs(entries))
         defect = np.max(np.abs(entries - entries.transpose(2, 3, 0, 1)))
         if defect > self.MAJOR_SYMMETRY_RTOL * max(scale, 1.0):
@@ -73,7 +73,7 @@ class ElasticTensor:
     def isotropic(cls, k: float = 1.0) -> "ElasticTensor":
         """L_ijkl = k delta_ik delta_jl, so L : A = k A and eta = k."""
         if not 0.0 < k < math.inf:
-            raise ValueError(f"isotropic stiffness k must be positive and finite, got {k}")
+            raise ValueError(f"isotropic stiffness k must be finite and positive, got {k}")
         eye = np.eye(3)
         entries = k * np.einsum("ik,jl->ijkl", eye, eye)
         return cls(entries=entries, eta=float(k))

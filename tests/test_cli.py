@@ -362,3 +362,22 @@ def test_bad_delta_or_n_flag_is_usage_error(tmp_path, capsys, argv, message):
         argv += ["--config", _write(tmp_path, "run.cfg", GOOD)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_ibp_check_flags_are_read_as_the_config_reads_numbers(capsys):
+    # an integral float is its int, as `[grid] n = 8.0` is in a config file
+    assert main(["ibp-check", "--n", "8.0", "--seed", "2.0"]) == 0
+    floats = capsys.readouterr().out
+    assert main(["ibp-check", "--n", "8", "--seed", "2"]) == 0
+    assert floats == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--seed", "abc"], ["ibp-check", "--n", "abc"], ["ibp-check", "--seed", "x"],
+])
+def test_unreadable_flag_is_a_usage_error_naming_no_private_converter(tmp_path, capsys, argv):
+    if argv[0] == "compare":
+        argv += ["--config", _write(tmp_path, "run.cfg", GOOD)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}" in err and "invalid _" not in err

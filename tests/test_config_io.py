@@ -196,7 +196,7 @@ def test_explicit_elastic_entries():
 
 @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
 def test_bad_isotropic_stiffness_reports_line(value):
-    with pytest.raises(ConfigError, match="positive and finite") as exc_info:
+    with pytest.raises(ConfigError, match="must be finite and positive") as exc_info:
         parse_config(f"[material]\nmu1 = 1.0\nelastic_k = {value}\n")
     assert exc_info.value.line == 3
 
@@ -257,6 +257,13 @@ def test_nonfinite_initial_values_rejected(line):
     "[experiment]\ndelta = nan\n", "[experiment]\ngronwall_c = inf\n",
     "[experiment]\ntol_energy = nan\n", "[experiment]\ntol_step = -inf\n",
     "[material]\nepsilon = inf\n", "[material]\nmu1 = nan\n", "[stepper]\ntheta = nan\n",
+    # each is refused by the object that takes it, not by the parser
+    "[material]\nlambda = inf\n", "[material]\ngamma = nan\n", "[material]\nmu2 = -inf\n",
+    "[material]\nmu3 = nan\n", "[material]\nmu4 = inf\n", "[material]\nmu5 = nan\n",
+    "[material]\nmu6 = -inf\n", "[material]\nelastic_k = nan\n",
+    f"[material]\nelastic_entries = {' '.join(['1'] * 80 + ['inf'])}\nelastic = explicit\n",
+    "[grid]\nlength = nan 1\n", "[initial]\ndirector = 0 inf 1\n",
+    "[initial]\namplitude = nan\n", "[initial]\nv_amplitude = -inf\n",
 ])
 def test_nonfinite_values_report_line(text):
     with pytest.raises(ConfigError, match="must be finite") as exc_info:
@@ -270,6 +277,9 @@ def test_nonfinite_values_report_line(text):
     "[grid]\ndim = 4\n", "[grid]\nn = 3\n", "[grid]\nn = 8 8 8\n", "[grid]\nlength = -1\n",
     "[stepper]\ntheta = 0.7\n", "[stepper]\ndt = 0\n", "[stepper]\noutput_every = 0\n",
     "[grid]\nn = 8.5\n", "[grid]\nn = 8 8.5\n", "[stepper]\noutput_every = 2.5\n",
+    # a count or seed that is not finite is refused as not whole
+    "[grid]\nn = nan\n", "[stepper]\noutput_every = inf\n",
+    "[initial]\nseed = nan\n", "[experiment]\nseed = inf\n",
 ])
 def test_bad_value_reports_the_line_of_its_key(text):
     with pytest.raises(ConfigError) as exc_info:
@@ -307,6 +317,12 @@ def test_nonfinite_experiment_value_is_refused(name, value):
         ExperimentConfig(**{name: value})
 
 
+def test_experiment_config_is_frozen_after_its_checks():
+    # a field set after the checks have run would skip them
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExperimentConfig().seed = -5
+
+
 def test_integral_float_seed_is_taken_as_its_int():
     spec, experiment = InitialSpec(seed=3.0), ExperimentConfig(seed=7.0)
     assert type(spec.seed) is type(experiment.seed) is int
@@ -328,10 +344,13 @@ def test_integral_float_counts_and_seeds_are_taken_as_their_ints():
     assert cfg.grid.h == (0.125, 1.0 / 6.0)
     values = cfg.grid.n + (cfg.stepper.output_every, cfg.initial.seed, cfg.experiment.seed)
     assert values == (8, 6, 2, 2, 2) and all(type(x) is int for x in values)
-    # an integer literal stays exact where a float conversion would round it
-    seed = 12345678901234567891
-    cfg = parse_config(f"[initial]\nseed = {seed}\n[experiment]\nseed = {seed}\n")
-    assert cfg.initial.seed == seed == cfg.experiment.seed != float(seed)
+    # an integer literal stays exact where a float conversion would round it,
+    # and where it would overflow (10**400)
+    assert float(12345678901234567891) != 12345678901234567891
+    for seed in (12345678901234567891, 10**400):
+        cfg = parse_config(f"[initial]\nseed = {seed}\n[experiment]\nseed = {seed}\n")
+        assert cfg.initial.seed == seed == cfg.experiment.seed
+        assert make_initial_state(Grid.unit_box(8), cfg.initial).d.values.shape == (3, 8, 8)
 
 
 @pytest.mark.parametrize("t_end", ["0.0105", "0.0004", "-0.002"])

@@ -457,7 +457,7 @@ def test_sample_schedule_is_step_0_every_output_every_th_and_the_last():
 @pytest.mark.parametrize("output_every", [2.5, 0.5, math.inf, math.nan])
 def test_stepper_config_rejects_a_fractional_output_every(output_every):
     # refused when the config is made, not by a TypeError inside the run
-    with pytest.raises(ValueError, match="whole number"):
+    with pytest.raises(ValueError, match="output_every must be >= 1 and whole"):
         StepperConfig(output_every=output_every)
 
 

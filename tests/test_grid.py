@@ -33,19 +33,19 @@ def test_grid_validation():
 @pytest.mark.parametrize("n", [(4.7, 6.9), (8, 8.5), (8, math.inf), (8, math.nan)])
 def test_grid_rejects_a_fractional_cell_count(n):
     # int() would truncate (4.7, 6.9) to a (4, 6) grid
-    with pytest.raises(ValueError, match="whole numbers"):
+    with pytest.raises(ValueError, match="grid n must be >= 4 and whole"):
         Grid(n=n, h=(0.25, 0.25))
 
 
 @pytest.mark.parametrize("h", [math.inf, math.nan])
 def test_grid_rejects_nonfinite_spacing(h):
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="grid spacing must be finite and positive"):
         Grid(n=(8, 8), h=(0.1, h))
 
 
 def test_unit_box_refuses_a_fractional_cell_count():
     # int() would truncate 8.5 to an 8 x 8 grid; an integral float is its int
-    with pytest.raises(ValueError, match="whole numbers"):
+    with pytest.raises(ValueError, match="grid n must be >= 4 and whole"):
         Grid.unit_box(8.5)
     grid = Grid.unit_box(8.0)
     assert grid == Grid.unit_box(8) and grid.n == (8, 8) and grid.h == (0.125, 0.125)

@@ -4,9 +4,12 @@ Every term of the step is even or odd in the director and negation commutes
 with rounding, so a run from (v, -d) gives the velocity, the pressure and
 every energy of the run from (v, d) bit for bit, with the director exactly
 negated.  On a periodic grid the scheme also commutes with a shift by whole
-cells, the body force shifted with the state; the transforms round the
-shifted fields differently, so there the two runs agree to rounding: within
-64 units of roundoff of the field's largest entry per step.
+cells, with the reflection of axis 0 and, where axes 0 and 1 have equal n
+and h, with their swap, the body force transformed with the state and the
+vector components with the axes (the isotropic tensor is invariant under
+all three); the transforms round the moved fields differently, so there
+the two runs agree to rounding: within 64 units of roundoff of the field's
+largest entry per step.
 """
 
 import numpy as np
@@ -61,15 +64,46 @@ def test_negating_the_director_negates_it_and_keeps_the_rest_bit_for_bit(name):
         assert getattr(b.trace, column).tobytes() == getattr(a.trace, column).tobytes(), column
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_a_shift_by_whole_cells_commutes_with_the_run(name):
-    def shift(values, field=None):
-        return np.roll(values, 3, axis=tuple(range(1 - values.ndim, 0)))
-
-    a, b = _runs(name, shift)
+def _assert_commutes_to_rounding(name, transform):
+    """The run from the transformed state is the transformed run, within
+    64 units of roundoff of the field's largest entry per step."""
+    a, b = _runs(name, transform)
     for x, y in zip(a.states, b.states):
         for field in ("v", "d"):
-            want = shift(getattr(x, field).values)
+            want = transform(getattr(x, field).values, field)
             bound = 64 * STEPS * 2.0**-52 * np.abs(want).max()
             assert np.abs(getattr(y, field).values - want).max() <= bound, field
-    assert not np.array_equal(b.states[-1].d.values, shift(a.states[0].d.values))
+    assert not np.array_equal(b.states[-1].d.values, transform(a.states[0].d.values, "d"))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_shift_by_whole_cells_commutes_with_the_run(name):
+    def shift(values, field):
+        return np.roll(values, 3, axis=tuple(range(1 - values.ndim, 0)))
+
+    _assert_commutes_to_rounding(name, shift)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reflecting_axis_0_commutes_with_the_run(name):
+    # x -> -x maps cell i to cell n - 1 - i and negates the x components
+    def reflect(values, field):
+        out = np.flip(values, axis=1).copy()
+        out[0] = -out[0]
+        return out
+
+    _assert_commutes_to_rounding(name, reflect)
+
+
+def _axes_0_and_1_alike(name):
+    grid = config.parse_config(CONFIGS[name]).grid
+    return grid.n[0] == grid.n[1] and grid.h[0] == grid.h[1]
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(CONFIGS) if _axes_0_and_1_alike(name)])
+def test_swapping_axes_0_and_1_commutes_with_the_run(name):
+    # on axes of equal n and h, with the x and y components swapped too
+    def swap(values, field):
+        return np.ascontiguousarray(np.swapaxes(values, 1, 2)[[1, 0, 2]])
+
+    _assert_commutes_to_rounding(name, swap)

@@ -48,7 +48,7 @@ def test_isotropic_apply_scales():
 
 def test_isotropic_rejects_nonpositive_stiffness():
     for k in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="must be finite and positive"):
             ElasticTensor.isotropic(k)
 
 
