@@ -27,7 +27,7 @@ director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v
 and its director strain, a frozen value made with the state -- the step
 returns it with its result (grad v is the one the velocity update takes) --
 and only read by the next step, the per-step energy, the sample's
-diagnostics and the run's observer.  The two-point q uses the mean of the
+diagnostics and the run's hooks.  The two-point q uses the mean of the
 two directors' div(L : grad d), as the operator is linear; and the
 explicit momentum flux is built one column at a time, each column
 differentiated as soon as it is built, the stress's as d alpha_j + w d_j
@@ -691,7 +691,7 @@ class Stepper:
         return result, StateTerms(grad_new, lap_new, dev_new, energy_new, grad_v,
                                   en.director_strain(grad_v, d_new))
 
-    def run_ensemble(self, initials, observer=None) -> list:
+    def run_ensemble(self, initials, observer=None, each_step=None) -> list:
         """Run the states ``initials``, all at one time, as one ensemble: one
         step call per step advances every member, and the steps of
         ``cfg.samples`` are sampled.  Returns one Trajectory per member, bit
@@ -705,7 +705,8 @@ class Stepper:
         Trajectory holds its member of them, whose pressures are transformed
         as its States are made.  Each step makes new arrays, and records and
         states are never written after they are handed out, so a sample may
-        be kept uncopied.
+        be kept uncopied.  ``each_step(ensemble, terms)`` is called likewise
+        on every step, step 0 included, before the observer.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
@@ -740,6 +741,8 @@ class Stepper:
             step_times[k] = state.t
             kinetic = en.kinetic_energies(self.grid, state.v).tolist()
             step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
+            if each_step is not None:
+                each_step(state, terms)
             if k == samples[j]:
                 last = state
                 observer(state, terms)

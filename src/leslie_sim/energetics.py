@@ -11,9 +11,9 @@ the weak-strong campaign and the public functions all call them.  A field's
 values have the layout of one member, so the public functions run the
 kernels on ``values[None]``, or on a stack of the fields they pair, and
 :func:`free_energy` of a sampled state equals its trace row bit for bit.
-:func:`relative_terms` reads the fields the step took from the record it
-returned with the sample (``dynamics.StateTerms``) and differentiates only
-d - dr.
+The weak-strong campaign reads a step's record (``dynamics.StateTerms``) at
+every step (:func:`relative_step_terms`: E, K) and at every sample
+(:func:`relative_dissipations`: W, the absorption terms).
 """
 
 from __future__ import annotations
@@ -44,14 +44,17 @@ class EnergyBreakdown:
 # member-axis kernels
 # ---------------------------------------------------------------------------
 
-def _integral(grid: g.Grid, x: np.ndarray) -> np.ndarray:
-    """Midpoint integral of each member's values; x is (m, ...)."""
-    return x.reshape(len(x), -1).sum(axis=1) * grid.cell_volume
+def _l6_sq(grid: g.Grid, sq: np.ndarray) -> np.ndarray:
+    """Squared L^6 norm of each member from its squared magnitudes sq, whose
+    cube the integral pairs as sq with sq sq."""
+    rows = sq.reshape(len(sq), -1)
+    return (np.einsum("ij,ij->i", rows, rows * rows) * grid.cell_volume) ** (1.0 / 3.0)
 
 
-def _lp_sq(grid: g.Grid, sq: np.ndarray, power: float) -> np.ndarray:
-    """Squared L^p norm of each member, from its squared magnitudes."""
-    return _integral(grid, np.sqrt(sq) ** power) ** (2.0 / power)
+def l3_norms(grid: g.Grid, f: np.ndarray) -> np.ndarray:
+    """The L^3 norm of each member of the component-major vectors f, the
+    integral of |f|^3 paired from the squared magnitudes sq as sq sqrt(sq)."""
+    return np.array([float(np.vdot(sq, np.sqrt(sq))) * grid.cell_volume for sq in _dot(f, f)]) ** (1.0 / 3.0)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -156,53 +159,36 @@ def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
             [z * (q_sq + directional) for _, _, directional, q_sq, _ in rows])
 
 
-def ref_grad_sq(grid: g.Grid, grad: np.ndarray) -> np.ndarray:
-    """|grad f|^2 of member 0 at each node, shape (1,) + grid.shape, from
-    the members' gradients (m, 3, dim) + grid.shape."""
-    gr = grad[:1].reshape((1, -1) + grid.shape)
-    return _dot(gr, gr)
+def gronwall_factors(grid: g.Grid, v, d_sq, dev, qr, ddvd, grad_v, grad) -> np.ndarray:
+    """The factors of the Gronwall integrand (c = 1) K = w (s + |dt dr|_L3)
+    of each member after the first against member 0, shape (2, m - 1):
+
+    w = 1 + |d|_L6^2 + |dr|_L6^2,
+    s = |vr|_W16^2 + |qr|_L3^2 + |dr . Dvr dr|_L6^2 + ||dr|^2 - 1|_L6^2
+        + |grad dr|_L2^2 + |v|_L6^2,
+
+    |f|_W16 = (|f|_L6^6 + |grad f|_L6^6)^{1/6}.  Only |v|_L6 and |d|_L6 come
+    from the perturbed member: ``qr`` is member 0's q, and of ``dev``,
+    ``ddvd``, ``grad_v`` and ``grad`` (grad d) only member 0 is read.
+    |dt dr|_L3 enters to the first power, by design, and needs the next
+    step, so the caller adds it (:func:`l3_norms`)."""
+    m = len(v)
+    grad_vr = grad_v[:1].reshape((1, -1) + grid.shape)
+    l6 = _l6_sq(grid, np.concatenate([_dot(v, v), d_sq, _dot(grad_vr, grad_vr), ddvd[:1] ** 2, dev[:1] ** 2]))
+    v_l6, d_l6, (grad_vr_l6, ddvd_l6, dev_l6) = l6[:m], l6[m : 2 * m], l6[2 * m :]
+    s = ((v_l6[0] ** 3 + grad_vr_l6 ** 3) ** (1.0 / 3.0) + l3_norms(grid, qr)[0] ** 2 + ddvd_l6 + dev_l6
+         + float(np.vdot(grad[0], grad[0])) * grid.cell_volume)
+    return np.array([1.0 + d_l6[1:] + d_l6[0], s + v_l6[1:]])
 
 
-def gronwall_factors(grid: g.Grid, v, d_sq, dev, q, ddvd, grad_vr_sq, grad_dr_sq, dt_d) -> np.ndarray:
-    """Gronwall integrand (c = 1) of each member after the first against
-    member 0:
-
-    K = (1 + |d|_L6^2 + |dr|_L6^2) (|vr|_W16^2 + |qr|_L3^2
-        + |dr . Dvr dr|_L6^2 + |dt dr|_L3 + ||dr|^2 - 1|_L6^2
-        + |grad dr|_L2^2 + |v|_L6^2)
-
-    Only |v|_L6 and |d|_L6 come from the perturbed member; of ``dev``, ``q``
-    and ``ddvd`` only member 0 is read, and the reference's gradients enter
-    as :func:`ref_grad_sq`.  dt dr is the reference's alone, component-major
-    (1, 3) + grid.shape like the member arrays.  Note |dt dr|_L3 enters to
-    the first power while the others are squared; this asymmetry is
-    deliberate.  The W^{1,6} norm is (|f|_L6^6 + |grad f|_L6^6)^{1/6}.
-    """
-    v_l6, d_l6 = _lp_sq(grid, _dot(v, v), 6), _lp_sq(grid, d_sq, 6)
-    ref_terms = (
-        (v_l6[0] ** 3 + _lp_sq(grid, grad_vr_sq, 6) ** 3) ** (1.0 / 3.0)  # |vr|_W16^2
-        + _lp_sq(grid, _dot(q[:1], q[:1]), 3)
-        + _lp_sq(grid, ddvd[:1] ** 2, 6)
-        + np.sqrt(_lp_sq(grid, _dot(dt_d, dt_d), 3))
-        + _lp_sq(grid, dev[:1] ** 2, 6)
-        + _integral(grid, grad_dr_sq)
-    )
-    return (1.0 + d_l6[1:] + d_l6[0]) * (ref_terms + v_l6[1:])
-
-
-def relative_terms(grid: g.Grid, p: ParameterSet, tensor: ElasticTensor, v, d, terms, dt_d) -> np.ndarray:
-    """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
-    absorption bound of each member after the first against the reference,
-    member 0, at one sample: shape (5, m - 1), dt dr (1, 3) + grid.shape.
-    Their grad d, div(L : grad d), |d|^2 - 1, grad v and director strain are
-    read from the sample's record ``terms``; q and |d|^2 are formed here."""
-    q = variational_q(d, terms.dev, terms.lap, p.epsilon)
-    W, cross, absorb = relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
+def relative_step_terms(grid: g.Grid, p: ParameterSet, tensor: ElasticTensor, v, d, terms) -> np.ndarray:
+    """E and K's factors (:func:`gronwall_factors`) of each member after the
+    first against member 0 at one step, shape (3, m - 1), from the step's
+    record ``terms``; only d - dr is differentiated."""
     d_sq = _dot(d, d)
-    E = relative_energies(grid, tensor, p.epsilon, v, d, d_sq)
-    K = gronwall_factors(grid, v, d_sq, terms.dev, q, terms.strain[2], ref_grad_sq(grid, terms.grad_v),
-                         ref_grad_sq(grid, terms.grad), dt_d)
-    return np.array([E, W, K, cross, absorb])
+    qr = variational_q(d[:1], terms.dev[:1], terms.lap[:1], p.epsilon)
+    return np.array([relative_energies(grid, tensor, p.epsilon, v, d, d_sq),
+                     *gronwall_factors(grid, v, d_sq, terms.dev, qr, terms.strain[2], terms.grad_v, terms.grad)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +251,9 @@ def gronwall_K(v: VectorField, d: VectorField, v_ref: VectorField, d_ref: Vector
     vm, dm = np.stack([v_ref.values, v.values]), np.stack([d_ref.values, d.values])
     d_sq = _dot(dm, dm)
     grad_v = g.gradient_components(grid, vm)
-    K = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, q_ref.values[None], director_strain(grad_v, dm)[2],
-                         ref_grad_sq(grid, grad_v), ref_grad_sq(grid, g.gradient_components(grid, dm)),
-                         dt_d_ref.values[None])
-    return c * float(K[0])
+    w, s = gronwall_factors(grid, vm, d_sq, d_sq - 1.0, q_ref.values[None], director_strain(grad_v, dm)[2],
+                            grad_v, g.gradient_components(grid, dm))
+    return c * float(w[0] * (s[0] + l3_norms(grid, dt_d_ref.values[None])[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ class ExperimentConfig:
 @dataclass
 class ComparisonReport:
     delta0: float
-    trace: en.RelativeTrace
+    trace: en.RelativeTrace  # the rows of the sampled steps
     minimal_c: float
     bound_satisfied: bool
+    max_E: float  # over every step
     # per-sample data for the absorption inequality check
     cross_abs: np.ndarray  # |cross_coeff * (q - qr, Dv d - Dvr dr)|
     absorb_rhs: np.ndarray  # zeta * (gamma |q - qr|^2 + M |Dv d - Dvr dr|^2)
@@ -57,10 +58,6 @@ class ComparisonReport:
     @property
     def E0(self) -> float:
         return float(self.trace.E[0])
-
-    @property
-    def max_E(self) -> float:
-        return float(self.trace.E.max())
 
     @property
     def max_E_over_E0(self) -> float:
@@ -92,16 +89,19 @@ def weak_strong_campaign(
     evolves as it does alone, so a report equals that of a campaign with
     its delta alone.
 
-    The relative terms are evaluated while the ensemble runs, from a window
-    of the last three samples (the centred difference quotient of the
-    reference director needs the samples on both sides) and the record the
-    step returned with each (its ``dynamics.StateTerms``), so no sampled
-    state is kept, no field is differentiated twice and memory is flat in
-    trajectory length.  ``grid`` must be the initial state's.  Invalid
-    parameters raise InvalidParameters from the stepper; a run that turns
-    non-finite raises SimulationError, and one whose projection misses its
-    target ProjectionError, naming it: the reference or the perturbed one
-    with its delta.
+    The time rules hold at every step, not at the samples.  E and the
+    Gronwall integrand K are taken at every step, with dt dr the
+    reference's (d^{n+1} - d^n) / dt, at the last step the one before (zero
+    in a run of no steps); int K is the trapezoid rule over every step; the
+    bound E <= E(0) exp(c int K), ``minimal_c`` and ``max_E`` hold over every
+    step.  W and the absorption terms are taken at ``cfg.samples``, the
+    trace's rows, so ``cfg.output_every`` only thins the rows.  Everything
+    is read from each step's record (``dynamics.StateTerms``), and only the
+    reference's last director is kept.  ``grid`` must be the initial
+    state's.  Invalid parameters raise InvalidParameters from the stepper;
+    a run that turns non-finite raises SimulationError, and one whose
+    projection misses its target ProjectionError, naming it: the reference
+    or the perturbed one with its delta.
     """
     if grid != initial.v.grid:
         raise ValueError("grid must be the grid of the initial state")
@@ -116,26 +116,21 @@ def weak_strong_campaign(
         )
         for delta in deltas
     ]
-    # the relative terms of sample i are taken when sample i + 1 arrives, and
-    # those of the last sample after the run, so a window of three samples
-    # (i - 1, i, i + 1) serves the centred dt dr (one-sided at an end, zero
-    # for a lone sample); a sample's record is held until its terms are taken
-    window, columns = [], []
+    # rates: |dt dr|_L3 of each step but the last, from the reference's last director
+    steps, rates, sampled, last_dr = [], [], [], []
 
-    def column(lo, at, hi):
-        (lo, _), (at, terms), (hi, _) = lo, at, hi
-        dt_d = np.zeros_like(at.d[:1]) if lo is hi else (hi.d[:1] - lo.d[:1]) / (hi.t - lo.t)
-        columns.append(en.relative_terms(grid, p, tensor, at.v, at.d, terms, dt_d))
+    def each_step(e, terms):
+        if last_dr:
+            rates.append(en.l3_norms(grid, e.d[:1] - last_dr.pop())[0] / cfg.dt)
+        last_dr.append(e.d[:1])
+        steps.append(en.relative_step_terms(grid, p, tensor, e.v, e.d, terms))
 
     def observe(e, terms):
-        window.append((e, terms))
-        if len(window) > 1:
-            column(window[0], window[-2], window[-1])
-            del window[:-2]
-            window[0] = (window[0][0], None)  # its terms are taken
+        q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
+        sampled.append(en.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:]))
 
     try:
-        traj = dynamics.Stepper(grid, cfg, p, tensor, forcing).run_ensemble(members, observe)[0]
+        traj = dynamics.Stepper(grid, cfg, p, tensor, forcing).run_ensemble(members, observe, each_step)[0]
     except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
         # the FAIL line names the run, not its index in the ensemble
         if exc.member is not None:
@@ -143,12 +138,17 @@ def weak_strong_campaign(
                    else f"the perturbed run with delta = {deltas[exc.member - 1]:g}")
             exc.args = (str(exc).replace(f"member {exc.member}", run),)
         raise
-    column(window[0], window[-1], window[-1])
-    series = np.stack(columns, axis=-1)
-    return [_comparison(delta, traj.trace.t, *series[:, k], c) for k, delta in enumerate(deltas)]
+    rates.append(rates[-1] if rates else 0.0)  # the last step's is the step before's
+    E, w, s = np.stack(steps, axis=-1)
+    K = w * (s + np.array(rates))
+    W, cross_abs, absorb_rhs = np.stack(sampled, axis=-1)
+    rows = cfg.samples(initial.t)
+    return [_comparison(delta, traj.step_times, E[k], K[k], c, rows, W[k], cross_abs[k], absorb_rhs[k])
+            for k, delta in enumerate(deltas)]
 
 
-def _comparison(delta, ts, E, W, K, cross_abs, absorb_rhs, c) -> ComparisonReport:
+def _comparison(delta, ts, E, K, c, rows, W, cross_abs, absorb_rhs) -> ComparisonReport:
+    """One report: E and K at every step ``ts``, the others at ``rows``."""
     int_K = en._cumtrapz(ts, K)
     E0 = E[0]
     bound = E0 * np.exp(c * int_K)
@@ -167,9 +167,10 @@ def _comparison(delta, ts, E, W, K, cross_abs, absorb_rhs, c) -> ComparisonRepor
 
     return ComparisonReport(
         delta0=delta,
-        trace=en.RelativeTrace(t=ts, E=E, W=W, K=c * K, bound=bound),
+        trace=en.RelativeTrace(t=ts[rows], E=E[rows], W=W, K=c * K[rows], bound=bound[rows]),
         minimal_c=minimal_c,
         bound_satisfied=bound_satisfied,
+        max_E=float(E.max()),
         cross_abs=cross_abs,
         absorb_rhs=absorb_rhs,
     )
@@ -194,8 +195,17 @@ def weak_strong_experiment(
 # energy-law monitor
 # ---------------------------------------------------------------------------
 
-def _keep_nothing(sample, terms) -> None:
-    """An observer for a run whose sampled states nothing reads."""
+def _run_every_step(initial, cfg, p, tensor, forcing=None, allow_invalid=False, observer=lambda *_: None):
+    """The run of ``initial`` sampled at every step, so that the energy-
+    inequality residual integrates over every step: the trajectory, its
+    residual, and their rows at ``cfg.samples``, the steps ``observer`` sees."""
+    rows = cfg.samples(initial.t)
+    sampled = iter(np.isin(np.arange(rows[-1] + 1), rows))
+    traj = dynamics.run(initial, replace(cfg, output_every=1), p, tensor, forcing, allow_invalid,
+                        lambda e, terms: observer(e, terms) if next(sampled) else None)
+    residual = en.energy_inequality_residual(traj.trace, p)
+    trace = en.EnergyTrace(*(getattr(traj.trace, f.name)[rows] for f in fields(en.EnergyTrace)))
+    return traj, residual, trace, residual[rows]
 
 
 @dataclass
@@ -223,26 +233,23 @@ def energy_monitor(
     Pass requires (a) the per-step total energy non-increasing within
     tol_step * E(0) and (b) the energy-inequality residual below
     tol_energy * E(0) at every step.  The trajectory is sampled at every
-    step, so that the residual integrates the dissipation over every step
-    whatever ``cfg.output_every``; that only selects the rows of the
-    report's trace and residual, the steps of ``cfg.samples``.  ``grid``
-    must be the initial state's.
+    step (:func:`_run_every_step`), so that the residual integrates the
+    dissipation over every step whatever ``cfg.output_every``; that only
+    selects the rows of the report's trace and residual, the steps of
+    ``cfg.samples``.  ``grid`` must be the initial state's.
     """
     if grid != initial.v.grid:
         raise ValueError("grid must be the grid of the initial state")
-    traj = dynamics.run(initial, replace(cfg, output_every=1), p, tensor, forcing=forcing,
-                        observer=_keep_nothing)
-    residual = en.energy_inequality_residual(traj.trace, p)
+    traj, residual, trace, sampled_residual = _run_every_step(initial, cfg, p, tensor, forcing)
     e0 = traj.trace.total[0]
     scale = max(e0, 1e-300)
     step_increase = float(np.max(np.diff(traj.step_total_energy), initial=0.0))
     max_res = float(residual.max())
     passed = step_increase <= tol_step * scale and max_res <= tol_energy * scale
-    kept = cfg.samples(initial.t)
     return EnergyReport(
         passed=passed,
-        trace=en.EnergyTrace(*(getattr(traj.trace, f.name)[kept] for f in fields(en.EnergyTrace))),
-        residual=residual[kept],
+        trace=trace,
+        residual=sampled_residual,
         max_residual_rel=max_res / scale,
         max_step_increase_rel=step_increase / scale,
         cross_term_max=float(np.max(np.abs(traj.trace.cross_term))),

@@ -24,11 +24,14 @@ from .tensor import ElasticTensor
 
 def whole(value, name: str, least: int) -> int:
     """``value`` as an int: the one rule for every count and seed.  An
-    integral float counts as its int, and an int stays exact however long
-    it is; a fraction, nan, inf or a value below ``least`` is a ValueError."""
-    if not ((isinstance(value, int) or float(value).is_integer()) and value >= least):
-        raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
-    return int(value)
+    integral float counts as its int, an int stays exact however long it
+    is; a fraction, nan, inf, a string or a value < ``least`` is a ValueError."""
+    try:
+        if (isinstance(value, int) or float(value).is_integer()) and value >= least:
+            return int(value)
+    except (TypeError, ValueError):  # not a number: float(None), or "8" >= 4
+        pass
+    raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
 
 
 def _stencil(n: int, h: float, trailing: int) -> tuple:
@@ -77,7 +80,7 @@ class Grid:
 
     @classmethod
     def unit_box(cls, n, dim: int = 2) -> "Grid":
-        # n as given: Grid refuses a fractional count
+        n = whole(n, "grid n", 4)  # before 1 / n: a bad count is Grid's error
         return cls(n=(n,) * dim, h=(1.0 / n,) * dim)
 
     @property

@@ -27,7 +27,8 @@ class ParameterSet:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"material {f.name} must be finite, got {getattr(self, f.name)}")
+                key = "lambda" if f.name == "lam" else f.name  # the config's name for it
+                raise ValueError(f"material {key} must be finite, got {getattr(self, f.name)}")
 
     @property
     def mu23(self) -> float:

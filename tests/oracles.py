@@ -18,13 +18,13 @@ kernels hold every Fourier multiplier as a complex array;
 :class:`FloatSymbolKernels` applies the float64 symbols, denominators and
 real director inverse they were cast from, dividing by the denominators, as
 the kernels did before they held complex multipliers.  The weak-strong
-campaign evaluates its relative terms while the ensemble runs, from a
-window of the three ensembles the stepper last handed out and the record of
-the fields the step took for the sample (``dynamics.StateTerms``);
-:func:`relative_series` evaluates them after the run from every retained
-sample, handing :func:`energetics.relative_terms` the same component-major
-members, a record taken again from them with the library's kernels, and the
-same component-major dt dr, (1, 3) + grid.shape.
+campaign evaluates its relative terms while the ensemble runs, at every
+step and at every sample, from the ensemble and the record of the fields
+the step took for it (``dynamics.StateTerms``); :func:`relative_series`
+evaluates them after the run from every retained state, handing the same
+energetics functions the same component-major members, a record taken
+again from them with the library's kernels, and the same difference of
+consecutive reference directors.
 
 The node-major quadrature, norms and pairings (:func:`integrate`,
 :func:`lp_norm`, :func:`inner`, :func:`frobenius`,
@@ -37,13 +37,15 @@ import math
 
 import numpy as np
 
+import leslie_sim.energetics as energetics
 import leslie_sim.grid as g
 from leslie_sim.dynamics import StateTerms, _inverse_3x3
 from leslie_sim.energetics import (
     EnergyBreakdown,
     director_strain,
     director_terms,
-    relative_terms,
+    l3_norms,
+    relative_step_terms,
     strain_sq,
     variational_q,
 )
@@ -292,30 +294,33 @@ def gronwall_K(v, d, v_ref, d_ref, q_ref, dt_d_ref, c=1.0):
     return c * first * second
 
 
-def relative_series(grid, p, tensor, runs):
+def relative_series(grid, p, tensor, runs, dt):
     """E, W, K (at c = 1), |cross_coeff (q - qr, Dv d - Dvr dr)| and the
     absorption bound of each run in ``runs[1:]`` against the reference
-    ``runs[0]`` at every sample: shape (5, len(runs) - 1, samples), from
-    :func:`energetics.relative_terms` of the runs' retained sampled States
+    ``runs[0]`` at every retained state: shape (5, len(runs) - 1, states),
+    from :func:`energetics.relative_step_terms` and
+    :func:`energetics.relative_dissipations` of the runs' retained States
     stacked as members and of their record, taken from those copies with
     :func:`energetics.director_terms`, :func:`grid.gradient_components` and
-    :func:`energetics.director_strain`, with dt dr by centred differences of
-    the samples (one-sided at the ends, zero for a lone sample)."""
+    :func:`energetics.director_strain`.  The runs retain every step, and K
+    takes |dt dr|_L3 as that of the reference's difference of consecutive
+    states, |d^{n+1} - d^n|_L3 / dt, at the last state that of the state
+    before it, and zero for a lone state."""
     ref = runs[0]
     n = len(ref)
-    ts = np.array([s.t for s in ref])
     out = np.empty((5, len(runs) - 1, n))
     for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        dt_d = np.zeros((1, 3) + grid.shape) if n == 1 else (
-            (ref[hi].d.values[None] - ref[lo].d.values[None]) / (ts[hi] - ts[lo])
-        )
         v, d = (np.array([getattr(r[i], f).values for r in runs]) for f in "vd")
-        # the sample's record, taken again with the library kernels
+        # the state's record, taken again with the library kernels
         grad, _, lap, dev = director_terms(grid, tensor, d)
         grad_v = g.gradient_components(grid, v)
         terms = StateTerms(grad, lap, dev, None, grad_v, director_strain(grad_v, d))
-        out[:, :, i] = relative_terms(grid, p, tensor, v, d, terms, dt_d)
+        E, w, s = relative_step_terms(grid, p, tensor, v, d, terms)
+        j = min(i, n - 2)
+        rate = 0.0 if n == 1 else l3_norms(grid, ref[j + 1].d.values[None] - ref[j].d.values[None])[0] / dt
+        q = variational_q(d, terms.dev, terms.lap, p.epsilon)
+        W, cross, absorb = energetics.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:])
+        out[:, :, i] = [E, W, w * (s + rate), cross, absorb]
     return out
 
 

@@ -271,6 +271,13 @@ def test_nonfinite_values_report_line(text):
     assert exc_info.value.line == 2
 
 
+def test_nonfinite_lambda_error_names_the_key_lambda():
+    # ParameterSet calls it lam; the message read "material lam must be finite"
+    with pytest.raises(ConfigError, match="material lambda must be finite, got inf") as exc_info:
+        parse_config("[material]\nlambda = inf\n")
+    assert exc_info.value.line == 2 and " lam " not in str(exc_info.value)
+
+
 @pytest.mark.parametrize("text", [
     "[material]\nelastic = bogus\n", "[material]\nelastic = explicit\n",
     "[initial]\nkind = bogus\n", "[initial]\ndirector = 1 2\n",

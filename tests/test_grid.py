@@ -52,6 +52,13 @@ def test_unit_box_refuses_a_fractional_cell_count():
     assert type(grid.n[0]) is int
 
 
+@pytest.mark.parametrize("n", [0, "8", None])
+def test_unit_box_refuses_a_count_below_4_or_not_a_number(n):
+    # 0 divided by zero in 1 / n and "8" was a TypeError, before Grid's check
+    with pytest.raises(ValueError, match="grid n must be >= 4 and whole"):
+        Grid.unit_box(n)
+
+
 def test_unit_box_properties():
     grid = Grid.unit_box(16, dim=3)
     assert grid.dim == 3

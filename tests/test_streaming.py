@@ -5,10 +5,11 @@ fields (``StateTerms``) and keeps no state itself: its trace and step
 energies must equal those of a run that keeps every sample, bit for bit,
 its memory must not grow with the number of samples, and the stepper must
 write into no array it has handed out.  The weak-strong
-campaign evaluates its relative terms online from a window of three samples
-and the records; they must equal, bit for bit, those that
-``oracles.relative_series`` takes after the run from every retained sample,
-and the campaign must differentiate nothing but d - dr itself.
+campaign evaluates its relative terms online, at every step and at every
+sample, from the ensembles and their records; its sampled rows must equal,
+bit for bit, those that ``oracles.relative_series`` takes after the run
+from every retained step, and the campaign must differentiate nothing but
+d - dr itself.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 
 import oracles
 from leslie_sim import dynamics
+from leslie_sim import energetics as en
 from leslie_sim import grid as grid_module
 from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig
 from leslie_sim.experiments import energy_monitor, weak_strong_campaign
@@ -176,27 +178,34 @@ def test_streamed_campaign_equals_retained_post_processing(dim, deltas, samples)
                       VectorField(grid, initial.d.values + delta * xi_d.values))
         for delta in deltas
     ]
-    runs = [traj.states for traj in Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(members)]
-    # with one sample the oracle takes dt dr as zero
-    E, W, K, cross, absorb = oracles.relative_series(grid, NON_PARODI_DEMO, ANISO, runs)
-    assert E.shape == (len(deltas), samples)
+    every = dataclasses.replace(cfg, output_every=1)
+    runs = [traj.states for traj in Stepper(grid, every, NON_PARODI_DEMO, ANISO).run_ensemble(members)]
+    # with one state the oracle takes dt dr as zero
+    E, W, K, cross, absorb = oracles.relative_series(grid, NON_PARODI_DEMO, ANISO, runs, cfg.dt)
+    assert E.shape == (len(deltas), 1 + 5 * (samples - 1))
     ts = np.array([s.t for s in runs[0]])
+    rows = cfg.samples(0.0)
+    assert len(rows) == samples
     for k, rep in enumerate(reports):
-        assert rep.trace.t.tobytes() == ts.tobytes()
-        assert rep.trace.E.tobytes() == E[k].tobytes()
-        assert rep.trace.W.tobytes() == W[k].tobytes()
-        assert rep.trace.K.tobytes() == K[k].tobytes()  # at c = 1
-        assert rep.cross_abs.tobytes() == cross[k].tobytes()
-        assert rep.absorb_rhs.tobytes() == absorb[k].tobytes()
+        bound = E[k][0] * np.exp(en._cumtrapz(ts, K[k]))
+        assert rep.trace.t.tobytes() == ts[rows].tobytes()
+        assert rep.trace.E.tobytes() == E[k][rows].tobytes()
+        assert rep.trace.W.tobytes() == W[k][rows].tobytes()
+        assert rep.trace.K.tobytes() == K[k][rows].tobytes()  # at c = 1
+        assert rep.trace.bound.tobytes() == bound[rows].tobytes()
+        assert rep.cross_abs.tobytes() == cross[k][rows].tobytes()
+        assert rep.absorb_rhs.tobytes() == absorb[k][rows].tobytes()
+        assert rep.max_E == E[k].max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_campaign_takes_only_the_gradient_of_the_director_difference(dim, monkeypatch):
     # beyond the run's own derivatives and those of its set-up (drawing the
-    # perturbation), a sample costs the dim derivatives of grad(d - dr) in E:
-    # grad d, div(L : grad d) and grad v are the record's
+    # perturbation), a step costs the dim derivatives of grad(d - dr) in E,
+    # and a sample nothing more: grad d, div(L : grad d) and grad v are the
+    # record's
     grid = GRIDS[dim]
-    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=2)  # 4 samples
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, output_every=2)  # 7 steps, 4 samples
     initial = _state(grid, seed=66)
     deriv, calls = grid_module._deriv, []
 
@@ -212,7 +221,7 @@ def test_campaign_takes_only_the_gradient_of_the_director_difference(dim, monkey
     smooth_vector_field(grid, rng)
     divfree_smooth_field(grid, rng)
     Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([initial] * 3, lambda e, terms: None)
-    assert campaign - len(calls) == 4 * dim
+    assert campaign - len(calls) == 7 * dim
 
 
 def test_campaign_failure_names_the_perturbed_run_and_its_delta():
