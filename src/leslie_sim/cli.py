@@ -2,8 +2,8 @@
 
 Subcommands: validate | simulate | compare | energy-check | ibp-check |
 converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.  A
-run that turns non-finite or fails its projection is a check failure,
-reported as one ``FAIL:`` line on stderr.
+run that turns non-finite, refuses its initial state (ValueError) or fails
+its projection is a check failure, reported as one ``FAIL:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
+    except (dynamics.SimulationError, dynamics.ProjectionError, ValueError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

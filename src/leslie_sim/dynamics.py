@@ -23,13 +23,13 @@ Scheme (one step):
 
 Each derivative is taken once per step.  Every state has one record of the
 fields that more than one reader needs (:class:`StateTerms`): its
-director's grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v
+director's grad d, div(L : grad d) and |d|^2 - 1, its energies, its grad v
 and its director strain, a frozen value made with the state -- the step
 returns it with its result (grad v is the one the velocity update takes) --
-and only read by the next step, the per-step energy, the sample's
-diagnostics and the run's hooks.  The two-point q uses the mean of the
-two directors' div(L : grad d), as the operator is linear; and the
-explicit momentum flux is built one column at a time, each column
+and only read by the next step, the per-step energy and finiteness check,
+the sample's diagnostics and the run's hooks.  The two-point q uses the
+mean of the two directors' div(L : grad d), as the operator is linear; and
+the explicit momentum flux is built one column at a time, each column
 differentiated as soon as it is built, the stress's as d alpha_j + w d_j
 from the factors alpha, w formed once per step (:func:`_stress_factors`).
 
@@ -531,7 +531,7 @@ class Ensemble:
 class StateTerms:
     """The fields of one state that more than one reader needs, each
     member's, component-major with the member axis leading: its director's
-    grad d, div(L : grad d), |d|^2 - 1 and free energy, its grad v and its
+    grad d, div(L : grad d) and |d|^2 - 1, its energies, its grad v and its
     :func:`energetics.director_strain`.  The body force is constant, so it is
     the stepper's, not the state's.  Whoever makes the state makes its
     record, the stepper for a fresh state (:meth:`Stepper.terms`) and the
@@ -541,9 +541,13 @@ class StateTerms:
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
     dev: np.ndarray  # (m,) + grid.shape
-    energy: list  # one energetics.EnergyBreakdown per member
+    energy: np.ndarray  # (m, 3): kinetic, elastic, penalty
     grad_v: np.ndarray  # (m, 3, dim) + grid.shape
     strain: tuple  # (grad v) d, Dv d, d . Dv d
+
+    @property
+    def total(self) -> np.ndarray:  # kinetic + elastic + penalty, per member
+        return self.energy[:, 0] + self.energy[:, 1] + self.energy[:, 2]
 
 
 @dataclass
@@ -601,8 +605,10 @@ class Stepper:
 
     def terms(self, e: Ensemble) -> StateTerms:
         """The :class:`StateTerms` of a state the stepper did not make."""
+        grad, lap, dev, free = self._director_terms(e.d)
         grad_v = g.gradient_components(self.grid, e.v)
-        return StateTerms(*self._director_terms(e.d), grad_v, en.director_strain(grad_v, e.d))
+        energy = np.column_stack((en.kinetic_energies(self.grid, e.v), free))
+        return StateTerms(grad, lap, dev, energy, grad_v, en.director_strain(grad_v, e.d))
 
     def _check_cfl(self, v: np.ndarray) -> None:
         """Warn once per stepper when the advective CFL number, the largest
@@ -642,7 +648,7 @@ class Stepper:
             d_new = solve_director_implicit(rhs, self.ops)
         else:  # the explicit update is the new director; rhs needs a new buffer
             d_new, rhs = rhs, np.empty_like(rhs)
-        grad_new, lap_new, dev_new, energy_new = self._director_terms(d_new)
+        grad_new, lap_new, dev_new, free_new = self._director_terms(d_new)
 
         # 2. two-point variational derivative: the exact discrete gradient of
         # the free energy between d and d_new, so the coupling terms below
@@ -688,15 +694,18 @@ class Stepper:
         v_new, p_spectrum, grad_v = _velocity_update(self.ops, rhs, self._helmholtz)
         del rhs
         result = Ensemble(grid, e.t + dt, v_new, d_new, lambda: _pressure(self.ops, p_spectrum) / dt)
-        return result, StateTerms(grad_new, lap_new, dev_new, energy_new, grad_v,
-                                  en.director_strain(grad_v, d_new))
+        energy = np.column_stack((en.kinetic_energies(grid, v_new), free_new))
+        return result, StateTerms(grad_new, lap_new, dev_new, energy, grad_v, en.director_strain(grad_v, d_new))
 
     def run_ensemble(self, initials, observer=None, each_step=None) -> list:
         """Run the states ``initials``, all at one time, as one ensemble: one
         step call per step advances every member, and the steps of
         ``cfg.samples`` are sampled.  Returns one Trajectory per member, bit
-        for bit that of the member's lone run.  A member that turns
-        non-finite raises SimulationError naming it, with its last sample.
+        for bit that of the member's lone run.  The step energy, the record's
+        :attr:`StateTerms.total`, is the finiteness check: a NaN or inf in a
+        member's v or d, or an overflow (|x| of about 1e154), makes it
+        non-finite.  A non-finite initial member is a ValueError; one that
+        turns non-finite raises SimulationError naming it, with its last sample.
 
         ``observer(ensemble, terms)`` is called with each sampled Ensemble in
         order, the initial one included, and its :class:`StateTerms`; the
@@ -719,9 +728,7 @@ class Stepper:
         step_times = np.empty(n_steps + 1)
         step_energy = np.empty((m, n_steps + 1))
         kept = []  # the samples, kept without an observer
-        if observer is None:
-            def observer(e, terms):
-                kept.append(e)
+        observer = observer or (lambda e, terms: kept.append(e))
 
         terms = self.terms(state)
         last = None  # the last sample, for SimulationError
@@ -729,24 +736,20 @@ class Stepper:
         for k in range(n_steps + 1):
             if k > 0:
                 state, terms = self.step(state, terms)
-                # one check of each field over all members; the failing one
-                # is looked for only after a failure
-                if not (np.isfinite(state.v).all() and np.isfinite(state.d).all()):
-                    i = next(i for i in range(m) if not (np.isfinite(state.v[i]).all()
-                                                         and np.isfinite(state.d[i]).all()))
-                    raise SimulationError(
-                        f"non-finite values{_member_label(i, m)} at step {k} (t = {state.t:.6g})",
-                        last_state=last.member(i), member=i,
-                    )
             step_times[k] = state.t
-            kinetic = en.kinetic_energies(self.grid, state.v).tolist()
-            step_energy[:, k] = [kin + fe.elastic + fe.penalty for kin, fe in zip(kinetic, terms.energy)]
+            step_energy[:, k] = total = terms.total
+            bad = [i for i, x in enumerate(total.tolist()) if not math.isfinite(x)]
+            if bad:
+                i, where = bad[0], f"{_member_label(bad[0], m)} at step {k} (t = {state.t:.6g})"
+                if k == 0:
+                    raise ValueError(f"non-finite initial state or energy{where}")
+                raise SimulationError(f"non-finite values{where}", last_state=last.member(i), member=i)
             if each_step is not None:
                 each_step(state, terms)
             if k == samples[j]:
                 last = state
                 observer(state, terms)
-                trace[:, :, j] = self._diagnostics(state, terms, kinetic)
+                trace[:, :, j] = self._diagnostics(state, terms)
                 j += 1
 
         return [
@@ -754,18 +757,18 @@ class Stepper:
             for i in range(m)
         ]
 
-    def _diagnostics(self, e: Ensemble, terms: StateTerms, kinetic: list) -> list:
+    def _diagnostics(self, e: Ensemble, terms: StateTerms) -> list:
         """Each member's trace row, its energies and dissipation channels in
-        EnergyTrace field order, read from the state's terms and the
-        members' kinetic energies, and the forcing power (g, v), the sum of
-        the product of the component-major arrays times the cell volume."""
+        EnergyTrace field order, read from the state's terms, and the
+        forcing power (g, v), the sum of the product of the component-major
+        arrays times the cell volume."""
         p, grid, forcing = self.p, self.grid, self.forcing
         q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
         rows = en.dissipations(grid, p, en.strain_sq(terms.grad_v), q, *terms.strain[1:])
         return [
-            (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *row,
+            (e.t, *energy, total, *row,
              0.0 if forcing is None else float(np.sum(forcing.values * v)) * grid.cell_volume)
-            for kin, fe, row, v in zip(kinetic, terms.energy, rows, e.v)
+            for energy, total, row, v in zip(terms.energy.tolist(), terms.total.tolist(), rows, e.v)
         ]
 
 

@@ -9,8 +9,10 @@ slice; the relative energy and dissipation are the energy and dissipation
 kernels applied to the members' differences from member 0.  The stepper,
 the weak-strong campaign and the public functions all call them.  A field's
 values have the layout of one member, so the public functions run the
-kernels on ``values[None]``, or on a stack of the fields they pair, and
-:func:`free_energy` of a sampled state equals its trace row bit for bit.
+kernels on ``values[None]``, or on a stack of the fields they pair.  The
+energy kernels return float arrays, which the stepper's record holds
+(``dynamics.StateTerms.energy``); only :func:`free_energy` makes an
+:class:`EnergyBreakdown`, equal to a sampled state's trace row bit for bit.
 The weak-strong campaign reads a step's record (``dynamics.StateTerms``) at
 every step (:func:`relative_step_terms`: E, K) and at every sample
 (:func:`relative_dissipations`: W, the absorption terms).
@@ -70,21 +72,17 @@ def director_terms(grid: g.Grid, tensor: ElasticTensor, d: np.ndarray):
     return grad, flux, g.divergence_components(grid, flux), _dot(d, d) - 1.0
 
 
-def free_energies(grid: g.Grid, eps: float, grad, flux, dev) -> list:
+def free_energies(grid: g.Grid, eps: float, grad, flux, dev) -> np.ndarray:
     """The free energy of each member's director, from its
-    :func:`director_terms`:
+    :func:`director_terms`, an (m, 2) array of
 
     elastic = 1/2 int grad d : L : grad d,
     penalty = 1/(4 eps) int (|d|^2 - 1)^2.
     """
     cellvol = grid.cell_volume
-    return [
-        EnergyBreakdown(
-            elastic=0.5 * float(np.vdot(grad_i, flux_i)) * cellvol,
-            penalty=float(np.vdot(dev_i, dev_i)) * cellvol / (4.0 * eps),
-        )
-        for grad_i, flux_i, dev_i in zip(grad, flux, dev)
-    ]
+    return np.array([(0.5 * float(np.vdot(grad_i, flux_i)) * cellvol,
+                      float(np.vdot(dev_i, dev_i)) * cellvol / (4.0 * eps))
+                     for grad_i, flux_i, dev_i in zip(grad, flux, dev)]).reshape(-1, 2)
 
 
 def variational_q(d: np.ndarray, dev: np.ndarray, lap: np.ndarray, eps: float) -> np.ndarray:
@@ -142,8 +140,8 @@ def relative_energies(grid: g.Grid, tensor: ElasticTensor, eps: float, v, d, d_s
     1/2 |v - vr|_2^2 + 1/2 |grad(d - dr)|_L^2 + 1/(4 eps) ||d|^2 - |dr|^2|_2^2.
     """
     grad_e = g.gradient_components(grid, d[1:] - d[0])
-    free = free_energies(grid, eps, grad_e, tensor.flux(grad_e, grid.dim), d_sq[1:] - d_sq[0])
-    return kinetic_energies(grid, v[1:] - v[0]) + [f.total for f in free]
+    elastic, penalty = free_energies(grid, eps, grad_e, tensor.flux(grad_e, grid.dim), d_sq[1:] - d_sq[0]).T
+    return kinetic_energies(grid, v[1:] - v[0]) + (elastic + penalty)
 
 
 def relative_dissipations(grid: g.Grid, p: ParameterSet, grad_v, q, dvd, ddvd):
@@ -200,7 +198,7 @@ def free_energy(d: VectorField, tensor: ElasticTensor, eps: float) -> EnergyBrea
     if eps <= 0.0:
         raise ValueError("penalty parameter eps must be positive")
     grad, flux, _, dev = director_terms(d.grid, tensor, d.values[None])
-    return free_energies(d.grid, eps, grad, flux, dev)[0]
+    return EnergyBreakdown(*free_energies(d.grid, eps, grad, flux, dev)[0].tolist())
 
 
 def variational_derivative(d: VectorField, tensor: ElasticTensor, eps: float) -> VectorField:

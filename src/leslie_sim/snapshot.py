@@ -73,21 +73,19 @@ def write_snapshot(state: State, path: str):
 
 
 def read_snapshot(path: str) -> State:
+    """The state in the file: the header is decoded from the bytes before the
+    ``data`` marker and the payload read in place after it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
         raise SnapshotError(f"{path}: bad magic, not a snapshot file")
-    rest = blob[len(MAGIC):]
     marker = b"data\n"
-    idx = rest.find(marker)
+    idx = blob.find(marker, len(MAGIC))
     if idx < 0:
         raise SnapshotError(f"{path}: missing data marker")
-    header, body = rest[:idx].decode("ascii"), rest[idx + len(marker):]
+    header, offset = blob[len(MAGIC):idx].decode("ascii"), idx + len(marker)
 
-    fields = {}
-    for line in header.splitlines():
-        key, _, value = line.partition(" ")
-        fields[key] = value
+    fields = dict(line.partition(" ")[::2] for line in header.splitlines())
     try:
         dim = int(fields["dim"])
         n = tuple(int(v) for v in fields["n"].split())
@@ -109,11 +107,11 @@ def read_snapshot(path: str) -> State:
 
     count = grid.cell_count
     expected = (3 * count + 3 * count + count) * 8
-    if len(body) != expected:
+    if len(blob) - offset != expected:
         raise SnapshotError(
-            f"{path}: truncated or oversized payload ({len(body)} bytes, expected {expected})"
+            f"{path}: truncated or oversized payload ({len(blob) - offset} bytes, expected {expected})"
         )
-    flat = np.frombuffer(body, dtype="<f8")
+    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
     if not np.all(np.isfinite(flat)):
         raise SnapshotError(f"{path}: non-finite values in payload")
     v, d = (np.moveaxis(flat[i * count: (i + 3) * count].reshape(grid.shape + (3,)), -1, 0) for i in (0, 3))

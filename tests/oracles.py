@@ -248,18 +248,18 @@ def channel_array(grid, p, dv_sq, q, dvd, ddvd):
                      channel(p.cross_coeff, q, dvd)])
 
 
-def trace_rows(stepper, e, terms, kinetic):
+def trace_rows(stepper, e, terms):
     """Each member's trace row as ``Stepper._diagnostics`` composed it: the
-    :func:`channel_array` transposed and listed, between the energies and
-    the forcing power, summed over the product of the component-major
-    arrays."""
+    record's kinetic, elastic and penalty energies and their sum, then the
+    :func:`channel_array` transposed and listed, then the forcing power,
+    summed over the product of the component-major arrays."""
     p, grid, forcing = stepper.p, stepper.grid, stepper.forcing
     q = variational_q(e.d, terms.dev, terms.lap, p.epsilon)
     channels = channel_array(grid, p, strain_sq(terms.grad_v), q, *terms.strain[1:]).T.tolist()
     return [
-        (e.t, kin, fe.elastic, fe.penalty, kin + fe.elastic + fe.penalty, *channels[i],
+        (e.t, kin, elastic, penalty, kin + elastic + penalty, *channels[i],
          0.0 if forcing is None else float(np.sum(forcing.values * e.v[i])) * grid.cell_volume)
-        for i, (kin, fe) in enumerate(zip(kinetic, terms.energy))
+        for i, (kin, elastic, penalty) in enumerate(terms.energy.tolist())
     ]
 
 

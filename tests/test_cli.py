@@ -327,6 +327,18 @@ def test_run_failure_is_a_fail_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
+def test_initial_state_whose_energy_overflows_is_a_fail_line(tmp_path, capsys, command):
+    # a finite director of amplitude 1e200 has an infinite penalty energy:
+    # the run refuses it before the first step, and the refusal is one FAIL
+    # line, not a traceback
+    text = "[grid]\nn = 8\n[initial]\nkind = perturbed\namplitude = 1e200\n[stepper]\nt_end = 0.002\n"
+    assert main([command, "--config", _write(tmp_path, "huge.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: non-finite initial state or energy") and err.endswith("at step 0 (t = 0)\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
 def test_run_failure_raises_no_floating_point_warnings(tmp_path, capsys, command):
     # the blow-up is reported by the run's finiteness check alone; the CFL
     # warning, which says why the run failed, stays

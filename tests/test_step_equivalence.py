@@ -335,9 +335,8 @@ def test_trace_rows_equal_the_channel_array_composition(params, m, forced):
     stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3), p, ANISO, forcing)
     e = Ensemble.of([_state(grid, seed=68 + i, amplitude=0.3 + 0.2 * i) for i in range(m)])
     out, terms = stepper.step(e, stepper.terms(e))
-    kinetic = en.kinetic_energies(grid, out.v).tolist()
-    rows = stepper._diagnostics(out, terms, kinetic)
-    want = oracles.trace_rows(stepper, out, terms, kinetic)
+    rows = stepper._diagnostics(out, terms)
+    want = oracles.trace_rows(stepper, out, terms)
     assert len(rows) == len(want) == m
     assert np.array(rows).tobytes() == np.array(want).tobytes()
     assert any(row[-2] != 0.0 for row in rows) == (params == "non_parodi")
@@ -611,6 +610,56 @@ def test_nonfinite_member_raises_naming_it_with_its_last_sample():
     _assert_same_state(last, lone.value.last_state)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["v", "d"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_blowup_check_reads_the_record_energies_as_the_field_scan_did(monkeypatch, grid_name, field, value, k):
+    # one non-finite node in member 1's v or d at step k, its record taken
+    # from that state: a NaN or an inf makes the member's kinetic or penalty
+    # energy non-finite, so the run raises at step k as a scan of v and d
+    # would, naming member 1, with the last sample before step k
+    grid, member = GRIDS[grid_name], 1
+    states = [_state(grid, seed=80 + i) for i in range(3)]
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=6e-3, output_every=2), NON_PARODI_DEMO, ANISO)
+    clean = stepper.run_ensemble(states)[member].states
+    step, calls = Stepper.step, []
+
+    def poisoned(self, e, terms):
+        out, terms = step(self, e, terms)
+        calls.append(out.t)
+        if len(calls) == k:
+            getattr(out, field)[member, 1][(2,) * grid.dim] = value
+            assert not np.isfinite(getattr(out, field)[member]).all()
+            terms = self.terms(out)
+        return out, terms
+
+    monkeypatch.setattr(Stepper, "step", poisoned)
+    with np.errstate(all="ignore"), pytest.raises(SimulationError) as exc:
+        stepper.run_ensemble(states)
+    assert len(calls) == k
+    assert str(exc.value) == f"non-finite values of member 1 at step {k} (t = {calls[-1]:.6g})"
+    assert exc.value.member == member
+    last = exc.value.last_state
+    assert all(np.isfinite(f.values).all() for f in (last.v, last.d, last.p))
+    _assert_same_state(last, clean[(k - 1) // 2])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("field", ["v", "d"])
+def test_nonfinite_initial_state_is_refused_before_the_first_step(field, m):
+    grid = Grid.unit_box(8)
+    states = [_state(grid, seed=90 + i) for i in range(m)]
+    getattr(states[-1], field).values[0, 3, 4] = np.nan
+    stepper = Stepper(grid, StepperConfig(dt=1e-3, t_end=2e-3), NON_PARODI_DEMO, ANISO)
+    seen = []
+    label = " of member 2" if m == 3 else ""
+    with pytest.raises(ValueError) as exc:
+        stepper.run_ensemble(states, lambda e, terms: seen.append(e), lambda e, terms: seen.append(e))
+    assert str(exc.value) == f"non-finite initial state or energy{label} at step 0 (t = 0)"
+    assert seen == []
+
+
 def test_weak_strong_campaign_equals_separate_experiments():
     grid = GRIDS["2d"]
     cfg = StepperConfig(dt=1e-3, t_end=0.03, output_every=5)
@@ -703,7 +752,7 @@ def test_diagnostics_only_read_the_record_the_step_wrote(grid_name):
     for name, value in record.items():
         assert _frozen(value) == _frozen(getattr(fresh, name)), name
     frozen = {name: _frozen(value) for name, value in record.items()}
-    stepper._diagnostics(out, terms, en.kinetic_energies(grid, out.v))
+    stepper._diagnostics(out, terms)
     for name, value in record.items():
         assert getattr(terms, name) is value, name
         assert _frozen(value) == frozen[name], name
