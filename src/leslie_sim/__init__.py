@@ -6,6 +6,7 @@ tools.
 from .config import ConfigError, ExperimentConfig, RunConfig, load_config, parse_config
 from .dynamics import (
     Ensemble,
+    InitialStateError,
     ProjectionError,
     SimulationError,
     SpectralOps,
@@ -74,6 +75,7 @@ __all__ = [
     "Grid",
     "IbpReport",
     "InitialSpec",
+    "InitialStateError",
     "InvalidParameters",
     "ParameterSet",
     "ProjectionError",

@@ -69,16 +69,16 @@ def _cmd_simulate(args) -> int:
         os.makedirs(snap_dir, exist_ok=True)
     written = itertools.count()
 
-    def observe(sample, terms):
+    def each_step(e, terms, sampled):
         # each snapshot is written as it is sampled; no state is kept
-        if snap_dir:
+        if sampled and snap_dir:
             path = os.path.join(snap_dir, f"state_{next(written):05d}.snap")
-            write_snapshot(sample.member(0), path)
+            write_snapshot(e.member(0), path)
 
     try:
         # every step sampled for the residual; rows and snapshots at the samples
         _, _, trace, residual = experiments._run_every_step(
-            state, cfg.stepper, cfg.params, cfg.elastic, cfg.forcing(), args.allow_invalid, observe,
+            state, cfg.stepper, cfg.params, cfg.elastic, cfg.forcing(), args.allow_invalid, each_step,
         )
     except dynamics.SimulationError as exc:
         if snap_dir and exc.last_state is not None:

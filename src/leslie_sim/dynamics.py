@@ -27,7 +27,7 @@ director's grad d, div(L : grad d) and |d|^2 - 1, its energies, its grad v
 and its director strain, a frozen value made with the state -- the step
 returns it with its result (grad v is the one the velocity update takes) --
 and only read by the next step, the per-step energy and finiteness check,
-the sample's diagnostics and the run's hooks.  The two-point q uses the
+the sample's diagnostics and the run's hook.  The two-point q uses the
 mean of the two directors' div(L : grad d), as the operator is linear; and
 the explicit momentum flux is built one column at a time, each column
 differentiated as soon as it is built, the stress's as d alpha_j + w d_j
@@ -85,6 +85,14 @@ PROJECTION_TOL = 1e-10  # the tol of every projection's :func:`_projection_targe
 
 class ProjectionError(RuntimeError):
     """Pressure solve missed the requested divergence residual; carries its member's index."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
+
+
+class InitialStateError(ValueError):
+    """A run refused its non-finite initial state; carries its member's index."""
 
     def __init__(self, message, member=None):
         super().__init__(message)
@@ -552,7 +560,7 @@ class StateTerms:
 
 @dataclass
 class Trajectory:
-    states: list  # sampled States (including the initial one); none with an observer
+    states: list  # sampled States (including the initial one); none with a hook
     trace: EnergyTrace
     step_times: np.ndarray
     step_total_energy: np.ndarray
@@ -697,25 +705,24 @@ class Stepper:
         energy = np.column_stack((en.kinetic_energies(grid, v_new), free_new))
         return result, StateTerms(grad_new, lap_new, dev_new, energy, grad_v, en.director_strain(grad_v, d_new))
 
-    def run_ensemble(self, initials, observer=None, each_step=None) -> list:
+    def run_ensemble(self, initials, each_step=None) -> list:
         """Run the states ``initials``, all at one time, as one ensemble: one
         step call per step advances every member, and the steps of
         ``cfg.samples`` are sampled.  Returns one Trajectory per member, bit
         for bit that of the member's lone run.  The step energy, the record's
         :attr:`StateTerms.total`, is the finiteness check: a NaN or inf in a
         member's v or d, or an overflow (|x| of about 1e154), makes it
-        non-finite.  A non-finite initial member is a ValueError; one that
-        turns non-finite raises SimulationError naming it, with its last sample.
+        non-finite.  A non-finite initial member raises InitialStateError, a
+        ValueError, naming it; one that turns non-finite raises SimulationError
+        naming it, with its last sample.
 
-        ``observer(ensemble, terms)`` is called with each sampled Ensemble in
-        order, the initial one included, and its :class:`StateTerms`; the
-        trajectories then keep no states, so memory is flat in trajectory
-        length.  Without one, the run keeps the samples themselves, and each
-        Trajectory holds its member of them, whose pressures are transformed
-        as its States are made.  Each step makes new arrays, and records and
-        states are never written after they are handed out, so a sample may
-        be kept uncopied.  ``each_step(ensemble, terms)`` is called likewise
-        on every step, step 0 included, before the observer.
+        ``each_step(ensemble, terms, sampled)`` is called on every step, step
+        0 included, before its trace row, with the step's :class:`StateTerms`
+        and whether it is one of ``cfg.samples``; the trajectories then keep
+        no states, so memory is flat in trajectory length.  Without it, each
+        Trajectory holds its member of the samples, whose pressures are
+        transformed as its States are made.  No array is written after it is
+        handed out, so a hook, like the run, may keep what it gets uncopied.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
@@ -727,8 +734,7 @@ class Stepper:
         trace = np.empty((m, len(fields(EnergyTrace)), len(samples)))
         step_times = np.empty(n_steps + 1)
         step_energy = np.empty((m, n_steps + 1))
-        kept = []  # the samples, kept without an observer
-        observer = observer or (lambda e, terms: kept.append(e))
+        kept = []  # the samples, kept by a run without a hook
 
         terms = self.terms(state)
         last = None  # the last sample, for SimulationError
@@ -742,13 +748,15 @@ class Stepper:
             if bad:
                 i, where = bad[0], f"{_member_label(bad[0], m)} at step {k} (t = {state.t:.6g})"
                 if k == 0:
-                    raise ValueError(f"non-finite initial state or energy{where}")
+                    raise InitialStateError(f"non-finite initial state or energy{where}", member=i)
                 raise SimulationError(f"non-finite values{where}", last_state=last.member(i), member=i)
+            sampled = k == samples[j]
             if each_step is not None:
-                each_step(state, terms)
-            if k == samples[j]:
+                each_step(state, terms, sampled)
+            if sampled:
                 last = state
-                observer(state, terms)
+                if each_step is None:
+                    kept.append(state)
                 trace[:, :, j] = self._diagnostics(state, terms)
                 j += 1
 
@@ -779,10 +787,10 @@ def run(
     tensor: ElasticTensor,
     forcing: VectorField | None = None,
     allow_invalid: bool = False,
-    observer=None,
+    each_step=None,
 ) -> Trajectory:
     """The run of the one state ``initial``: :meth:`Stepper.run_ensemble`
     of a one-member ensemble."""
     return Stepper(initial.v.grid, cfg, p, tensor, forcing, allow_invalid).run_ensemble(
-        [initial], observer
+        [initial], each_step
     )[0]

@@ -96,15 +96,19 @@ def weak_strong_campaign(
     bound E <= E(0) exp(c int K), ``minimal_c`` and ``max_E`` hold over every
     step.  W and the absorption terms are taken at ``cfg.samples``, the
     trace's rows, so ``cfg.output_every`` only thins the rows.  Everything
-    is read from each step's record (``dynamics.StateTerms``), and only the
-    reference's last director is kept.  ``grid`` must be the initial
-    state's.  Invalid parameters raise InvalidParameters from the stepper;
-    a run that turns non-finite raises SimulationError, and one whose
-    projection misses its target ProjectionError, naming it: the reference
-    or the perturbed one with its delta.
+    is read from each step's record (``dynamics.StateTerms``) by the run's
+    one hook, and only the reference's last director is kept.  ``grid``
+    must be the initial state's, and ``deltas`` must not be empty.  Invalid
+    parameters raise InvalidParameters from the stepper; a non-finite
+    initial run raises InitialStateError, one that turns non-finite
+    SimulationError, and one whose projection misses its target
+    ProjectionError, naming it: the reference or the perturbed one with its
+    delta.
     """
     if grid != initial.v.grid:
         raise ValueError("grid must be the grid of the initial state")
+    if len(deltas) == 0:
+        raise ValueError("deltas must hold at least one perturbation size")
     rng = np.random.default_rng(seed)
     xi_d = smooth_vector_field(grid, rng)
     xi_v = divfree_smooth_field(grid, rng)
@@ -117,21 +121,20 @@ def weak_strong_campaign(
         for delta in deltas
     ]
     # rates: |dt dr|_L3 of each step but the last, from the reference's last director
-    steps, rates, sampled, last_dr = [], [], [], []
+    steps, rates, at_samples, last_dr = [], [], [], []
 
-    def each_step(e, terms):
+    def each_step(e, terms, sampled):
         if last_dr:
             rates.append(en.l3_norms(grid, e.d[:1] - last_dr.pop())[0] / cfg.dt)
         last_dr.append(e.d[:1])
         steps.append(en.relative_step_terms(grid, p, tensor, e.v, e.d, terms))
-
-    def observe(e, terms):
-        q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
-        sampled.append(en.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:]))
+        if sampled:
+            q = en.variational_q(e.d, terms.dev, terms.lap, p.epsilon)
+            at_samples.append(en.relative_dissipations(grid, p, terms.grad_v, q, *terms.strain[1:]))
 
     try:
-        traj = dynamics.Stepper(grid, cfg, p, tensor, forcing).run_ensemble(members, observe, each_step)[0]
-    except (dynamics.SimulationError, dynamics.ProjectionError) as exc:
+        traj = dynamics.Stepper(grid, cfg, p, tensor, forcing).run_ensemble(members, each_step)[0]
+    except (dynamics.SimulationError, dynamics.ProjectionError, dynamics.InitialStateError) as exc:
         # the FAIL line names the run, not its index in the ensemble
         if exc.member is not None:
             run = ("the reference run" if exc.member == 0
@@ -141,7 +144,7 @@ def weak_strong_campaign(
     rates.append(rates[-1] if rates else 0.0)  # the last step's is the step before's
     E, w, s = np.stack(steps, axis=-1)
     K = w * (s + np.array(rates))
-    W, cross_abs, absorb_rhs = np.stack(sampled, axis=-1)
+    W, cross_abs, absorb_rhs = np.stack(at_samples, axis=-1)
     rows = cfg.samples(initial.t)
     return [_comparison(delta, traj.step_times, E[k], K[k], c, rows, W[k], cross_abs[k], absorb_rhs[k])
             for k, delta in enumerate(deltas)]
@@ -195,14 +198,15 @@ def weak_strong_experiment(
 # energy-law monitor
 # ---------------------------------------------------------------------------
 
-def _run_every_step(initial, cfg, p, tensor, forcing=None, allow_invalid=False, observer=lambda *_: None):
+def _run_every_step(initial, cfg, p, tensor, forcing=None, allow_invalid=False, each_step=lambda *_: None):
     """The run of ``initial`` sampled at every step, so that the energy-
     inequality residual integrates over every step: the trajectory, its
-    residual, and their rows at ``cfg.samples``, the steps ``observer`` sees."""
+    residual, and their rows at ``cfg.samples``, the steps ``each_step``
+    sees as sampled.  The run always has a hook, so it keeps no state."""
     rows = cfg.samples(initial.t)
-    sampled = iter(np.isin(np.arange(rows[-1] + 1), rows))
+    sampled = iter(np.isin(np.arange(rows[-1] + 1), rows).tolist())
     traj = dynamics.run(initial, replace(cfg, output_every=1), p, tensor, forcing, allow_invalid,
-                        lambda e, terms: observer(e, terms) if next(sampled) else None)
+                        lambda e, terms, _: each_step(e, terms, next(sampled)))
     residual = en.energy_inequality_residual(traj.trace, p)
     trace = en.EnergyTrace(*(getattr(traj.trace, f.name)[rows] for f in fields(en.EnergyTrace)))
     return traj, residual, trace, residual[rows]
@@ -377,7 +381,8 @@ def _final_state(grid: Grid, dt: float, t_end: float) -> tuple:
     initial = make_initial_state(grid, InitialSpec("perturbed", seed=1, amplitude=0.2, v_amplitude=0.2))
     cfg = dynamics.StepperConfig(dt=dt, t_end=t_end, output_every=int(round(t_end / dt)), theta=0.3)
     samples = []
-    dynamics.run(initial, cfg, NON_PARODI_DEMO, TENSOR, observer=lambda e, terms: samples.append(e))
+    dynamics.run(initial, cfg, NON_PARODI_DEMO, TENSOR,
+                 each_step=lambda e, terms, sampled: samples.append(e) if sampled else None)
     return samples[-1].v, samples[-1].d
 
 

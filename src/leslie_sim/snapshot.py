@@ -136,6 +136,12 @@ def write_trace_csv(
 ):
     if energy is None and relative is None:
         raise ValueError("need at least one trace to write")
+    lengths = {name: len(trace.t) for name, trace in (("energy", energy), ("relative", relative))
+               if trace is not None}
+    if residual is not None:
+        lengths["residual"] = len(residual)
+    if len(set(lengths.values())) > 1:
+        raise ValueError("traces of different lengths: " + ", ".join(f"{k} {n}" for k, n in lengths.items()))
     n = len(energy.t) if energy is not None else len(relative.t)
     cols = dict.fromkeys(TRACE_COLUMNS, np.zeros(n))
     for trace in (energy, relative):

@@ -145,7 +145,7 @@ def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):
 
 def test_simulate_snapshots_equal_those_of_the_retained_run(tmp_path):
     # the snapshots are written as the run samples them, byte for byte the
-    # files of the states a run without an observer keeps
+    # files of the states a run without a hook keeps
     cfg_path = _write(tmp_path, "run.cfg", GOOD.replace("t_end = 0.01", "t_end = 0.005"))
     snaps = tmp_path / "snaps"
     assert main(["simulate", "--config", cfg_path, "--snapshots", str(snaps)]) == 0
@@ -356,6 +356,18 @@ def test_compare_failure_names_the_reference_run(tmp_path, capsys):
     # member 0 of the campaign's ensemble is the reference run
     assert main(["compare", "--config", _write(tmp_path, "unstable.cfg", UNSTABLE)]) == 1
     assert capsys.readouterr().err == "FAIL: non-finite values of the reference run at step 5 (t = 0.25)\n"
+
+
+@pytest.mark.parametrize("text, flags, run", [
+    ("[grid]\nn = 8\n[initial]\nkind = perturbed\namplitude = 1e200\n[stepper]\nt_end = 0.002\n", [],
+     "the reference run"),
+    (GOOD, ["--delta", "1e300"], "the perturbed run with delta = 1e+300"),
+], ids=["amplitude", "delta"])
+def test_compare_refusal_of_an_initial_state_names_the_run(tmp_path, capsys, text, flags, run):
+    # the refusal before the first step names the run as a blow-up does,
+    # not its index in the ensemble
+    assert main(["compare", "--config", _write(tmp_path, "huge.cfg", text), *flags]) == 1
+    assert capsys.readouterr().err == f"FAIL: non-finite initial state or energy of {run} at step 0 (t = 0)\n"
 
 
 def test_compare_cfl_warning_names_no_ensemble_member(tmp_path, capsys):

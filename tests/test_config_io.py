@@ -418,13 +418,14 @@ def test_snapshot_bytes_of_contiguous_and_member_view_states(tmp_path):
     assert path.read_bytes() == _snapshot_bytes(state)
     written = []
 
-    def observe(sample, terms):
-        member = sample.member(0)
-        assert np.shares_memory(member.v.values, sample.v) and np.shares_memory(member.d.values, sample.d)
-        write_snapshot(member, str(path))
-        written.append(path.read_bytes() == _snapshot_bytes(member))
+    def each_step(sample, terms, sampled):
+        if sampled:
+            member = sample.member(0)
+            assert np.shares_memory(member.v.values, sample.v) and np.shares_memory(member.d.values, sample.d)
+            write_snapshot(member, str(path))
+            written.append(path.read_bytes() == _snapshot_bytes(member))
 
-    run(state, StepperConfig(dt=1e-3, t_end=0.128, output_every=2), PARODI_DEMO, TENSOR, observer=observe)
+    run(state, StepperConfig(dt=1e-3, t_end=0.128, output_every=2), PARODI_DEMO, TENSOR, each_step=each_step)
     assert written == [True, True, True]
 
 
@@ -565,6 +566,18 @@ def test_trace_csv_bytes_equal_per_element_numpy_formatting(tmp_path):
             cols["residual_energy"] = res
         rows = [",".join(f"{np.float64(cols[name][i]):.17g}" for name in TRACE_COLUMNS) for i in range(n)]
         assert path.read_bytes() == ("\n".join([",".join(TRACE_COLUMNS)] + rows) + "\n").encode("ascii")
+
+def test_trace_csv_refuses_traces_of_different_lengths(tmp_path):
+    # the error gives each length, and no file is written
+    energy = EnergyTrace(*(np.zeros(3) for _ in dataclasses.fields(EnergyTrace)))
+    relative = RelativeTrace(*(np.zeros(2) for _ in dataclasses.fields(RelativeTrace)))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="^traces of different lengths: energy 3, relative 2$"):
+        write_trace_csv(str(path), energy=energy, relative=relative)
+    with pytest.raises(ValueError, match="^traces of different lengths: relative 2, residual 3$"):
+        write_trace_csv(str(path), relative=relative, residual=np.zeros(3))
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_forcing_is_built_on_the_config_grid():
     cfg = parse_config("[grid]\nn = 8 16\n[material]\nforcing = constant:1,0,0\n")

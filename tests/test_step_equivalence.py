@@ -655,9 +655,9 @@ def test_nonfinite_initial_state_is_refused_before_the_first_step(field, m):
     seen = []
     label = " of member 2" if m == 3 else ""
     with pytest.raises(ValueError) as exc:
-        stepper.run_ensemble(states, lambda e, terms: seen.append(e), lambda e, terms: seen.append(e))
+        stepper.run_ensemble(states, lambda e, terms, sampled: seen.append(e))
     assert str(exc.value) == f"non-finite initial state or energy{label} at step 0 (t = 0)"
-    assert seen == []
+    assert exc.value.member == m - 1 and seen == []
 
 
 def test_weak_strong_campaign_equals_separate_experiments():
@@ -721,7 +721,7 @@ def test_sampled_director_strain_is_carried(monkeypatch, output_every):
     assert samples == 1 + 6 // output_every
     # one per state, 7 for 6 steps, sampled or not: the strain is made with
     # the state and only read after, by the sample's diagnostics, the run's
-    # observer and the next step
+    # hook and the next step
     assert len(calls) == samples + 6 - (samples - 1)
 
 
@@ -857,7 +857,7 @@ def test_pressure_is_transformed_only_when_read(monkeypatch, theta, per_step, ou
     energy_monitor(grid, NON_PARODI_DEMO, ANISO, cfg, state)
     assert len(calls) == per_step * 6
     assert all(shape[:2] == (1, 3) for shape in calls)  # none stacks a pressure
-    # a run without an observer copies each sample, its pressure too: one
+    # a run without a hook copies each sample, its pressure too: one
     # more per sample after the initial one, whose pressure was given
     calls.clear()
     traj = run(state, cfg, NON_PARODI_DEMO, ANISO)

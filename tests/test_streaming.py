@@ -1,15 +1,16 @@
-"""Sampled states streamed to an observer.
+"""States streamed to a run's hook.
 
-A run given an observer hands it each sampled ensemble with its record of
-fields (``StateTerms``) and keeps no state itself: its trace and step
-energies must equal those of a run that keeps every sample, bit for bit,
-its memory must not grow with the number of samples, and the stepper must
-write into no array it has handed out.  The weak-strong
-campaign evaluates its relative terms online, at every step and at every
-sample, from the ensembles and their records; its sampled rows must equal,
-bit for bit, those that ``oracles.relative_series`` takes after the run
-from every retained step, and the campaign must differentiate nothing but
-d - dr itself.
+A run given a hook, ``each_step(ensemble, terms, sampled)``, hands it every
+step's ensemble with its record of fields (``StateTerms``), once and in
+order, flagging the steps of ``StepperConfig.samples``, and keeps no state
+itself: its trace and step energies must equal those of a run that keeps
+every sample, bit for bit, its memory must not grow with the number of
+samples, and the stepper must write into no array it has handed out.  The
+weak-strong campaign evaluates its relative terms online, at every step and
+at every sample, from the ensembles and their records; its sampled rows
+must equal, bit for bit, those that ``oracles.relative_series`` takes after
+the run from every retained step, and the campaign must differentiate
+nothing but d - dr itself.
 """
 
 import dataclasses
@@ -19,11 +20,11 @@ import numpy as np
 import pytest
 
 import oracles
-from leslie_sim import dynamics
+from leslie_sim import dynamics, experiments
 from leslie_sim import energetics as en
 from leslie_sim import grid as grid_module
 from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig
-from leslie_sim.experiments import energy_monitor, weak_strong_campaign
+from leslie_sim.experiments import _run_every_step, energy_monitor, weak_strong_campaign
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
@@ -60,20 +61,61 @@ def test_streamed_run_equals_retained_run(theta, output_every):
     cfg = StepperConfig(dt=1e-3, t_end=7e-3, theta=theta, output_every=output_every)
     states = [_state(grid, seed=60), _state(grid, seed=61, amplitude=0.5)]
     retained = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(states)
-    seen = []  # the ensembles themselves, not copies
+    seen = []  # the sampled ensembles themselves, not copies
     streamed = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(
-        states, observer=lambda e, terms: seen.append(e))
+        states, each_step=lambda e, terms, sampled: seen.append(e) if sampled else None)
     for i, (a, b) in enumerate(zip(streamed, retained)):
         assert a.states == [] and len(b.states) == 2 + 6 // output_every
         for name in vars(b.trace):
             assert getattr(a.trace, name).tobytes() == getattr(b.trace, name).tobytes(), name
         assert a.step_times.tobytes() == b.step_times.tobytes()
         assert a.step_total_energy.tobytes() == b.step_total_energy.tobytes()
-        # the observer saw every sample in order, the initial one included,
+        # the hook saw every sample in order, the initial one included,
         # and the stepper wrote into none of them after handing it over
         assert len(seen) == len(b.states)
         for e, s in zip(seen, b.states):
             _assert_same_state(e.member(i), s)
+
+
+@pytest.mark.parametrize("output_every", [1, 3, 10])
+def test_hook_sees_every_step_once_in_order_and_flags_the_samples(output_every, monkeypatch):
+    # 7 steps: at output_every = 10 only steps 0 and 7 are sampled.  The hook
+    # is called on each step before that step's trace row, which only a
+    # sampled step has
+    grid = GRIDS[2]
+    cfg = StepperConfig(dt=1e-3, t_end=7e-3, output_every=output_every)
+    states = [_state(grid, seed=60), _state(grid, seed=61, amplitude=0.5)]
+    events = []
+    diagnostics = Stepper._diagnostics
+    monkeypatch.setattr(Stepper, "_diagnostics",
+                        lambda self, e, terms: events.append(("row", e.t)) or diagnostics(self, e, terms))
+    hooked = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(
+        states, each_step=lambda e, terms, sampled: events.append(("hook", e.t, sampled)))
+    seen = events[:]
+    plain = Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble(states)
+    rows = cfg.samples(0.0)
+    expected = []
+    for k, t in enumerate(plain[0].step_times.tolist()):
+        expected += [("hook", t, k in rows)] + [("row", t)] * (k in rows)
+    assert len(expected) == 8 + len(rows) and seen == expected
+    assert all(type(event[2]) is bool for event in seen if event[0] == "hook")
+    for a, b in zip(hooked, plain):
+        assert a.states == []
+        assert [s.t for s in b.states] == plain[0].step_times[rows].tolist()
+
+
+@pytest.mark.parametrize("output_every", [1, 3, 10])
+def test_run_every_step_keeps_no_state_and_flags_the_samples(output_every):
+    # it runs at output_every = 1, so a run without a hook would keep every
+    # step's state; its own hook sees cfg's samples flagged
+    grid = GRIDS[2]
+    cfg = StepperConfig(dt=1e-3, t_end=7e-3, output_every=output_every)
+    flags = []
+    for hook in ({}, {"each_step": lambda e, terms, sampled: flags.append(sampled)}):
+        traj, residual, trace, _ = _run_every_step(_state(grid, seed=60), cfg, NON_PARODI_DEMO, ANISO, **hook)
+        assert traj.states == [] and len(residual) == 8
+        assert trace.t.tolist() == traj.step_times[cfg.samples(0.0)].tolist()
+    assert [k for k, sampled in enumerate(flags) if sampled] == cfg.samples(0.0) and len(flags) == 8
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -87,12 +129,12 @@ def test_stepper_writes_into_no_array_it_handed_out(dim):
     handed = []  # every array of each sample and its record, with its bytes then
     kept = []  # each record itself, uncopied, with its arrays then
 
-    def observe(e, terms):
+    def each_step(e, terms, sampled):
         arrays = [e.v, e.d, e.p, terms.grad, terms.lap, terms.dev, terms.grad_v, *terms.strain]
         handed.append([(a, a.tobytes()) for a in arrays])
         kept.append((terms, arrays[3:]))
 
-    stepper.run_ensemble([_state(grid, seed=64), _state(grid, seed=65, amplitude=0.5)], observer=observe)
+    stepper.run_ensemble([_state(grid, seed=64), _state(grid, seed=65, amplitude=0.5)], each_step=each_step)
     assert len(handed) == 5
     for k, arrays in enumerate(handed):
         for j, (a, taken) in enumerate(arrays):
@@ -125,7 +167,8 @@ def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
         with pytest.raises(SimulationError) as retained:
             stepper().run_ensemble([still, wild])
         with pytest.raises(SimulationError) as streamed:
-            stepper().run_ensemble([still, wild], observer=lambda e, terms: seen.append(e))
+            stepper().run_ensemble([still, wild],
+                                   each_step=lambda e, terms, sampled: seen.append(e) if sampled else None)
     assert str(streamed.value) == str(retained.value)
     assert "member 1" in str(streamed.value)
     last = streamed.value.last_state
@@ -135,7 +178,7 @@ def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
 
 
 def test_retained_run_keeps_contiguous_samples_and_its_last_sample_is_one():
-    # without an observer the run keeps each sample the step made, uncopied:
+    # without a hook the run keeps each sample the step made, uncopied:
     # its states are contiguous component-major views of the sample's
     # arrays, no two samples share memory, and the last sample of a blow-up
     # is such a state too
@@ -220,7 +263,7 @@ def test_campaign_takes_only_the_gradient_of_the_director_difference(dim, monkey
     rng = np.random.default_rng(5)  # the campaign's set-up: its perturbation
     smooth_vector_field(grid, rng)
     divfree_smooth_field(grid, rng)
-    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([initial] * 3, lambda e, terms: None)
+    Stepper(grid, cfg, NON_PARODI_DEMO, ANISO).run_ensemble([initial] * 3, lambda e, terms, sampled: None)
     assert campaign - len(calls) == 7 * dim
 
 
@@ -256,6 +299,34 @@ def test_campaign_projection_failure_names_the_perturbed_run(monkeypatch):
     message = str(failed.value)
     assert "of the perturbed run with delta = 0.001 exceeds target 0.000e+00" in message
     assert "member" not in message and failed.value.member == 1
+
+@pytest.mark.parametrize("amplitude, deltas, member, run", [
+    (1e200, (1e-3,), 0, "the reference run"),
+    (0.3, (1e-3, 1e300), 2, "the perturbed run with delta = 1e+300"),
+])
+def test_campaign_refusal_of_a_nonfinite_initial_run_names_it(amplitude, deltas, member, run):
+    # a director of amplitude 1e200, or a perturbation of size 1e300, has an
+    # infinite penalty energy: the run refuses it before the first step, a
+    # ValueError that names the run, not its index in the ensemble
+    grid = GRIDS[2]
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as refused:
+        weak_strong_campaign(grid, PARODI_DEMO, ElasticTensor.isotropic(1.0), StepperConfig(dt=1e-3, t_end=2e-3),
+                             _state(grid, seed=30, amplitude=amplitude), seed=31, deltas=deltas)
+    assert str(refused.value) == f"non-finite initial state or energy of {run} at step 0 (t = 0)"
+    assert refused.value.member == member
+
+
+def test_campaign_refuses_empty_deltas_before_any_draw_or_step(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(experiments, "smooth_vector_field", fail)
+    monkeypatch.setattr(Stepper, "run_ensemble", fail)
+    grid = GRIDS[2]
+    with pytest.raises(ValueError, match="^deltas must hold at least one perturbation size$"):
+        weak_strong_campaign(grid, PARODI_DEMO, ElasticTensor.isotropic(1.0), StepperConfig(dt=1e-3, t_end=2e-3),
+                             _state(grid, seed=30), seed=31, deltas=())
+
 
 def _peak_bytes(func) -> int:
     """Peak traced allocation, above what is allocated before, of func()."""
