@@ -4,6 +4,8 @@ Subcommands: validate | simulate | compare | energy-check | ibp-check |
 converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.  A
 run that turns non-finite, refuses its initial state (ValueError) or fails
 its projection is a check failure, reported as one ``FAIL:`` line on stderr.
+An output path that is empty or cannot be written is a usage or config
+error, reported before any step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .config import ConfigError, load_config, number
 from .grid import whole
 from .initial import make_initial_state
 from .material import validate
-from .snapshot import write_snapshot, write_trace_csv
+from .snapshot import check_snapshot_dir, check_trace_path, write_snapshot, write_trace_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,6 +52,19 @@ def _load(args, allow_invalid=False):
         raise SystemExit(EXIT_USAGE)
 
 
+def _output(args, flag: str, check, configured):
+    """The path that ``--flag`` gives, checked by ``check`` as the config's
+    ``[output]`` value is (a bad one is a usage error), else ``configured``."""
+    value = getattr(args, flag)
+    if value is None:
+        return configured
+    try:
+        return check(value)
+    except ValueError as exc:
+        print(f"usage error: --{flag}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def _cmd_validate(args) -> int:
     cfg = _load(args, allow_invalid=True)
     violations = validate(cfg.params)
@@ -63,8 +78,9 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     # without --allow-invalid, invalid parameters are a config error
     cfg = _load(args, allow_invalid=args.allow_invalid)
+    trace_path = _output(args, "trace", check_trace_path, cfg.trace_path)
+    snap_dir = _output(args, "snapshots", check_snapshot_dir, cfg.snapshot_dir)
     state = make_initial_state(cfg.grid, cfg.initial)
-    snap_dir = args.snapshots or cfg.snapshot_dir
     if snap_dir:
         os.makedirs(snap_dir, exist_ok=True)
     written = itertools.count()
@@ -87,7 +103,6 @@ def _cmd_simulate(args) -> int:
             raise dynamics.SimulationError(f"{exc}; last valid state saved to {path}") from exc
         raise
 
-    trace_path = args.trace or cfg.trace_path
     if trace_path:
         write_trace_csv(trace_path, energy=trace, residual=residual)
     print(
@@ -107,13 +122,13 @@ def _cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    trace_path = _output(args, "trace", check_trace_path, cfg.trace_path)
     state = make_initial_state(cfg.grid, cfg.initial)
     report = experiments.weak_strong_experiment(
         cfg.grid, cfg.params, cfg.elastic, cfg.stepper, state,
         seed=exp.seed, delta=exp.delta, c=exp.gronwall_c,
         forcing=cfg.forcing(),
     )
-    trace_path = args.trace or cfg.trace_path
     if trace_path:
         write_trace_csv(trace_path, relative=report.trace)
     ok = report.bound_satisfied and np.isfinite(report.minimal_c)
@@ -129,13 +144,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_energy_check(args) -> int:
     cfg = _load(args)
+    trace_path = _output(args, "trace", check_trace_path, cfg.trace_path)
     state = make_initial_state(cfg.grid, cfg.initial)
     report = experiments.energy_monitor(
         cfg.grid, cfg.params, cfg.elastic, cfg.stepper, state,
         tol_energy=cfg.experiment.tol_energy, tol_step=cfg.experiment.tol_step,
         forcing=cfg.forcing(),
     )
-    trace_path = args.trace or cfg.trace_path
     if trace_path:
         write_trace_csv(trace_path, energy=report.trace, residual=report.residual)
     verdict = "PASS" if report.passed else "FAIL"

@@ -4,7 +4,10 @@ Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
 lines ignored.  Unknown sections or keys are errors with line numbers; every
 key has a documented default, so the empty config is valid.  The converters
 only parse; each value is checked once, by the object that takes it, and a
-failed check is a ConfigError naming the line of its key.
+failed check is a ConfigError naming the line of its key.  The ``[output]``
+paths, which no object takes before the run writes them, are checked as
+they are read: an empty path, or one that cannot be written, is refused
+before any step.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .experiments import ExperimentConfig
 from .grid import Grid, VectorField
 from .initial import InitialSpec
 from .material import ParameterSet, make_forcing, violated_conditions
+from .snapshot import check_snapshot_dir, check_trace_path
 from .tensor import ElasticTensor
 
 
@@ -165,8 +169,8 @@ _KEYS = {
         "seed": ("seed", number),
     },
     "output": {
-        "trace": (None, str),
-        "snapshots": (None, str),
+        "trace": (None, check_trace_path),
+        "snapshots": (None, check_snapshot_dir),
     },
 }
 

@@ -34,6 +34,33 @@ class SnapshotError(IOError):
     """Malformed, truncated, or non-finite snapshot file."""
 
 
+def check_trace_path(path: str) -> str:
+    """``path``, if a trace file can be written there: a path that is not
+    empty, not a directory, in a directory that exists; else ValueError."""
+    if not path:
+        raise ValueError("empty path")
+    if os.path.isdir(path):
+        raise ValueError(f"{path} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"{path}: no directory {directory}")
+    return path
+
+
+def check_snapshot_dir(path: str) -> str:
+    """``path``, if snapshots can be written there: a path that is not
+    empty, and a directory or one that can be made, its nearest existing
+    ancestor a directory; else ValueError."""
+    if not path:
+        raise ValueError("empty path")
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValueError(f"{path}: {existing} is not a directory")
+    return path
+
+
 def _atomic_write(path: str, *chunks):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snap-")

@@ -143,6 +143,73 @@ def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):
     assert state.t == data["t"][-1]
 
 
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step was taken")
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-check", "compare"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_trace_in_a_missing_directory_is_refused_before_any_step(tmp_path, monkeypatch, capsys,
+                                                                 command, source):
+    # the run used to finish first and then die writing the CSV, with a
+    # traceback and exit 1; now it is one line, exit 2, and nothing written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dynamics.Stepper, "step", _no_step)
+    if source == "flag":
+        argv = ["--config", _write(tmp_path, "run.cfg", GOOD), "--trace", "nodir/x.csv"]
+        prefix = "usage error: --trace: "
+    else:
+        argv = ["--config", _write(tmp_path, "run.cfg", GOOD + "[output]\ntrace = nodir/x.csv\n")]
+        prefix = "config error: line 11: bad value for output.trace: "
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "nodir/x.csv: no directory ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_snapshots_at_a_file_are_refused_before_any_step(tmp_path, monkeypatch, capsys, source):
+    # makedirs used to die on the file with FileExistsError and exit 1
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dynamics.Stepper, "step", _no_step)
+    (tmp_path / "afile").write_text("")
+    if source == "flag":
+        argv = ["--config", _write(tmp_path, "run.cfg", GOOD), "--snapshots", "afile"]
+        prefix = "usage error: --snapshots: "
+    else:
+        argv = ["--config", _write(tmp_path, "run.cfg", GOOD + "[output]\nsnapshots = afile\n")]
+        prefix = "config error: line 11: bad value for output.snapshots: "
+    assert main(["simulate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "afile: ") and err.endswith(" is not a directory\n")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+    assert (tmp_path / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace", ""], ["simulate", "--snapshots", ""],
+    ["energy-check", "--trace", ""], ["compare", "--trace", ""],
+])
+def test_empty_output_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # an empty flag used to be ignored: the run passed and wrote nothing
+    monkeypatch.setattr(dynamics.Stepper, "step", _no_step)
+    assert main([*argv, "--config", _write(tmp_path, "run.cfg", GOOD)]) == 2
+    assert capsys.readouterr().err == f"usage error: {argv[1]}: empty path\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_empty_output_value_is_a_config_error(tmp_path, capsys, command):
+    assert main([command, "--config", _write(tmp_path, "run.cfg", GOOD + "[output]\ntrace =\n")]) == 2
+    assert capsys.readouterr().err == "config error: line 11: bad value for output.trace: empty path\n"
+
+
+def test_simulate_makes_a_missing_snapshot_directory(tmp_path, capsys):
+    snaps = tmp_path / "new" / "deep"
+    assert main(["simulate", "--config", _write(tmp_path, "run.cfg", GOOD), "--snapshots", str(snaps)]) == 0
+    assert sorted(snaps.glob("state_*.snap"))
+
+
 def test_simulate_snapshots_equal_those_of_the_retained_run(tmp_path):
     # the snapshots are written as the run samples them, byte for byte the
     # files of the states a run without a hook keeps

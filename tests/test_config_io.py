@@ -43,6 +43,43 @@ def test_empty_config_is_valid_with_defaults():
     assert cfg.forcing() is None
 
 
+@pytest.mark.parametrize("key", ["trace", "snapshots"])
+def test_empty_output_path_is_an_error_naming_its_line(key):
+    # an empty path used to parse, and the run wrote nothing
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(f"[grid]\nn = 16\n[output]\n{key} =\n")
+    assert exc_info.value.line == 4
+    assert f"output.{key}: empty path" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("trace", "nodir/x.csv", "nodir/x.csv: no directory"),
+    ("trace", ".", ". is a directory"),
+    ("snapshots", "afile", "is not a directory"),
+    ("snapshots", "afile/sub", "is not a directory"),
+])
+def test_unwritable_output_path_is_an_error_naming_its_line(tmp_path, monkeypatch, key, value, message):
+    # checked as the config is read, before any step, and nothing is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(f"[output]\n{key} = {value}\n")
+    assert exc_info.value.line == 2
+    assert message in str(exc_info.value) and value in str(exc_info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_output_paths_that_can_be_written_are_kept(tmp_path, monkeypatch):
+    # a trace in an existing directory; a snapshot directory that exists or
+    # can be made, at any depth, and is not made as the config is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "snaps").mkdir()
+    for trace, snaps in (("x.csv", "snaps"), ("snaps/x.csv", "new/deep")):
+        cfg = parse_config(f"[output]\ntrace = {trace}\nsnapshots = {snaps}\n")
+        assert (cfg.trace_path, cfg.snapshot_dir) == (trace, snaps)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snaps"]
+
+
 #: The identity tensor, L_ijkl = delta_ik delta_jl, as 81 explicit entries.
 EXPLICIT_IDENTITY = ("[material]\nelastic = explicit\nelastic_entries = "
                      + " ".join((["1"] + ["0"] * 9) * 8 + ["1"]) + "\n")
