@@ -27,11 +27,16 @@ director's grad d, div(L : grad d) and |d|^2 - 1, its energies, its grad v
 and its director strain, a frozen value made with the state -- the step
 returns it with its result (grad v is the one the velocity update takes) --
 and only read by the next step, the per-step energy and finiteness check,
-the sample's diagnostics and the run's hook.  The two-point q uses the
-mean of the two directors' div(L : grad d), as the operator is linear; and
-the explicit momentum flux is built one column at a time, each column
-differentiated as soon as it is built, the stress's as d alpha_j + w d_j
-from the factors alpha, w formed once per step (:func:`_stress_factors`).
+the sample's diagnostics and the run's hook.  The run hands each record
+to the next step and keeps no reference to it, and the step deletes each
+field after its last read, so none of the record's arrays is alive at the
+velocity update; a hook that keeps a record keeps its arrays.  The
+two-point q uses the mean of the two directors' div(L : grad d), as the
+operator is linear; the Ericksen force is formed as soon as q is, so grad
+d can go; and the explicit momentum flux is built one column at a time,
+each column differentiated as soon as it is built, the stress's as d
+alpha_j + w d_j from the factors alpha, w formed once per step
+(:func:`_stress_factors`).
 
 Layout: the stepper computes on component-major arrays with a leading
 member axis -- vectors ``(m, 3) + grid.shape``, gradients
@@ -301,28 +306,50 @@ def project_divfree(u: VectorField, ops: SpectralOps | None = None):
     as a VectorField and a ScalarField on u's grid.
 
     Solves div grad p = div u exactly in Fourier space (the composite
-    central-difference Laplacian is diagonal there) with
-    :func:`_velocity_update`, u as a one-member ensemble; modes where every
-    derivative symbol vanishes carry no divergence and are left alone, so p
-    has zero mean.  Without ``ops`` the operators of u's grid are built for
-    this call.
+    central-difference Laplacian is diagonal there) with :func:`_divfree`,
+    u as a one-member ensemble; modes where every derivative symbol vanishes
+    carry no divergence and are left alone, so p has zero mean.  Without
+    ``ops`` the operators of u's grid are built for this call.
     """
     if ops is None:
         ops = SpectralOps(u.grid)
     ops.check_grid(u.grid)
-    v, s, _ = _velocity_update(ops, u.values[None])
+    v, s = _divfree(ops, u.values[None])
     return VectorField(u.grid, v[0]), ScalarField(u.grid, _pressure(ops, s)[0])
+
+
+def _divfree(ops: SpectralOps, values: np.ndarray) -> tuple:
+    """The members' vectors ``values`` (m, 3) + grid.shape projected: the
+    velocity and its pressure spectrum (:func:`_project`), gated on the
+    stencil divergence of the velocity, :func:`grid.divergence_components`,
+    which sums its terms as the trace of the step's grad v does."""
+    v, s, targets = _project(ops, values)
+    _check_residuals(ops.grid, g.divergence_components(ops.grid, v), targets)
+    return v, s
 
 
 def _velocity_update(ops: SpectralOps, values: np.ndarray, helmholtz: bool = False):
     """The members' vectors ``values`` (m, 3) + grid.shape, Helmholtz-solved
-    if ``helmholtz``, then projected: the projected velocity, the spectrum
-    s / (-|sigma|^2) of their pressures (:func:`_pressure`) and the grad v
-    of the velocity.  With s = sigma . u_hat (the stencil divergence has
-    symbol i s), u_hat += sigma s / (-|sigma|^2).  Raises ProjectionError
-    when the stencil divergence of a member's result, the trace of its
-    grad v summed as :func:`grid.divergence_components` sums it, exceeds
-    its :func:`_projection_targets`."""
+    if ``helmholtz``, then projected (:func:`_project`): the projected
+    velocity, the spectrum of their pressures and the grad v of the
+    velocity, gated on its trace summed as
+    :func:`grid.divergence_components` sums the divergence."""
+    grid = ops.grid
+    v, s, targets = _project(ops, values, helmholtz)
+    grad_v = g.gradient_components(grid, v)
+    div = grad_v[:, 0, 0] + grad_v[:, 1, 1]
+    for a in range(2, grid.dim):
+        div += grad_v[:, a, a]
+    _check_residuals(grid, div, targets)
+    return v, s, grad_v
+
+
+def _project(ops: SpectralOps, values: np.ndarray, helmholtz: bool = False) -> tuple:
+    """The members' vectors ``values``, Helmholtz-solved if ``helmholtz``,
+    then projected on one spectrum: the projected velocity, the spectrum s /
+    (-|sigma|^2) of their pressures (:func:`_pressure`) and each member's
+    :func:`_projection_targets`.  With s = sigma . u_hat (the stencil
+    divergence has symbol i s), u_hat += sigma s / (-|sigma|^2)."""
     grid = ops.grid
     u_hat = ops.forward(values)
     if helmholtz:
@@ -334,12 +361,12 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, helmholtz: bool = Fal
     s *= ops.projection_factor
     for a in range(grid.dim):
         u_hat[:, a] += ops.sigmas[a] * s
-    v = ops.backward(u_hat)
-    del u_hat  # spent; freed before grad v, the update's largest array
-    grad_v = g.gradient_components(grid, v)
-    div = grad_v[:, 0, 0] + grad_v[:, 1, 1]
-    for a in range(2, grid.dim):
-        div += grad_v[:, a, a]
+    return ops.backward(u_hat), s, targets
+
+
+def _check_residuals(grid: Grid, div: np.ndarray, targets: list) -> None:
+    """Raise ProjectionError naming the first member whose stencil
+    divergence ``div`` (m,) + grid.shape exceeds its target in the L2 norm."""
     for i, target in enumerate(targets):
         res = math.sqrt(float(np.vdot(div[i], div[i])) * grid.cell_volume)
         if res > target:
@@ -347,7 +374,6 @@ def _velocity_update(ops: SpectralOps, values: np.ndarray, helmholtz: bool = Fal
                 f"projection residual {res:.3e}{_member_label(i, len(targets))} "
                 f"exceeds target {target:.3e}", member=i
             )
-    return v, s, grad_v
 
 
 def _pressure(ops: SpectralOps, s: np.ndarray) -> np.ndarray:
@@ -545,7 +571,9 @@ class StateTerms:
     the stepper's, not the state's.  Whoever makes the state makes its
     record, the stepper for a fresh state (:meth:`Stepper.terms`) and the
     step for its result; records and states are never written after they
-    are handed out."""
+    are handed out.  The run hands each record to the next step, which
+    frees each field after its last read; a hook that keeps a record keeps
+    its arrays."""
 
     grad: np.ndarray  # (m, 3, dim) + grid.shape
     lap: np.ndarray  # (m, 3) + grid.shape
@@ -636,7 +664,9 @@ class Stepper:
         return grad, lap, dev, en.free_energies(self.grid, self.p.epsilon, grad, flux, dev)
 
     def terms(self, e: Ensemble) -> StateTerms:
-        """The :class:`StateTerms` of a state the stepper did not make."""
+        """The :class:`StateTerms` of a state the stepper did not make, on
+        the stepper's grid (else ValueError)."""
+        self.ops.check_grid(e.grid)
         grad, lap, dev, free = self._director_terms(e.d)
         grad_v = g.gradient_components(self.grid, e.v)
         energy = np.column_stack((en.kinetic_energies(self.grid, e.v), free))
@@ -657,23 +687,28 @@ class Stepper:
         """Advance every member of the Ensemble ``e`` on the stepper's grid
         by one step: the result and its :class:`StateTerms`.  ``terms`` must
         be those of e (:meth:`terms` gives them for a state the stepper did
-        not make); the step writes into neither.  The result's pressures are
+        not make); the step writes into neither.  It drops its reference to
+        ``terms`` at once and each field's after its last read, so a record
+        that no caller holds (:meth:`run_ensemble` hands it over) is freed
+        field by field during the step.  The result's pressures are
         transformed when its ``p`` is first read."""
         cfg, p, grid = self.cfg, self.p, self.grid
         dt, theta, dim = cfg.dt, cfg.theta, grid.dim
         self.ops.check_grid(e.grid)
         v, d = e.v, e.d
-        grad_d, grad_v = terms.grad, terms.grad_v
+        grad_d, lap, dev, grad_v = terms.grad, terms.lap, terms.dev, terms.grad_v
+        grad_v_d, dvd, ddvd = terms.strain
+        del terms  # each field is deleted after its last read below
         if not self._cfl_warned:
             self._check_cfl(v)
 
         # 1. director update: theta-implicit elasticity, rest explicit;
         # (grad v)_skw d - lambda Dv d = (grad v) d - (1 + lambda) Dv d
-        grad_v_d, dvd, ddvd = terms.strain
         rhs = grad_v_d - np.einsum("mij...,mj...->mi...", grad_d, v[:, :dim])
+        del grad_v_d
         rhs -= (1.0 + p.lam) * dvd
-        rhs -= ((p.gamma / p.epsilon) * terms.dev[:, None]) * d
-        rhs += ((1.0 - theta) * p.gamma) * terms.lap
+        rhs -= ((p.gamma / p.epsilon) * dev[:, None]) * d
+        rhs += ((1.0 - theta) * p.gamma) * lap
         rhs *= dt
         rhs += d
         if self.ops.director_inverse is not None:
@@ -687,11 +722,15 @@ class Stepper:
         # cancel the director transport and rotation terms identically in the
         # discrete energy balance; div(L : grad .) of the midpoint is the mean
         q_half = d + d_new
-        q_half *= ((0.5 / p.epsilon) * (0.5 * (terms.dev + dev_new)))[:, None]
+        q_half *= ((0.5 / p.epsilon) * (0.5 * (dev + dev_new)))[:, None]
         # the director right-hand side is consumed: reuse its buffer
-        np.add(terms.lap, lap_new, out=rhs)
+        np.add(lap, lap_new, out=rhs)
+        del lap, dev
         rhs *= 0.5
         q_half -= rhs
+        # Ericksen force (grad d)^T q, as in ericksen_force, added below
+        force = np.einsum("mia...,mi...->ma...", grad_d, q_half)
+        del grad_d
 
         # 3. tentative velocity: coupling terms at the old director with the
         # two-point q; viscous part theta-implicit as (mu4/2) Lap v, whose
@@ -702,6 +741,7 @@ class Stepper:
         # is built in ``col`` and differentiated along axis j at once.
         # mu1 (d . Dv d) out of place: the record is never written
         alpha, w = _stress_factors(d, q_half, dvd, p.mu1 * ddvd, p)
+        del dvd, ddvd, q_half
         viscous = (1.0 - theta) * 0.5 * p.mu4
         col, scratch = np.empty_like(v), np.empty_like(v)
         for j in range(dim):
@@ -714,9 +754,9 @@ class Stepper:
                 rhs += g._deriv(grid, col, j - dim, out=scratch)
         del col, scratch, alpha, w
         rhs -= 0.5 * np.einsum("mij...,mj...->mi...", grad_v, v[:, :dim])
-        # Ericksen force (grad d)^T q, as in ericksen_force
-        rhs[:, :dim] += np.einsum("mia...,mi...->ma...", grad_d, q_half)
-        del q_half  # the step's memory peaks in the velocity update
+        del grad_v
+        rhs[:, :dim] += force
+        del force
         rhs *= dt
         rhs += v
         if self.forcing is not None:
@@ -747,6 +787,9 @@ class Stepper:
         Trajectory holds its member of the samples, whose pressures are
         transformed as its States are made.  No array is written after it is
         handed out, so a hook, like the run, may keep what it gets uncopied.
+        The run hands each record to the next step and holds no reference
+        to it while the step runs, so the step frees each field after its
+        last read; a hook that keeps a record keeps its arrays.
         """
         cfg = self.cfg
         state = Ensemble.of(initials)
@@ -765,7 +808,11 @@ class Stepper:
         j = 0
         for k in range(n_steps + 1):
             if k > 0:
-                state, terms = self.step(state, terms)
+                # the step takes the record from ``held``: no frame here keeps
+                # it, so the step frees each field after its last read
+                held = [terms]
+                del terms
+                state, terms = self.step(state, held.pop())
             step_times[k] = state.t
             step_energy[:, k] = total = terms.total
             bad = [i for i, x in enumerate(total.tolist()) if not math.isfinite(x)]

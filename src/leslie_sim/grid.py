@@ -201,8 +201,9 @@ def divergence_components(grid: Grid, values: np.ndarray) -> np.ndarray:
     flux (k = dim)."""
     rest = (slice(None),) * grid.dim
     out = _deriv(grid, values[(Ellipsis, 0) + rest], -grid.dim)
+    scratch = np.empty_like(out)
     for j in range(1, grid.dim):
-        out += _deriv(grid, values[(Ellipsis, j) + rest], j - grid.dim)
+        out += _deriv(grid, values[(Ellipsis, j) + rest], j - grid.dim, out=scratch)
     return out
 
 

@@ -67,7 +67,7 @@ def divfree_smooth_field(grid: Grid, rng: np.random.Generator) -> VectorField:
     """Smooth random field projected onto discretely divergence-free fields:
     the velocity of :func:`dynamics.project_divfree` without its pressure."""
     raw = smooth_vector_field(grid, rng)
-    v, _, _ = dynamics._velocity_update(dynamics.SpectralOps(grid), raw.values[None])
+    v, _ = dynamics._divfree(dynamics.SpectralOps(grid), raw.values[None])
     return VectorField(grid, v[0])
 
 

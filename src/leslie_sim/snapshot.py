@@ -185,12 +185,22 @@ def write_trace_csv(
 
 
 def read_trace_csv(path: str) -> dict:
+    """The columns of a trace file, TRACE_COLUMNS in order; a row that is
+    not one float per column is a SnapshotError naming the file and line."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if tuple(header) != TRACE_COLUMNS:
-        raise SnapshotError(f"{path}: unexpected trace columns {header}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.size == 0:
-        data = data.reshape(0, len(TRACE_COLUMNS))
+        if tuple(header) != TRACE_COLUMNS:
+            raise SnapshotError(f"{path}: unexpected trace columns {header}")
+        rows = []
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != len(TRACE_COLUMNS):
+                raise SnapshotError(f"{path}: line {number}: {len(cells)} values, expected {len(TRACE_COLUMNS)}")
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise SnapshotError(f"{path}: line {number}: {exc}") from None
+    data = np.array(rows).reshape(len(rows), len(TRACE_COLUMNS))
     return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}

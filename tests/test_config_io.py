@@ -659,6 +659,27 @@ def test_trace_csv_rejects_bad_header(tmp_path):
         read_trace_csv(str(path))
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda rows: rows[:1] + ["x" + rows[1][rows[1].index(","):]] + rows[2:],
+                 "line 3: could not convert string to float: 'x'", id="non-numeric cell"),
+    pytest.param(lambda rows: [row[: row.rindex(",")] for row in rows],
+                 "line 2: 15 values, expected 16", id="rows one value short"),
+    pytest.param(lambda rows: rows[:1] + [rows[1][: rows[1].rindex(",")]] + rows[2:],
+                 "line 3: 15 values, expected 16", id="rows of unequal length"),
+    pytest.param(lambda rows: [row + ",0" for row in rows],
+                 "line 2: 17 values, expected 16", id="rows one value too long"),
+])
+def test_trace_csv_names_the_file_and_line_of_a_malformed_row(tmp_path, edit, message):
+    path = tmp_path / "trace.csv"
+    trace = EnergyTrace(*(np.arange(3.0) for _ in dataclasses.fields(EnergyTrace)))
+    write_trace_csv(str(path), energy=trace)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+    with pytest.raises(SnapshotError) as refused:
+        read_trace_csv(str(path))
+    assert str(refused.value) == f"{path}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -197,6 +197,32 @@ def test_projection_gate_fires_and_names_the_member():
         stepper.step(pair, stepper.terms(pair))[0]
 
 
+@pytest.mark.parametrize("grid", [Grid.unit_box(16), Grid(n=(6, 5, 4), h=(0.2, 0.3, 0.25))], ids=["2d", "3d"])
+def test_projection_gates_on_the_divergence_without_a_gradient(monkeypatch, grid):
+    # project_divfree and the initial velocity take the stencil divergence
+    # of their velocity, not its whole grad v: the gated divergence is the
+    # trace of the step's grad v bit for bit, and so is the velocity
+    u = smooth_vector_field(grid, np.random.default_rng(24))
+    ops = SpectralOps(grid)
+    gated, vdot = [], np.vdot
+
+    def spy(a, b):
+        if a.dtype == np.float64:  # the targets are taken of complex spectra
+            gated.append(a.tobytes())
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    expected = dyn._velocity_update(ops, u.values[None])[0][0]
+    from_grad_v = gated[:]
+    gated.clear()
+    calls, gradient = [], g.gradient_components
+    monkeypatch.setattr(g, "gradient_components", lambda *args: calls.append(None) or gradient(*args))
+    out, _ = project_divfree(u, ops)
+    assert gated == from_grad_v and out.values.tobytes() == expected.tobytes()
+    divfree_smooth_field(grid, np.random.default_rng(25))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------

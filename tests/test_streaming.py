@@ -148,6 +148,17 @@ def test_stepper_writes_into_no_array_it_handed_out(dim):
             record.grad = record.lap
 
 
+@pytest.mark.parametrize("other", [Grid(n=(8, 8), h=(0.5, 0.5)), Grid.unit_box(16)], ids=["spacing", "cells"])
+def test_a_state_on_another_grid_is_refused_before_its_record_and_hook(other):
+    # a state with other spacings would get step 0's energies with the
+    # stepper's cell volume, one with other cells a numpy broadcast error
+    stepper = Stepper(Grid.unit_box(8), StepperConfig(dt=1e-3, t_end=0.0), NON_PARODI_DEMO, ANISO)
+    seen = []
+    with pytest.raises(ValueError, match="^field and spectral operators live on different grids$"):
+        stepper.run_ensemble([_state(other, seed=67)], each_step=lambda *args: seen.append(args))
+    assert seen == []
+
+
 def test_streamed_nonfinite_member_raises_naming_it_with_its_last_sample():
     grid = GRIDS[2]
     rng = np.random.default_rng(27)
