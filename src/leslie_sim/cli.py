@@ -2,10 +2,11 @@
 
 Subcommands: validate | simulate | compare | energy-check | ibp-check |
 converge.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.  A
-run that turns non-finite, refuses its initial state (ValueError) or fails
-its projection is a check failure, reported as one ``FAIL:`` line on stderr.
-An output path that is empty or cannot be written is a usage or config
-error, reported before any step.
+run that turns non-finite (SimulationError), refuses its initial state
+(InitialStateError) or fails its projection (ProjectionError) is a check
+failure, reported as one ``FAIL:`` line on stderr.  A config file that
+cannot be read, and an output path that is empty or cannot be written, are
+usage or config errors, reported before any step.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ def _whole(name: str, least: int):
 def _load(args, allow_invalid=False):
     try:
         return load_config(args.config, allow_invalid=allow_invalid)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    except (OSError, UnicodeDecodeError) as exc:
+        # missing, a directory, unreadable, or not UTF-8: no check ran
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"config file cannot be read: {args.config}: {reason}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -75,12 +78,25 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _energy_run(cfg, trace_path, **run):
+    """The config's run under :func:`experiments.energy_monitor`, its report
+    rows written to ``trace_path`` if one is given; ``run`` holds the
+    monitor's ``allow_invalid`` and ``each_step``."""
+    report = experiments.energy_monitor(
+        cfg.grid, cfg.params, cfg.elastic, cfg.stepper, make_initial_state(cfg.grid, cfg.initial),
+        tol_energy=cfg.experiment.tol_energy, tol_step=cfg.experiment.tol_step,
+        forcing=cfg.forcing(), **run,
+    )
+    if trace_path:
+        write_trace_csv(trace_path, energy=report.trace, residual=report.residual)
+    return report
+
+
 def _cmd_simulate(args) -> int:
     # without --allow-invalid, invalid parameters are a config error
     cfg = _load(args, allow_invalid=args.allow_invalid)
     trace_path = _output(args, "trace", check_trace_path, cfg.trace_path)
     snap_dir = _output(args, "snapshots", check_snapshot_dir, cfg.snapshot_dir)
-    state = make_initial_state(cfg.grid, cfg.initial)
     if snap_dir:
         os.makedirs(snap_dir, exist_ok=True)
     written = itertools.count()
@@ -92,10 +108,8 @@ def _cmd_simulate(args) -> int:
             write_snapshot(e.member(0), path)
 
     try:
-        # every step sampled for the residual; rows and snapshots at the samples
-        _, _, trace, residual = experiments._run_every_step(
-            state, cfg.stepper, cfg.params, cfg.elastic, cfg.forcing(), args.allow_invalid, each_step,
-        )
+        # the energy-law run: rows and snapshots at the samples
+        trace = _energy_run(cfg, trace_path, allow_invalid=args.allow_invalid, each_step=each_step).trace
     except dynamics.SimulationError as exc:
         if snap_dir and exc.last_state is not None:
             path = os.path.join(snap_dir, "last_valid.snap")
@@ -103,8 +117,6 @@ def _cmd_simulate(args) -> int:
             raise dynamics.SimulationError(f"{exc}; last valid state saved to {path}") from exc
         raise
 
-    if trace_path:
-        write_trace_csv(trace_path, energy=trace, residual=residual)
     print(
         f"PASS: simulated to t = {trace.t[-1]:.6g}, "
         f"total energy {trace.total[-1]:.6g} "
@@ -144,15 +156,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_energy_check(args) -> int:
     cfg = _load(args)
-    trace_path = _output(args, "trace", check_trace_path, cfg.trace_path)
-    state = make_initial_state(cfg.grid, cfg.initial)
-    report = experiments.energy_monitor(
-        cfg.grid, cfg.params, cfg.elastic, cfg.stepper, state,
-        tol_energy=cfg.experiment.tol_energy, tol_step=cfg.experiment.tol_step,
-        forcing=cfg.forcing(),
-    )
-    if trace_path:
-        write_trace_csv(trace_path, energy=report.trace, residual=report.residual)
+    report = _energy_run(cfg, _output(args, "trace", check_trace_path, cfg.trace_path))
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max residual {report.max_residual_rel:.3e} (rel), "
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (dynamics.SimulationError, dynamics.ProjectionError, ValueError) as exc:
+    except (dynamics.SimulationError, dynamics.ProjectionError, dynamics.InitialStateError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

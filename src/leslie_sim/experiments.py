@@ -198,20 +198,6 @@ def weak_strong_experiment(
 # energy-law monitor
 # ---------------------------------------------------------------------------
 
-def _run_every_step(initial, cfg, p, tensor, forcing=None, allow_invalid=False, each_step=lambda *_: None):
-    """The run of ``initial`` sampled at every step, so that the energy-
-    inequality residual integrates over every step: the trajectory, its
-    residual, and their rows at ``cfg.samples``, the steps ``each_step``
-    sees as sampled.  The run always has a hook, so it keeps no state."""
-    rows = cfg.samples(initial.t)
-    sampled = iter(np.isin(np.arange(rows[-1] + 1), rows).tolist())
-    traj = dynamics.run(initial, replace(cfg, output_every=1), p, tensor, forcing, allow_invalid,
-                        lambda e, terms, _: each_step(e, terms, next(sampled)))
-    residual = en.energy_inequality_residual(traj.trace, p)
-    trace = en.EnergyTrace(*(getattr(traj.trace, f.name)[rows] for f in fields(en.EnergyTrace)))
-    return traj, residual, trace, residual[rows]
-
-
 @dataclass
 class EnergyReport:
     passed: bool
@@ -231,29 +217,39 @@ def energy_monitor(
     tol_energy: float = ExperimentConfig.tol_energy,
     tol_step: float = ExperimentConfig.tol_step,
     forcing: VectorField | None = None,
+    allow_invalid: bool = False,
+    each_step=None,
 ) -> EnergyReport:
     """Run one trajectory and check the discrete energy law.
 
     Pass requires (a) the per-step total energy non-increasing within
     tol_step * E(0) and (b) the energy-inequality residual below
-    tol_energy * E(0) at every step.  The trajectory is sampled at every
-    step (:func:`_run_every_step`), so that the residual integrates the
-    dissipation over every step whatever ``cfg.output_every``; that only
-    selects the rows of the report's trace and residual, the steps of
-    ``cfg.samples``.  ``grid`` must be the initial state's.
+    tol_energy * E(0) at every step.  The trajectory is run at
+    ``output_every = 1``, so that the residual integrates the dissipation
+    over every step whatever ``cfg.output_every``, which only selects the
+    rows of the report's trace and residual: the steps of ``cfg.samples``.
+    ``each_step(ensemble, terms, sampled)``, if given, is called on every
+    step as :func:`dynamics.run` calls its hook, with ``sampled`` true on
+    those steps; the run always has a hook, so it keeps no state.
+    ``allow_invalid`` is :func:`dynamics.run`'s.  ``grid`` must be the
+    initial state's.
     """
     if grid != initial.v.grid:
         raise ValueError("grid must be the grid of the initial state")
-    traj, residual, trace, sampled_residual = _run_every_step(initial, cfg, p, tensor, forcing)
-    e0 = traj.trace.total[0]
-    scale = max(e0, 1e-300)
+    rows = cfg.samples(initial.t)
+    sampled = iter(np.isin(np.arange(rows[-1] + 1), rows).tolist())
+    hook = each_step or (lambda *_: None)
+    traj = dynamics.run(initial, replace(cfg, output_every=1), p, tensor, forcing, allow_invalid,
+                        lambda e, terms, _: hook(e, terms, next(sampled)))
+    residual = en.energy_inequality_residual(traj.trace, p)
+    scale = max(traj.trace.total[0], 1e-300)
     step_increase = float(np.max(np.diff(traj.step_total_energy), initial=0.0))
     max_res = float(residual.max())
     passed = step_increase <= tol_step * scale and max_res <= tol_energy * scale
     return EnergyReport(
         passed=passed,
-        trace=trace,
-        residual=sampled_residual,
+        trace=en.EnergyTrace(*(getattr(traj.trace, f.name)[rows] for f in fields(en.EnergyTrace))),
+        residual=residual[rows],
         max_residual_rel=max_res / scale,
         max_step_increase_rel=step_increase / scale,
         cross_term_max=float(np.max(np.abs(traj.trace.cross_term))),

@@ -22,6 +22,8 @@ from .energetics import EnergyTrace, RelativeTrace
 from .grid import Grid, ScalarField, VectorField
 
 MAGIC = b"ELSNAP1\n"
+#: The keys of a snapshot header, in the order write_snapshot writes them.
+HEADER_KEYS = ("dim", "n", "h", "bc", "time")
 
 #: CSV column order for trace files: the fields of EnergyTrace, then those of
 #: RelativeTrace after their shared ``t``, then the energy-law residual.
@@ -101,7 +103,8 @@ def write_snapshot(state: State, path: str):
 
 def read_snapshot(path: str) -> State:
     """The state in the file: the header is decoded from the bytes before the
-    ``data`` marker and the payload read in place after it."""
+    ``data`` marker and the payload read in place after it.  A header that
+    is not ASCII, or gives a key twice or one not in HEADER_KEYS, is refused."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
@@ -110,9 +113,14 @@ def read_snapshot(path: str) -> State:
     idx = blob.find(marker, len(MAGIC))
     if idx < 0:
         raise SnapshotError(f"{path}: missing data marker")
-    header, offset = blob[len(MAGIC):idx].decode("ascii"), idx + len(marker)
+    # a byte that is not ASCII reads as a lone surrogate, which no check accepts
+    header, offset = blob[len(MAGIC):idx].decode("ascii", "surrogateescape"), idx + len(marker)
 
-    fields = dict(line.partition(" ")[::2] for line in header.splitlines())
+    fields = {}  # each key that write_snapshot writes, once
+    for key, _, value in (line.partition(" ") for line in header.splitlines()):
+        if key not in HEADER_KEYS or key in fields:
+            raise SnapshotError(f"{path}: {'repeated' if key in fields else 'unknown'} header key {key!r}")
+        fields[key] = value
     try:
         dim = int(fields["dim"])
         n = tuple(int(v) for v in fields["n"].split())
@@ -187,7 +195,8 @@ def write_trace_csv(
 def read_trace_csv(path: str) -> dict:
     """The columns of a trace file, TRACE_COLUMNS in order; a row that is
     not one float per column is a SnapshotError naming the file and line."""
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte that is not ASCII reads as a lone surrogate, which no float or column name matches
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise SnapshotError(f"{path}: unexpected trace columns {header}")

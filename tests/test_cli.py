@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leslie_sim import dynamics, experiments
+from leslie_sim import config, dynamics, experiments
 from leslie_sim.cli import main
 from leslie_sim.config import load_config
 from leslie_sim.experiments import ConvergenceReport
@@ -77,13 +77,44 @@ def test_simulate_with_invalid_material_is_config_error(tmp_path, capsys):
     assert "config error: " in err and "mu1 > 0" in err
 
 
-def test_missing_config_is_usage_error(tmp_path):
-    assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-
 def test_malformed_config_is_usage_error(tmp_path):
     path = _write(tmp_path, "broken.cfg", "[grid]\nfoo = 1\n")
     assert main(["simulate", "--config", path]) == 2
+
+
+def _denied(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", path)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "energy-check", "compare"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8", "no permission"])
+def test_unreadable_config_is_a_usage_error_naming_the_path(tmp_path, monkeypatch, capsys, command, kind):
+    # a directory used to end in an IsADirectoryError traceback, and a byte
+    # that is not UTF-8 in a FAIL line with exit 1, where no check ran.  A
+    # file without read permission is an open() that raises PermissionError
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"# caf\xe9\n")
+    elif kind == "no permission":
+        path.write_text(GOOD)
+        monkeypatch.setattr(config, "open", _denied, raising=False)
+    assert main([command, "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith(f"config file cannot be read: {path}: ")
+
+
+def test_a_plain_value_error_is_not_a_check_failure(tmp_path, monkeypatch):
+    # main reports the run failures it names as FAIL lines; any other
+    # ValueError is a fault of the program, not a failed check
+    def broken(*args, **kwargs):
+        raise ValueError("not a run failure")
+
+    monkeypatch.setattr(experiments, "energy_monitor", broken)
+    with pytest.raises(ValueError, match="not a run failure"):
+        main(["energy-check", "--config", _write(tmp_path, "run.cfg", GOOD)])
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from leslie_sim import config
+from leslie_sim import config, snapshot
 from leslie_sim.config import _KEYS, ConfigError, load_config, parse_config
 from leslie_sim.dynamics import State, StepperConfig, run
 from leslie_sim.energetics import EnergyTrace, RelativeTrace, energy_inequality_residual
@@ -397,6 +397,11 @@ def test_integral_float_counts_and_seeds_are_taken_as_their_ints():
         assert make_initial_state(Grid.unit_box(8), cfg.initial).d.values.shape == (3, 8, 8)
 
 
+def test_grid_length_of_the_wrong_count_reports_its_line():
+    with pytest.raises(ConfigError, match=r"^line 3: grid.length must match grid.dim$"):
+        parse_config("[grid]\ndim = 2\nlength = 1.0 2.0 3.0\n")
+
+
 @pytest.mark.parametrize("t_end", ["0.0105", "0.0004", "-0.002"])
 def test_t_end_off_the_step_grid_reports_the_stepper_line(t_end):
     with pytest.raises(ConfigError, match="whole number of steps") as exc_info:
@@ -496,17 +501,27 @@ def test_snapshot_format_is_pinned(tmp_path):
         assert got.values.flags.c_contiguous and got.values.tobytes() == want.values.tobytes()
 
 
+def _edited_snapshot(tmp_path, old, new):
+    """The path of a snapshot of :func:`_make_state` with its one ``old`` replaced by ``new``."""
+    path = tmp_path / "s.snap"
+    write_snapshot(_make_state(), str(path))
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    return path
+
+
 @pytest.mark.parametrize("line, bad", [
     (b"\nn 16 16\n", b"\nn 2 2\n"),
     (b"\nh 0.0625 0.0625\n", b"\nh nan 0.0625\n"),
     (b"\ntime 0.125\n", b"\ntime nan\n"),
-], ids=["n", "h", "time"])
+    (b"\ndim 2\n", b"\ndim two\n"),
+    (b"\nbc periodic\n", b"\n"),
+    (b"\ndim 2\n", b"\ndim 3\n"),
+    (b"data\n", b"dat4\n"),
+], ids=["n", "h", "time", "dim that does not parse", "missing key", "axis counts", "no data marker"])
 def test_snapshot_bad_header_value_is_a_snapshot_error(tmp_path, line, bad):
-    path = tmp_path / "s.snap"
-    write_snapshot(_make_state(), str(path))
-    data = path.read_bytes()
-    assert data.count(line) == 1
-    path.write_bytes(data.replace(line, bad))
+    path = _edited_snapshot(tmp_path, line, bad)
     with pytest.raises(SnapshotError, match=re.escape(str(path))):
         read_snapshot(str(path))
 
@@ -553,6 +568,44 @@ def test_snapshot_rejects_nonfinite(tmp_path):
     state.v.values[0, 0, 0] = np.nan
     with pytest.raises(SnapshotError):
         write_snapshot(state, str(tmp_path / "s.snap"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a byte that is not ASCII used to raise UnicodeDecodeError
+    (b"\nbc periodic\n", b"\nbc p\xe9riodic\n", "unsupported boundary condition 'p\\udce9riodic'"),
+    (b"\ndim 2\n", b"\nd\xefm 2\n", "unknown header key 'd\\udcefm'"),
+    # a second time used to be read, the last one winning
+    (b"\ntime 0.125\n", b"\ntime 0\ntime 1\n", "repeated header key 'time'"),
+    # an unknown line used to be ignored
+    (b"\nbc periodic\n", b"\nbc periodic\ncolour blue\n", "unknown header key 'colour'"),
+], ids=["non-ascii value", "non-ascii key", "time twice", "unknown key"])
+def test_snapshot_header_is_refused_naming_the_file_and_key(tmp_path, old, new, message):
+    path = _edited_snapshot(tmp_path, old, new)
+    with pytest.raises(SnapshotError) as refused:
+        read_snapshot(str(path))
+    assert str(refused.value) == f"{path}: {message}"
+
+
+def test_snapshot_nonfinite_payload_names_the_file(tmp_path):
+    path = tmp_path / "s.snap"
+    write_snapshot(_make_state(), str(path))
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([np.inf], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match=f"^{re.escape(str(path))}: non-finite values in payload$"):
+        read_snapshot(str(path))
+
+
+def test_failed_snapshot_write_leaves_no_file(tmp_path, monkeypatch):
+    # the temporary file is removed and the exception passes on unchanged
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device", dst)
+
+    monkeypatch.setattr(snapshot.os, "replace", refuse)
+    path = tmp_path / "s.snap"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        write_snapshot(_make_state(), str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +731,34 @@ def test_trace_csv_names_the_file_and_line_of_a_malformed_row(tmp_path, edit, me
     with pytest.raises(SnapshotError) as refused:
         read_trace_csv(str(path))
     assert str(refused.value) == f"{path}: {message}"
+
+
+def test_trace_csv_that_is_not_ascii_names_the_file_and_line(tmp_path):
+    # used to raise UnicodeDecodeError
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), energy=EnergyTrace(*(np.arange(3.0) for _ in dataclasses.fields(EnergyTrace))))
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n2,", b"\n\xb2,"))
+    with pytest.raises(SnapshotError) as refused:
+        read_trace_csv(str(path))
+    assert str(refused.value) == f"{path}: line 4: could not convert string to float: '\\udcb2'"
+    path.write_bytes(b"t\xe9" + data[1:])
+    with pytest.raises(SnapshotError, match=f"^{re.escape(str(path))}: unexpected trace columns"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), energy=EnergyTrace(*(np.arange(3.0) for _ in dataclasses.fields(EnergyTrace))))
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, "", rows[0], "  ", *rows[1:], ""]) + "\n")
+    assert read_trace_csv(str(path))["t"].tolist() == [0.0, 1.0, 2.0]
+
+
+def test_trace_csv_needs_a_trace_to_write(tmp_path):
+    with pytest.raises(ValueError, match="^need at least one trace to write$"):
+        write_trace_csv(str(tmp_path / "trace.csv"), residual=np.zeros(3))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,12 @@ def test_free_energy_sin_perturbed_closed_form():
     assert fe.penalty == pytest.approx(a**4 * (3.0 / 8.0) / (4.0 * EPS), rel=1e-6)
 
 
-def test_free_energy_rejects_bad_eps():
+@pytest.mark.parametrize("function", [en.free_energy, en.variational_derivative], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_free_energy_rejects_bad_eps(function, eps):
     grid = Grid.unit_box(8)
-    with pytest.raises(ValueError):
-        en.free_energy(VectorField.zeros(grid), TENSOR, 0.0)
+    with pytest.raises(ValueError, match="^penalty parameter eps must be positive$"):
+        function(VectorField.zeros(grid), TENSOR, eps)
 
 
 def test_variational_derivative_constant_unit():

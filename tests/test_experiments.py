@@ -184,6 +184,21 @@ def test_weak_strong_zero_delta():
     assert report.bound_satisfied
 
 
+def test_a_campaign_reaches_an_infinite_minimal_c():
+    # E(0) = 0 with E > 0 later: at a zero director and v = 0, delta = 1e-170
+    # perturbs v and d by amounts whose squares underflow, so E(0) is 0; the
+    # penalty's instability at d = 0 (rate gamma / eps = 1000) then grows the
+    # director's difference until E is a subnormal above 0.  No c makes
+    # E <= E(0) exp(c int K) hold, and compare's verdict is FAIL
+    cfg = config.parse_config("[grid]\nn = 8\n[material]\nepsilon = 1e-3\n[stepper]\ndt = 2e-4\n"
+                              "t_end = 0.02\noutput_every = 50\n[initial]\nkind = constant\n"
+                              "director = 0 0 0\n")
+    report = weak_strong_experiment(cfg.grid, cfg.params, cfg.elastic, cfg.stepper,
+                                    make_initial_state(cfg.grid, cfg.initial), seed=7, delta=1e-170)
+    assert report.E0 == 0.0 < report.max_E
+    assert report.minimal_c == math.inf and report.max_E_over_E0 == math.inf
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_weak_strong_series_match_the_energetics_functions(dim):
     # the campaign's relative energy, Gronwall factor and bound, taken over

@@ -204,6 +204,12 @@ def test_advect_matches_jacobian_product():
     np.testing.assert_allclose(g.advect(v, f).values, expect, atol=1e-13)
 
 
+def test_advect_refuses_fields_on_two_grids():
+    v, f = VectorField.zeros(Grid.unit_box(8)), VectorField.zeros(Grid.unit_box(16))
+    with pytest.raises(ValueError, match="^advect requires fields on the same grid$"):
+        g.advect(v, f)
+
+
 def test_laplacian_lambda_isotropic_reduction():
     grid = Grid.unit_box(16)
     f = smooth_vector_field(grid, np.random.default_rng(4))

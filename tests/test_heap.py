@@ -15,6 +15,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import weakref
 
@@ -95,12 +96,21 @@ def test_a_stepper_without_mallopt_runs_bit_for_bit(monkeypatch, lookup):
 
 
 #: The run hands the record to the step through a call, which CPython moves
-#: into the callee's frame from 3.11 on; before, the caller's stack keeps
-#: the record alive until the step returns.
+#: into the callee's frame from 3.11 on, the package's floor; before, the
+#: caller's stack keeps the record alive until the step returns.
 HANDOFF = pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
-    reason="the hand-off relies on CPython 3.11's call moving its arguments into the step's frame",
+    sys.implementation.name != "cpython",
+    reason="the hand-off relies on CPython's call moving its arguments into the step's frame",
 )
+
+
+def test_the_package_requires_the_python_of_the_hand_off():
+    # at 3.10 the package installed, and every step held its previous record
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    assert floor.startswith(">=")
+    assert tuple(int(part) for part in floor[2:].split(".")) >= (3, 11), floor
+
 
 _EYE = np.eye(3)
 #: The benchmark's explicit anisotropic tensor.

@@ -24,7 +24,7 @@ from leslie_sim import dynamics, experiments
 from leslie_sim import energetics as en
 from leslie_sim import grid as grid_module
 from leslie_sim.dynamics import ProjectionError, SimulationError, State, Stepper, StepperConfig
-from leslie_sim.experiments import _run_every_step, energy_monitor, weak_strong_campaign
+from leslie_sim.experiments import energy_monitor, weak_strong_campaign
 from leslie_sim.grid import Grid, VectorField
 from leslie_sim.initial import divfree_smooth_field, smooth_vector_field
 from leslie_sim.material import NON_PARODI_DEMO, PARODI_DEMO, make_forcing
@@ -105,14 +105,28 @@ def test_hook_sees_every_step_once_in_order_and_flags_the_samples(output_every, 
 
 
 @pytest.mark.parametrize("output_every", [1, 3, 10])
-def test_run_every_step_keeps_no_state_and_flags_the_samples(output_every):
+def test_energy_monitor_keeps_no_state_and_flags_the_samples(output_every, monkeypatch):
     # it runs at output_every = 1, so a run without a hook would keep every
-    # step's state; its own hook sees cfg's samples flagged
+    # step's state; its own hook sees cfg's samples flagged.  The run's
+    # trajectory and full residual are taken as the monitor makes them
+    made = {}
+
+    def keep(module, name):
+        function = getattr(module, name)
+
+        def kept(*args):
+            made[name] = function(*args)
+            return made[name]
+        monkeypatch.setattr(module, name, kept)
+
+    keep(dynamics, "run")
+    keep(en, "energy_inequality_residual")
     grid = GRIDS[2]
     cfg = StepperConfig(dt=1e-3, t_end=7e-3, output_every=output_every)
     flags = []
     for hook in ({}, {"each_step": lambda e, terms, sampled: flags.append(sampled)}):
-        traj, residual, trace, _ = _run_every_step(_state(grid, seed=60), cfg, NON_PARODI_DEMO, ANISO, **hook)
+        trace = energy_monitor(grid, NON_PARODI_DEMO, ANISO, cfg, _state(grid, seed=60), **hook).trace
+        traj, residual = made["run"], made["energy_inequality_residual"]
         assert traj.states == [] and len(residual) == 8
         assert trace.t.tolist() == traj.step_times[cfg.samples(0.0)].tolist()
     assert [k for k, sampled in enumerate(flags) if sampled] == cfg.samples(0.0) and len(flags) == 8

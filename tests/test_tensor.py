@@ -72,11 +72,21 @@ def test_major_symmetry_enforced():
         ElasticTensor(entries=entries, eta=1.0)
 
 
+def test_entries_of_the_wrong_shape_are_refused_naming_it():
+    with pytest.raises(ValueError, match=r"^elasticity tensor must be 3x3x3x3, got \(3, 3, 9\)$"):
+        ElasticTensor(entries=np.zeros((3, 3, 9)), eta=1.0)
+
+
 def test_ellipticity_check_isotropic():
     # (a x b) : L : (a x b) = k |a|^2 |b|^2 exactly for unit pairs
     tensor = ElasticTensor.isotropic(2.0)
     eta = ellipticity_check(tensor, n_samples=500, seed=3)
     assert eta == pytest.approx(2.0, rel=1e-12)
+
+
+def test_ellipticity_check_needs_a_sample():
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        ellipticity_check(ElasticTensor.isotropic(1.0), n_samples=0)
 
 
 _EYE = np.eye(3)
